@@ -10,7 +10,7 @@ congruence scans mod prime powers (``finite``) and the CLI (``cli``).
 
 from .indices import Index, IndexCombination, parse_index
 from .numeric import DEFAULT_PREC, mzv, mzv_star, tolerance
-from .rings import BiSeries, TSeries, ZetaPoly
+from .rings import BiSeries, ZetaPoly
 from .words import HARMONIC, SHUFFLE, NcPoly
 
 __version__ = "0.1.0"
@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Index", "IndexCombination", "parse_index",
     "DEFAULT_PREC", "mzv", "mzv_star", "tolerance",
-    "BiSeries", "TSeries", "ZetaPoly",
+    "BiSeries", "ZetaPoly",
     "HARMONIC", "SHUFFLE", "NcPoly",
     "__version__",
 ]

@@ -1,11 +1,12 @@
 """Degree-truncated noncommutative series over X0, X1 and the KZ machinery.
 
-``NcSeries`` is a finitely supported map from words over two letters to
-high-precision complex coefficients, with multiplication truncated beyond a
-fixed degree bound.  The generating series of regularized values places
-Z_T(e_{a1}...e_{an}) on the reversed word X_{an}...X_{a1}; consequently the
-pairing (plain coefficient extraction, same letter order on both sides)
-satisfies <Phi, w> = Z_T(reverse w).  That reversal is the most error-prone
+``NcSeries`` is a degree-bounded ``NcPoly``: a finitely supported map from
+words over two letters to high-precision complex coefficients, with
+multiplication truncated beyond a fixed degree bound.  The generating
+series of regularized values places Z_T(e_{a1}...e_{an}) on the reversed
+word X_{an}...X_{a1}; consequently the pairing (plain coefficient
+extraction, same letter order on both sides) satisfies
+<Phi, w> = Z_T(reverse w).  That reversal is the most error-prone
 convention here and is pinned by dedicated tests.
 
 The module builds the shuffle associator (regularized at T = 0), its
@@ -17,7 +18,7 @@ relations, the factorization identities and refined duality.
 from __future__ import annotations
 
 import itertools
-from math import factorial
+from math import factorial, prod
 
 from mpmath import mp
 
@@ -35,14 +36,23 @@ class TruncationError(ValueError):
     """A pairing or expansion would silently lose terms beyond the degree."""
 
 
-class NcSeries:
+class NcSeries(NcPoly):
     """Truncated series over words in two letters with complex coefficients."""
 
-    __slots__ = ("deg", "terms")
+    __slots__ = ("deg",)
 
     def __init__(self, deg: int, terms: dict[Word, object] | None = None):
         self.deg = deg
         self.terms = {w: c for w, c in (terms or {}).items() if c and len(w) <= deg}
+
+    def _new(self, terms: dict) -> "NcSeries":
+        out = super()._new(terms)
+        out.deg = self.deg
+        return out
+
+    def _coerce(self, other: "NcSeries") -> "NcSeries":
+        self._check(other)
+        return other
 
     @classmethod
     def const(cls, deg: int, c=1) -> "NcSeries":
@@ -55,67 +65,44 @@ class NcSeries:
     def coeff(self, w: Word):
         return self.terms.get(tuple(w), mp.mpf(0))
 
-    def __add__(self, other: "NcSeries") -> "NcSeries":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return NcSeries(self.deg, out)
-
-    def __sub__(self, other: "NcSeries") -> "NcSeries":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "NcSeries") -> "NcSeries":
         self._check(other)
-        out: dict[Word, object] = {}
-        for w1, c1 in self.terms.items():
-            room = self.deg - len(w1)
-            for w2, c2 in other.terms.items():
-                if len(w2) > room:
-                    continue
-                w = w1 + w2
-                s = out.get(w, 0) + c1 * c2
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return NcSeries(self.deg, out)
+        deg = self.deg
+        out = self._new({})
+        out._accumulate((w1 + w2, c1 * c2)
+                        for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()
+                        if len(w1) + len(w2) <= deg)
+        return out
 
-    def scale(self, c) -> "NcSeries":
-        if not c:
-            return NcSeries(self.deg)
-        return NcSeries(self.deg, {w: c * v for w, v in self.terms.items()})
+    def exp(self) -> "NcSeries":
+        """exp of a series with no constant term, truncated at the degree."""
+        if () in self.terms:
+            raise ValueError("exponent series must have no constant term")
+        out = NcSeries.const(self.deg)
+        power = NcSeries.const(self.deg)
+        for n in range(1, self.deg + 1):
+            power = power * self
+            out += power.scale(mp.mpf(1) / factorial(n))
+        return out
 
     def reverse(self) -> "NcSeries":
         """Word-by-word reversal, no signs."""
-        return NcSeries(self.deg, {w[::-1]: c for w, c in self.terms.items()})
+        return self._new({w[::-1]: c for w, c in self.terms.items()})
 
     def eps(self) -> "NcSeries":
         """Anti-automorphism X_i -> -X_i: reverse words, sign by length."""
-        return NcSeries(self.deg, {w[::-1]: c * (-1) ** len(w) for w, c in self.terms.items()})
+        return self._new({w[::-1]: c * (-1) ** len(w) for w, c in self.terms.items()})
 
     def conj(self) -> "NcSeries":
-        return NcSeries(self.deg, {w: mp.conj(c) for w, c in self.terms.items()})
+        return self._new({w: mp.conj(c) for w, c in self.terms.items()})
 
     def subst(self, images: dict[int, tuple[tuple[int, object], ...]]) -> "NcSeries":
         """Replace each letter by a linear combination of letters."""
-        out: dict[Word, object] = {}
+        out = self._new({})
         for w, c in self.terms.items():
-            for choices in itertools.product(*(images[a] for a in w)):
-                coeff = c
-                for _, m in choices:
-                    coeff = coeff * m
-                key = tuple(b for b, _ in choices)
-                s = out.get(key, 0) + coeff
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return NcSeries(self.deg, out)
+            out._accumulate((tuple(b for b, _ in choices), prod((m for _, m in choices), start=c))
+                            for choices in itertools.product(*(images[a] for a in w)))
+        return out
 
     def max_abs(self):
         if not self.terms:
@@ -133,51 +120,14 @@ class NcSeries:
             pieces.append(f"({mp.nstr(self.terms[w], 8)})*{body}")
         return " + ".join(pieces) or "0"
 
+    __str__ = __repr__
+
 
 # substitution images
 IMG_SWAP = {E0: ((E1, 1),), E1: ((E0, 1),)}          # (X1, X0)
 IMG_INF_0 = {E0: ((E0, -1), (E1, -1)), E1: ((E0, 1),)}   # (X_inf, X0)
 IMG_INF_1 = {E0: ((E0, -1), (E1, -1)), E1: ((E1, 1),)}   # (X_inf, X1)
 IMG_1_INF = {E0: ((E1, 1),), E1: ((E0, -1), (E1, -1))}   # (X1, X_inf)
-
-
-def exp_letter_linear(lin: dict[int, object], deg: int) -> NcSeries:
-    """exp of a linear combination of letters, truncated at the degree."""
-    x = NcSeries(deg, {(a,): to_mp(c) for a, c in lin.items() if c})
-    out = NcSeries.const(deg)
-    power = NcSeries.const(deg)
-    for n in range(1, deg + 1):
-        power = power * x
-        out = out + power.scale(mp.mpf(1) / factorial(n))
-    return out
-
-
-def exp_single_letter_series(coeffs: list, letter: int, deg: int) -> NcSeries:
-    """exp of sum_j coeffs[j] X^j (no constant term) supported on one letter."""
-    if coeffs and coeffs[0]:
-        raise ValueError("exponent series must have no constant term")
-    expo = [mp.mpf(0)] * (deg + 1)
-    for j, c in enumerate(coeffs[: deg + 1]):
-        expo[j] = to_mp(c)
-    out = [mp.mpf(0)] * (deg + 1)
-    out[0] = mp.mpf(1)
-    power = [mp.mpf(1)] + [mp.mpf(0)] * deg
-    for m in range(1, deg + 1):
-        nxt = [mp.mpf(0)] * (deg + 1)
-        for i, a in enumerate(power):
-            if not a:
-                continue
-            for j in range(1, deg + 1 - i):
-                if expo[j]:
-                    nxt[i + j] += a * expo[j]
-        power = nxt
-        if not any(power):
-            break
-        inv = mp.mpf(1) / factorial(m)
-        for i, a in enumerate(power):
-            if a:
-                out[i] += a * inv
-    return NcSeries(deg, {(letter,) * j: c for j, c in enumerate(out) if c})
 
 
 _PHI_CACHE: dict[tuple, NcSeries] = {}
@@ -228,8 +178,8 @@ def phi_rs(D: int, prec: int) -> NcSeries:
     if key not in _PHI_RS_CACHE:
         with mp.workdps(prec + _GUARD):
             kz = phi_kz(D, prec)
-            half = exp_letter_linear({E0: mp.pi * mp.mpc(0, 1) / 2}, D)
-            mid = exp_letter_linear({E1: 2 * mp.pi * mp.mpc(0, 1)}, D)
+            half = NcSeries.letter(D, E0, mp.pi * mp.mpc(0, 1) / 2).exp()
+            mid = NcSeries.letter(D, E1, 2 * mp.pi * mp.mpc(0, 1)).exp()
             _PHI_RS_CACHE[key] = half * kz.subst(IMG_SWAP) * mid * kz * half
     return _PHI_RS_CACHE[key]
 
@@ -359,11 +309,11 @@ def check_three_cycle(D: int, prec: int):
         kz = phi_kz(D, prec)
         pij = mp.pi * mp.mpc(0, 1)
         prod = (kz
-                * exp_letter_linear({E0: pij}, D)
+                * NcSeries.letter(D, E0, pij).exp()
                 * kz.subst(IMG_INF_0)
-                * exp_letter_linear({E0: -pij, E1: -pij}, D)
+                * NcSeries(D, {(E0,): -pij, (E1,): -pij}).exp()
                 * kz.subst(IMG_1_INF)
-                * exp_letter_linear({E1: pij}, D))
+                * NcSeries.letter(D, E1, pij).exp())
         return _residual_series(prod, NcSeries.const(D))
 
 
@@ -371,29 +321,17 @@ def check_t_part(product: str, T, D: int, prec: int):
     """phi(T) = exp(-T X1) phi(0)."""
     with mp.workdps(prec + _GUARD):
         lhs = phi(product, T, D, prec)
-        rhs = exp_letter_linear({E1: -to_mp(T)}, D) * phi(product, 0, D, prec)
+        rhs = NcSeries.letter(D, E1, -to_mp(T)).exp() * phi(product, 0, D, prec)
         return _residual_series(lhs, rhs)
-
-
-def _gamma0_series(D: int, prec: int, negate: bool = False) -> NcSeries:
-    with mp.workdps(prec + _GUARD):
-        terms = {}
-        for b, g in enumerate(gamma0_coeffs(D)):
-            if not g:
-                continue
-            val = eval_zeta_poly(g, {}, prec)
-            if negate:
-                val *= (-1) ** b
-            if val:
-                terms[(E1,) * b] = val
-        return NcSeries(D, terms)
 
 
 def check_gamma_factor(T, D: int, prec: int):
     """phi_shuffle(T) = Gamma0(X1) phi_harmonic(T)."""
     with mp.workdps(prec + _GUARD):
         lhs = phi(SHUFFLE, T, D, prec)
-        rhs = _gamma0_series(D, prec) * phi(HARMONIC, T, D, prec)
+        gamma0 = NcSeries(D, {(E1,) * b: eval_zeta_poly(g, {}, prec)
+                              for b, g in enumerate(gamma0_coeffs(D)) if g})
+        rhs = gamma0 * phi(HARMONIC, T, D, prec)
         return _residual_series(lhs, rhs)
 
 
@@ -401,10 +339,8 @@ def check_independence_factor(T, D: int, prec: int):
     """The adjoint shuffle series factors through exp(sum zeta(2k)/k X1^2k)."""
     with mp.workdps(prec + _GUARD):
         lhs = phi_ad(SHUFFLE, 0, T, D, prec)
-        coeffs = [mp.mpf(0)] * (D + 1)
-        for kk in range(1, D // 2 + 1):
-            coeffs[2 * kk] = mzv((2 * kk,), prec) / kk
-        mid = exp_single_letter_series(coeffs, E1, D)
+        mid = NcSeries(D, {(E1,) * (2 * kk): mzv((2 * kk,), prec) / kk
+                           for kk in range(1, D // 2 + 1)}).exp()
         x1 = NcSeries.letter(D, E1)
         rhs = phi(HARMONIC, 0, D, prec).eps() * x1 * mid * phi(HARMONIC, T, D, prec)
         return _residual_series(lhs, rhs)

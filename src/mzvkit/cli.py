@@ -22,6 +22,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 
 from mpmath import mp
 
@@ -37,15 +38,56 @@ class UsageError(ValueError):
 
 VERBS = ("eval", "check", "scan", "cache")
 
+# check target -> (index count, params label, call(indices, args)).  The label
+# is formatted with the indices as {0}, {1} and with {orders}, {order}, {deg}
+# and {tau}; t-part reports one line per product, so it has one label each.
+# Every call looks its function up on the module when it runs, so a function
+# replaced there (as a profiler or tracer does) is the one called.
+CHECKS = {
+    "harmonic": (2, "{0} {1} orders={orders}",
+                 lambda ks, a: stadic.check_harmonic(*ks, a.orders, a.prec)),
+    "shifted-harmonic": (2, "{0} {1} order={order}",
+                         lambda ks, a: stadic.check_shifted_harmonic(*ks, a.orders[1], a.prec)),
+    "shuffle": (2, "{0} {1} orders={orders}",
+                lambda ks, a: stadic.check_shuffle(*ks, a.orders, a.prec)),
+    "antipode": (1, "{0} order={order}",
+                 lambda ks, a: stadic.check_antipode(*ks, a.orders[1], a.prec)),
+    "reg": (1, "{0}", lambda ks, a: regularization.check_reg_theorem(*ks, a.prec)),
+    "explicit-reg": (1, "{0} order={order}",
+                     lambda ks, a: stadic.check_explicit_reg(*ks, a.orders[1], a.prec)),
+    "t-translation": (1, "{0} orders={orders}",
+                      lambda ks, a: stadic.check_t_translation(*ks, a.orders, a.prec)),
+    "csf": (1, "{0}", lambda ks, a: stadic.check_classical_csf(*ks, a.prec)),
+    "csf-shifted": (1, "{0} order={order}",
+                    lambda ks, a: stadic.check_shifted_csf(*ks, a.orders[1], a.prec)),
+    "csf-star": (1, "{0} orders={orders}",
+                 lambda ks, a: stadic.check_csf_star(*ks, a.orders, a.prec)),
+    "csf-nonstar": (1, "{0} orders={orders}",
+                    lambda ks, a: stadic.check_csf_nonstar(*ks, a.orders, a.prec)),
+    "csf-tau": (1, "{0} tau={tau} orders={orders}",
+                lambda ks, a: stadic.check_csf_tau(*ks, a.tau, a.orders, a.prec)),
+    "duality": (1, "{0} orders={orders}",
+                lambda ks, a: associator.check_refined_duality(*ks, a.orders, a.prec)),
+    "two-cycle": (0, "deg={deg}", lambda ks, a: associator.check_two_cycle(a.deg, a.prec)),
+    "three-cycle": (0, "deg={deg}", lambda ks, a: associator.check_three_cycle(a.deg, a.prec)),
+    "t-part": (0, ("harmonic deg={deg}", "shuffle deg={deg}"),
+               lambda ks, a: [associator.check_t_part(product, stadic.SAMPLE_T, a.deg, a.prec)
+                              for product in (HARMONIC, SHUFFLE)]),
+    "gamma-factor": (0, "deg={deg}",
+                     lambda ks, a: associator.check_gamma_factor(stadic.SAMPLE_T, a.deg, a.prec)),
+    "independence": (0, "deg={deg}",
+                     lambda ks, a: associator.check_independence_factor(stadic.SAMPLE_T, a.deg,
+                                                                       a.prec)),
+    "duality-assoc": (0, "deg={deg}", lambda ks, a: associator.check_duality_assoc(a.deg, a.prec)),
+    "smzv-assoc": (1, "{0} orders={orders}",
+                   lambda ks, a: associator.check_smzv_routes(*ks, a.orders, a.prec)),
+    "rsmzv-routes": (1, "{0} orders={orders}",
+                     lambda ks, a: associator.check_rsmzv_routes(*ks, a.orders, a.prec)),
+}
+
 TARGETS = {
     "eval": ("mzv", "mzv-star", "stadic"),
-    "check": (
-        "harmonic", "shifted-harmonic", "shuffle", "antipode", "reg",
-        "explicit-reg", "t-translation", "csf", "csf-shifted", "csf-star",
-        "csf-nonstar", "csf-tau", "duality", "two-cycle", "three-cycle",
-        "t-part", "gamma-factor", "independence", "duality-assoc",
-        "smzv-assoc", "rsmzv-routes",
-    ),
+    "check": tuple(CHECKS),
     "scan": ("stuffle", "shift", "wolstenholme"),
     "cache": ("show", "save", "load", "clear"),
 }
@@ -171,6 +213,8 @@ def parse_command(argv: list[str]) -> CommandAst:
         i += 2
     if "prec" in options and options["prec"] < 15:
         raise UsageError("--prec must be at least 15")
+    if "deg" in options and options["deg"] < 1:
+        raise UsageError("--deg must be at least 1")
     return CommandAst(verb, target, tuple(indices), options)
 
 
@@ -207,92 +251,21 @@ def _need_indices(ast: CommandAst, count: int) -> tuple[Index, ...]:
 
 
 def _run_check(ast: CommandAst, cfg: Config) -> tuple[int, list[str]]:
-    prec = ast.options.get("prec", cfg.prec)
     orders = ast.options.get("orders", cfg.orders)
-    deg = ast.options.get("deg", 4)
-    tol = tolerance(prec)
-    t = ast.target
-    results: list[tuple[str, object]] = []
-
-    if t == "harmonic":
-        k, l = _need_indices(ast, 2)
-        results.append((f"{k} {l} orders={orders[0]},{orders[1]}",
-                        stadic.check_harmonic(k, l, orders, prec)))
-    elif t == "shifted-harmonic":
-        k, l = _need_indices(ast, 2)
-        results.append((f"{k} {l} order={orders[1]}",
-                        stadic.check_shifted_harmonic(k, l, orders[1], prec)))
-    elif t == "shuffle":
-        l, k = _need_indices(ast, 2)
-        results.append((f"{l} {k} orders={orders[0]},{orders[1]}",
-                        stadic.check_shuffle(l, k, orders, prec)))
-    elif t == "antipode":
-        (k,) = _need_indices(ast, 1)
-        results.append((f"{k} order={orders[1]}", stadic.check_antipode(k, orders[1], prec)))
-    elif t == "reg":
-        (k,) = _need_indices(ast, 1)
-        results.append((f"{k}", regularization.check_reg_theorem(k, prec)))
-    elif t == "explicit-reg":
-        (k,) = _need_indices(ast, 1)
-        results.append((f"{k} order={orders[1]}", stadic.check_explicit_reg(k, orders[1], prec)))
-    elif t == "t-translation":
-        (k,) = _need_indices(ast, 1)
-        results.append((f"{k} orders={orders[0]},{orders[1]}",
-                        stadic.check_t_translation(k, orders, prec)))
-    elif t == "csf":
-        (k,) = _need_indices(ast, 1)
-        results.append((f"{k}", stadic.check_classical_csf(k, prec)))
-    elif t == "csf-shifted":
-        (k,) = _need_indices(ast, 1)
-        results.append((f"{k} order={orders[1]}", stadic.check_shifted_csf(k, orders[1], prec)))
-    elif t == "csf-star":
-        (k,) = _need_indices(ast, 1)
-        results.append((f"{k} orders={orders[0]},{orders[1]}",
-                        stadic.check_csf_star(k, orders, prec)))
-    elif t == "csf-nonstar":
-        (k,) = _need_indices(ast, 1)
-        results.append((f"{k} orders={orders[0]},{orders[1]}",
-                        stadic.check_csf_nonstar(k, orders, prec)))
-    elif t == "csf-tau":
-        (k,) = _need_indices(ast, 1)
-        tau = ast.options.get("tau", Fraction(1, 2))
-        results.append((f"{k} tau={tau} orders={orders[0]},{orders[1]}",
-                        stadic.check_csf_tau(k, tau, orders, prec)))
-    elif t == "duality":
-        (k,) = _need_indices(ast, 1)
-        results.append((f"{k} orders={orders[0]},{orders[1]}",
-                        associator.check_refined_duality(k, orders, prec)))
-    elif t == "two-cycle":
-        results.append((f"deg={deg}", associator.check_two_cycle(deg, prec)))
-    elif t == "three-cycle":
-        results.append((f"deg={deg}", associator.check_three_cycle(deg, prec)))
-    elif t == "t-part":
-        for product in (HARMONIC, SHUFFLE):
-            results.append((f"{product} deg={deg}",
-                            associator.check_t_part(product, stadic.SAMPLE_T, deg, prec)))
-    elif t == "gamma-factor":
-        results.append((f"deg={deg}",
-                        associator.check_gamma_factor(stadic.SAMPLE_T, deg, prec)))
-    elif t == "independence":
-        results.append((f"deg={deg}",
-                        associator.check_independence_factor(stadic.SAMPLE_T, deg, prec)))
-    elif t == "duality-assoc":
-        results.append((f"deg={deg}", associator.check_duality_assoc(deg, prec)))
-    elif t == "smzv-assoc":
-        (k,) = _need_indices(ast, 1)
-        results.append((f"{k} orders={orders[0]},{orders[1]}",
-                        associator.check_smzv_routes(k, orders, prec)))
-    elif t == "rsmzv-routes":
-        (k,) = _need_indices(ast, 1)
-        results.append((f"{k} orders={orders[0]},{orders[1]}",
-                        associator.check_rsmzv_routes(k, orders, prec)))
-    else:  # pragma: no cover - closed vocabulary
-        raise UsageError(f"unhandled check target {t!r}")
-
+    args = SimpleNamespace(prec=ast.options.get("prec", cfg.prec), orders=orders,
+                           deg=ast.options.get("deg", 4), tau=ast.options.get("tau", Fraction(1, 2)))
+    count, label, call = CHECKS[ast.target]
+    ks = _need_indices(ast, count)
+    residuals = call(ks, args)
+    if isinstance(label, str):
+        label, residuals = (label,), (residuals,)
+    tol = tolerance(args.prec)
     lines = []
     all_ok = True
-    for params, residual in results:
-        line, ok = _report_line(f"check-{t}", params, residual, tol)
+    for fmt, residual in zip(label, residuals):
+        params = fmt.format(*ks, orders=f"{orders[0]},{orders[1]}", order=orders[1],
+                            deg=args.deg, tau=args.tau)
+        line, ok = _report_line(f"check-{ast.target}", params, residual, tol)
         lines.append(line)
         all_ok = all_ok and ok
     return (0 if all_ok else 1), lines
@@ -319,7 +292,9 @@ def _run_scan(ast: CommandAst, cfg: Config) -> tuple[int, list[str]]:
         report = finite.scan_shift_expansion(k, a, pmax, power, workers)
     else:
         report = finite.scan_wolstenholme(pmax, workers)
-    return (0 if report.all_pass else 1), [report.to_csv().rstrip("\n")]
+    # a scan that checked no prime certifies nothing
+    ok = report.all_pass and report.results
+    return (0 if ok else 1), [report.to_csv().rstrip("\n")]
 
 
 def _run_eval(ast: CommandAst, cfg: Config) -> tuple[int, list[str]]:

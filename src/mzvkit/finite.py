@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 
 from .indices import Index, b_coeff, coarsenings, compositions, oplus
 from .words import index_harmonic
@@ -276,7 +276,7 @@ def scan_stuffle(pairs: list[tuple[Index, Index]], p_max: int, n: int = 1,
     if not pairs:
         return report
     primes = [p for p in sieve_primes(p_max) if p >= 5 and p > n]
-    return _run_scan(report, primes, _StufflePrime(n, pairs), workers)
+    return _run_scan(report, primes, partial(_check_stuffle_prime, n=n, pairs=pairs), workers)
 
 
 def scan_shift_expansion(k, a: int, p_max: int, n: int = 1,
@@ -291,35 +291,12 @@ def scan_shift_expansion(k, a: int, p_max: int, n: int = 1,
         raise ValueError("the shift a must be at least 1")
     report = ScanReport("shift", f"{k} a={a}", n)
     primes = [p for p in sieve_primes(p_max) if p >= 5 and p > n]
-    return _run_scan(report, primes, _ShiftPrime(n, k, a), workers)
+    return _run_scan(report, primes, partial(_check_shift_prime, n=n, k=k, a=a), workers)
 
 
 def scan_wolstenholme(p_max: int, workers: int = 1) -> ScanReport:
     """H_(p-1) vanishes mod p^2 for every prime p >= 5."""
     report = ScanReport("wolstenholme", "(1) pow=2", 2)
     primes = [p for p in sieve_primes(p_max) if p >= 5]
-    return _run_scan(report, primes, _WolstenholmePrime(), workers)
+    return _run_scan(report, primes, _check_wolstenholme_prime, workers)
 
-
-class _StufflePrime:
-    def __init__(self, n: int, pairs):
-        self.n = n
-        self.pairs = pairs
-
-    def __call__(self, p: int):
-        return _check_stuffle_prime(p, self.n, self.pairs)
-
-
-class _ShiftPrime:
-    def __init__(self, n: int, k: Index, a: int):
-        self.n = n
-        self.k = k
-        self.a = a
-
-    def __call__(self, p: int):
-        return _check_shift_prime(p, self.n, self.k, self.a)
-
-
-class _WolstenholmePrime:
-    def __call__(self, p: int):
-        return _check_wolstenholme_prime(p)

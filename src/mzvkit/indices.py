@@ -14,6 +14,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator
 
+from .rings import LinearCombination
+
 
 class Index(tuple):
     """A finite sequence of positive integers."""
@@ -177,46 +179,17 @@ def uplus(k: Index, l: Index) -> Index:
     return Index(k[:-1] + (k[-1] + l[0],) + l[1:])
 
 
-class IndexCombination:
+class IndexCombination(LinearCombination):
     """A finitely supported rational linear combination of indices."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict[Index, Fraction] | None = None):
-        self.terms: dict[Index, Fraction] = {}
-        if terms:
-            for idx, c in terms.items():
-                if c:
-                    self.terms[Index(idx)] = Fraction(c)
+        super().__init__({Index(idx): Fraction(c) for idx, c in (terms or {}).items()})
 
     @classmethod
     def single(cls, k: Index, c: Fraction | int = 1) -> "IndexCombination":
         return cls({Index(k): Fraction(c)})
-
-    def __add__(self, other: "IndexCombination") -> "IndexCombination":
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            s = out.get(idx, Fraction(0)) + c
-            if s:
-                out[idx] = s
-            else:
-                out.pop(idx, None)
-        return IndexCombination(out)
-
-    def __sub__(self, other: "IndexCombination") -> "IndexCombination":
-        return self + (-1) * other
-
-    def __rmul__(self, c) -> "IndexCombination":
-        c = Fraction(c)
-        if not c:
-            return IndexCombination()
-        return IndexCombination({idx: c * v for idx, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IndexCombination) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0].weight, kv[0]))

@@ -13,6 +13,8 @@ Computed values are memoised as decimal strings keyed by (index, prec); a
 
 from __future__ import annotations
 
+import os
+import tempfile
 from fractions import Fraction
 from functools import cache
 
@@ -21,7 +23,7 @@ from mpmath import mp
 
 from .indices import Index, coarsenings
 from .rings import ZetaPoly
-from .words import word_of_index
+from .words import index_of_word, word_of_index
 
 DEFAULT_PREC = 40
 _GUARD = 15
@@ -83,25 +85,24 @@ class ValueCache:
         return count
 
     def save(self, path: str) -> int:
+        """Write the store to a temporary file beside ``path``, then rename it
+        over ``path``: readers and a crash midway see the old or the new store,
+        never a torn one, and concurrent savers leave one complete store."""
         items = sorted(self.records.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1]))
-        with open(path, "w", encoding="utf-8") as fh:
-            for (k, prec), value in items:
-                fh.write(f"k={','.join(map(str, k))};prec={prec};value={value}\n")
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                                   prefix=os.path.basename(path) + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                for (k, prec), value in items:
+                    fh.write(f"k={','.join(map(str, k))};prec={prec};value={value}\n")
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         return len(items)
 
 
 CACHE = ValueCache()
-
-
-def _composition_of_piece(word: tuple) -> tuple:
-    """Parse a letter word starting with 1 into its exponent composition."""
-    parts: list[int] = []
-    for letter in word:
-        if letter == 1:
-            parts.append(1)
-        else:
-            parts[-1] += 1
-    return tuple(parts)
 
 
 @cache
@@ -142,8 +143,7 @@ def _mzv_compute(k: Index, prec: int) -> mpmath.mpf:
         for i in range(n + 1):
             lower = w[:i]
             upper = tuple(1 - a for a in reversed(w[i:]))
-            total += (_li_half(_composition_of_piece(lower), prec)
-                      * _li_half(_composition_of_piece(upper), prec))
+            total += _li_half(index_of_word(lower), prec) * _li_half(index_of_word(upper), prec)
         return total
 
 

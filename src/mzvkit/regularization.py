@@ -20,7 +20,7 @@ from functools import cache
 from math import factorial
 
 from .indices import Index, b_coeff, compositions, oplus
-from .rings import ZetaPoly
+from .rings import BiSeries, ZetaPoly
 from .words import (
     E0, E1, HARMONIC, SHUFFLE, NcPoly, Word, in_h0, in_h1, index_of_word,
     product_fn, word_of_index,
@@ -37,7 +37,7 @@ class RegDecomposition:
     def reconstruct(self) -> NcPoly:
         out = NcPoly()
         for i, wi in enumerate(self.coefficients):
-            out = out + product_fn(self.product)(wi, e1_power(self.product, i))
+            out += product_fn(self.product)(wi, e1_power(self.product, i))
         return out
 
 
@@ -72,7 +72,7 @@ def reg_word(w: Word, product: str) -> NcPoly:
     mul = product_fn(product)
     for i in range(1, m + 1):
         ci = reg_word(head + (E1,) * (m - i), product).scale(Fraction(1, factorial(i)))
-        res = res - mul(ci, e1_power(product, i))
+        res -= mul(ci, e1_power(product, i))
     if not res.support_in_h0():
         raise AssertionError(f"regularization of {w} left non-H0 words")
     return res
@@ -96,7 +96,7 @@ def regularize(u: NcPoly, product: str) -> RegDecomposition:
         for i, ci in enumerate(_decompose_word(w, product)):
             while len(parts) <= i:
                 parts.append(NcPoly())
-            parts[i] = parts[i] + ci.scale(c)
+            parts[i] += ci.scale(c)
     if not parts:
         parts = [NcPoly()]
     return RegDecomposition(tuple(parts), product)
@@ -109,7 +109,7 @@ def z_of_h0(u: NcPoly) -> ZetaPoly:
         if not in_h0(w):
             raise ValueError(f"word {w} is not supported on H0")
         idx = index_of_word(w)
-        out = out + ZetaPoly.zeta(tuple(idx)) * (Fraction(c) * (-1) ** idx.depth)
+        out += ZetaPoly.zeta(tuple(idx)) * (Fraction(c) * (-1) ** idx.depth)
     return out
 
 
@@ -120,7 +120,7 @@ def _z_reg_word(w: Word, product: str) -> ZetaPoly:
     out = ZetaPoly()
     power = ZetaPoly.const(1)
     for i, ci in enumerate(dec):
-        out = out + z_of_h0(ci) * power
+        out += z_of_h0(ci) * power
         power = power * (-1 * T)
     return out
 
@@ -129,7 +129,7 @@ def Z_reg(u: NcPoly, product: str) -> ZetaPoly:
     """Regularized value of an H1-supported polynomial, e1 mapped to -T."""
     out = ZetaPoly()
     for w, c in u.terms.items():
-        out = out + _z_reg_word(w, product) * Fraction(c)
+        out += _z_reg_word(w, product) * Fraction(c)
     return out
 
 
@@ -148,7 +148,7 @@ def _z_reg_full_word(w: Word, product: str) -> ZetaPoly:
     k = index_of_word(rest)
     out = ZetaPoly()
     for shift in compositions(n, k.depth):
-        out = out + zeta_reg(oplus(k, shift), product) * b_coeff(k, shift)
+        out += zeta_reg(oplus(k, shift), product) * b_coeff(k, shift)
     return out * ((-1) ** (n + k.depth))
 
 
@@ -159,7 +159,7 @@ def Z_reg_full(u: NcPoly, product: str) -> ZetaPoly:
     """
     out = ZetaPoly()
     for w, c in u.terms.items():
-        out = out + _z_reg_full_word(w, product) * Fraction(c)
+        out += _z_reg_full_word(w, product) * Fraction(c)
     return out
 
 
@@ -167,35 +167,19 @@ def Z_reg_full(u: NcPoly, product: str) -> ZetaPoly:
 # comparison of the two regularizations
 # ---------------------------------------------------------------------------
 
-def _mul_trunc(a: list[ZetaPoly], b: list[ZetaPoly], order: int) -> list[ZetaPoly]:
-    out = [ZetaPoly() for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 @cache
 def gamma0_coeffs(order: int) -> tuple[ZetaPoly, ...]:
     """Coefficients of X^0..X^order of exp(sum_{k>=2} Z[(k)]/k X^k)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    s = [ZetaPoly() for _ in range(order + 1)]
-    for k in range(2, order + 1):
-        s[k] = ZetaPoly.zeta((k,)) * Fraction(1, k)
-    out = [ZetaPoly() for _ in range(order + 1)]
-    out[0] = ZetaPoly.const(1)
-    power = list(out)
+    s = BiSeries(0, order, [[ZetaPoly.zeta((k,)) * Fraction(1, k) if k >= 2 else ZetaPoly()
+                              for k in range(order + 1)]])
+    out = BiSeries.constant(ZetaPoly.const(1), 0, order)
+    power = BiSeries.constant(ZetaPoly.const(1), 0, order)
     for m in range(1, order // 2 + 1):
-        power = _mul_trunc(power, s, order)
-        for i in range(order + 1):
-            out[i] = out[i] + power[i] * Fraction(1, factorial(m))
-    return tuple(out)
+        power = power * s
+        out += power.scale(Fraction(1, factorial(m)))
+    return tuple(out.coeffs)
 
 
 @cache
@@ -207,7 +191,7 @@ def rho_of_T_power(n: int) -> ZetaPoly:
     for a in range(n + 1):
         b = n - a
         coeff = Fraction(factorial(n), factorial(a)) * (-1) ** b
-        out = out + g[b] * coeff * T ** a
+        out += g[b] * coeff * T ** a
     return out
 
 
@@ -220,7 +204,7 @@ def rho(p: ZetaPoly) -> ZetaPoly:
             if name != "T":
                 raise ValueError(f"rho acts on polynomials in T only, found {name}")
             n = e
-        out = out + ZetaPoly({(zpart, ()): c}) * rho_of_T_power(n)
+        out += ZetaPoly({(zpart, ()): c}) * rho_of_T_power(n)
     return out
 
 
@@ -238,7 +222,7 @@ def R_poly(k: Index) -> ZetaPoly:
     for a in range(r + 1):
         b = r - a
         const = rho_of_T_power(b).subst_tvars({"T": 0})
-        out = out + const * (-1 * T) ** a * Fraction(1, factorial(a) * factorial(b))
+        out += const * (-1 * T) ** a * Fraction(1, factorial(a) * factorial(b))
     return out
 
 

@@ -1,18 +1,26 @@
-"""Scalar coefficient rings for the word algebra and value computations.
+"""Sparse linear combinations and the scalar coefficient rings built on them.
 
-Three rings are provided on top of ``fractions.Fraction``:
-
+* ``LinearCombination`` -- a finitely supported map from basis keys (words,
+  monomials, indices) to nonzero coefficients.  It is the one sparse core
+  under every dict algebra in the package: zero-dropping construction,
+  ``+``, ``-``, ``scale``, equality, and in-place accumulation (``+=``,
+  ``-=``, ``add_term``) through a single accumulate-and-drop-zeros loop.
 * ``ZetaPoly`` -- commutative polynomials in formal zeta symbols ``Z[k]``
   (k an admissible index) and named indeterminates (``T``, ``T1``, ``T2``)
   with exact rational coefficients.  Equality is structural; no relation
   between zeta symbols is assumed.
-* ``TSeries`` -- a univariate power series truncated at a fixed order, with
-  coefficients in any ring supporting ``+``, ``-``, ``*`` and ``bool``.
-* ``BiSeries`` -- a bivariate series in (s, t) truncated at fixed orders
-  (ms, mt), stored as a dense coefficient grid.
+* ``BiSeries`` -- a series in (s, t) truncated at orders (ms, mt), stored as
+  a dense coefficient grid, with coefficients in any ring supporting ``+``,
+  ``-``, ``*`` and ``bool``.  A series in one variable is a ``BiSeries``
+  with ``ms = 0``.
 
 Zero tests go through ``bool(x)``, which works for ``Fraction``, mpmath
 numbers and the classes below.
+
+In-place operations change only the container they are applied to, never a
+coefficient object: coefficients may be shared between combinations and
+grids.  An accumulator must be a fresh object that its function created,
+never a value handed out by a cache.
 """
 
 from __future__ import annotations
@@ -37,13 +45,76 @@ def _merge_powers(a, b):
     return tuple(sorted((k, e) for k, e in d.items() if e))
 
 
-class ZetaPoly:
-    """Exact polynomial in zeta symbols and formal T-variables."""
+class LinearCombination:
+    """Finitely supported linear combination: basis key -> nonzero coefficient."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction] | None = None):
-        self.terms = {m: c for m, c in (terms or {}).items() if c}
+    def __init__(self, terms: dict | None = None):
+        self.terms = {k: c for k, c in terms.items() if c} if terms else {}
+
+    def _new(self, terms: dict):
+        """A combination of the same kind over ``terms``, which hold no zeros."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        return out
+
+    def _coerce(self, other):
+        """The operand of ``+``/``-`` as a combination of the same kind."""
+        return other
+
+    def _accumulate(self, items) -> "LinearCombination":
+        """Add (key, coefficient) pairs into this combination, dropping zeros."""
+        terms = self.terms
+        for key, c in items:
+            s = terms.get(key)
+            s = c if s is None else s + c
+            if s:
+                terms[key] = s
+            else:
+                terms.pop(key, None)
+        return self
+
+    def add_term(self, key, c) -> None:
+        """In place: add c times the basis element ``key``."""
+        self._accumulate(((key, c),))
+
+    def __iadd__(self, other):
+        return self._accumulate(self._coerce(other).terms.items())
+
+    def __isub__(self, other):
+        return self._accumulate((k, -c) for k, c in self._coerce(other).terms.items())
+
+    def __add__(self, other):
+        out = self._new(dict(self.terms))
+        out += other
+        return out
+
+    def __sub__(self, other):
+        out = self._new(dict(self.terms))
+        out -= other
+        return out
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        """Every coefficient multiplied by c, as a new combination."""
+        return self._new({k: cv for k, v in self.terms.items() if (cv := c * v)})
+
+    __rmul__ = scale
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+
+class ZetaPoly(LinearCombination):
+    """Exact polynomial in zeta symbols and formal T-variables."""
+
+    __slots__ = ()
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -65,49 +136,25 @@ class ZetaPoly:
     def tvar(cls, name: str) -> "ZetaPoly":
         return cls({((), ((name, 1),)): Fraction(1)})
 
-    zero_mono = _ONE_MONO
-
     # -- ring operations ----------------------------------------------
-    def __add__(self, other) -> "ZetaPoly":
-        other = _as_zp(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return ZetaPoly(out)
+    def _coerce(self, other) -> "ZetaPoly":
+        return _as_zp(other)
 
-    __radd__ = __add__
-
-    def __neg__(self) -> "ZetaPoly":
-        return ZetaPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other) -> "ZetaPoly":
-        return self + (-_as_zp(other))
+    __radd__ = LinearCombination.__add__
 
     def __rsub__(self, other) -> "ZetaPoly":
-        return _as_zp(other) + (-self)
+        return _as_zp(other) - self
 
     def __mul__(self, other) -> "ZetaPoly":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            if not q:
-                return ZetaPoly()
-            return ZetaPoly({m: c * q for m, c in self.terms.items()})
+            return self.scale(Fraction(other))
         if not isinstance(other, ZetaPoly):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for (z1, t1), c1 in self.terms.items():
-            for (z2, t2), c2 in other.terms.items():
-                m = (_merge_powers(z1, z2), _merge_powers(t1, t2))
-                s = out.get(m, Fraction(0)) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return ZetaPoly(out)
+        out = ZetaPoly()
+        out._accumulate(((_merge_powers(z1, z2), _merge_powers(t1, t2)), c1 * c2)
+                        for (z1, t1), c1 in self.terms.items()
+                        for (z2, t2), c2 in other.terms.items())
+        return out
 
     __rmul__ = __mul__
 
@@ -122,13 +169,10 @@ class ZetaPoly:
             out = out * self
         return out
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = ZetaPoly.const(other)
-        return isinstance(other, ZetaPoly) and self.terms == other.terms
+        return super().__eq__(other)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -145,7 +189,7 @@ class ZetaPoly:
             for name, e in tpart:
                 if name in values:
                     term = term * (_as_zp(values[name]) ** e)
-            out = out + term
+            out += term
         return out
 
     def constant_value(self) -> Fraction:
@@ -186,79 +230,12 @@ def _as_zp(x) -> ZetaPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} into ZetaPoly")
 
 
-ZP_ZERO = ZetaPoly()
-ZP_ONE = ZetaPoly.const(1)
-
-
-class TSeries:
-    """Power series in one variable truncated at a fixed order (inclusive)."""
-
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, order: int, coeffs: list):
-        if len(coeffs) != order + 1:
-            raise ValueError("coefficient list must have length order+1")
-        self.order = order
-        self.coeffs = list(coeffs)
-
-    @classmethod
-    def constant(cls, c, order: int) -> "TSeries":
-        return cls(order, [c] + [c * 0 for _ in range(order)])
-
-    def __add__(self, other: "TSeries") -> "TSeries":
-        self._check(other)
-        return TSeries(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "TSeries") -> "TSeries":
-        self._check(other)
-        return TSeries(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other) -> "TSeries":
-        if not isinstance(other, TSeries):
-            return TSeries(self.order, [a * other for a in self.coeffs])
-        self._check(other)
-        out = []
-        for n in range(self.order + 1):
-            acc = self.coeffs[0] * other.coeffs[n]
-            for i in range(1, n + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[n - i]
-            out.append(acc)
-        return TSeries(self.order, out)
-
-    def scale(self, c) -> "TSeries":
-        return TSeries(self.order, [c * a for a in self.coeffs])
-
-    __rmul__ = scale
-
-    def negate_var(self) -> "TSeries":
-        """Substitute -t for the series variable."""
-        return TSeries(self.order, [a if i % 2 == 0 else -1 * a for i, a in enumerate(self.coeffs)])
-
-    def shift(self, j: int) -> "TSeries":
-        """Multiply by t^j, dropping coefficients beyond the order."""
-        zero = self.coeffs[0] * 0
-        keep = max(0, self.order + 1 - j)
-        return TSeries(self.order, [zero] * (self.order + 1 - keep) + self.coeffs[:keep])
-
-    def map(self, f: Callable) -> "TSeries":
-        return TSeries(self.order, [f(a) for a in self.coeffs])
-
-    def _check(self, other):
-        if not isinstance(other, TSeries) or other.order != self.order:
-            raise ValueError("truncation orders do not match")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TSeries) and self.order == other.order and self.coeffs == other.coeffs
-
-    def __bool__(self) -> bool:
-        return any(bool(a) for a in self.coeffs)
-
-    def __repr__(self) -> str:
-        return "TSeries[" + "; ".join(str(a) for a in self.coeffs) + "]"
-
-
 class BiSeries:
-    """Series in s and t truncated at orders (ms, mt), as a dense grid."""
+    """Series in s and t truncated at orders (ms, mt), as a dense grid.
+
+    A series in one variable is the case ``ms = 0``; its coefficients, in
+    powers of t, are ``coeffs``.
+    """
 
     __slots__ = ("ms", "mt", "grid")
 
@@ -285,42 +262,75 @@ class BiSeries:
         return cls(ms, mt, grid)
 
     @classmethod
-    def from_outer(cls, a: TSeries, b: TSeries) -> "BiSeries":
-        """The product a(s) * b(t) as a bivariate grid."""
-        return cls(a.order, b.order, [[x * y for y in b.coeffs] for x in a.coeffs])
+    def from_outer(cls, a: "BiSeries", b: "BiSeries") -> "BiSeries":
+        """The product a(s) * b(t) of two one-variable series as a grid."""
+        return cls(a.mt, b.mt, [[x * y for y in b.coeffs] for x in a.coeffs])
+
+    @property
+    def coeffs(self) -> list:
+        """The coefficients of a one-variable series (ms = 0)."""
+        if self.ms:
+            raise ValueError("coeffs needs a one-variable series (ms = 0)")
+        return self.grid[0]
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
         self._check(other)
         return BiSeries(self.ms, self.mt,
                         [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.grid, other.grid)])
 
+    def __iadd__(self, other: "BiSeries") -> "BiSeries":
+        """In place: each nonzero entry of ``other`` is added into a new entry
+        here, or taken over as it is where this entry is zero."""
+        self._check(other)
+        for row, orow in zip(self.grid, other.grid):
+            for j, b in enumerate(orow):
+                if b:
+                    a = row[j]
+                    row[j] = a + b if a else b
+        return self
+
     def __sub__(self, other: "BiSeries") -> "BiSeries":
         self._check(other)
         return BiSeries(self.ms, self.mt,
                         [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.grid, other.grid)])
 
+    def __neg__(self) -> "BiSeries":
+        return self.scale(-1)
+
     def __mul__(self, other) -> "BiSeries":
         if not isinstance(other, BiSeries):
             return BiSeries(self.ms, self.mt, [[a * other for a in row] for row in self.grid])
         self._check(other)
+        a, b = self.grid, other.grid
         out = []
         for m in range(self.ms + 1):
             row = []
             for n in range(self.mt + 1):
-                acc = self.grid[0][0] * other.grid[m][n]
+                # each product is a fresh object, so the sum may grow in place
+                acc = None
                 for i in range(m + 1):
                     for j in range(n + 1):
-                        if i == 0 and j == 0:
-                            continue
-                        acc = acc + self.grid[i][j] * other.grid[m - i][n - j]
-                row.append(acc)
+                        x, y = a[i][j], b[m - i][n - j]
+                        if x and y:
+                            if acc is None:
+                                acc = x * y
+                            else:
+                                acc += x * y
+                row.append(a[0][0] * 0 if acc is None else acc)
             out.append(row)
         return BiSeries(self.ms, self.mt, out)
 
     def scale(self, c) -> "BiSeries":
+        if c == 1:
+            return BiSeries(self.ms, self.mt, self.grid)
         return BiSeries(self.ms, self.mt, [[c * a for a in row] for row in self.grid])
 
     __rmul__ = scale
+
+    def negate_t(self) -> "BiSeries":
+        """Substitute -t for t."""
+        return BiSeries(self.ms, self.mt,
+                        [[a if j % 2 == 0 else -1 * a for j, a in enumerate(row)] for row in self.grid])
 
     def shift(self, ds: int, dt: int) -> "BiSeries":
         """Multiply by s^ds * t^dt, dropping overflow."""

@@ -10,8 +10,8 @@ split positions i of
     (-1)^(weight of tail) * shifted(head; s, T1) * shifted(reverse tail; -t, T2)
 
 with values in ZetaPoly[T1,T2] coefficient grids truncated at (ms, mt).
-Star values sum over coarsenings; the tau-interpolated family weights each
-coarsening by tau^(drop in depth).
+The tau-interpolated family weights each coarsening by tau^(drop in depth);
+tau = 0 is the plain value and tau = 1 the star value, the coarsening sum.
 
 The ``check_*`` functions evaluate both sides of a proved relation at
 sampled rational (or supplied) parameter values through the numeric layer
@@ -31,7 +31,7 @@ from .indices import (
 )
 from .numeric import _GUARD, eval_zeta_poly, mzv_star
 from .regularization import R_poly, zeta_reg
-from .rings import BiSeries, TSeries, ZetaPoly
+from .rings import BiSeries, ZetaPoly
 from .words import (
     HARMONIC, SHUFFLE, NcPoly, embed, extract_combination, index_harmonic,
     lift_biseries, shuffle_shifted,
@@ -54,23 +54,23 @@ def _zeta_reg_sym(k: Index, product: str, tsym: str | None) -> ZetaPoly:
 
 
 @cache
-def shifted_mzv(k: Index, product: str, order: int, tsym: str | None = "T") -> TSeries:
+def shifted_mzv(k: Index, product: str, order: int, tsym: str | None = "T") -> BiSeries:
     """The shift deformation sum_n b(k;n) zeta(k+n;T) (-t)^wt(n) to t^order."""
     k = Index(k)
     coeffs = []
     for n in range(order + 1):
         acc = ZetaPoly()
         for shift in compositions(n, k.depth):
-            acc = acc + _zeta_reg_sym(oplus(k, shift), product, tsym) * b_coeff(k, shift)
+            acc += _zeta_reg_sym(oplus(k, shift), product, tsym) * b_coeff(k, shift)
         coeffs.append(acc * ((-1) ** n))
-    return TSeries(order, coeffs)
+    return BiSeries(0, order, [coeffs])
 
 
-def shifted_mzv_star(k: Index, product: str, order: int, tsym: str | None = "T") -> TSeries:
+def shifted_mzv_star(k: Index, product: str, order: int, tsym: str | None = "T") -> BiSeries:
     """Coarsening sum of shifted values; 1 for the empty index."""
-    out = TSeries.constant(ZetaPoly(), order)
+    out = BiSeries.constant(ZetaPoly(), 0, order)
     for l in coarsenings(Index(k)):
-        out = out + shifted_mzv(l, product, order, tsym)
+        out += shifted_mzv(l, product, order, tsym)
     return out
 
 
@@ -85,17 +85,14 @@ def stadic_smzv(k: Index, product: str, orders: tuple[int, int],
         head, tail = split(k, i)
         sign = (-1) ** tail.weight
         a = shifted_mzv(head, product, ms, t1sym)
-        b = shifted_mzv(reverse(tail), product, mt, t2sym).negate_var()
-        out = out + BiSeries.from_outer(a, b).scale(Fraction(sign))
+        b = shifted_mzv(reverse(tail), product, mt, t2sym).negate_t()
+        out += BiSeries.from_outer(a, b).scale(Fraction(sign))
     return out
 
 
 def stadic_smzv_star(k: Index, product: str, orders: tuple[int, int],
                      t1sym: str | None = "T1", t2sym: str | None = "T2") -> BiSeries:
-    out = BiSeries.constant(ZetaPoly(), *orders)
-    for l in coarsenings(Index(k)):
-        out = out + stadic_smzv(l, product, orders, t1sym, t2sym)
-    return out
+    return stadic_smzv_tau(k, 1, product, orders, t1sym, t2sym)
 
 
 def stadic_smzv_tau(k: Index, tau: Fraction, product: str, orders: tuple[int, int],
@@ -105,7 +102,9 @@ def stadic_smzv_tau(k: Index, tau: Fraction, product: str, orders: tuple[int, in
     tau = Fraction(tau)
     out = BiSeries.constant(ZetaPoly(), *orders)
     for l in coarsenings(k):
-        out = out + stadic_smzv(l, product, orders, t1sym, t2sym).scale(tau ** (k.depth - l.depth))
+        weight = tau ** (k.depth - l.depth)
+        if weight:
+            out += stadic_smzv(l, product, orders, t1sym, t2sym).scale(weight)
     return out
 
 
@@ -113,7 +112,7 @@ def stadic_of_combination(combo: IndexCombination, product: str, orders: tuple[i
                           t1sym: str | None = "T1", t2sym: str | None = "T2") -> BiSeries:
     out = BiSeries.constant(ZetaPoly(), *orders)
     for idx, c in combo.terms.items():
-        out = out + stadic_smzv(idx, product, orders, t1sym, t2sym).scale(c)
+        out += stadic_smzv(idx, product, orders, t1sym, t2sym).scale(c)
     return out
 
 
@@ -130,15 +129,6 @@ def residual_biseries(a: BiSeries, b: BiSeries, tvals: dict, prec: int):
     with mp.workdps(prec + _GUARD):
         worst = mp.mpf(0)
         for _, _, entry in diff.entries():
-            worst = max(worst, abs(eval_zeta_poly(entry, tvals, prec)))
-        return worst
-
-
-def residual_tseries(a: TSeries, b: TSeries, tvals: dict, prec: int):
-    diff = a - b
-    with mp.workdps(prec + _GUARD):
-        worst = mp.mpf(0)
-        for entry in diff.coeffs:
             worst = max(worst, abs(eval_zeta_poly(entry, tvals, prec)))
         return worst
 
@@ -172,25 +162,25 @@ def check_harmonic(k: Index, l: Index, orders: tuple[int, int], prec: int,
 def check_shifted_harmonic(k: Index, l: Index, order: int, prec: int, T=SAMPLE_T):
     """Stuffle multiplicativity of the shifted values at a sampled T."""
     k, l = Index(k), Index(l)
-    lhs = TSeries.constant(ZetaPoly(), order)
+    lhs = BiSeries.constant(ZetaPoly(), 0, order)
     for idx, c in index_harmonic(k, l).terms.items():
-        lhs = lhs + shifted_mzv(idx, HARMONIC, order).scale(c)
+        lhs += shifted_mzv(idx, HARMONIC, order).scale(c)
     rhs = shifted_mzv(k, HARMONIC, order) * shifted_mzv(l, HARMONIC, order)
-    return residual_tseries(lhs, rhs, _tvals(T=T), prec)
+    return residual_biseries(lhs, rhs, _tvals(T=T), prec)
 
 
 def check_antipode(k: Index, order: int, prec: int, T=SAMPLE_T):
     """Convolution of shifted against shifted-star values telescopes to
     delta(depth = 0)."""
     k = Index(k)
-    acc = TSeries.constant(ZetaPoly(), order)
+    acc = BiSeries.constant(ZetaPoly(), 0, order)
     for i in range(k.depth + 1):
         head, tail = split(k, i)
         term = (shifted_mzv(reverse(head), HARMONIC, order)
                 * shifted_mzv_star(tail, HARMONIC, order))
-        acc = acc + term.scale(Fraction((-1) ** i))
-    target = TSeries.constant(ZetaPoly.const(1 if k.depth == 0 else 0), order)
-    return residual_tseries(acc, target, _tvals(T=T), prec)
+        acc += term.scale(Fraction((-1) ** i))
+    target = BiSeries.constant(ZetaPoly.const(1 if k.depth == 0 else 0), 0, order)
+    return residual_biseries(acc, target, _tvals(T=T), prec)
 
 
 def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
@@ -209,14 +199,14 @@ def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
         combo = extract_combination(NcPoly.from_word(w))
         [(idx, sign)] = combo.terms.items()
         value = stadic_smzv(idx, SHUFFLE, orders, None, None)
-        lhs = lhs + (series.map(lambda q: ZetaPoly.const(q)) * value).scale(sign)
+        lhs += (series.map(ZetaPoly.const) * value).scale(sign)
 
     rhs = BiSeries.constant(ZetaPoly(), ms, mt)
     for n in range(mt + 1):
         for shift in compositions(n, l.depth):
             idx = concat(k, reverse(oplus(l, shift)))
             term = stadic_smzv(idx, SHUFFLE, orders, None, None).shift(0, n)
-            rhs = rhs + term.scale(Fraction(b_coeff(l, shift)))
+            rhs += term.scale(Fraction(b_coeff(l, shift)))
     rhs = rhs.scale(Fraction((-1) ** l.weight))
     return residual_biseries(lhs, rhs, {}, prec)
 
@@ -252,96 +242,66 @@ def check_shifted_csf(k: Index, order: int, prec: int, T=SAMPLE_T):
     """Cyclic sum formula for shifted star values at a sampled T."""
     k = Index(k)
     _require_weight_gt_depth(k)
-    lhs = TSeries.constant(ZetaPoly(), order)
+    lhs = BiSeries.constant(ZetaPoly(), 0, order)
     for u, l in _rotations_with_head(k):
         for j in range(u):
-            lhs = lhs + shifted_mzv_star(concat(Index((j + 1,)), l, Index((u - j,))),
-                                         HARMONIC, order)
-    rhs = TSeries.constant(ZetaPoly(), order)
+            lhs += shifted_mzv_star(concat(Index((j + 1,)), l, Index((u - j,))), HARMONIC, order)
+    rhs = BiSeries.constant(ZetaPoly(), 0, order)
     for rot in cyclic_class(k):
         for j in range(order + 1):
-            rhs = rhs + shifted_mzv_star(concat(rot, Index((j + 1,))), HARMONIC, order).shift(j)
-    rhs = rhs + shifted_mzv_star(Index((k.weight + 1,)), HARMONIC, order).scale(Fraction(k.weight))
-    return residual_tseries(lhs, rhs, _tvals(T=T), prec)
-
-
-def _csf_lhs(k: Index, value, orders) -> BiSeries:
-    lhs = BiSeries.constant(ZetaPoly(), *orders)
-    for u, l in _rotations_with_head(k):
-        for j in range(u):
-            lhs = lhs + value(concat(Index((j + 1,)), l, Index((u - j,))))
-    return lhs
+            rhs += shifted_mzv_star(concat(rot, Index((j + 1,))), HARMONIC, order).shift(0, j)
+    rhs += shifted_mzv_star(Index((k.weight + 1,)), HARMONIC, order).scale(Fraction(k.weight))
+    return residual_biseries(lhs, rhs, _tvals(T=T), prec)
 
 
 def check_csf_star(k: Index, orders: tuple[int, int], prec: int,
                    T1=SAMPLE_T1, T2=SAMPLE_T2):
-    """Cyclic sum formula for the star symmetric values."""
-    k = Index(k)
-    _require_weight_gt_depth(k)
-    ms, mt = orders
-
-    def star(idx):
-        return stadic_smzv_star(idx, HARMONIC, orders)
-
-    lhs = _csf_lhs(k, star, orders)
-    rhs = BiSeries.constant(ZetaPoly(), ms, mt)
-    for rot in cyclic_class(k):
-        for j in range(mt + 1):
-            rhs = rhs + star(concat(Index((j + 1,)), rot)).shift(0, j)
-        for j in range(ms + 1):
-            rhs = rhs + star(concat(rot, Index((j + 1,)))).shift(j, 0)
-    rhs = rhs + star(Index((k.weight + 1,))).scale(Fraction(k.weight))
-    return residual_biseries(lhs, rhs, _tvals(T1=T1, T2=T2), prec)
+    """Cyclic sum formula for the star symmetric values (tau = 1)."""
+    return check_csf_tau(k, 1, orders, prec, T1, T2)
 
 
 def check_csf_nonstar(k: Index, orders: tuple[int, int], prec: int,
                       T1=SAMPLE_T1, T2=SAMPLE_T2):
-    """Cyclic sum formula for the plain symmetric values.
-
-    Each rotation contributes both a prepended/appended part j+1 and the
-    variant glued into the rotation, and there is no single-zeta term.
-    """
-    k = Index(k)
-    _require_weight_gt_depth(k)
-    ms, mt = orders
-
-    def val(idx):
-        return stadic_smzv(idx, HARMONIC, orders)
-
-    lhs = _csf_lhs(k, val, orders)
-    rhs = BiSeries.constant(ZetaPoly(), ms, mt)
-    for rot in cyclic_class(k):
-        for j in range(mt + 1):
-            one = Index((j + 1,))
-            rhs = rhs + (val(concat(one, rot)) + val(uplus(one, rot))).shift(0, j)
-        for j in range(ms + 1):
-            one = Index((j + 1,))
-            rhs = rhs + (val(concat(rot, one)) + val(uplus(rot, one))).shift(j, 0)
-    return residual_biseries(lhs, rhs, _tvals(T1=T1, T2=T2), prec)
+    """Cyclic sum formula for the plain symmetric values (tau = 0)."""
+    return check_csf_tau(k, 0, orders, prec, T1, T2)
 
 
 def check_csf_tau(k: Index, tau: Fraction, orders: tuple[int, int], prec: int,
                   T1=SAMPLE_T1, T2=SAMPLE_T2):
-    """Interpolated cyclic sum formula; tau=0 and tau=1 recover the other two."""
+    """Interpolated cyclic sum formula for the tau-interpolated values.
+
+    Each rotation contributes a prepended/appended part j+1 plus, weighted
+    by 1 - tau, the variant glued into the rotation; the single-zeta term
+    weight * zeta(weight+1) carries tau^depth.  Terms of weight 0 are skipped.
+    """
     k = Index(k)
     _require_weight_gt_depth(k)
     tau = Fraction(tau)
     ms, mt = orders
+    one_minus = 1 - tau
 
     def val(idx):
         return stadic_smzv_tau(idx, tau, HARMONIC, orders)
 
-    correction = stadic_smzv_star(Index((k.weight + 1,)), HARMONIC, orders)
-    lhs = _csf_lhs(k, val, orders) - correction.scale(Fraction(k.weight) * tau ** k.depth)
+    def around(left, right):
+        term = val(concat(left, right))
+        if one_minus:
+            term += val(uplus(left, right)).scale(one_minus)
+        return term
+
+    lhs = BiSeries.constant(ZetaPoly(), ms, mt)
+    for u, l in _rotations_with_head(k):
+        for j in range(u):
+            lhs += val(concat(Index((j + 1,)), l, Index((u - j,))))
     rhs = BiSeries.constant(ZetaPoly(), ms, mt)
-    one_minus = Fraction(1) - tau
     for rot in cyclic_class(k):
         for j in range(mt + 1):
-            one = Index((j + 1,))
-            rhs = rhs + (val(concat(one, rot)) + val(uplus(one, rot)).scale(one_minus)).shift(0, j)
+            rhs += around(Index((j + 1,)), rot).shift(0, j)
         for j in range(ms + 1):
-            one = Index((j + 1,))
-            rhs = rhs + (val(concat(rot, one)) + val(uplus(rot, one)).scale(one_minus)).shift(j, 0)
+            rhs += around(rot, Index((j + 1,))).shift(j, 0)
+    correction = k.weight * tau ** k.depth
+    if correction:
+        rhs += stadic_smzv_star(Index((k.weight + 1,)), HARMONIC, orders).scale(correction)
     return residual_biseries(lhs, rhs, _tvals(T1=T1, T2=T2), prec)
 
 
@@ -350,8 +310,8 @@ def check_explicit_reg(k: Index, order: int, prec: int, T=SAMPLE_T):
     against the all-ones correction polynomials."""
     k = Index(k)
     lhs = shifted_mzv(k, SHUFFLE, order, tsym=None)
-    rhs = TSeries.constant(ZetaPoly(), order)
+    rhs = BiSeries.constant(ZetaPoly(), 0, order)
     for i in range(k.depth + 1):
         head, tail = split(k, i)
-        rhs = rhs + shifted_mzv(head, HARMONIC, order).scale(R_poly(tail))
-    return residual_tseries(lhs, rhs, _tvals(T=T), prec)
+        rhs += shifted_mzv(head, HARMONIC, order).scale(R_poly(tail))
+    return residual_biseries(lhs, rhs, _tvals(T=T), prec)

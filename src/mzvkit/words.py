@@ -7,7 +7,8 @@ the word ``e1 e0^(k1-1) ... e1 e0^(kr-1)``; the linear bijection onto index
 combinations carries the sign (-1)^depth.
 
 ``NcPoly`` is a finitely supported map from words to coefficients in a
-pluggable scalar ring (anything with +, -, *, bool).  Its ``*`` is word
+pluggable scalar ring (anything with +, -, *, bool), on the sparse core
+``rings.LinearCombination``.  Its ``*`` is word
 concatenation; the harmonic (quasi-shuffle) and shuffle products are the
 separate bilinear maps :func:`harmonic` and :func:`shuffle`, with integer
 structure constants computed once per word pair and cached.
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import cache
 
 from .indices import Index, IndexCombination, coarsenings, reverse
-from .rings import BiSeries
+from .rings import BiSeries, LinearCombination
 
 E0 = 0
 E1 = 1
@@ -62,13 +63,10 @@ def _word_sort_key(w: Word):
     return (len(w), tuple(-a for a in w))
 
 
-class NcPoly:
+class NcPoly(LinearCombination):
     """Finitely supported noncommutative polynomial over {e0, e1}."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Word, object] | None = None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c}
+    __slots__ = ()
 
     @classmethod
     def from_word(cls, w: Word, coeff=Fraction(1)) -> "NcPoly":
@@ -78,41 +76,12 @@ class NcPoly:
     def one(cls, coeff=Fraction(1)) -> "NcPoly":
         return cls({(): coeff})
 
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return NcPoly(out)
-
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "NcPoly") -> "NcPoly":
         """Concatenation product."""
-        out: dict[Word, object] = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 + w2
-                c = c1 * c2
-                s = out.get(w)
-                s = c if s is None else s + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return NcPoly(out)
-
-    def scale(self, c) -> "NcPoly":
-        if not c:
-            return NcPoly()
-        return NcPoly({w: c * v for w, v in self.terms.items()})
-
-    __rmul__ = scale
+        out = NcPoly()
+        out._accumulate((w1 + w2, c1 * c2)
+                        for w1, c1 in self.terms.items() for w2, c2 in other.terms.items())
+        return out
 
     def map_coeffs(self, f) -> "NcPoly":
         return NcPoly({w: f(c) for w, c in self.terms.items()})
@@ -125,12 +94,6 @@ class NcPoly:
 
     def support_in_h0(self) -> bool:
         return all(in_h0(w) for w in self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NcPoly) and self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -165,7 +128,7 @@ def embed(k: Index) -> NcPoly:
 def embed_combination(c: IndexCombination) -> NcPoly:
     out = NcPoly()
     for idx, q in c.terms.items():
-        out = out + embed(idx).scale(q)
+        out += embed(idx).scale(q)
     return out
 
 
@@ -223,38 +186,22 @@ def _harmonic_words(w1: Word, w2: Word) -> tuple:
         w1, w2 = w2, w1
     u1, k = _last_block(w1)
     u2, l = _last_block(w2)
-    out: dict[Word, int] = {}
-
-    def acc(terms, suffix_k, sign):
+    out = NcPoly()
+    for terms, suffix_k, sign in ((_harmonic_words(w1, u2), l, 1),
+                                  (_harmonic_words(u1, w2), k, 1),
+                                  (_harmonic_words(u1, u2), k + l, -1)):
         suffix = (E1,) + (E0,) * (suffix_k - 1)
-        for w, c in terms:
-            key = w + suffix
-            s = out.get(key, 0) + sign * c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-
-    acc(_harmonic_words(w1, u2), l, 1)
-    acc(_harmonic_words(u1, w2), k, 1)
-    acc(_harmonic_words(u1, u2), k + l, -1)
-    return tuple(sorted(out.items()))
+        out._accumulate((w + suffix, sign * c) for w, c in terms)
+    return tuple(sorted(out.terms.items()))
 
 
 def _bilinear(kernel, u: NcPoly, v: NcPoly) -> NcPoly:
-    out: dict[Word, object] = {}
+    out = NcPoly()
     for w1, c1 in u.terms.items():
         for w2, c2 in v.terms.items():
             c = c1 * c2
-            for w, m in kernel(w1, w2):
-                s = out.get(w)
-                term = c * m
-                s = term if s is None else s + term
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-    return NcPoly(out)
+            out._accumulate((w, c * m) for w, m in kernel(w1, w2))
+    return out
 
 
 def shuffle(u: NcPoly, v: NcPoly) -> NcPoly:
@@ -361,11 +308,11 @@ def telescope_sides(w: Word, orders: tuple[int, int]) -> tuple[NcPoly, NcPoly]:
     for v in range(n + 1):
         left = gt_plus * NcPoly.from_word((E1,) + w[:v])
         right = gs_minus * NcPoly.from_word((E1,) + w[v:][::-1])
-        lhs = lhs + shuffle(left, right).scale(Fraction((-1) ** v))
+        lhs += shuffle(left, right).scale(Fraction((-1) ** v))
 
     rhs = shuffle(gt_plus, gs_minus * e1 * NcPoly.from_word(w[::-1]) * e1 * gt_minus)
-    tail = shuffle(gs_minus, gt_plus * e1 * NcPoly.from_word(w) * e1 * gs_plus)
-    rhs = rhs + tail.scale(Fraction((-1) ** n))
+    rhs += shuffle(gs_minus, gt_plus * e1 * NcPoly.from_word(w) * e1 * gs_plus).scale(
+        Fraction((-1) ** n))
     return lhs, rhs
 
 
@@ -376,7 +323,7 @@ def sigma_t(u: NcPoly, order: int) -> NcPoly:
     must have rational coefficients.
     """
     orders = (0, order)
-    out: dict[Word, BiSeries] = {}
+    out = NcPoly()
     for w, c in u.terms.items():
         n = len(w)
         for extra in itertools.product(range(order + 1), repeat=n):
@@ -387,13 +334,8 @@ def sigma_t(u: NcPoly, order: int) -> NcPoly:
             for letter, j in zip(w, extra):
                 new.append(letter)
                 new.extend([E0] * j)
-            key = tuple(new)
-            term = _bs_mono(Fraction(c) * (-1) ** total, "t", total, orders)
-            s = out.get(key)
-            out[key] = term if s is None else s + term
-    if not u.terms:
-        return NcPoly()
-    return NcPoly(out)
+            out.add_term(tuple(new), _bs_mono(Fraction(c) * (-1) ** total, "t", total, orders))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -402,18 +344,12 @@ def sigma_t(u: NcPoly, order: int) -> NcPoly:
 
 def coproduct(u: NcPoly) -> dict[tuple[Word, Word], object]:
     """Deconcatenation at index boundaries: e_k -> sum e_head (x) e_tail."""
-    out: dict[tuple[Word, Word], object] = {}
+    out = LinearCombination()
     for w, c in u.terms.items():
         idx = index_of_word(w)
         for i in range(idx.depth + 1):
-            key = (word_of_index(Index(idx[:i])), word_of_index(Index(idx[i:])))
-            s = out.get(key)
-            s = c if s is None else s + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+            out.add_term((word_of_index(Index(idx[:i])), word_of_index(Index(idx[i:]))), c)
+    return out.terms
 
 
 def counit(u: NcPoly):
@@ -427,8 +363,7 @@ def antipode(u: NcPoly) -> NcPoly:
     for w, c in u.terms.items():
         idx = index_of_word(w)
         for l in coarsenings(idx):
-            piece = NcPoly.from_word(word_of_index(reverse(l)), Fraction((-1) ** l.depth))
-            out = out + piece.scale(c)
+            out.add_term(word_of_index(reverse(l)), Fraction((-1) ** l.depth) * c)
     return out
 
 
@@ -438,23 +373,18 @@ def antipode(u: NcPoly) -> NcPoly:
 
 def endo_tau(u: NcPoly) -> NcPoly:
     """Swap e0 and e1."""
-    out: dict[Word, object] = {}
+    out = NcPoly()
     for w, c in u.terms.items():
-        key = tuple(1 - a for a in w)
-        s = out.get(key)
-        out[key] = c if s is None else s + c
-    return NcPoly(out)
+        out.add_term(tuple(1 - a for a in w), c)
+    return out
 
 
 def endo_eps(u: NcPoly) -> NcPoly:
     """Anti-automorphism e_i -> -e_i: reverse and sign by length."""
-    out: dict[Word, object] = {}
+    out = NcPoly()
     for w, c in u.terms.items():
-        key = w[::-1]
-        term = c * ((-1) ** len(w))
-        s = out.get(key)
-        out[key] = term if s is None else s + term
-    return NcPoly(out)
+        out.add_term(w[::-1], c * ((-1) ** len(w)))
+    return out
 
 
 def endo_S(u: NcPoly, tau: Fraction) -> NcPoly:
@@ -470,9 +400,7 @@ def endo_S(u: NcPoly, tau: Fraction) -> NcPoly:
                 new[pos] = letter
                 if letter == E0:
                     power += 1
-            coeff = c * tau ** power
-            if coeff:
-                out = out + NcPoly.from_word(tuple(new), coeff)
+            out.add_term(tuple(new), c * tau ** power)
     return out
 
 
@@ -482,9 +410,7 @@ def endo_A(u: NcPoly, tau: Fraction) -> NcPoly:
     out = NcPoly()
     for w, c in u.terms.items():
         power = sum(1 for a in w if a == E1)
-        coeff = c * tau ** power
-        if coeff:
-            out = out + NcPoly.from_word((E0,) * len(w), coeff)
+        out.add_term((E0,) * len(w), c * tau ** power)
     return out
 
 
@@ -493,7 +419,7 @@ def endo_C(u: NcPoly) -> NcPoly:
     out = NcPoly()
     for w, c in u.terms.items():
         for j in range(1, len(w) + 1):
-            out = out + NcPoly.from_word(w[j:] + w[:j], c)
+            out.add_term(w[j:] + w[:j], c)
     return out
 
 
@@ -502,5 +428,5 @@ def endo_H(u: NcPoly) -> NcPoly:
     out = NcPoly()
     for w, c in u.terms.items():
         if w and w[0] == E1:
-            out = out + NcPoly.from_word(w[1:], c)
+            out.add_term(w[1:], c)
     return out

@@ -8,7 +8,7 @@ from mzvkit.associator import (
     check_gamma_factor, check_independence_factor, check_pair_convention,
     check_phi_ad_translation, check_refined_duality, check_rsmzv_routes,
     check_smzv_routes, check_t_part, check_three_cycle, check_two_cycle,
-    exp_letter_linear, exp_single_letter_series, pair, phi, phi_ad, phi_kz,
+    pair, phi, phi_ad, phi_kz,
     phi_rs, rsmzv, rsmzv_star, smzv_via_assoc,
 )
 from mzvkit.indices import Index
@@ -41,30 +41,30 @@ def test_reversed_t_factorization():
     with mp.workdps(60):
         T = Fraction(7, 10)
         lhs = phi(SHUFFLE, T, 4, 40).reverse()
-        rhs = phi(SHUFFLE, 0, 4, 40).reverse() * exp_letter_linear({E1: -mp.mpf(7) / 10}, 4)
+        rhs = phi(SHUFFLE, 0, 4, 40).reverse() * NcSeries.letter(4, E1, -mp.mpf(7) / 10).exp()
         assert (lhs - rhs).max_abs() < TOL
 
 
 def test_exp_letter_linear():
     with mp.workdps(50):
-        e = exp_letter_linear({E0: mp.mpf(2)}, 3)
+        e = NcSeries.letter(3, E0, mp.mpf(2)).exp()
         assert e.coeff(()) == 1
         assert e.coeff((E0,)) == 2
         assert e.coeff((E0, E0)) == 2
         assert abs(e.coeff((E0, E0, E0)) - mp.mpf(8) / 6) < mp.mpf(10) ** -45
-        mixed = exp_letter_linear({E0: mp.mpf(1), E1: mp.mpf(1)}, 2)
+        mixed = NcSeries(2, {(E0,): mp.mpf(1), (E1,): mp.mpf(1)}).exp()
         assert mixed.coeff((E0, E1)) == mp.mpf(1) / 2
 
 
 def test_exp_single_letter_series():
     with mp.workdps(50):
         # exp(x^2) = 1 + x^2 + x^4/2 on one letter
-        e = exp_single_letter_series([0, 0, 1], E1, 4)
+        e = NcSeries(4, {(E1, E1): mp.mpf(1)}).exp()
         assert e.coeff((E1, E1)) == 1
         assert abs(e.coeff((E1,) * 4) - mp.mpf(1) / 2) < mp.mpf(10) ** -45
         assert e.coeff((E1,)) == 0
         with pytest.raises(ValueError):
-            exp_single_letter_series([1, 1], E1, 2)
+            NcSeries(2, {(): mp.mpf(1), (E1,): mp.mpf(1)}).exp()
 
 
 def test_subst():

@@ -20,11 +20,14 @@ WATCHED = (stadic.stadic_smzv, stadic.shifted_mzv, regularization.zeta_reg,
            regularization._z_reg_full_word, associator.phi, associator.phi_rs)
 
 
+# every functools cache, found before the test replaces the watched ones
+CACHES = [obj for mod in MODULES for obj in vars(mod).values()
+          if hasattr(obj, "cache_clear") and obj.__module__ == mod.__name__]
+
+
 def _clear_caches() -> None:
-    for mod in MODULES:
-        for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear") and obj.__module__ == mod.__name__:
-                obj.cache_clear()
+    for obj in CACHES:
+        obj.cache_clear()
     associator._PHI_CACHE.clear()
     associator._PHI_RS_CACHE.clear()
 
@@ -80,4 +83,5 @@ def test_cached_values_survive_their_readers(monkeypatch):
     for (fn, args, kwargs), value in served:
         _clear_caches()
         fresh = fn(*args, **dict(kwargs))
+        assert fresh is not value
         assert _same(value, fresh), (fn.__name__, args, kwargs)

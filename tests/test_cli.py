@@ -2,7 +2,9 @@ import re
 from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
+from mzvkit import associator, stadic
 from mzvkit.cli import (
     CommandAst, Config, UsageError, load_config, main, parse_command, render,
     run,
@@ -177,3 +179,29 @@ def test_config_file(tmp_path, monkeypatch):
     monkeypatch.setenv("MZVKIT_CONFIG", str(badint))
     assert main(["eval", "mzv", "(2)"]) == 2
     monkeypatch.delenv("MZVKIT_CONFIG")
+
+
+def test_degree_below_one_is_a_usage_error(capsys):
+    for target in ("two-cycle", "three-cycle", "duality-assoc", "t-part", "independence",
+                   "gamma-factor"):
+        for deg in ("-1", "0"):
+            assert main(["check", target, "--deg", deg]) == 2, (target, deg)
+            assert "--deg must be at least 1" in capsys.readouterr().err
+
+
+def test_scan_that_checked_no_prime_fails():
+    for argv in (["scan", "wolstenholme", "--pmax", "-5"],
+                 ["scan", "stuffle", "--pmax", "3"],
+                 ["scan", "shift", "(2)", "--pmax", "4"]):
+        code, text = run(parse_command(argv), CFG)
+        assert code == 1, argv
+        assert text.splitlines()[-1].startswith("total,0,")
+
+
+def test_checks_call_the_function_bound_on_the_module_when_they_run(monkeypatch):
+    monkeypatch.setattr(stadic, "check_harmonic", lambda *args: mp.mpf(2))
+    monkeypatch.setattr(associator, "check_t_part", lambda *args: mp.mpf(3))
+    code, text = run(parse_command(["check", "harmonic", "(1)", "(2)"]), CFG)
+    assert code == 1 and "residual=2.0" in text
+    code, text = run(parse_command(["check", "t-part", "--deg", "2"]), CFG)
+    assert code == 1 and text.count("residual=3.0") == 2

@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -111,6 +114,73 @@ def test_cache_parse_error(tmp_path):
     with pytest.raises(CacheFormatError) as err:
         cache.load(str(path))
     assert "line 2" in str(err.value)
+
+
+def test_cache_save_failing_midway_keeps_the_previous_store(tmp_path):
+    class Unwritable:
+        def __format__(self, spec):
+            raise OSError("device full")
+
+    path = tmp_path / "store.txt"
+    previous = ValueCache()
+    previous.put((2,), 40, "1.644934066848226436472415166646025189219")
+    previous.put((5,), 40, "1.036927755143369926331365486457034168057")
+    previous.save(str(path))
+    before = path.read_text()
+    failing = ValueCache()
+    failing.put((2,), 40, "1.644934066848226436472415166646025189219")
+    failing.put((3,), 40, Unwritable())
+    with pytest.raises(OSError, match="device full"):
+        failing.save(str(path))
+    assert path.read_text() == before
+    assert ValueCache().load(str(path)) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["store.txt"]
+
+
+def test_cache_racing_savers_leave_one_complete_store(tmp_path):
+    path = str(tmp_path / "store.txt")
+    savers = []
+    for n in range(3):
+        cache = ValueCache()
+        for w in range(2, 400 + 50 * n):
+            cache.put((w,), 40, f"1.{n}{w:038d}")
+        savers.append(cache)
+    savers[0].save(path)
+    complete = [cache.records for cache in savers]
+    problems = []
+
+    def save(cache):
+        for _ in range(20):
+            cache.save(path)
+
+    def read():
+        for _ in range(60):
+            loaded = ValueCache()
+            try:
+                loaded.load(path)
+            except (OSError, ValueError) as exc:
+                problems.append(repr(exc))
+                continue
+            if loaded.records not in complete:
+                problems.append(f"torn store with {len(loaded.records)} records")
+
+    threads = [threading.Thread(target=save, args=(c,)) for c in savers]
+    threads += [threading.Thread(target=read) for _ in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert problems == []
+    final = ValueCache()
+    final.load(path)
+    assert final.records in complete
+    assert os.listdir(tmp_path) == ["store.txt"]
 
 
 def test_mzv_star():

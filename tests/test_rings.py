@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvkit.rings import BiSeries, TSeries, ZetaPoly
+from mzvkit.rings import BiSeries, ZetaPoly
 
 
 def test_zetapoly_construction():
@@ -45,18 +45,25 @@ def test_zetapoly_text_form():
     assert str(ZetaPoly()) == "0"
 
 
+def tseries(*coeffs):
+    """A one-variable series: a BiSeries with ms = 0."""
+    return BiSeries(0, len(coeffs) - 1, [[Fraction(c) for c in coeffs]])
+
+
 def test_tseries():
-    a = TSeries(2, [Fraction(1), Fraction(2), Fraction(3)])
-    b = TSeries(2, [Fraction(0), Fraction(1), Fraction(0)])
+    a = tseries(1, 2, 3)
+    b = tseries(0, 1, 0)
     assert (a * b).coeffs == [Fraction(0), Fraction(1), Fraction(2)]
     assert (a + b).coeffs == [1, 3, 3]
-    assert a.negate_var().coeffs == [1, -2, 3]
-    assert a.shift(1).coeffs == [0, 1, 2]
-    assert a.shift(5).coeffs == [0, 0, 0]
+    assert a.negate_t().coeffs == [1, -2, 3]
+    assert a.shift(0, 1).coeffs == [0, 1, 2]
+    assert a.shift(0, 5).coeffs == [0, 0, 0]
     assert a.scale(Fraction(2)).coeffs == [2, 4, 6]
-    assert TSeries.constant(Fraction(5), 2).coeffs == [5, 0, 0]
+    assert BiSeries.constant(Fraction(5), 0, 2).coeffs == [5, 0, 0]
     with pytest.raises(ValueError):
-        a + TSeries(1, [Fraction(0), Fraction(0)])
+        a + tseries(0, 0)
+    with pytest.raises(ValueError):
+        BiSeries.constant(Fraction(1), 1, 1).coeffs
 
 
 def test_biseries():
@@ -74,8 +81,8 @@ def test_biseries():
 
 
 def test_biseries_outer_product():
-    s = TSeries(1, [Fraction(1), Fraction(2)])
-    t = TSeries(2, [Fraction(1), Fraction(0), Fraction(5)])
+    s = tseries(1, 2)
+    t = tseries(1, 0, 5)
     g = BiSeries.from_outer(s, t)
     assert (g.ms, g.mt) == (1, 2)
     assert g.grid[1][2] == 10 and g.grid[0][0] == 1
@@ -94,15 +101,14 @@ def test_ring_axioms_on_samples():
     samples = {
         "rational": [Fraction(0), Fraction(1), Fraction(-2, 3), Fraction(5, 7)],
         "zetapoly": [ZetaPoly(), ZetaPoly.const(1), z2 - T, z3 * T + ZetaPoly.const(2)],
-        "tseries": [TSeries(2, [Fraction(a), Fraction(b), Fraction(c)])
-                    for a, b, c in [(0, 0, 0), (1, 0, 0), (2, -1, 3), (0, 1, 1)]],
+        "tseries": [tseries(a, b, c) for a, b, c in [(0, 0, 0), (1, 0, 0), (2, -1, 3), (0, 1, 1)]],
         "biseries": [BiSeries.monomial(Fraction(1), i, j, 1, 1)
                      for i in range(2) for j in range(2)],
     }
     ones = {
         "rational": Fraction(1),
         "zetapoly": ZetaPoly.const(1),
-        "tseries": TSeries.constant(Fraction(1), 2),
+        "tseries": BiSeries.constant(Fraction(1), 0, 2),
         "biseries": BiSeries.constant(Fraction(1), 1, 1),
     }
     for name, elems in samples.items():

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from mzvkit import stadic
 from mzvkit.indices import EMPTY, Index
 from mzvkit.numeric import tolerance
 from mzvkit.regularization import Z_reg_full
@@ -150,6 +151,25 @@ def test_csf_star_nonstar_tau():
             assert check_csf_tau(k, tau, (2, 2), 40) < TOL
     with pytest.raises(ValueError):
         check_csf_star(Index((1, 1)), (1, 1), 40)
+
+
+def test_terms_of_weight_zero_are_skipped(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a term of weight 0 was computed")
+
+    k = Index((2, 1))
+    plain = stadic_smzv(k, HARMONIC, (1, 1))
+    # tau = 0: every proper coarsening carries tau^(drop in depth) = 0
+    monkeypatch.setattr(stadic, "stadic_smzv",
+                        lambda idx, *args: plain if idx == k else refuse())
+    assert stadic_smzv_tau(k, 0, HARMONIC, (1, 1)) == plain
+    monkeypatch.undo()
+    # tau = 1: no glued variant (weight 1 - tau); tau = 0: no zeta(weight+1) term
+    monkeypatch.setattr(stadic, "uplus", refuse)
+    assert check_csf_tau(k, 1, (1, 1), 40) < TOL
+    monkeypatch.undo()
+    monkeypatch.setattr(stadic, "stadic_smzv_star", refuse)
+    assert check_csf_tau(k, 0, (1, 1), 40) < TOL
 
 
 def test_all_csf_checkers_on_pinned_set():
