@@ -3,15 +3,22 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+from mzvkit import numeric
+from mzvkit.indices import compositions
 from mzvkit.numeric import (
     CACHE, CacheFormatError, ValueCache, eval_zeta_poly, euler_check, mzv,
     mzv_star, pi_val, to_mp, tolerance,
 )
 from mzvkit.rings import ZetaPoly
+
+GOLDEN_VALUES = Path(__file__).resolve().parent / "data" / "mzv_values.txt"
+# (largest weight, prec) of the golden value store
+GOLDEN_GRID = ((8, 40), (5, 100), (4, 200))
 
 
 def direct_sum_oracle(k, terms):
@@ -229,3 +236,41 @@ def test_weight_twelve_depth_four_range():
             assert 0 < v < 3
             assert v == mzv(k, 40)
     assert time.time() - t0 < 30
+
+
+def admissible_indices(max_weight):
+    """Every admissible index of weight 2 .. max_weight."""
+    for weight in range(2, max_weight + 1):
+        for depth in range(1, weight):
+            for shift in compositions(weight - depth, depth):
+                k = tuple(1 + a for a in shift)
+                if k[-1] >= 2:
+                    yield k
+
+
+def golden_store(path) -> None:
+    """Compute every golden value from empty caches and save the store to ``path``."""
+    for fn in vars(numeric).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    CACHE.clear()
+    for max_weight, prec in GOLDEN_GRID:
+        for k in admissible_indices(max_weight):
+            mzv(k, prec)
+    CACHE.save(str(path))
+
+
+def test_values_match_the_golden_store(tmp_path):
+    golden_store(tmp_path / "store.txt")
+    got = (tmp_path / "store.txt").read_text(encoding="utf-8").splitlines()
+    want = GOLDEN_VALUES.read_text(encoding="utf-8").splitlines()
+    assert len(want) == 127 + 15 + 7
+    assert len(got) == len(want)
+    for n, (old, new) in enumerate(zip(want, got), start=1):
+        assert old == new, f"line {n}"
+
+
+if __name__ == "__main__":
+    # re-record the golden value store (only when a value change is intended)
+    GOLDEN_VALUES.parent.mkdir(exist_ok=True)
+    golden_store(GOLDEN_VALUES)
