@@ -177,7 +177,8 @@ class ScanReport:
 
     @property
     def all_pass(self) -> bool:
-        return not self.counterexamples
+        """Some prime was checked and none failed: an empty scan certifies nothing."""
+        return bool(self.results) and not self.counterexamples
 
     @property
     def passed(self) -> int:

@@ -5,14 +5,18 @@ index at the midpoint 1/2.  Each piece is a multiple polylogarithm at 1/2,
 a geometrically convergent nested series (ratio 1/2), so ``prec`` digits
 need about 3.33*prec terms.  The reflected upper piece swaps the two
 letters and reverses, which keeps every piece convergent exactly when the
-index is admissible.
+index is admissible.  Each piece is summed in Python-int fixed point and
+becomes an mpf once, at the end.
 
 Computed values are memoised as decimal strings keyed by (index, prec); a
-``ValueCache`` can persist them as one sorted record per line.
+``ValueCache`` can persist them as one sorted record per line.  ``mzv``
+looks its string up in the store on every call but parses each string to
+an mpf only once.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 from fractions import Fraction
@@ -111,28 +115,27 @@ def _li_half(comp: tuple, prec: int) -> mpmath.mpf:
 
     Sum over 0 < n_1 < ... < n_q of 2^(-n_q) / prod n_j^(c_j), summed to
     N = ceil(3.33 (prec+12)) + 16 terms; the tail is below (N+2) 2^(1-N).
+
+    The sum runs in Python-int fixed point scaled by 2^bits: level j of the
+    nesting is the floor quotient of level j-1's prefix sum by n^(c_j), and
+    2^(-n) is a right shift.  The floors lose at most N (q+1) units of
+    2^-bits, which 32 guard bits beyond prec + _GUARD digits absorb.
     """
     if not comp:
         return mp.mpf(1)
+    bits = math.ceil(math.log2(10) * (prec + _GUARD)) + 32
+    nterms = int(3.322 * (prec + 12)) + 16
+    one = 1 << bits
+    first, rest = comp[0], comp[1:]
+    pref = [0] * len(rest)      # pref[j]: sum of the level-j terms of all m < n
+    acc = 0
+    for n in range(1, nterms + 1):
+        term = one // n ** first
+        for j, c in enumerate(rest):
+            term, pref[j] = pref[j] // n ** c, pref[j] + term
+        acc += term >> n
     with mp.workdps(prec + _GUARD):
-        q = len(comp)
-        nterms = int(3.322 * (prec + 12)) + 16
-        pref = [mp.mpf(0)] * q
-        acc = mp.mpf(0)
-        powx = mp.mpf(1)
-        half = mp.mpf(1) / 2
-        for n in range(1, nterms + 1):
-            powx *= half
-            invn = mp.mpf(1) / n
-            t = [mp.mpf(0)] * q
-            t[0] = invn ** comp[0]
-            for d in range(1, q):
-                if pref[d - 1]:
-                    t[d] = pref[d - 1] * invn ** comp[d]
-            acc += t[q - 1] * powx
-            for d in range(q):
-                pref[d] += t[d]
-        return acc
+        return mp.mpf((acc, -bits))
 
 
 def _mzv_compute(k: Index, prec: int) -> mpmath.mpf:
@@ -163,8 +166,14 @@ def mzv(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:
             value = _mzv_compute(k, prec)
             cached = mp.nstr(value, prec, strip_zeros=False)
         CACHE.put(tuple(k), prec, cached)
+    return _value_of(cached, prec)
+
+
+@cache
+def _value_of(text: str, prec: int) -> mpmath.mpf:
+    """A store string as an mpf at the working precision, parsed once."""
     with mp.workdps(prec + _GUARD):
-        return mp.mpf(cached)
+        return mp.mpf(text)
 
 
 def mzv_star(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:

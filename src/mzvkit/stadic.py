@@ -53,9 +53,13 @@ def _zeta_reg_sym(k: Index, product: str, tsym: str | None) -> ZetaPoly:
     return p.subst_tvars({"T": ZetaPoly.tvar(tsym) if tsym else 0})
 
 
-@cache
 def shifted_mzv(k: Index, product: str, order: int, tsym: str | None = "T") -> BiSeries:
     """The shift deformation sum_n b(k;n) zeta(k+n;T) (-t)^wt(n) to t^order."""
+    return _shifted_mzv(k, product, order, tsym)
+
+
+@cache
+def _shifted_mzv(k: Index, product: str, order: int, tsym: str | None) -> BiSeries:
     k = Index(k)
     coeffs = []
     for n in range(order + 1):
@@ -66,6 +70,13 @@ def shifted_mzv(k: Index, product: str, order: int, tsym: str | None = "T") -> B
     return BiSeries(0, order, [coeffs])
 
 
+# The public cached names bind their default symbols before the lookup, so a
+# call that spells a default out shares the cache entry of one that omits it;
+# they expose the statistics of the cache behind them.
+shifted_mzv.cache_info = _shifted_mzv.cache_info
+shifted_mzv.cache_clear = _shifted_mzv.cache_clear
+
+
 def shifted_mzv_star(k: Index, product: str, order: int, tsym: str | None = "T") -> BiSeries:
     """Coarsening sum of shifted values; 1 for the empty index."""
     out = BiSeries.constant(ZetaPoly(), 0, order)
@@ -74,10 +85,15 @@ def shifted_mzv_star(k: Index, product: str, order: int, tsym: str | None = "T")
     return out
 
 
-@cache
 def stadic_smzv(k: Index, product: str, orders: tuple[int, int],
                 t1sym: str | None = "T1", t2sym: str | None = "T2") -> BiSeries:
     """Two-parameter symmetric value as a ZetaPoly grid over (s, t)."""
+    return _stadic_smzv(k, product, orders, t1sym, t2sym)
+
+
+@cache
+def _stadic_smzv(k: Index, product: str, orders: tuple[int, int],
+                 t1sym: str | None, t2sym: str | None) -> BiSeries:
     k = Index(k)
     ms, mt = orders
     out = BiSeries.constant(ZetaPoly(), ms, mt)
@@ -88,6 +104,10 @@ def stadic_smzv(k: Index, product: str, orders: tuple[int, int],
         b = shifted_mzv(reverse(tail), product, mt, t2sym).negate_t()
         out += BiSeries.from_outer(a, b).scale(Fraction(sign))
     return out
+
+
+stadic_smzv.cache_info = _stadic_smzv.cache_info
+stadic_smzv.cache_clear = _stadic_smzv.cache_clear
 
 
 def stadic_smzv_star(k: Index, product: str, orders: tuple[int, int],

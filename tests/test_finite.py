@@ -86,7 +86,7 @@ def test_stuffle_scan():
     report = scan_stuffle([(Index((1,)), Index((2,)))], 100, 2)
     assert report.all_pass
     report = scan_stuffle([], 50, 1)
-    assert report.all_pass and report.results == []
+    assert not report.all_pass and report.results == []
 
 
 def test_stuffle_identity_by_hand():

@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 import threading
@@ -11,8 +12,8 @@ from mpmath import mp
 from mzvkit import numeric
 from mzvkit.indices import compositions
 from mzvkit.numeric import (
-    CACHE, CacheFormatError, ValueCache, eval_zeta_poly, euler_check, mzv,
-    mzv_star, pi_val, to_mp, tolerance,
+    _GUARD, CACHE, CacheFormatError, ValueCache, _li_half, eval_zeta_poly, euler_check,
+    mzv, mzv_star, pi_val, to_mp, tolerance,
 )
 from mzvkit.rings import ZetaPoly
 
@@ -268,6 +269,20 @@ def test_values_match_the_golden_store(tmp_path):
     assert len(got) == len(want)
     for n, (old, new) in enumerate(zip(want, got), start=1):
         assert old == new, f"line {n}"
+
+
+@pytest.mark.parametrize("prec", [40, 100, 200])
+def test_li_half_against_closed_forms(prec):
+    # Li_{1,...,1}(1/2) = log(2)^q / q!  and  Li_c(1/2) = polylog(c, 1/2)
+    _li_half.cache_clear()
+    with mp.workdps(prec + _GUARD + 20):
+        bound = mp.mpf(10) ** -(prec + _GUARD)
+        for q in range(1, 7):
+            want = mp.log(2) ** q / math.factorial(q)
+            assert abs(_li_half((1,) * q, prec) - want) < bound, q
+        for c in range(1, 7):
+            want = mp.polylog(c, mp.mpf(1) / 2)
+            assert abs(_li_half((c,), prec) - want) < bound, c
 
 
 if __name__ == "__main__":

@@ -185,3 +185,17 @@ def test_all_csf_checkers_on_pinned_set():
 def test_explicit_reg():
     for k in all_nonempty_indices(5):
         assert check_explicit_reg(k, 2, 40) < TOL
+
+
+def test_default_symbols_share_one_cache_entry():
+    k = Index((2, 1))
+    stadic_smzv.cache_clear()
+    plain = stadic_smzv(k, HARMONIC, (1, 1))
+    assert stadic_smzv(k, HARMONIC, (1, 1), "T1", "T2") is plain
+    assert stadic_smzv(k, HARMONIC, (1, 1), t2sym="T2") is plain
+    assert stadic_smzv.cache_info().misses == 1
+    shifted_mzv.cache_clear()
+    plain = shifted_mzv(k, HARMONIC, 2)
+    assert shifted_mzv(k, HARMONIC, 2, "T") is plain
+    assert shifted_mzv(k, HARMONIC, 2, tsym="T") is plain
+    assert shifted_mzv.cache_info().misses == 1
