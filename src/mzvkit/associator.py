@@ -23,7 +23,7 @@ from math import factorial, prod
 from mpmath import mp
 
 from .indices import Index, coarsenings, hoffman_dual
-from .numeric import _GUARD, eval_zeta_poly, mzv, to_mp
+from .numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp
 from .regularization import Z_reg_full, _z_reg_full_word, gamma0_coeffs
 from .rings import BiSeries
 from .stadic import stadic_smzv
@@ -103,11 +103,6 @@ class NcSeries(NcPoly):
             out._accumulate((tuple(b for b, _ in choices), prod((m for _, m in choices), start=c))
                             for choices in itertools.product(*(images[a] for a in w)))
         return out
-
-    def max_abs(self):
-        if not self.terms:
-            return mp.mpf(0)
-        return max(abs(c) for c in self.terms.values())
 
     def _check(self, other):
         if self.deg != other.deg:
@@ -283,10 +278,9 @@ def rsmzv_star(k: Index, orders: tuple[int, int], prec: int, D: int | None = Non
     k = Index(k)
     if k.depth == 0:
         raise ValueError("star values need a non-empty index")
-    out = None
+    out = BiSeries.constant(mp.mpf(0), *orders)
     for l in coarsenings(k):
-        v = rsmzv(l, orders, prec, D)
-        out = v if out is None else out + v
+        out += rsmzv(l, orders, prec, D)
     return out
 
 
@@ -294,14 +288,10 @@ def rsmzv_star(k: Index, orders: tuple[int, int], prec: int, D: int | None = Non
 # residual checkers
 # ---------------------------------------------------------------------------
 
-def _residual_series(a: NcSeries, b: NcSeries):
-    return (a - b).max_abs()
-
-
 def check_two_cycle(D: int, prec: int):
     with mp.workdps(prec + _GUARD):
         kz = phi_kz(D, prec)
-        return _residual_series(kz * kz.subst(IMG_SWAP), NcSeries.const(D))
+        return residual(kz * kz.subst(IMG_SWAP), NcSeries.const(D), prec)
 
 
 def check_three_cycle(D: int, prec: int):
@@ -314,7 +304,7 @@ def check_three_cycle(D: int, prec: int):
                 * NcSeries(D, {(E0,): -pij, (E1,): -pij}).exp()
                 * kz.subst(IMG_1_INF)
                 * NcSeries.letter(D, E1, pij).exp())
-        return _residual_series(prod, NcSeries.const(D))
+        return residual(prod, NcSeries.const(D), prec)
 
 
 def check_t_part(product: str, T, D: int, prec: int):
@@ -322,7 +312,7 @@ def check_t_part(product: str, T, D: int, prec: int):
     with mp.workdps(prec + _GUARD):
         lhs = phi(product, T, D, prec)
         rhs = NcSeries.letter(D, E1, -to_mp(T)).exp() * phi(product, 0, D, prec)
-        return _residual_series(lhs, rhs)
+        return residual(lhs, rhs, prec)
 
 
 def check_gamma_factor(T, D: int, prec: int):
@@ -332,7 +322,7 @@ def check_gamma_factor(T, D: int, prec: int):
         gamma0 = NcSeries(D, {(E1,) * b: eval_zeta_poly(g, {}, prec)
                               for b, g in enumerate(gamma0_coeffs(D)) if g})
         rhs = gamma0 * phi(HARMONIC, T, D, prec)
-        return _residual_series(lhs, rhs)
+        return residual(lhs, rhs, prec)
 
 
 def check_independence_factor(T, D: int, prec: int):
@@ -343,7 +333,7 @@ def check_independence_factor(T, D: int, prec: int):
                            for kk in range(1, D // 2 + 1)}).exp()
         x1 = NcSeries.letter(D, E1)
         rhs = phi(HARMONIC, 0, D, prec).eps() * x1 * mid * phi(HARMONIC, T, D, prec)
-        return _residual_series(lhs, rhs)
+        return residual(lhs, rhs, prec)
 
 
 def check_phi_ad_translation(T1, T2, D: int, prec: int, product: str = HARMONIC):
@@ -351,14 +341,14 @@ def check_phi_ad_translation(T1, T2, D: int, prec: int, product: str = HARMONIC)
     with mp.workdps(prec + _GUARD):
         lhs = phi_ad(product, T1, T2, D, prec)
         rhs = phi_ad(product, 0, to_mp(T2) - to_mp(T1), D, prec)
-        return _residual_series(lhs, rhs)
+        return residual(lhs, rhs, prec)
 
 
 def check_duality_assoc(D: int, prec: int):
     """The dressed series at (X_inf, X0) is the conjugate of it at (X_inf, X1)."""
     with mp.workdps(prec + _GUARD):
         rs = phi_rs(D, prec)
-        return _residual_series(rs.subst(IMG_INF_0), rs.subst(IMG_INF_1).conj())
+        return residual(rs.subst(IMG_INF_0), rs.subst(IMG_INF_1).conj(), prec)
 
 
 def check_pair_convention(n: int, k: Index, product: str, T, prec: int):
@@ -371,16 +361,13 @@ def check_pair_convention(n: int, k: Index, product: str, T, prec: int):
         lhs = pair(series, NcPoly.from_word(w))
         rhs = eval_zeta_poly(Z_reg_full(NcPoly.from_word(w[::-1]), product),
                              {"T": to_mp(T)}, prec)
-        return abs(lhs - rhs)
+        return residual(lhs, rhs, prec)
 
 
 def check_rsmzv_routes(k: Index, orders: tuple[int, int], prec: int):
     """Pairing route against the adjoint-series route for the same value."""
     with mp.workdps(prec + _GUARD):
-        a = rsmzv(k, orders, prec)
-        b = rsmzv_remark_route(k, orders, prec)
-        diff = a - b
-        return max(abs(entry) for _, _, entry in diff.entries())
+        return residual(rsmzv(k, orders, prec), rsmzv_remark_route(k, orders, prec), prec)
 
 
 def check_smzv_routes(k: Index, orders: tuple[int, int], prec: int,
@@ -392,8 +379,7 @@ def check_smzv_routes(k: Index, orders: tuple[int, int], prec: int,
         direct = stadic_smzv(k, product, orders).map(
             lambda p: eval_zeta_poly(p, tvals, prec))
         paired = smzv_via_assoc(k, product, T1, T2, orders, prec)
-        diff = direct - paired
-        return max(abs(entry) for _, _, entry in diff.entries())
+        return residual(direct, paired, prec)
 
 
 def check_refined_duality(k: Index, orders: tuple[int, int], prec: int):
@@ -409,16 +395,14 @@ def check_refined_duality(k: Index, orders: tuple[int, int], prec: int):
     D = k.weight + ms + mt + 2 + ms + mt
 
     def side(idx: Index) -> BiSeries:
-        acc = None
+        acc = BiSeries.constant(mp.mpf(0), ms, mt)
         for m in range(ms + 1):
             for n in range(mt + 1):
                 padded = Index((1,) * m + tuple(idx) + (1,) * n)
-                v = rsmzv_star(padded, orders, prec, D).shift(m, n)
-                acc = v if acc is None else acc + v
+                acc += rsmzv_star(padded, orders, prec, D).shift(m, n)
         return acc
 
     with mp.workdps(prec + _GUARD):
         lhs = side(k)
         rhs = side(hoffman_dual(k)).map(lambda c: -mp.conj(c))
-        diff = lhs - rhs
-        return max(abs(entry) for _, _, entry in diff.entries())
+        return residual(lhs, rhs, prec)

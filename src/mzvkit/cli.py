@@ -151,11 +151,6 @@ class CommandAst:
     indices: tuple[Index, ...] = ()
     options: dict = field(default_factory=dict)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, CommandAst)
-                and (self.verb, self.target, self.indices) == (other.verb, other.target, other.indices)
-                and self.options == other.options)
-
 
 def parse_command(argv: list[str]) -> CommandAst:
     if not argv:

@@ -184,10 +184,6 @@ class ScanReport:
     def passed(self) -> int:
         return sum(1 for _, ok in self.results if ok)
 
-    def merge(self, other: "ScanReport") -> None:
-        self.results.extend(other.results)
-        self.counterexamples.extend(other.counterexamples)
-
     def to_csv(self) -> str:
         lines = ["prime,relation,params,pass"]
         for p, ok in self.results:

@@ -12,6 +12,9 @@ Computed values are memoised as decimal strings keyed by (index, prec); a
 ``ValueCache`` can persist them as one sorted record per line.  ``mzv``
 looks its string up in the store on every call but parses each string to
 an mpf only once.
+
+``residual`` is the one measure of every relation checker: the largest
+|lhs - rhs| over the entries of the difference.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import mpmath
 from mpmath import mp
 
 from .indices import Index, coarsenings
-from .rings import ZetaPoly
+from .rings import BiSeries, LinearCombination, ZetaPoly
 from .words import index_of_word, word_of_index
 
 DEFAULT_PREC = 40
@@ -76,13 +79,15 @@ class ValueCache:
                     continue
                 try:
                     kpart, ppart, vpart = line.split(";")
-                    assert kpart.startswith("k=") and ppart.startswith("prec=") and vpart.startswith("value=")
+                    if kpart[:2] != "k=" or ppart[:5] != "prec=" or vpart[:6] != "value=":
+                        raise ValueError("unknown field name")
                     kstr = kpart[2:]
                     k = tuple(int(x) for x in kstr.split(",")) if kstr else ()
                     prec = int(ppart[5:])
                     value = vpart[6:]
-                    float(value)
-                except (ValueError, AssertionError) as exc:
+                    if not math.isfinite(float(value)):
+                        raise ValueError("value is not finite")
+                except ValueError as exc:
                     raise CacheFormatError(f"line {lineno}: malformed cache record {line!r}") from exc
                 self.records[(k, prec)] = value
                 count += 1
@@ -204,6 +209,35 @@ def eval_zeta_poly(p: ZetaPoly, t_values: dict, prec: int = DEFAULT_PREC):
         return total
 
 
+def residual(lhs, rhs, prec: int, t_values: dict | None = None) -> mpmath.mpf:
+    """The largest |lhs - rhs| over the entries of the difference.
+
+    The sides are numbers, ``ZetaPoly``s, ``BiSeries`` grids of either, or
+    sparse series of numbers (a ``LinearCombination`` that is not a
+    ``ZetaPoly``, compared coefficient by coefficient).  ``ZetaPoly``s are
+    subtracted exactly and each difference is evaluated at ``t_values``.
+    The subtraction and the comparison run at prec + _GUARD digits.  A NaN
+    entry anywhere makes the residual NaN, which passes no tolerance.
+    """
+    with mp.workdps(prec + _GUARD):
+        diff = lhs - rhs
+        if isinstance(diff, BiSeries):
+            entries = (entry for _, _, entry in diff.entries())
+        elif isinstance(diff, LinearCombination) and not isinstance(diff, ZetaPoly):
+            entries = diff.terms.values()
+        else:
+            entries = (diff,)
+        worst = mp.mpf(0)
+        for entry in entries:
+            if isinstance(entry, ZetaPoly):
+                entry = eval_zeta_poly(entry, t_values or {}, prec)
+            size = abs(entry)
+            if mp.isnan(size):
+                return size
+            worst = max(worst, size)
+        return worst
+
+
 def euler_check(k: int, prec: int = DEFAULT_PREC) -> mpmath.mpf:
     """Residual of the classical even-zeta identities at weight 4 or 6."""
     if k not in (2, 3):
@@ -211,8 +245,8 @@ def euler_check(k: int, prec: int = DEFAULT_PREC) -> mpmath.mpf:
     with mp.workdps(prec + _GUARD):
         z2 = mzv((2,), prec)
         if k == 2:
-            return abs(mzv((4,), prec) - Fraction(2, 5) * z2 ** 2)
-        return abs(mzv((6,), prec) - Fraction(8, 35) * z2 ** 3)
+            return residual(mzv((4,), prec), Fraction(2, 5) * z2 ** 2, prec)
+        return residual(mzv((6,), prec), Fraction(8, 35) * z2 ** 3, prec)
 
 
 def pi_val(prec: int = DEFAULT_PREC) -> mpmath.mpf:

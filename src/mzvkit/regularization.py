@@ -20,6 +20,7 @@ from functools import cache
 from math import factorial
 
 from .indices import Index, b_coeff, compositions, oplus
+from .numeric import residual
 from .rings import BiSeries, ZetaPoly
 from .words import (
     E0, E1, HARMONIC, SHUFFLE, NcPoly, Word, in_h0, in_h1, index_of_word,
@@ -228,10 +229,7 @@ def R_poly(k: Index) -> ZetaPoly:
 
 def check_reg_theorem(k: Index, prec: int, T: Fraction = Fraction(7, 10)):
     """Residual of the comparison zeta_sh(k;T) = rho(zeta_ha(k;T)), numerically."""
-    from .numeric import eval_zeta_poly
-
-    diff = zeta_reg(k, SHUFFLE) - rho(zeta_reg(k, HARMONIC))
-    return abs(eval_zeta_poly(diff, {"T": T}, prec))
+    return residual(*reg_theorem_sides(k), prec, {"T": T})
 
 
 def reg_theorem_sides(k: Index) -> tuple[ZetaPoly, ZetaPoly]:

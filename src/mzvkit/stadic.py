@@ -13,9 +13,9 @@ with values in ZetaPoly[T1,T2] coefficient grids truncated at (ms, mt).
 The tau-interpolated family weights each coarsening by tau^(drop in depth);
 tau = 0 is the plain value and tau = 1 the star value, the coarsening sum.
 
-The ``check_*`` functions evaluate both sides of a proved relation at
-sampled rational (or supplied) parameter values through the numeric layer
-and return the maximal absolute residual over the truncated grid.
+The ``check_*`` functions build both sides of a proved relation and return
+``numeric.residual`` of them: the largest absolute difference over the
+truncated grid, with T-symbols at sampled rational (or supplied) values.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .indices import (
     Index, IndexCombination, b_coeff, coarsenings, compositions, concat,
     cyclic_class, oplus, reverse, split, uplus,
 )
-from .numeric import _GUARD, eval_zeta_poly, mzv_star
+from .numeric import _GUARD, eval_zeta_poly, mzv_star, residual
 from .regularization import R_poly, zeta_reg
 from .rings import BiSeries, ZetaPoly
 from .words import (
@@ -137,20 +137,11 @@ def stadic_of_combination(combo: IndexCombination, product: str, orders: tuple[i
 
 
 # ---------------------------------------------------------------------------
-# residual helpers
+# helpers
 # ---------------------------------------------------------------------------
 
 def _tvals(T1=SAMPLE_T1, T2=SAMPLE_T2, T=SAMPLE_T) -> dict:
     return {"T1": T1, "T2": T2, "T": T}
-
-
-def residual_biseries(a: BiSeries, b: BiSeries, tvals: dict, prec: int):
-    diff = a - b
-    with mp.workdps(prec + _GUARD):
-        worst = mp.mpf(0)
-        for _, _, entry in diff.entries():
-            worst = max(worst, abs(eval_zeta_poly(entry, tvals, prec)))
-        return worst
 
 
 def _rotations_with_head(k: Index) -> list[tuple[int, Index]]:
@@ -176,7 +167,7 @@ def check_harmonic(k: Index, l: Index, orders: tuple[int, int], prec: int,
     k, l = Index(k), Index(l)
     lhs = stadic_of_combination(index_harmonic(k, l), HARMONIC, orders)
     rhs = stadic_smzv(k, HARMONIC, orders) * stadic_smzv(l, HARMONIC, orders)
-    return residual_biseries(lhs, rhs, _tvals(T1=T1, T2=T2), prec)
+    return residual(lhs, rhs, prec, _tvals(T1=T1, T2=T2))
 
 
 def check_shifted_harmonic(k: Index, l: Index, order: int, prec: int, T=SAMPLE_T):
@@ -186,7 +177,7 @@ def check_shifted_harmonic(k: Index, l: Index, order: int, prec: int, T=SAMPLE_T
     for idx, c in index_harmonic(k, l).terms.items():
         lhs += shifted_mzv(idx, HARMONIC, order).scale(c)
     rhs = shifted_mzv(k, HARMONIC, order) * shifted_mzv(l, HARMONIC, order)
-    return residual_biseries(lhs, rhs, _tvals(T=T), prec)
+    return residual(lhs, rhs, prec, _tvals(T=T))
 
 
 def check_antipode(k: Index, order: int, prec: int, T=SAMPLE_T):
@@ -200,7 +191,7 @@ def check_antipode(k: Index, order: int, prec: int, T=SAMPLE_T):
                 * shifted_mzv_star(tail, HARMONIC, order))
         acc += term.scale(Fraction((-1) ** i))
     target = BiSeries.constant(ZetaPoly.const(1 if k.depth == 0 else 0), 0, order)
-    return residual_biseries(acc, target, _tvals(T=T), prec)
+    return residual(acc, target, prec, _tvals(T=T))
 
 
 def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
@@ -228,21 +219,19 @@ def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
             term = stadic_smzv(idx, SHUFFLE, orders, None, None).shift(0, n)
             rhs += term.scale(Fraction(b_coeff(l, shift)))
     rhs = rhs.scale(Fraction((-1) ** l.weight))
-    return residual_biseries(lhs, rhs, {}, prec)
+    return residual(lhs, rhs, prec)
 
 
 def check_t_translation(k: Index, orders: tuple[int, int], prec: int,
                         T1=SAMPLE_T1, T2=SAMPLE_T2):
     """The symmetric value depends on (T1, T2) only through T2 - T1."""
     v = stadic_smzv(Index(k), HARMONIC, orders)
-    lhs = _tvals(T1=T1, T2=T2)
-    rhs = _tvals(T1=Fraction(0), T2=Fraction(T2) - Fraction(T1))
-    with mp.workdps(prec + _GUARD):
-        worst = mp.mpf(0)
-        for _, _, entry in v.entries():
-            worst = max(worst, abs(eval_zeta_poly(entry, lhs, prec)
-                                   - eval_zeta_poly(entry, rhs, prec)))
-        return worst
+
+    def at(tvals):
+        return v.map(lambda p: eval_zeta_poly(p, tvals, prec))
+
+    return residual(at(_tvals(T1=T1, T2=T2)),
+                    at(_tvals(T1=Fraction(0), T2=Fraction(T2) - Fraction(T1))), prec)
 
 
 def check_classical_csf(k: Index, prec: int):
@@ -255,7 +244,7 @@ def check_classical_csf(k: Index, prec: int):
             for j in range(u - 1):
                 lhs += mzv_star(concat(Index((j + 1,)), l, Index((u - j,))), prec)
         rhs = k.weight * mzv_star(Index((k.weight + 1,)), prec)
-        return abs(lhs - rhs)
+    return residual(lhs, rhs, prec)
 
 
 def check_shifted_csf(k: Index, order: int, prec: int, T=SAMPLE_T):
@@ -271,7 +260,7 @@ def check_shifted_csf(k: Index, order: int, prec: int, T=SAMPLE_T):
         for j in range(order + 1):
             rhs += shifted_mzv_star(concat(rot, Index((j + 1,))), HARMONIC, order).shift(0, j)
     rhs += shifted_mzv_star(Index((k.weight + 1,)), HARMONIC, order).scale(Fraction(k.weight))
-    return residual_biseries(lhs, rhs, _tvals(T=T), prec)
+    return residual(lhs, rhs, prec, _tvals(T=T))
 
 
 def check_csf_star(k: Index, orders: tuple[int, int], prec: int,
@@ -322,7 +311,7 @@ def check_csf_tau(k: Index, tau: Fraction, orders: tuple[int, int], prec: int,
     correction = k.weight * tau ** k.depth
     if correction:
         rhs += stadic_smzv_star(Index((k.weight + 1,)), HARMONIC, orders).scale(correction)
-    return residual_biseries(lhs, rhs, _tvals(T1=T1, T2=T2), prec)
+    return residual(lhs, rhs, prec, _tvals(T1=T1, T2=T2))
 
 
 def check_explicit_reg(k: Index, order: int, prec: int, T=SAMPLE_T):
@@ -334,4 +323,4 @@ def check_explicit_reg(k: Index, order: int, prec: int, T=SAMPLE_T):
     for i in range(k.depth + 1):
         head, tail = split(k, i)
         rhs += shifted_mzv(head, HARMONIC, order).scale(R_poly(tail))
-    return residual_biseries(lhs, rhs, _tvals(T=T), prec)
+    return residual(lhs, rhs, prec, _tvals(T=T))

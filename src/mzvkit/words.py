@@ -217,7 +217,6 @@ def harmonic(u: NcPoly, v: NcPoly) -> NcPoly:
 
 HARMONIC = "harmonic"
 SHUFFLE = "shuffle"
-PRODUCTS = (HARMONIC, SHUFFLE)
 
 
 def product_fn(tag: str):

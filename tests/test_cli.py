@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from mzvkit import associator, stadic
+from mzvkit import associator, numeric, stadic
 from mzvkit.cli import (
     CommandAst, Config, UsageError, load_config, main, parse_command, render,
     run,
@@ -205,3 +205,18 @@ def test_checks_call_the_function_bound_on_the_module_when_they_run(monkeypatch)
     assert code == 1 and "residual=2.0" in text
     code, text = run(parse_command(["check", "t-part", "--deg", "2"]), CFG)
     assert code == 1 and text.count("residual=3.0") == 2
+
+
+def test_nan_value_in_the_store_fails_the_check(tmp_path, capsys):
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"cache_path={tmp_path / 'absent.txt'}\nworkers=1\n")
+    saved = dict(numeric.CACHE.records)
+    try:
+        numeric.CACHE.put((2,), 40, "nan")
+        code = main(["check", "harmonic", "(1)", "(2)", "--orders", "2,2", "--config", str(cfg)])
+        out = capsys.readouterr().out
+    finally:
+        numeric.CACHE.records.clear()
+        numeric.CACHE.records.update(saved)
+    assert code == 1
+    assert re.search(r"residual=nan tol=\S+ FAIL$", out.strip())

@@ -22,7 +22,7 @@ import tempfile
 from decimal import Decimal
 from pathlib import Path
 
-from mzvkit import cli
+from mzvkit import associator, cli, numeric, regularization, stadic
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_transcript.txt"
 
@@ -107,6 +107,38 @@ def test_cli_transcript_matches_golden():
             assert residual_close(m_old.group(1), m_new.group(1)), f"line {n}: {old} -> {new}"
         else:
             assert old == new, f"line {n}"
+
+
+def test_every_check_returns_the_value_of_numeric_residual(monkeypatch):
+    # every reported residual must come from the one measure, numeric.residual
+    produced = []
+
+    def recorder(*args, **kwargs):
+        produced.append(numeric.residual(*args, **kwargs))
+        return produced[-1]
+
+    for module in (stadic, associator, regularization):
+        monkeypatch.setattr(module, "residual", recorder)
+    reported = []
+    report_line = cli._report_line
+
+    def record_report(name, params, residual, tol):
+        reported.append((name, residual))
+        return report_line(name, params, residual, tol)
+
+    monkeypatch.setattr(cli, "_report_line", record_report)
+    checks = [c for c in COMMANDS if c.startswith("check ")]
+    assert {c.split()[1] for c in checks} == set(cli.CHECKS)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.txt")
+        with open(config, "w", encoding="utf-8") as fh:
+            fh.write("cache_path=\nworkers=1\n")
+        for command in checks:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(command.split() + ["--config", config]) == 0, command
+    assert len(reported) == len(checks) + 1     # t-part reports two lines
+    for name, value in reported:
+        assert any(value is r for r in produced), name
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import math
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -10,12 +11,14 @@ import pytest
 from mpmath import mp
 
 from mzvkit import numeric
+from mzvkit.associator import NcSeries
 from mzvkit.indices import compositions
 from mzvkit.numeric import (
     _GUARD, CACHE, CacheFormatError, ValueCache, _li_half, eval_zeta_poly, euler_check,
-    mzv, mzv_star, pi_val, to_mp, tolerance,
+    mzv, mzv_star, pi_val, residual, to_mp, tolerance,
 )
-from mzvkit.rings import ZetaPoly
+from mzvkit.rings import BiSeries, ZetaPoly
+from mzvkit.words import E0, E1
 
 GOLDEN_VALUES = Path(__file__).resolve().parent / "data" / "mzv_values.txt"
 # (largest weight, prec) of the golden value store
@@ -115,13 +118,68 @@ def test_cache_round_trip(tmp_path):
     assert lines[0].startswith("k=;prec=20")
 
 
+# Each record names a field wrongly or stores a value that is not finite.
+BAD_RECORDS = ["zz2;prec=40;value=1.5", "k=2;prec=40;value=nan", "k=2;prec=40;value=inf"]
+
+
 def test_cache_parse_error(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("k=2;prec=40;value=1.6\nnot a record\n")
-    cache = ValueCache()
-    with pytest.raises(CacheFormatError) as err:
-        cache.load(str(path))
-    assert "line 2" in str(err.value)
+    for record in ["not a record", *BAD_RECORDS]:
+        path.write_text(f"k=2;prec=40;value=1.6\n{record}\n")
+        with pytest.raises(CacheFormatError, match="line 2"):
+            ValueCache().load(str(path))
+
+
+def test_cache_rejects_bad_records_under_python_optimize(tmp_path):
+    # -O strips assert statements; the format check must not rest on one
+    script = (
+        "import sys\n"
+        "from mzvkit.numeric import CacheFormatError, ValueCache\n"
+        "for path in sys.argv[1:]:\n"
+        "    try:\n"
+        "        ValueCache().load(path)\n"
+        "    except CacheFormatError:\n"
+        "        print('rejected')\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    paths = []
+    for n, record in enumerate(BAD_RECORDS):
+        paths.append(str(tmp_path / f"bad{n}.txt"))
+        Path(paths[-1]).write_text(record + "\n")
+    src = str(Path(numeric.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", script, *paths], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["rejected"] * len(BAD_RECORDS)
+
+
+def test_residual_of_each_kind():
+    with mp.workdps(60):
+        assert residual(mp.mpf(3), mp.mpf(1), 40) == 2
+        T = ZetaPoly.tvar("T")
+        assert residual(T * 3, ZetaPoly.const(1), 40, {"T": Fraction(1, 2)}) == Fraction(1, 2)
+        grid = BiSeries(0, 2, [[mp.mpf(1), mp.mpf(-5), mp.mpf(2)]])
+        assert residual(grid, BiSeries.constant(mp.mpf(0), 0, 2), 40) == 5
+        series = NcSeries(2, {(E0,): mp.mpc(0, 4), (E1,): mp.mpf(1)})
+        assert residual(series, NcSeries(2, {(E1,): mp.mpf(1)}), 40) == 4
+        assert residual(series, series, 40) == 0
+
+
+def test_residual_is_nan_wherever_a_grid_entry_is_nan():
+    nan = mp.mpf("nan")
+    for i, j in [(0, 1), (1, 0), (1, 1)]:
+        grid = BiSeries(1, 1, [[mp.mpf(1), mp.mpf(2)], [mp.mpf(3), mp.mpf(4)]])
+        grid.grid[i][j] = nan
+        assert mp.isnan(residual(grid, BiSeries.constant(mp.mpf(0), 1, 1), 40)), (i, j)
+    T = ZetaPoly.tvar("T")
+    sym = BiSeries(0, 1, [[ZetaPoly.const(1), T]])
+    assert mp.isnan(residual(sym, BiSeries.constant(ZetaPoly(), 0, 1), 40, {"T": nan}))
+
+
+def test_residual_is_nan_when_a_series_coefficient_is_nan():
+    series = NcSeries(2, {(): mp.mpf(1), (E0,): mp.mpf(5), (E0, E1): mp.mpf("nan")})
+    assert mp.isnan(residual(series, NcSeries.const(2), 40))
 
 
 def test_cache_save_failing_midway_keeps_the_previous_store(tmp_path):

@@ -4,14 +4,14 @@ import pytest
 
 from mzvkit import stadic
 from mzvkit.indices import EMPTY, Index
-from mzvkit.numeric import tolerance
+from mzvkit.numeric import residual, tolerance
 from mzvkit.regularization import Z_reg_full
 from mzvkit.rings import ZetaPoly
 from mzvkit.stadic import (
     SAMPLE_T1, SAMPLE_T2, check_antipode, check_classical_csf, check_csf_nonstar,
     check_csf_star, check_csf_tau, check_explicit_reg, check_harmonic,
     check_shifted_csf, check_shifted_harmonic, check_shuffle, check_t_translation,
-    residual_biseries, shifted_mzv, shifted_mzv_star, stadic_smzv,
+    shifted_mzv, shifted_mzv_star, stadic_smzv,
     stadic_smzv_star, stadic_smzv_tau,
 )
 from mzvkit.words import E0, HARMONIC, SHUFFLE, NcPoly, word_of_index
@@ -102,8 +102,8 @@ def test_check_harmonic():
     assert check_harmonic(Index((1,)), Index((1,)), (1, 1), 40) < TOL
     # empty factor: structural equality, zero residual
     lhs = stadic_smzv(EMPTY, HARMONIC, (1, 1)) * stadic_smzv(Index((2,)), HARMONIC, (1, 1))
-    assert residual_biseries(lhs, stadic_smzv(Index((2,)), HARMONIC, (1, 1)),
-                             {"T1": SAMPLE_T1, "T2": SAMPLE_T2}, 40) == 0
+    assert residual(lhs, stadic_smzv(Index((2,)), HARMONIC, (1, 1)), 40,
+                    {"T1": SAMPLE_T1, "T2": SAMPLE_T2}) == 0
 
 
 def test_check_shifted_harmonic():
