@@ -18,6 +18,7 @@ relations, the factorization identities and refined duality.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import factorial, prod
 
 from mpmath import mp
@@ -30,6 +31,10 @@ from .stadic import stadic_smzv
 from .words import (
     E0, E1, HARMONIC, SHUFFLE, NcPoly, Word, geometric, word_of_index,
 )
+
+
+# The real parameter at which the numeric series checks compare phi(T).
+SAMPLE_T = Fraction(7, 10)
 
 
 class TruncationError(ValueError):
@@ -278,10 +283,11 @@ def rsmzv_star(k: Index, orders: tuple[int, int], prec: int, D: int | None = Non
     k = Index(k)
     if k.depth == 0:
         raise ValueError("star values need a non-empty index")
-    out = BiSeries.constant(mp.mpf(0), *orders)
-    for l in coarsenings(k):
-        out += rsmzv(l, orders, prec, D)
-    return out
+    with mp.workdps(prec + _GUARD):
+        out = BiSeries.constant(mp.mpf(0), *orders)
+        for l in coarsenings(k):
+            out += rsmzv(l, orders, prec, D)
+        return out
 
 
 # ---------------------------------------------------------------------------

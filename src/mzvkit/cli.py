@@ -71,13 +71,14 @@ CHECKS = {
     "two-cycle": (0, "deg={deg}", lambda ks, a: associator.check_two_cycle(a.deg, a.prec)),
     "three-cycle": (0, "deg={deg}", lambda ks, a: associator.check_three_cycle(a.deg, a.prec)),
     "t-part": (0, ("harmonic deg={deg}", "shuffle deg={deg}"),
-               lambda ks, a: [associator.check_t_part(product, stadic.SAMPLE_T, a.deg, a.prec)
+               lambda ks, a: [associator.check_t_part(product, associator.SAMPLE_T, a.deg, a.prec)
                               for product in (HARMONIC, SHUFFLE)]),
     "gamma-factor": (0, "deg={deg}",
-                     lambda ks, a: associator.check_gamma_factor(stadic.SAMPLE_T, a.deg, a.prec)),
+                     lambda ks, a: associator.check_gamma_factor(associator.SAMPLE_T, a.deg,
+                                                                 a.prec)),
     "independence": (0, "deg={deg}",
-                     lambda ks, a: associator.check_independence_factor(stadic.SAMPLE_T, a.deg,
-                                                                       a.prec)),
+                     lambda ks, a: associator.check_independence_factor(associator.SAMPLE_T,
+                                                                       a.deg, a.prec)),
     "duality-assoc": (0, "deg={deg}", lambda ks, a: associator.check_duality_assoc(a.deg, a.prec)),
     "smzv-assoc": (1, "{0} orders={orders}",
                    lambda ks, a: associator.check_smzv_routes(*ks, a.orders, a.prec)),

@@ -209,15 +209,18 @@ def eval_zeta_poly(p: ZetaPoly, t_values: dict, prec: int = DEFAULT_PREC):
         return total
 
 
-def residual(lhs, rhs, prec: int, t_values: dict | None = None) -> mpmath.mpf:
+def residual(lhs, rhs, prec: int) -> mpmath.mpf:
     """The largest |lhs - rhs| over the entries of the difference.
 
     The sides are numbers, ``ZetaPoly``s, ``BiSeries`` grids of either, or
     sparse series of numbers (a ``LinearCombination`` that is not a
     ``ZetaPoly``, compared coefficient by coefficient).  ``ZetaPoly``s are
-    subtracted exactly and each difference is evaluated at ``t_values``.
-    The subtraction and the comparison run at prec + _GUARD digits.  A NaN
-    entry anywhere makes the residual NaN, which passes no tolerance.
+    subtracted exactly and compared coefficient by coefficient in the
+    T-symbols: the zeta part of each T-monomial is evaluated on its own, so
+    an identity between polynomials in T, T1, T2 holds for every value of
+    them, not at one point.  The subtraction and the comparison run at
+    prec + _GUARD digits.  A NaN entry anywhere makes the residual NaN,
+    which passes no tolerance.
     """
     with mp.workdps(prec + _GUARD):
         diff = lhs - rhs
@@ -229,13 +232,21 @@ def residual(lhs, rhs, prec: int, t_values: dict | None = None) -> mpmath.mpf:
             entries = (diff,)
         worst = mp.mpf(0)
         for entry in entries:
-            if isinstance(entry, ZetaPoly):
-                entry = eval_zeta_poly(entry, t_values or {}, prec)
-            size = abs(entry)
-            if mp.isnan(size):
-                return size
-            worst = max(worst, size)
+            values = _t_coefficients(entry, prec) if isinstance(entry, ZetaPoly) else (entry,)
+            for value in values:
+                size = abs(value)
+                if mp.isnan(size):
+                    return size
+                worst = max(worst, size)
         return worst
+
+
+def _t_coefficients(p: ZetaPoly, prec: int):
+    """The value of the zeta part of each T-monomial of ``p``."""
+    parts: dict[tuple, dict] = {}
+    for (zpart, tpart), c in p.terms.items():
+        parts.setdefault(tpart, {})[(zpart, ())] = c
+    return (eval_zeta_poly(ZetaPoly(part), {}, prec) for part in parts.values())
 
 
 def euler_check(k: int, prec: int = DEFAULT_PREC) -> mpmath.mpf:

@@ -126,14 +126,6 @@ def _z_reg_word(w: Word, product: str) -> ZetaPoly:
     return out
 
 
-def Z_reg(u: NcPoly, product: str) -> ZetaPoly:
-    """Regularized value of an H1-supported polynomial, e1 mapped to -T."""
-    out = ZetaPoly()
-    for w, c in u.terms.items():
-        out += _z_reg_word(w, product) * Fraction(c)
-    return out
-
-
 @cache
 def zeta_reg(k: Index, product: str) -> ZetaPoly:
     """The regularized polynomial of an index, as a ZetaPoly in T."""
@@ -227,9 +219,10 @@ def R_poly(k: Index) -> ZetaPoly:
     return out
 
 
-def check_reg_theorem(k: Index, prec: int, T: Fraction = Fraction(7, 10)):
-    """Residual of the comparison zeta_sh(k;T) = rho(zeta_ha(k;T)), numerically."""
-    return residual(*reg_theorem_sides(k), prec, {"T": T})
+def check_reg_theorem(k: Index, prec: int):
+    """Residual of the comparison zeta_sh(k;T) = rho(zeta_ha(k;T)), compared
+    coefficient by coefficient in T."""
+    return residual(*reg_theorem_sides(k), prec)
 
 
 def reg_theorem_sides(k: Index) -> tuple[ZetaPoly, ZetaPoly]:

@@ -15,7 +15,7 @@ tau = 0 is the plain value and tau = 1 the star value, the coarsening sum.
 
 The ``check_*`` functions build both sides of a proved relation and return
 ``numeric.residual`` of them: the largest absolute difference over the
-truncated grid, with T-symbols at sampled rational (or supplied) values.
+truncated grid, compared coefficient by coefficient in T, T1 and T2.
 """
 
 from __future__ import annotations
@@ -29,20 +29,13 @@ from .indices import (
     Index, IndexCombination, b_coeff, coarsenings, compositions, concat,
     cyclic_class, oplus, reverse, split, uplus,
 )
-from .numeric import _GUARD, eval_zeta_poly, mzv_star, residual
+from .numeric import _GUARD, mzv_star, residual
 from .regularization import R_poly, zeta_reg
 from .rings import BiSeries, ZetaPoly
 from .words import (
     HARMONIC, SHUFFLE, NcPoly, embed, extract_combination, index_harmonic,
     lift_biseries, shuffle_shifted,
 )
-
-# Sampled parameter points for numeric certification of symbolic identities;
-# rational, away from 0 to avoid accidental vanishing.
-SAMPLE_T = Fraction(7, 10)
-SAMPLE_T1 = Fraction(3, 10)
-SAMPLE_T2 = Fraction(-7, 10)
-
 
 @cache
 def _zeta_reg_sym(k: Index, product: str, tsym: str | None) -> ZetaPoly:
@@ -140,10 +133,6 @@ def stadic_of_combination(combo: IndexCombination, product: str, orders: tuple[i
 # helpers
 # ---------------------------------------------------------------------------
 
-def _tvals(T1=SAMPLE_T1, T2=SAMPLE_T2, T=SAMPLE_T) -> dict:
-    return {"T1": T1, "T2": T2, "T": T}
-
-
 def _rotations_with_head(k: Index) -> list[tuple[int, Index]]:
     """Each cyclic rotation split as (first part, remaining index)."""
     out = []
@@ -161,26 +150,25 @@ def _require_weight_gt_depth(k: Index) -> None:
 # relation checkers
 # ---------------------------------------------------------------------------
 
-def check_harmonic(k: Index, l: Index, orders: tuple[int, int], prec: int,
-                   T1=SAMPLE_T1, T2=SAMPLE_T2):
+def check_harmonic(k: Index, l: Index, orders: tuple[int, int], prec: int):
     """Stuffle multiplicativity of the two-parameter symmetric values."""
     k, l = Index(k), Index(l)
     lhs = stadic_of_combination(index_harmonic(k, l), HARMONIC, orders)
     rhs = stadic_smzv(k, HARMONIC, orders) * stadic_smzv(l, HARMONIC, orders)
-    return residual(lhs, rhs, prec, _tvals(T1=T1, T2=T2))
+    return residual(lhs, rhs, prec)
 
 
-def check_shifted_harmonic(k: Index, l: Index, order: int, prec: int, T=SAMPLE_T):
-    """Stuffle multiplicativity of the shifted values at a sampled T."""
+def check_shifted_harmonic(k: Index, l: Index, order: int, prec: int):
+    """Stuffle multiplicativity of the shifted values."""
     k, l = Index(k), Index(l)
     lhs = BiSeries.constant(ZetaPoly(), 0, order)
     for idx, c in index_harmonic(k, l).terms.items():
         lhs += shifted_mzv(idx, HARMONIC, order).scale(c)
     rhs = shifted_mzv(k, HARMONIC, order) * shifted_mzv(l, HARMONIC, order)
-    return residual(lhs, rhs, prec, _tvals(T=T))
+    return residual(lhs, rhs, prec)
 
 
-def check_antipode(k: Index, order: int, prec: int, T=SAMPLE_T):
+def check_antipode(k: Index, order: int, prec: int):
     """Convolution of shifted against shifted-star values telescopes to
     delta(depth = 0)."""
     k = Index(k)
@@ -191,7 +179,7 @@ def check_antipode(k: Index, order: int, prec: int, T=SAMPLE_T):
                 * shifted_mzv_star(tail, HARMONIC, order))
         acc += term.scale(Fraction((-1) ** i))
     target = BiSeries.constant(ZetaPoly.const(1 if k.depth == 0 else 0), 0, order)
-    return residual(acc, target, prec, _tvals(T=T))
+    return residual(acc, target, prec)
 
 
 def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
@@ -222,16 +210,14 @@ def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
     return residual(lhs, rhs, prec)
 
 
-def check_t_translation(k: Index, orders: tuple[int, int], prec: int,
-                        T1=SAMPLE_T1, T2=SAMPLE_T2):
-    """The symmetric value depends on (T1, T2) only through T2 - T1."""
+def check_t_translation(k: Index, orders: tuple[int, int], prec: int):
+    """The symmetric value depends on (T1, T2) only through T2 - T1.
+
+    Both sides are polynomials, so an identity makes the residual exactly 0.
+    """
     v = stadic_smzv(Index(k), HARMONIC, orders)
-
-    def at(tvals):
-        return v.map(lambda p: eval_zeta_poly(p, tvals, prec))
-
-    return residual(at(_tvals(T1=T1, T2=T2)),
-                    at(_tvals(T1=Fraction(0), T2=Fraction(T2) - Fraction(T1))), prec)
+    T1, T2 = ZetaPoly.tvar("T1"), ZetaPoly.tvar("T2")
+    return residual(v, v.map(lambda p: p.subst_tvars({"T1": 0, "T2": T2 - T1})), prec)
 
 
 def check_classical_csf(k: Index, prec: int):
@@ -247,8 +233,8 @@ def check_classical_csf(k: Index, prec: int):
     return residual(lhs, rhs, prec)
 
 
-def check_shifted_csf(k: Index, order: int, prec: int, T=SAMPLE_T):
-    """Cyclic sum formula for shifted star values at a sampled T."""
+def check_shifted_csf(k: Index, order: int, prec: int):
+    """Cyclic sum formula for shifted star values."""
     k = Index(k)
     _require_weight_gt_depth(k)
     lhs = BiSeries.constant(ZetaPoly(), 0, order)
@@ -260,23 +246,20 @@ def check_shifted_csf(k: Index, order: int, prec: int, T=SAMPLE_T):
         for j in range(order + 1):
             rhs += shifted_mzv_star(concat(rot, Index((j + 1,))), HARMONIC, order).shift(0, j)
     rhs += shifted_mzv_star(Index((k.weight + 1,)), HARMONIC, order).scale(Fraction(k.weight))
-    return residual(lhs, rhs, prec, _tvals(T=T))
+    return residual(lhs, rhs, prec)
 
 
-def check_csf_star(k: Index, orders: tuple[int, int], prec: int,
-                   T1=SAMPLE_T1, T2=SAMPLE_T2):
+def check_csf_star(k: Index, orders: tuple[int, int], prec: int):
     """Cyclic sum formula for the star symmetric values (tau = 1)."""
-    return check_csf_tau(k, 1, orders, prec, T1, T2)
+    return check_csf_tau(k, 1, orders, prec)
 
 
-def check_csf_nonstar(k: Index, orders: tuple[int, int], prec: int,
-                      T1=SAMPLE_T1, T2=SAMPLE_T2):
+def check_csf_nonstar(k: Index, orders: tuple[int, int], prec: int):
     """Cyclic sum formula for the plain symmetric values (tau = 0)."""
-    return check_csf_tau(k, 0, orders, prec, T1, T2)
+    return check_csf_tau(k, 0, orders, prec)
 
 
-def check_csf_tau(k: Index, tau: Fraction, orders: tuple[int, int], prec: int,
-                  T1=SAMPLE_T1, T2=SAMPLE_T2):
+def check_csf_tau(k: Index, tau: Fraction, orders: tuple[int, int], prec: int):
     """Interpolated cyclic sum formula for the tau-interpolated values.
 
     Each rotation contributes a prepended/appended part j+1 plus, weighted
@@ -311,10 +294,10 @@ def check_csf_tau(k: Index, tau: Fraction, orders: tuple[int, int], prec: int,
     correction = k.weight * tau ** k.depth
     if correction:
         rhs += stadic_smzv_star(Index((k.weight + 1,)), HARMONIC, orders).scale(correction)
-    return residual(lhs, rhs, prec, _tvals(T1=T1, T2=T2))
+    return residual(lhs, rhs, prec)
 
 
-def check_explicit_reg(k: Index, order: int, prec: int, T=SAMPLE_T):
+def check_explicit_reg(k: Index, order: int, prec: int):
     """Shuffle-shifted value at T=0 as a split sum of harmonic-shifted values
     against the all-ones correction polynomials."""
     k = Index(k)
@@ -323,4 +306,4 @@ def check_explicit_reg(k: Index, order: int, prec: int, T=SAMPLE_T):
     for i in range(k.depth + 1):
         head, tail = split(k, i)
         rhs += shifted_mzv(head, HARMONIC, order).scale(R_poly(tail))
-    return residual(lhs, rhs, prec, _tvals(T=T))
+    return residual(lhs, rhs, prec)

@@ -212,3 +212,11 @@ def test_refined_duality():
 def test_rsmzv_star_requires_nonempty():
     with pytest.raises(ValueError):
         rsmzv_star(Index(()), (0, 0), 40)
+
+
+def test_rsmzv_star_sums_at_its_own_precision():
+    with mp.workdps(15):
+        plain = rsmzv_star(Index((1, 2)), (0, 0), 40)
+    with mp.workdps(55):
+        raised = rsmzv_star(Index((1, 2)), (0, 0), 40)
+    assert residual(plain, raised, 40) < mp.mpf("1e-50")

@@ -34,7 +34,7 @@ def _clear_caches() -> None:
 
 def _batch() -> None:
     k = Index((2, 1))
-    T = stadic.SAMPLE_T
+    T = associator.SAMPLE_T
     stadic.check_harmonic(Index((1,)), Index((2,)), (2, 2), PREC)
     stadic.check_shifted_harmonic(Index((1,)), Index((1, 2)), 2, PREC)
     stadic.check_antipode(Index((1, 2)), 2, PREC)

@@ -158,7 +158,8 @@ def test_residual_of_each_kind():
     with mp.workdps(60):
         assert residual(mp.mpf(3), mp.mpf(1), 40) == 2
         T = ZetaPoly.tvar("T")
-        assert residual(T * 3, ZetaPoly.const(1), 40, {"T": Fraction(1, 2)}) == Fraction(1, 2)
+        # compared coefficient by coefficient in T: |3| for T^1, |-1| for T^0
+        assert residual(T * 3, ZetaPoly.const(1), 40) == 3
         grid = BiSeries(0, 2, [[mp.mpf(1), mp.mpf(-5), mp.mpf(2)]])
         assert residual(grid, BiSeries.constant(mp.mpf(0), 0, 2), 40) == 5
         series = NcSeries(2, {(E0,): mp.mpc(0, 4), (E1,): mp.mpf(1)})
@@ -172,9 +173,21 @@ def test_residual_is_nan_wherever_a_grid_entry_is_nan():
         grid = BiSeries(1, 1, [[mp.mpf(1), mp.mpf(2)], [mp.mpf(3), mp.mpf(4)]])
         grid.grid[i][j] = nan
         assert mp.isnan(residual(grid, BiSeries.constant(mp.mpf(0), 1, 1), 40)), (i, j)
-    T = ZetaPoly.tvar("T")
-    sym = BiSeries(0, 1, [[ZetaPoly.const(1), T]])
-    assert mp.isnan(residual(sym, BiSeries.constant(ZetaPoly(), 0, 1), 40, {"T": nan}))
+    sym = BiSeries(0, 1, [[ZetaPoly.const(1), ZetaPoly.tvar("T") * ZetaPoly.zeta((2,))]])
+    saved = dict(CACHE.records)
+    try:
+        CACHE.put((2,), 40, "nan")
+        assert mp.isnan(residual(sym, BiSeries.constant(ZetaPoly(), 0, 1), 40))
+    finally:
+        CACHE.records.clear()
+        CACHE.records.update(saved)
+
+
+def test_residual_sees_a_factor_that_vanishes_at_one_point_of_t():
+    # z(2) (1 + T2 - T1) is 0 wherever T2 - T1 = -1, but not as a polynomial
+    T1, T2 = ZetaPoly.tvar("T1"), ZetaPoly.tvar("T2")
+    wrong = BiSeries(0, 0, [[ZetaPoly.zeta((2,)) * (1 + T2 - T1)]])
+    assert residual(wrong, BiSeries.constant(ZetaPoly(), 0, 0), 40) >= tolerance(40)
 
 
 def test_residual_is_nan_when_a_series_coefficient_is_nan():
