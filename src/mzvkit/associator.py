@@ -1,8 +1,9 @@
 """Degree-truncated noncommutative series over X0, X1 and the KZ machinery.
 
-``NcSeries`` is a degree-bounded ``NcPoly``: a finitely supported map from
-words over two letters to high-precision complex coefficients, with
-multiplication truncated beyond a fixed degree bound.  The generating
+``NcSeries`` is a degree-bounded ``NcPoly`` with high-precision complex
+coefficients: it adds only the bound, a product truncated beyond it, exp
+and conjugation.  Letter substitution, eps and reversal are the ``NcPoly``
+operations of ``words`` and keep the bound.  The generating
 series of regularized values places Z_T(e_{a1}...e_{an}) on the reversed
 word X_{an}...X_{a1}; consequently the pairing (plain coefficient
 extraction, same letter order on both sides) satisfies
@@ -12,14 +13,16 @@ convention here and is pinned by dedicated tests.
 The module builds the shuffle associator (regularized at T = 0), its
 letter-substituted and conjugated variants, the five-factor dressed series
 used for refined symmetric values, and the residual checkers for the cycle
-relations, the factorization identities and refined duality.
+relations, the factorization identities and refined duality.  Symmetric
+values read the flanked coefficients e0^i e_k e1 e0^j straight from a
+series as an (s,t) grid.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, prod
+from math import factorial
 
 from mpmath import mp
 
@@ -28,9 +31,7 @@ from .numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp
 from .regularization import Z_reg_full, _z_reg_full_word, gamma0_coeffs
 from .rings import BiSeries
 from .stadic import stadic_smzv
-from .words import (
-    E0, E1, HARMONIC, SHUFFLE, NcPoly, Word, geometric, word_of_index,
-)
+from .words import E0, E1, HARMONIC, SHUFFLE, SWAP, NcPoly, Word, word_of_index
 
 
 # The real parameter at which the numeric series checks compare phi(T).
@@ -67,9 +68,6 @@ class NcSeries(NcPoly):
     def letter(cls, deg: int, a: int, c=1) -> "NcSeries":
         return cls(deg, {(a,): mp.mpf(1) * c})
 
-    def coeff(self, w: Word):
-        return self.terms.get(tuple(w), mp.mpf(0))
-
     def __mul__(self, other: "NcSeries") -> "NcSeries":
         self._check(other)
         deg = self.deg
@@ -90,24 +88,8 @@ class NcSeries(NcPoly):
             out += power.scale(mp.mpf(1) / factorial(n))
         return out
 
-    def reverse(self) -> "NcSeries":
-        """Word-by-word reversal, no signs."""
-        return self._new({w[::-1]: c for w, c in self.terms.items()})
-
-    def eps(self) -> "NcSeries":
-        """Anti-automorphism X_i -> -X_i: reverse words, sign by length."""
-        return self._new({w[::-1]: c * (-1) ** len(w) for w, c in self.terms.items()})
-
     def conj(self) -> "NcSeries":
         return self._new({w: mp.conj(c) for w, c in self.terms.items()})
-
-    def subst(self, images: dict[int, tuple[tuple[int, object], ...]]) -> "NcSeries":
-        """Replace each letter by a linear combination of letters."""
-        out = self._new({})
-        for w, c in self.terms.items():
-            out._accumulate((tuple(b for b, _ in choices), prod((m for _, m in choices), start=c))
-                            for choices in itertools.product(*(images[a] for a in w)))
-        return out
 
     def _check(self, other):
         if self.deg != other.deg:
@@ -124,7 +106,7 @@ class NcSeries(NcPoly):
 
 
 # substitution images
-IMG_SWAP = {E0: ((E1, 1),), E1: ((E0, 1),)}          # (X1, X0)
+IMG_SWAP = SWAP                                        # (X1, X0)
 IMG_INF_0 = {E0: ((E0, -1), (E1, -1)), E1: ((E0, 1),)}   # (X_inf, X0)
 IMG_INF_1 = {E0: ((E0, -1), (E1, -1)), E1: ((E1, 1),)}   # (X_inf, X1)
 IMG_1_INF = {E0: ((E1, 1),), E1: ((E0, -1), (E1, -1))}   # (X1, X_inf)
@@ -187,33 +169,15 @@ def phi_rs(D: int, prec: int) -> NcSeries:
 def pair(series: NcSeries, u: NcPoly):
     """Coefficient extraction <series, u>, word for word in the same order.
 
-    Words longer than the degree bound raise rather than truncate.  The
-    result is a complex scalar, or a complex BiSeries grid when ``u``
-    carries BiSeries coefficients.
+    Words longer than the degree bound raise rather than truncate.
     """
-    bs = None
+    total = mp.mpf(0)
     for w, c in u.terms.items():
         if len(w) > series.deg:
             raise TruncationError(
                 f"word of length {len(w)} exceeds the degree bound {series.deg}")
-        if isinstance(c, BiSeries):
-            bs = c
-    if bs is None:
-        total = mp.mpf(0)
-        for w, c in u.terms.items():
-            phi_c = series.terms.get(w)
-            if phi_c:
-                total += phi_c * to_mp(c)
-        return total
-    grid = [[mp.mpf(0)] * (bs.mt + 1) for _ in range(bs.ms + 1)]
-    for w, c in u.terms.items():
-        phi_c = series.terms.get(w)
-        if not phi_c:
-            continue
-        for i, j, entry in c.entries():
-            if entry:
-                grid[i][j] += phi_c * to_mp(entry)
-    return BiSeries(bs.ms, bs.mt, grid)
+        total += series.coeff(w) * to_mp(c)
+    return total
 
 
 def _budget(wt: int, orders: tuple[int, int], D: int) -> None:
@@ -222,24 +186,28 @@ def _budget(wt: int, orders: tuple[int, int], D: int) -> None:
         raise TruncationError(f"degree budget {D} too small; need {need}")
 
 
-def _flanked_word_poly(k: Index, orders: tuple[int, int]) -> NcPoly:
-    """(1 + e0 s)^(-1) e_k e1 (1 + e0 t)^(-1) as a word polynomial."""
-    core = NcPoly.from_word(word_of_index(k) + (E1,))
-    return geometric(1, E0, "s", orders) * core * geometric(1, E0, "t", orders)
+def _flanked_pairing(series: NcSeries, k: Index, orders: tuple[int, int]) -> BiSeries:
+    """<series, (1 + e0 s)^(-1) e_k e1 (1 + e0 t)^(-1)> as an (s,t) grid.
+
+    The (i, j) entry is (-1)^(i+j) times the coefficient of e0^i e_k e1 e0^j;
+    callers check the degree budget first.
+    """
+    core = word_of_index(k) + (E1,)
+    ms, mt = orders
+    return BiSeries(ms, mt, [[(-1) ** (i + j) * series.coeff((E0,) * i + core + (E0,) * j)
+                              for j in range(mt + 1)] for i in range(ms + 1)])
 
 
 def smzv_via_assoc(k: Index, product: str, T1, T2, orders: tuple[int, int],
-                   prec: int, D: int | None = None) -> BiSeries:
+                   prec: int) -> BiSeries:
     """Symmetric value through the adjoint series pairing."""
     k = Index(k)
     if k.depth == 0:
         raise ValueError("the pairing route needs a non-empty index")
-    if D is None:
-        D = k.weight + 2 + orders[0] + orders[1]
-    _budget(k.weight, orders, D)
+    D = k.weight + 2 + orders[0] + orders[1]
     with mp.workdps(prec + _GUARD):
         series = phi_ad(product, T1, T2, D, prec)
-        val = pair(series, _flanked_word_poly(k, orders))
+        val = _flanked_pairing(series, k, orders)
         return val.scale(mp.mpf((-1) ** (k.weight + k.depth)))
 
 
@@ -263,7 +231,7 @@ def rsmzv(k: Index, orders: tuple[int, int], prec: int, D: int | None = None) ->
     _budget(k.weight, orders, D)
     with mp.workdps(prec + _GUARD):
         series = phi_rs(D, prec)
-        val = pair(series, _flanked_word_poly(k, orders))
+        val = _flanked_pairing(series, k, orders)
         scale = mp.mpf((-1) ** (k.weight + k.depth)) / (2 * mp.pi * mp.mpc(0, 1))
         return val.scale(scale)
 
@@ -342,11 +310,11 @@ def check_independence_factor(T, D: int, prec: int):
         return residual(lhs, rhs, prec)
 
 
-def check_phi_ad_translation(T1, T2, D: int, prec: int, product: str = HARMONIC):
-    """phi_ad(T1, T2) = phi_ad(0, T2 - T1)."""
+def check_phi_ad_translation(T1, T2, D: int, prec: int):
+    """phi_ad(T1, T2) = phi_ad(0, T2 - T1) for the harmonic product."""
     with mp.workdps(prec + _GUARD):
-        lhs = phi_ad(product, T1, T2, D, prec)
-        rhs = phi_ad(product, 0, to_mp(T2) - to_mp(T1), D, prec)
+        lhs = phi_ad(HARMONIC, T1, T2, D, prec)
+        rhs = phi_ad(HARMONIC, 0, to_mp(T2) - to_mp(T1), D, prec)
         return residual(lhs, rhs, prec)
 
 
@@ -376,15 +344,14 @@ def check_rsmzv_routes(k: Index, orders: tuple[int, int], prec: int):
         return residual(rsmzv(k, orders, prec), rsmzv_remark_route(k, orders, prec), prec)
 
 
-def check_smzv_routes(k: Index, orders: tuple[int, int], prec: int,
-                      product: str = HARMONIC, T1=0, T2=0):
-    """Direct symmetric value against the associator pairing."""
+def check_smzv_routes(k: Index, orders: tuple[int, int], prec: int):
+    """Direct harmonic symmetric value at T1 = T2 = 0 against the associator pairing."""
     k = Index(k)
     with mp.workdps(prec + _GUARD):
-        tvals = {"T1": to_mp(T1), "T2": to_mp(T2)}
-        direct = stadic_smzv(k, product, orders).map(
+        tvals = {"T1": to_mp(0), "T2": to_mp(0)}
+        direct = stadic_smzv(k, HARMONIC, orders).map(
             lambda p: eval_zeta_poly(p, tvals, prec))
-        paired = smzv_via_assoc(k, product, T1, T2, orders, prec)
+        paired = smzv_via_assoc(k, HARMONIC, 0, 0, orders, prec)
         return residual(direct, paired, prec)
 
 

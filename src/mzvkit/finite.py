@@ -171,7 +171,6 @@ def finite_mzv_bruteforce(k, p: int, n: int = 1, a: int = 0) -> Residue:
 class ScanReport:
     relation: str
     params: str
-    n: int
     results: list[tuple[int, bool]] = field(default_factory=list)
     counterexamples: list[tuple[int, str]] = field(default_factory=list)
 
@@ -269,7 +268,7 @@ def scan_stuffle(pairs: list[tuple[Index, Index]], p_max: int, n: int = 1,
     for k, l in pairs:
         _stuffle_expansion(k, l)
     params = " ".join(f"{k}x{l}" for k, l in pairs) or "none"
-    report = ScanReport("stuffle", params, n)
+    report = ScanReport("stuffle", params)
     if not pairs:
         return report
     primes = [p for p in sieve_primes(p_max) if p >= 5 and p > n]
@@ -286,14 +285,14 @@ def scan_shift_expansion(k, a: int, p_max: int, n: int = 1,
     k = Index(k)
     if a < 1:
         raise ValueError("the shift a must be at least 1")
-    report = ScanReport("shift", f"{k} a={a}", n)
+    report = ScanReport("shift", f"{k} a={a}")
     primes = [p for p in sieve_primes(p_max) if p >= 5 and p > n]
     return _run_scan(report, primes, partial(_check_shift_prime, n=n, k=k, a=a), workers)
 
 
 def scan_wolstenholme(p_max: int, workers: int = 1) -> ScanReport:
     """H_(p-1) vanishes mod p^2 for every prime p >= 5."""
-    report = ScanReport("wolstenholme", "(1) pow=2", 2)
+    report = ScanReport("wolstenholme", "(1) pow=2")
     primes = [p for p in sieve_primes(p_max) if p >= 5]
     return _run_scan(report, primes, _check_wolstenholme_prime, workers)
 

@@ -103,13 +103,11 @@ stadic_smzv.cache_info = _stadic_smzv.cache_info
 stadic_smzv.cache_clear = _stadic_smzv.cache_clear
 
 
-def stadic_smzv_star(k: Index, product: str, orders: tuple[int, int],
-                     t1sym: str | None = "T1", t2sym: str | None = "T2") -> BiSeries:
-    return stadic_smzv_tau(k, 1, product, orders, t1sym, t2sym)
+def stadic_smzv_star(k: Index, product: str, orders: tuple[int, int]) -> BiSeries:
+    return stadic_smzv_tau(k, 1, product, orders)
 
 
-def stadic_smzv_tau(k: Index, tau: Fraction, product: str, orders: tuple[int, int],
-                    t1sym: str | None = "T1", t2sym: str | None = "T2") -> BiSeries:
+def stadic_smzv_tau(k: Index, tau: Fraction, product: str, orders: tuple[int, int]) -> BiSeries:
     """Interpolation between the plain (tau=0) and star (tau=1) values."""
     k = Index(k)
     tau = Fraction(tau)
@@ -117,15 +115,15 @@ def stadic_smzv_tau(k: Index, tau: Fraction, product: str, orders: tuple[int, in
     for l in coarsenings(k):
         weight = tau ** (k.depth - l.depth)
         if weight:
-            out += stadic_smzv(l, product, orders, t1sym, t2sym).scale(weight)
+            out += stadic_smzv(l, product, orders).scale(weight)
     return out
 
 
-def stadic_of_combination(combo: IndexCombination, product: str, orders: tuple[int, int],
-                          t1sym: str | None = "T1", t2sym: str | None = "T2") -> BiSeries:
+def stadic_of_combination(combo: IndexCombination, product: str,
+                          orders: tuple[int, int]) -> BiSeries:
     out = BiSeries.constant(ZetaPoly(), *orders)
     for idx, c in combo.terms.items():
-        out += stadic_smzv(idx, product, orders, t1sym, t2sym).scale(c)
+        out += stadic_smzv(idx, product, orders).scale(c)
     return out
 
 

@@ -8,10 +8,10 @@ combinations carries the sign (-1)^depth.
 
 ``NcPoly`` is a finitely supported map from words to coefficients in a
 pluggable scalar ring (anything with +, -, *, bool), on the sparse core
-``rings.LinearCombination``.  Its ``*`` is word
-concatenation; the harmonic (quasi-shuffle) and shuffle products are the
-separate bilinear maps :func:`harmonic` and :func:`shuffle`, with integer
-structure constants computed once per word pair and cached.
+``rings.LinearCombination``.  Its ``*`` is concatenation; ``subst``, ``eps``
+and ``reverse`` are its letter maps.  The harmonic (quasi-shuffle) and shuffle
+products are the bilinear maps :func:`harmonic` and :func:`shuffle`, with
+integer structure constants computed once per word pair and cached.
 """
 
 from __future__ import annotations
@@ -19,12 +19,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
+from math import prod
 
 from .indices import Index, IndexCombination, coarsenings, reverse
 from .rings import BiSeries, LinearCombination
 
 E0 = 0
 E1 = 1
+
+# Letter images for NcPoly.subst: the swap e0 <-> e1.
+SWAP = {E0: ((E1, 1),), E1: ((E0, 1),)}
 
 Word = tuple  # tuple of 0/1 letters
 
@@ -87,7 +91,24 @@ class NcPoly(LinearCombination):
         return NcPoly({w: f(c) for w, c in self.terms.items()})
 
     def coeff(self, w: Word):
-        return self.terms.get(tuple(w))
+        """The coefficient of ``w``; 0 when the word is absent."""
+        return self.terms.get(tuple(w), 0)
+
+    def subst(self, images: dict[int, tuple[tuple[int, object], ...]]) -> "NcPoly":
+        """Algebra endomorphism: each letter a becomes sum m * b over ``images[a]``."""
+        out = self._new({})
+        for w, c in self.terms.items():
+            out._accumulate((tuple(b for b, _ in choices), prod((m for _, m in choices), start=c))
+                            for choices in itertools.product(*(images[a] for a in w)))
+        return out
+
+    def reverse(self) -> "NcPoly":
+        """Word-by-word reversal, no signs."""
+        return self._new({w[::-1]: c for w, c in self.terms.items()})
+
+    def eps(self) -> "NcPoly":
+        """Anti-automorphism e_i -> -e_i: reverse words, sign by length."""
+        return self._new({w[::-1]: c * (-1) ** len(w) for w, c in self.terms.items()})
 
     def support_in_h1(self) -> bool:
         return all(in_h1(w) for w in self.terms)
@@ -372,45 +393,17 @@ def antipode(u: NcPoly) -> NcPoly:
 
 def endo_tau(u: NcPoly) -> NcPoly:
     """Swap e0 and e1."""
-    out = NcPoly()
-    for w, c in u.terms.items():
-        out.add_term(tuple(1 - a for a in w), c)
-    return out
-
-
-def endo_eps(u: NcPoly) -> NcPoly:
-    """Anti-automorphism e_i -> -e_i: reverse and sign by length."""
-    out = NcPoly()
-    for w, c in u.terms.items():
-        out.add_term(w[::-1], c * ((-1) ** len(w)))
-    return out
+    return u.subst(SWAP)
 
 
 def endo_S(u: NcPoly, tau: Fraction) -> NcPoly:
     """Algebra endomorphism e1 -> e1 + tau e0, e0 -> e0."""
-    tau = Fraction(tau)
-    out = NcPoly()
-    for w, c in u.terms.items():
-        ones = [i for i, a in enumerate(w) if a == E1]
-        for repl in itertools.product((E1, E0), repeat=len(ones)):
-            new = list(w)
-            power = 0
-            for pos, letter in zip(ones, repl):
-                new[pos] = letter
-                if letter == E0:
-                    power += 1
-            out.add_term(tuple(new), c * tau ** power)
-    return out
+    return u.subst({E0: ((E0, 1),), E1: ((E1, 1), (E0, Fraction(tau)))})
 
 
 def endo_A(u: NcPoly, tau: Fraction) -> NcPoly:
     """Algebra endomorphism e1 -> tau e0, e0 -> e0."""
-    tau = Fraction(tau)
-    out = NcPoly()
-    for w, c in u.terms.items():
-        power = sum(1 for a in w if a == E1)
-        out.add_term((E0,) * len(w), c * tau ** power)
-    return out
+    return u.subst({E0: ((E0, 1),), E1: ((E0, Fraction(tau)),)})
 
 
 def endo_C(u: NcPoly) -> NcPoly:

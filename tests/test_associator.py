@@ -9,11 +9,11 @@ from mzvkit.associator import (
     check_phi_ad_translation, check_refined_duality, check_rsmzv_routes,
     check_smzv_routes, check_t_part, check_three_cycle, check_two_cycle,
     pair, phi, phi_ad, phi_kz,
-    phi_rs, rsmzv, rsmzv_star, smzv_via_assoc,
+    phi_rs, rsmzv, rsmzv_star, smzv_via_assoc, _flanked_pairing,
 )
 from mzvkit.indices import Index
 from mzvkit.numeric import mzv, residual, tolerance
-from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, geometric
+from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly
 
 TOL = tolerance(40)
 
@@ -109,9 +109,8 @@ def test_pair():
         assert abs(pair(kz, NcPoly.from_word((E0, E1))) + mzv((2,), 40)) < TOL
         with pytest.raises(TruncationError):
             pair(kz, NcPoly.from_word((E0,) * 5))
-        # BiSeries-coefficient pairing distributes over the grid
-        u = geometric(1, E0, "s", (1, 0)) * NcPoly.from_word((E1,))
-        got = pair(phi(SHUFFLE, 0, 3, 40), u)
+        # the flanked pairing <series, (1 + e0 s)^(-1) e1> as an s-grid
+        got = _flanked_pairing(phi(SHUFFLE, 0, 3, 40), Index(()), (1, 0))
         assert got.grid[0][0] == 0  # Z(e1) at T=0
         assert abs(got.grid[1][0] - mzv((2,), 40)) < TOL  # -<KZ, e0 e1>
 
@@ -170,7 +169,7 @@ def test_smzv_via_assoc_routes():
     with pytest.raises(ValueError):
         smzv_via_assoc(Index(()), HARMONIC, 0, 0, (1, 1), 40)
     with pytest.raises(TruncationError):
-        smzv_via_assoc(Index((2,)), HARMONIC, 0, 0, (1, 1), 40, D=3)
+        rsmzv(Index((2,)), (1, 1), 40, D=3)
 
 
 def test_rsmzv():

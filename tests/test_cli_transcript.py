@@ -22,7 +22,11 @@ import tempfile
 from decimal import Decimal
 from pathlib import Path
 
+import pytest
+
 from mzvkit import associator, cli, numeric, regularization, stadic
+from mzvkit.rings import BiSeries
+from mzvkit.words import NcPoly
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_transcript.txt"
 
@@ -139,6 +143,66 @@ def test_every_check_returns_the_value_of_numeric_residual(monkeypatch):
     assert len(reported) == len(checks) + 1     # t-part reports two lines
     for name, value in reported:
         assert any(value is r for r in produced), name
+
+
+def _check_verdicts() -> dict[str, set[str]]:
+    """Each check target of the transcript -> the set of its PASS/FAIL words."""
+    verdicts: dict[str, set[str]] = {}
+    target = None
+    for line in transcript():
+        if line.startswith("$ "):
+            words = line.split()
+            target = words[2] if words[1] == "check" else None
+        elif target and not line.startswith("exit="):
+            verdicts.setdefault(target, set()).add(line.split()[-1])
+    return verdicts
+
+
+_subst = NcPoly.subst
+_flanked_pairing = associator._flanked_pairing
+
+
+def _subst_unit_coefficients(self, images):
+    return _subst(self, {a: tuple((b, 1) for b, _ in img) for a, img in images.items()})
+
+
+def _flanked_pairing_unsigned(series, k, orders):
+    grid = _flanked_pairing(series, k, orders)
+    return BiSeries(grid.ms, grid.mt, [[(-1) ** (i + j) * a for j, a in enumerate(row)]
+                                       for i, row in enumerate(grid.grid)])
+
+
+# planted fault -> the transcript checks that must FAIL under it; every other
+# check of the transcript must still PASS.
+MUTATIONS = {
+    "eps-without-sign": ((NcPoly, "eps", NcPoly.reverse), {"independence", "smzv-assoc"}),
+    "subst-unit-coefficients": ((NcPoly, "subst", _subst_unit_coefficients),
+                                {"three-cycle", "duality-assoc"}),
+    "subst-identity": ((NcPoly, "subst", lambda self, images: self),
+                       {"two-cycle", "three-cycle", "duality-assoc", "rsmzv-routes", "duality"}),
+    "flank-without-sign": ((associator, "_flanked_pairing", _flanked_pairing_unsigned),
+                           {"smzv-assoc", "rsmzv-routes", "duality"}),
+}
+
+
+def _clear_series_caches():
+    associator._PHI_CACHE.clear()
+    associator._PHI_RS_CACHE.clear()
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_planted_faults_fail_exactly_the_checks_that_see_them(monkeypatch, mutation):
+    (owner, name, fault), failing = MUTATIONS[mutation]
+    _clear_series_caches()
+    monkeypatch.setattr(owner, name, fault)
+    try:
+        verdicts = _check_verdicts()
+    finally:
+        monkeypatch.undo()
+        _clear_series_caches()
+    assert set(verdicts) == set(cli.CHECKS)
+    for target, seen in verdicts.items():
+        assert seen == ({"FAIL"} if target in failing else {"PASS"}), (mutation, target, seen)
 
 
 if __name__ == "__main__":

@@ -121,7 +121,7 @@ def test_parallel_matches_sequential():
 
 
 def test_csv_format():
-    report = ScanReport("stuffle", "(1)x(1)", 1,
+    report = ScanReport("stuffle", "(1)x(1)",
                         results=[(5, True), (7, False)],
                         counterexamples=[(7, "boom")])
     csv = report.to_csv()

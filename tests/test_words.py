@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from mzvkit.associator import NcSeries
 from mzvkit.indices import EMPTY, Index
 from mzvkit.rings import BiSeries
 from mzvkit.words import (
     E0, E1, NcPoly, antipode, coproduct, counit, embed, embed_combination,
-    endo_A, endo_C, endo_eps, endo_H, endo_S, endo_tau, extract_combination,
+    endo_A, endo_C, endo_H, endo_S, endo_tau, extract_combination,
     geometric, harmonic, in_h0, in_h1, index_harmonic, index_of_word,
     index_shuffle, lift_biseries, shuffle, shuffle_shifted, sigma_t,
     telescope_sides, word_of_index,
@@ -291,8 +293,8 @@ def test_antipode_axiom():
 
 def test_endomorphisms():
     assert endo_tau(W((E1, E0))) == W((E0, E1))
-    assert endo_eps(W((E1, E0))) == W((E0, E1))          # (-1)^2 and reversal
-    assert endo_eps(W((E1,))) == W((E1,), Fraction(-1))
+    assert W((E1, E0)).eps() == W((E0, E1))              # (-1)^2 and reversal
+    assert W((E1,)).eps() == W((E1,), Fraction(-1))
     assert endo_C(W((E1, E0))) == NcPoly({(E0, E1): Fraction(1), (E1, E0): Fraction(1)})
     assert endo_C(NcPoly.one()) == NcPoly()
     assert endo_H(W((E1, E0))) == W((E0,))
@@ -319,3 +321,43 @@ def test_text_form():
     assert str(NcPoly.one()) == "1*1"
     assert str(NcPoly()) == "0"
     assert str(W((E0,), Fraction(-1, 2))) == "-1/2*y0"
+
+
+# ---------------------------------------------------------------------------
+# laws of substitution, eps and reversal (property tests)
+# ---------------------------------------------------------------------------
+
+# Derandomized and small: the same examples on every run, well under a second.
+LAWS = settings(derandomize=True, max_examples=30, deadline=None, database=None)
+
+_letters = st.sampled_from((E0, E1))
+_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+polys = st.dictionaries(st.lists(_letters, max_size=4).map(tuple), _coeffs,
+                        max_size=4).map(NcPoly)
+_image = st.lists(st.tuples(_letters, _coeffs), min_size=1, max_size=2).map(tuple)
+images = st.fixed_dictionaries({E0: _image, E1: _image})
+
+
+@LAWS
+@given(polys, polys, images)
+def test_subst_is_multiplicative(u, v, img):
+    assert (u * v).subst(img) == u.subst(img) * v.subst(img)
+
+
+@LAWS
+@given(polys, polys)
+def test_eps_is_an_involutive_antiautomorphism(u, v):
+    assert (u * v).eps() == v.eps() * u.eps()
+    assert u.eps().eps() == u
+
+
+@LAWS
+@given(polys)
+def test_reverse_is_an_involution(u):
+    assert u.reverse().reverse() == u
+
+
+@LAWS
+@given(polys, images, st.integers(min_value=0, max_value=4))
+def test_truncation_commutes_with_subst(u, img, deg):
+    assert NcSeries(deg, u.terms).subst(img) == NcSeries(deg, u.subst(img).terms)
