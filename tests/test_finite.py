@@ -1,4 +1,7 @@
+import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,30 @@ from mzvkit.finite import (
     scan_wolstenholme, sieve_primes,
 )
 from mzvkit.indices import Index
+
+GOLDEN_RESIDUES = Path(__file__).resolve().parent / "data" / "finite_values.txt"
+# the (prime, n, window) grid of the golden residues, over every index of weight <= 5
+GOLDEN_PRIMES, GOLDEN_POWERS, GOLDEN_WINDOWS = (5, 7, 11, 101, 397), (1, 2, 3), (0, 1, 2)
+
+
+def indices_up_to(weight):
+    """Every index (positive entries) of weight 1..``weight``, by weight."""
+    for w in range(1, weight + 1):
+        for cuts in itertools.product((False, True), repeat=w - 1):
+            k, run = [], 1
+            for cut in cuts:
+                if cut:
+                    k.append(run)
+                    run = 1
+                else:
+                    run += 1
+            yield Index(tuple(k) + (run,))
+
+
+def golden_residues() -> list[str]:
+    return [f"k={','.join(map(str, k))};p={p};n={n};a={a};value={finite_mzv(k, p, n, a).value}"
+            for p in GOLDEN_PRIMES for n in GOLDEN_POWERS for a in GOLDEN_WINDOWS
+            for k in indices_up_to(5)]
 
 
 def test_primes():
@@ -53,6 +80,15 @@ def test_exact_rational_crosscheck():
     assert h4 == Fraction(25, 12)
     val = h4.numerator * pow(h4.denominator, -1, 25) % 25
     assert finite_mzv((1,), 5, 2, 0).value == val
+
+
+def test_residues_match_the_golden_file():
+    want = GOLDEN_RESIDUES.read_text(encoding="utf-8").splitlines()
+    got = golden_residues()
+    assert len(want) == 31 * 5 * 3 * 3
+    assert len(got) == len(want)
+    for line, (old, new) in enumerate(zip(want, got), start=1):
+        assert old == new, f"line {line}"
 
 
 def test_dp_matches_bruteforce():
@@ -131,3 +167,10 @@ def test_csv_format():
     assert lines[2] == "7,stuffle,(1)x(1),0"
     assert lines[3] == "total,2,passed,1,failed,1"
     assert not report.all_pass
+
+
+if __name__ == "__main__":
+    # re-record the golden residues (only when a value change is intended)
+    GOLDEN_RESIDUES.parent.mkdir(exist_ok=True)
+    GOLDEN_RESIDUES.write_text("\n".join(golden_residues()) + "\n", encoding="utf-8")
+    sys.exit(0)
