@@ -180,8 +180,13 @@ def pair(series: NcSeries, u: NcPoly):
     return total
 
 
+def _degree(wt: int, orders: tuple[int, int]) -> int:
+    """Length of the longest flanked word e0^i e_k e1 e0^j a pairing reads."""
+    return wt + 1 + orders[0] + orders[1]
+
+
 def _budget(wt: int, orders: tuple[int, int], D: int) -> None:
-    need = wt + 2 + orders[0] + orders[1]
+    need = _degree(wt, orders)
     if need > D:
         raise TruncationError(f"degree budget {D} too small; need {need}")
 
@@ -204,7 +209,7 @@ def smzv_via_assoc(k: Index, product: str, T1, T2, orders: tuple[int, int],
     k = Index(k)
     if k.depth == 0:
         raise ValueError("the pairing route needs a non-empty index")
-    D = k.weight + 2 + orders[0] + orders[1]
+    D = _degree(k.weight, orders)
     with mp.workdps(prec + _GUARD):
         series = phi_ad(product, T1, T2, D, prec)
         val = _flanked_pairing(series, k, orders)
@@ -227,7 +232,7 @@ def rsmzv(k: Index, orders: tuple[int, int], prec: int, D: int | None = None) ->
     if k.depth == 0:
         return _exp_st_grid(orders, prec)
     if D is None:
-        D = k.weight + 2 + orders[0] + orders[1]
+        D = _degree(k.weight, orders)
     _budget(k.weight, orders, D)
     with mp.workdps(prec + _GUARD):
         series = phi_rs(D, prec)
@@ -365,7 +370,7 @@ def check_refined_duality(k: Index, orders: tuple[int, int], prec: int):
     if k.depth == 0:
         raise ValueError("duality needs a non-empty index")
     ms, mt = orders
-    D = k.weight + ms + mt + 2 + ms + mt
+    D = _degree(k.weight + ms + mt, orders)     # the longest padding
 
     def side(idx: Index) -> BiSeries:
         acc = BiSeries.constant(mp.mpf(0), ms, mt)

@@ -288,6 +288,8 @@ def _run_scan(ast: CommandAst, cfg: Config) -> tuple[int, list[str]]:
         report = finite.scan_shift_expansion(k, a, pmax, power, workers)
     else:
         report = finite.scan_wolstenholme(pmax, workers)
+    if report.serial_reason:
+        print(f"# scan ran serially: {report.serial_reason}", file=sys.stderr)
     return (0 if report.all_pass else 1), [report.to_csv().rstrip("\n")]
 
 

@@ -7,8 +7,8 @@ is the exact residue of
 
 modulo p^n.  The window excludes multiples of p, so every summand is a
 unit.  A prefix-sum dynamic program evaluates the nested sum in O(depth*p)
-ring operations per prime; inverses come from one batched extended-gcd
-inversion over the window.
+ring operations per prime; ``WindowSums`` keeps one prime's window inverses,
+inverse-power tables and prefix columns, so a scan's indices share them.
 
 Scans verify exact congruences over prime ranges and report per-prime
 results; a failing prime lands in the counterexample list, never an
@@ -20,6 +20,7 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass, field
 from functools import cache, partial
+from itertools import accumulate
 
 from .indices import Index, b_coeff, coarsenings, compositions, oplus
 from .words import index_harmonic
@@ -102,47 +103,69 @@ class Residue:
 
 
 def _window_inverses(p: int, n: int, a: int) -> list[int]:
+    """Inverses of a p + 1, ..., a p + p - 1 mod m = p^n.  Window 0 uses
+    inv(i) = -(m // i) inv(m mod i), as m mod i is a unit below i; a shifted
+    window is inverted directly, never through the shift expansion a scan checks."""
     modulus = p ** n
-    xs = [(a * p + j) % modulus for j in range(1, p)]
-    return batch_inverses(xs, modulus)
+    if a:
+        return batch_inverses([(a * p + j) % modulus for j in range(1, p)], modulus)
+    inv = [0, 1]
+    for i in range(2, p):
+        inv.append(-(modulus // i) * inv[modulus % i] % modulus)
+    return inv[1:]
 
 
-def finite_mzv(k, p: int, n: int = 1, a: int = 0,
-               _inv: list[int] | None = None) -> Residue:
+class WindowSums:
+    """Window harmonic sums mod p^n of one (p, n, a), called with an index.
+    Power tables inv^e and the DP column of every index prefix are kept."""
+
+    def __init__(self, p: int, n: int = 1, a: int = 0):
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if p <= n:
+            raise ValueError(f"need p > n for unit denominators, got p={p}, n={n}")
+        if n < 1 or a < 0:
+            raise ValueError("need modulus exponent n >= 1 and shift a >= 0")
+        self.p, self.n, self.modulus = p, n, p ** n
+        self._powers = [None, _window_inverses(p, n, a)]
+        self._columns: dict[tuple, list[int]] = {}
+
+    def __call__(self, k) -> Residue:
+        k = tuple(Index(k))
+        total = sum(self._column(k)) if k else 1
+        return Residue(self.p, self.n, total % self.modulus)
+
+    def _power(self, e: int) -> list[int]:
+        powers, m = self._powers, self.modulus
+        while len(powers) <= e:
+            powers.append([x * y % m for x, y in zip(powers[-1], powers[1])])
+        return powers[e]
+
+    def _column(self, k: tuple) -> list[int]:
+        col = self._columns.get(k)
+        if col is None:
+            power = self._power(k[-1])
+            col = power if len(k) == 1 else self._step(self._column(k[:-1]), power)
+            self._columns[k] = col
+        return col
+
+    def _step(self, prev: list[int], power: list[int]) -> list[int]:
+        """Entry j is (sum of prev below j) * power[j]; the sums stay unreduced."""
+        m = self.modulus
+        return [0] + [s * x % m for s, x in zip(accumulate(prev), power[1:])]
+
+
+def finite_mzv(k, p: int, n: int = 1, a: int = 0) -> Residue:
     """The window harmonic sum of an index mod p^n, by the prefix-sum DP."""
-    k = Index(k)
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p <= n:
-        raise ValueError(f"need p > n for unit denominators, got p={p}, n={n}")
-    if n < 1 or a < 0:
-        raise ValueError("need modulus exponent n >= 1 and shift a >= 0")
-    modulus = p ** n
-    if k.depth == 0:
-        return Residue(p, n, 1 % modulus)
-    inv = _inv if _inv is not None else _window_inverses(p, n, a)
-    cur: list[int] | None = None
-    for exponent in k:
-        nxt = [0] * (p - 1)
-        if cur is None:
-            for j in range(p - 1):
-                nxt[j] = pow(inv[j], exponent, modulus)
-        else:
-            prefix = 0
-            for j in range(p - 1):
-                nxt[j] = prefix * pow(inv[j], exponent, modulus) % modulus
-                prefix = (prefix + cur[j]) % modulus
-        cur = nxt
-    return Residue(p, n, sum(cur) % modulus)
+    return WindowSums(p, n, a)(k)
 
 
 def finite_mzv_star(k, p: int, n: int = 1, a: int = 0) -> Residue:
     """Coarsening sum of the window harmonic sums."""
-    k = Index(k)
-    inv = _window_inverses(p, n, a)
+    sums = WindowSums(p, n, a)
     out = Residue(p, n, 0)
-    for l in coarsenings(k):
-        out = out + finite_mzv(l, p, n, a, _inv=inv)
+    for l in coarsenings(Index(k)):
+        out = out + sums(l)
     return out
 
 
@@ -173,6 +196,7 @@ class ScanReport:
     params: str
     results: list[tuple[int, bool]] = field(default_factory=list)
     counterexamples: list[tuple[int, str]] = field(default_factory=list)
+    serial_reason: str = ""     # why a scan asked for workers ran serially
 
     @property
     def all_pass(self) -> bool:
@@ -205,14 +229,7 @@ def _stuffle_expansion(k: Index, l: Index) -> tuple:
 
 
 def _check_stuffle_prime(p: int, n: int, pairs: list[tuple[Index, Index]]) -> tuple[bool, str]:
-    inv = _window_inverses(p, n, 0)
-    values: dict[Index, Residue] = {}
-
-    def val(idx: Index) -> Residue:
-        if idx not in values:
-            values[idx] = finite_mzv(idx, p, n, 0, _inv=inv)
-        return values[idx]
-
+    val = WindowSums(p, n)
     for k, l in pairs:
         lhs = val(k) * val(l)
         rhs = Residue(p, n, 0)
@@ -225,21 +242,20 @@ def _check_stuffle_prime(p: int, n: int, pairs: list[tuple[Index, Index]]) -> tu
 
 def _check_shift_prime(p: int, n: int, k: Index, a: int) -> tuple[bool, str]:
     modulus = p ** n
-    lhs = finite_mzv(k, p, n, a)
-    inv = _window_inverses(p, n, 0)
+    lhs = WindowSums(p, n, a)(k)
+    base = WindowSums(p, n)
     rhs = 0
     for total in range(n):
         step = pow(-a * p, total, modulus)
         for shift in compositions(total, k.depth):
-            base = finite_mzv(oplus(k, shift), p, n, 0, _inv=inv)
-            rhs = (rhs + b_coeff(k, shift) * base.value * step) % modulus
+            rhs = (rhs + b_coeff(k, shift) * base(oplus(k, shift)).value * step) % modulus
     if lhs.value != rhs:
         return False, f"{lhs.value} != {rhs}"
     return True, ""
 
 
 def _check_wolstenholme_prime(p: int) -> tuple[bool, str]:
-    r = finite_mzv((1,), p, 2, 0)
+    r = WindowSums(p, 2)((1,))
     if r.value != 0:
         return False, f"H_(p-1) = {r.value} mod p^2"
     return True, ""
@@ -250,7 +266,8 @@ def _run_scan(report: ScanReport, primes: list[int], one, workers: int) -> ScanR
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(one, primes, chunksize=max(1, len(primes) // (4 * workers))))
-        except (OSError, RuntimeError):
+        except (OSError, RuntimeError) as exc:
+            report.serial_reason = f"{type(exc).__name__}: {exc}"
             outcomes = [one(p) for p in primes]
     else:
         outcomes = [one(p) for p in primes]

@@ -98,7 +98,7 @@ class NcPoly(LinearCombination):
         """Algebra endomorphism: each letter a becomes sum m * b over ``images[a]``."""
         out = self._new({})
         for w, c in self.terms.items():
-            out._accumulate((tuple(b for b, _ in choices), prod((m for _, m in choices), start=c))
+            out._accumulate((tuple(b for b, _ in choices), c * prod(m for _, m in choices))
                             for choices in itertools.product(*(images[a] for a in w)))
         return out
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from mzvkit import associator
 from mzvkit.associator import (
     IMG_SWAP, NcSeries, TruncationError, check_duality_assoc,
     check_gamma_factor, check_independence_factor, check_pair_convention,
@@ -170,6 +171,28 @@ def test_smzv_via_assoc_routes():
         smzv_via_assoc(Index(()), HARMONIC, 0, 0, (1, 1), 40)
     with pytest.raises(TruncationError):
         rsmzv(Index((2,)), (1, 1), 40, D=3)
+
+
+def test_degree_budget_is_the_longest_flanked_word(monkeypatch):
+    # coefficients up to the longest word read do not depend on D, so the
+    # exact budget and one degree more give the same values, bit for bit
+    for k, orders in ((Index((2,)), (1, 1)), (Index((1, 2)), (1, 1)), (Index((2, 1)), (2, 1))):
+        need = associator._degree(k.weight, orders)
+        assert need == k.weight + 1 + orders[0] + orders[1]
+        exact, deeper = rsmzv(k, orders, 40), rsmzv(k, orders, 40, D=need + 1)
+        assert max(abs(a - b) for row_a, row_b in zip(exact.grid, deeper.grid)
+                   for a, b in zip(row_a, row_b)) == 0.0
+        with pytest.raises(TruncationError):
+            rsmzv(k, orders, 40, D=need - 1)
+    # duality pads (2) up to (1,2,1): weight 4, so degree 4 + 1 + 1 + 1
+    associator._PHI_RS_CACHE.clear()
+    exact = check_refined_duality(Index((2,)), (1, 1), 40)
+    assert set(associator._PHI_RS_CACHE) == {(7, 40)}
+    degree = associator._degree
+    monkeypatch.setattr(associator, "_degree", lambda wt, orders: degree(wt, orders) + 1)
+    associator._PHI_RS_CACHE.clear()
+    assert check_refined_duality(Index((2,)), (1, 1), 40) == exact
+    assert set(associator._PHI_RS_CACHE) == {(8, 40)}
 
 
 def test_rsmzv():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from mzvkit import associator, numeric, stadic
+from mzvkit import associator, finite, numeric, stadic
 from mzvkit.cli import (
     CommandAst, Config, UsageError, load_config, main, parse_command, render,
     run,
@@ -220,3 +220,25 @@ def test_nan_value_in_the_store_fails_the_check(tmp_path, capsys):
         numeric.CACHE.records.update(saved)
     assert code == 1
     assert re.search(r"residual=nan tol=\S+ FAIL$", out.strip())
+
+
+def test_scan_reports_a_serial_fallback_on_stderr(tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise OSError("no process pool here")
+
+    def scan(workers):
+        cfg = tmp_path / f"config{workers}.txt"
+        cfg.write_text(f"cache_path=\nworkers={workers}\n")
+        code = main(["scan", "stuffle", "(1)", "(2)", "--pmax", "40", "--config", str(cfg)])
+        return code, capsys.readouterr()
+
+    code, serial = scan(1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    assert scan(2) == (code, serial._replace(err="# scan ran serially: OSError: no process pool here\n"))
+    assert code == 0 and serial.err == ""
+    report = finite.scan_stuffle([((1,), (2,))], 40, 1, workers=2)
+    assert report.serial_reason == "OSError: no process pool here"
+    assert report.results == finite.scan_stuffle([((1,), (2,))], 40, 1).results
+    assert finite.scan_stuffle([((1,), (2,))], 40, 1).serial_reason == ""

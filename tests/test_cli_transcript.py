@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import os
 import re
 import sys
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from mzvkit import associator, cli, numeric, regularization, stadic
+from mzvkit import associator, cli, finite, numeric, regularization, stadic
 from mzvkit.rings import BiSeries
 from mzvkit.words import NcPoly
 
@@ -203,6 +204,73 @@ def test_planted_faults_fail_exactly_the_checks_that_see_them(monkeypatch, mutat
     assert set(verdicts) == set(cli.CHECKS)
     for target, seen in verdicts.items():
         assert seen == ({"FAIL"} if target in failing else {"PASS"}), (mutation, target, seen)
+
+
+def _scan_verdicts() -> dict[str, str]:
+    """Each scan command of the transcript -> PASS or FAIL, from its exit code."""
+    verdicts: dict[str, str] = {}
+    command = None
+    for line in transcript():
+        if line.startswith("$ "):
+            command = line[2:] if line.startswith("$ scan ") else None
+        elif command and line.startswith("exit="):
+            verdicts[command] = "PASS" if line == "exit=0" else "FAIL"
+    return verdicts
+
+
+def _step_including_the_current_term(self, prev, power):
+    m = self.modulus
+    return [s * x % m for s, x in zip(itertools.accumulate(prev), power)]
+
+
+def _column_keyed_without_the_last_entry(self, k):
+    col = self._columns.get(k[:-1])
+    if col is None:
+        power = self._power(k[-1])
+        col = power if len(k) == 1 else self._step(self._column(k[:-1]), power)
+        self._columns[k[:-1]] = col
+    return col
+
+
+_window_inverses = finite._window_inverses
+
+
+def _window_inverses_wrong_sign(p, n, a):
+    if a:
+        return _window_inverses(p, n, a)
+    m, inv = p ** n, [0, 1]
+    for i in range(2, p):
+        inv.append((m // i) * inv[m % i] % m)
+    return inv[1:]
+
+
+_SCANS = [c for c in COMMANDS if c.startswith("scan ")]
+_STUFFLE, _SHIFT, _WOLSTENHOLME = ({c for c in _SCANS if c.split()[1] == t}
+                                   for t in ("stuffle", "shift", "wolstenholme"))
+# planted DP fault -> the transcript scans that must FAIL under it; every
+# other scan must still PASS.  The transcript's shift and Wolstenholme scans
+# ask for depth-1 indices, whose sums have no prefix; the shift scan's second
+# term is p times a sum that vanishes mod p, so it cannot tell the sum of (2)
+# from that of (3); and stuffle holds for power sums of any values, not only
+# of inverses.
+SCAN_MUTATIONS = {
+    "prefix-includes-current-term": ((finite.WindowSums, "_step",
+                                      _step_including_the_current_term), _STUFFLE),
+    "memo-keyed-without-last-entry": ((finite.WindowSums, "_column",
+                                       _column_keyed_without_the_last_entry), _STUFFLE),
+    "window-0-inverse-wrong-sign": ((finite, "_window_inverses", _window_inverses_wrong_sign),
+                                    _SHIFT | _WOLSTENHOLME),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SCAN_MUTATIONS))
+def test_planted_dp_faults_fail_exactly_the_scans_that_see_them(monkeypatch, mutation):
+    (owner, name, fault), failing = SCAN_MUTATIONS[mutation]
+    monkeypatch.setattr(owner, name, fault)
+    verdicts = _scan_verdicts()
+    assert set(verdicts) == set(_SCANS)
+    for command, seen in verdicts.items():
+        assert seen == ("FAIL" if command in failing else "PASS"), (mutation, command, seen)
 
 
 if __name__ == "__main__":

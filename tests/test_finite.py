@@ -4,9 +4,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from mzvkit import finite
 from mzvkit.finite import (
-    Residue, ScanReport, batch_inverses, finite_mzv, finite_mzv_bruteforce,
+    Residue, ScanReport, WindowSums, batch_inverses, finite_mzv, finite_mzv_bruteforce,
     finite_mzv_star, is_prime, scan_shift_expansion, scan_stuffle,
     scan_wolstenholme, sieve_primes,
 )
@@ -99,6 +101,32 @@ def test_dp_matches_bruteforce():
                     got = finite_mzv(ktup, p, n, a)
                     want = finite_mzv_bruteforce(ktup, p, n, a)
                     assert got == want, (ktup, p, n, a)
+
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+ENTRIES = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_PRIMES), st.integers(1, 3), st.integers(0, 2),
+       st.lists(ENTRIES, min_size=1, max_size=4), st.data())
+def test_one_evaluator_answers_any_order_of_queries(p, n, a, ks, data):
+    assume(p > n)
+    # every index and all its prefixes in a drawn order, after the longest
+    # index: so a longer index comes before its prefixes, and one repeats
+    queries = [k[:i] for k in ks for i in range(len(k) + 1)]
+    sums = WindowSums(p, n, a)
+    for k in [max(ks, key=len)] + data.draw(st.permutations(queries)):
+        assert sums(k) == finite_mzv_bruteforce(k, p, n, a), (k, p, n, a)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.sampled_from((2, 3, 5, 7, 11, 13, 101, 397, 1009)), st.integers(1, 3),
+       st.integers(0, 3))
+def test_window_inverses_on_both_paths(p, n, a):
+    modulus = p ** n
+    want = [pow(a * p + j, -1, modulus) for j in range(1, p)]
+    assert finite._window_inverses(p, n, a) == want
 
 
 def test_star():
