@@ -1,9 +1,15 @@
 """Command-line front end.
 
-Grammar::
+Grammar (a verb's rule lists its targets)::
 
     command := verb target index* option*
-    verb    := eval | check | scan | cache
+    eval    := mzv | mzv-star | stadic
+    check   := harmonic | shifted-harmonic | shuffle | antipode | reg | explicit-reg
+             | t-translation | csf | csf-shifted | csf-star | csf-nonstar | csf-tau
+             | duality | two-cycle | three-cycle | t-part | gamma-factor | independence
+             | duality-assoc | smzv-assoc | rsmzv-routes
+    scan    := stuffle | shift | wolstenholme
+    cache   := show | save | load | clear
     index   := "(" [int ("," int)*] ")"
     option  := --orders M,N | --prec P | --tau p/q | --pmax P | --pow N
              | --shift A | --deg D | --config PATH
@@ -19,24 +25,25 @@ Exit codes: 0 when everything passes, 1 on any failure or module error,
 from __future__ import annotations
 
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import product
 from types import SimpleNamespace
 
 from mpmath import mp
 
 from . import associator, finite, numeric, regularization, stadic
 from .indices import Index, parse_index
-from .numeric import CACHE, tolerance
+from .numeric import CACHE, MIN_PREC, tolerance
 from .words import HARMONIC, SHUFFLE
 
 
 class UsageError(ValueError):
     pass
 
-
-VERBS = ("eval", "check", "scan", "cache")
 
 # check target -> (index count, params label, call(indices, args)).  The label
 # is formatted with the indices as {0}, {1} and with {orders}, {order}, {deg}
@@ -86,15 +93,41 @@ CHECKS = {
                      lambda ks, a: associator.check_rsmzv_routes(*ks, a.orders, a.prec)),
 }
 
-TARGETS = {
-    "eval": ("mzv", "mzv-star", "stadic"),
-    "check": tuple(CHECKS),
-    "scan": ("stuffle", "shift", "wolstenholme"),
-    "cache": ("show", "save", "load", "clear"),
-}
 
-_INT_OPTIONS = {"--prec": "prec", "--pmax": "pmax", "--pow": "pow",
-                "--shift": "shift", "--deg": "deg"}
+def _integer(text: str, low: int | None = None) -> int:
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError("expects an integer")
+    if low is not None and int(text) < low:
+        raise ValueError(f"must be at least {low}")
+    return int(text)
+
+
+def _orders(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError("expects M,N")
+    return tuple(_integer(part.strip(), 0) for part in parts)
+
+
+def _tau(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError("expects a rational p/q") from exc
+
+
+# option -> (parser, default).  A parser raises ValueError with the reason it
+# refuses a value.  A default of None is taken from the Config.
+OPTIONS = {
+    "--orders": (_orders, None),
+    "--prec": (partial(_integer, low=MIN_PREC), None),
+    "--tau": (_tau, Fraction(1, 2)),
+    "--pmax": (_integer, 100),
+    "--pow": (_integer, 1),
+    "--shift": (_integer, 1),
+    "--deg": (partial(_integer, low=1), 4),
+    "--config": (str, None),
+}
 
 
 @dataclass
@@ -105,10 +138,13 @@ class Config:
     workers: int = field(default_factory=lambda: os.cpu_count() or 1)
 
 
+_CONFIG_KEYS = {"prec": OPTIONS["--prec"][0], "orders": OPTIONS["--orders"][0],
+                "cache_path": str, "workers": partial(_integer, low=1)}
+
+
 def load_config(path: str | None) -> Config:
     cfg = Config()
-    if path is None:
-        path = os.environ.get("MZVKIT_CONFIG")
+    path = os.environ.get("MZVKIT_CONFIG") if path is None else path
     if path is None or not os.path.exists(path):
         return cfg
     with open(path, "r", encoding="utf-8") as fh:
@@ -118,30 +154,14 @@ def load_config(path: str | None) -> Config:
                 continue
             if "=" not in line:
                 raise UsageError(f"config line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _CONFIG_KEYS:
+                raise UsageError(f"config line {lineno}: unknown key {key!r}")
             try:
-                if key == "prec":
-                    cfg.prec = int(value)
-                elif key == "orders":
-                    ms, _, mt = value.partition(",")
-                    cfg.orders = (int(ms), int(mt))
-                elif key == "cache_path":
-                    cfg.cache_path = value
-                elif key == "workers":
-                    cfg.workers = int(value)
-                else:
-                    raise UsageError(f"config line {lineno}: unknown key {key!r}")
+                setattr(cfg, key, _CONFIG_KEYS[key](value))
             except ValueError as exc:
-                if isinstance(exc, UsageError):
-                    raise
-                raise UsageError(f"config line {lineno}: bad value {value!r} for {key}") from exc
-    if cfg.prec < 15:
-        raise UsageError("config: prec must be at least 15")
-    if cfg.orders[0] < 0 or cfg.orders[1] < 0:
-        raise UsageError("config: orders must be nonnegative")
-    if cfg.workers < 1:
-        raise UsageError("config: workers must be at least 1")
+                raise UsageError(
+                    f"config line {lineno}: bad value {value!r} for {key}: {exc}") from exc
     return cfg
 
 
@@ -157,79 +177,35 @@ def parse_command(argv: list[str]) -> CommandAst:
     if not argv:
         raise UsageError("empty command; expected: verb target index* option*")
     verb = argv[0]
-    if verb not in VERBS:
-        raise UsageError(f"position 1: unknown verb {verb!r}; expected one of {', '.join(VERBS)}")
+    if verb not in COMMANDS:
+        raise UsageError(
+            f"position 1: unknown verb {verb!r}; expected one of {', '.join(COMMANDS)}")
     if len(argv) < 2:
         raise UsageError(f"position 2: missing target for verb {verb!r}")
     target = argv[1]
-    if target not in TARGETS[verb]:
+    if target not in COMMANDS[verb]:
         raise UsageError(
             f"position 2: unknown target {target!r} for {verb!r}; "
-            f"expected one of {', '.join(TARGETS[verb])}")
-    indices: list[Index] = []
-    options: dict = {}
-    i = 2
-    while i < len(argv):
-        tok = argv[i]
-        pos = i + 1
+            f"expected one of {', '.join(COMMANDS[verb])}")
+    indices, options = [], {}
+    tokens = enumerate(argv[2:], start=3)
+    for pos, tok in tokens:
         if tok.startswith("("):
             try:
-                idx = parse_index(tok)
+                indices.append(parse_index(tok))
             except ValueError as exc:
                 raise UsageError(f"position {pos}: bad index literal {tok!r}: {exc}") from exc
-            indices.append(idx)
-            i += 1
             continue
-        if not tok.startswith("--"):
+        if tok not in OPTIONS:
             raise UsageError(f"position {pos}: unexpected token {tok!r}")
-        if i + 1 >= len(argv):
+        pos, val = next(tokens, (pos, None))
+        if val is None:
             raise UsageError(f"position {pos}: option {tok} needs a value")
-        val = argv[i + 1]
-        if tok == "--orders":
-            parts = val.split(",")
-            if len(parts) != 2 or not all(p.strip().lstrip("-").isdigit() for p in parts):
-                raise UsageError(f"position {pos + 1}: --orders expects M,N, got {val!r}")
-            ms, mt = int(parts[0]), int(parts[1])
-            if ms < 0 or mt < 0:
-                raise UsageError(f"position {pos + 1}: orders must be nonnegative")
-            options["orders"] = (ms, mt)
-        elif tok == "--tau":
-            try:
-                options["tau"] = Fraction(val)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"position {pos + 1}: --tau expects a rational p/q, got {val!r}") from exc
-        elif tok == "--config":
-            options["config"] = val
-        elif tok in _INT_OPTIONS:
-            if not val.lstrip("-").isdigit():
-                raise UsageError(f"position {pos + 1}: {tok} expects an integer, got {val!r}")
-            options[_INT_OPTIONS[tok]] = int(val)
-        else:
-            raise UsageError(f"position {pos}: unknown option {tok!r}")
-        i += 2
-    if "prec" in options and options["prec"] < 15:
-        raise UsageError("--prec must be at least 15")
-    if "deg" in options and options["deg"] < 1:
-        raise UsageError("--deg must be at least 1")
+        try:
+            options[tok[2:]] = OPTIONS[tok][0](val)
+        except ValueError as exc:
+            raise UsageError(f"position {pos}: {tok} {exc}, got {val!r}") from exc
     return CommandAst(verb, target, tuple(indices), options)
-
-
-def render(ast: CommandAst) -> list[str]:
-    """Inverse of parse_command on valid syntax trees."""
-    out = [ast.verb, ast.target]
-    out.extend(str(idx) for idx in ast.indices)
-    rev_int = {v: k for k, v in _INT_OPTIONS.items()}
-    for key in sorted(ast.options):
-        val = ast.options[key]
-        if key == "orders":
-            out.extend(["--orders", f"{val[0]},{val[1]}"])
-        elif key == "tau":
-            out.extend(["--tau", str(val)])
-        elif key == "config":
-            out.extend(["--config", val])
-        else:
-            out.extend([rev_int[key], str(val)])
-    return out
 
 
 def _report_line(name: str, params: str, residual, tol) -> tuple[str, bool]:
@@ -239,108 +215,86 @@ def _report_line(name: str, params: str, residual, tol) -> tuple[str, bool]:
     return line, ok
 
 
-def _need_indices(ast: CommandAst, count: int) -> tuple[Index, ...]:
-    if len(ast.indices) != count:
-        raise UsageError(
-            f"{ast.verb} {ast.target} expects {count} index argument(s), got {len(ast.indices)}")
-    return ast.indices
-
-
-def _run_check(ast: CommandAst, cfg: Config) -> tuple[int, list[str]]:
-    orders = ast.options.get("orders", cfg.orders)
-    args = SimpleNamespace(prec=ast.options.get("prec", cfg.prec), orders=orders,
-                           deg=ast.options.get("deg", 4), tau=ast.options.get("tau", Fraction(1, 2)))
-    count, label, call = CHECKS[ast.target]
-    ks = _need_indices(ast, count)
-    residuals = call(ks, args)
+def _check(target: str, ks: tuple[Index, ...], a) -> tuple[int, list[str]]:
+    _, label, call = CHECKS[target]
+    residuals = call(ks, a)
     if isinstance(label, str):
         label, residuals = (label,), (residuals,)
-    tol = tolerance(args.prec)
-    lines = []
-    all_ok = True
-    for fmt, residual in zip(label, residuals):
-        params = fmt.format(*ks, orders=f"{orders[0]},{orders[1]}", order=orders[1],
-                            deg=args.deg, tau=args.tau)
-        line, ok = _report_line(f"check-{ast.target}", params, residual, tol)
-        lines.append(line)
-        all_ok = all_ok and ok
-    return (0 if all_ok else 1), lines
+    tol, orders = tolerance(a.prec), f"{a.orders[0]},{a.orders[1]}"
+    reports = [_report_line(f"check-{target}",
+                            fmt.format(*ks, orders=orders, order=a.orders[1], deg=a.deg, tau=a.tau),
+                            residual, tol)
+               for fmt, residual in zip(label, residuals)]
+    return (0 if all(ok for _, ok in reports) else 1), [line for line, _ in reports]
 
 
-_DEFAULT_STUFFLE = (Index((1,)), Index((2,)), Index((1, 1)))
+def _value(name: str, evaluate, ks: tuple[Index, ...], a) -> tuple[int, list[str]]:
+    return 0, [f"{name} {ks[0]} prec={a.prec} value={mp.nstr(evaluate(*ks, a.prec), a.prec)}"]
 
 
-def _run_scan(ast: CommandAst, cfg: Config) -> tuple[int, list[str]]:
-    pmax = ast.options.get("pmax", 100)
-    power = ast.options.get("pow", 1)
-    workers = cfg.workers
-    if ast.target == "stuffle":
-        if ast.indices:
-            if len(ast.indices) % 2:
-                raise UsageError("scan stuffle expects an even number of indices (pairs)")
-            pairs = [(ast.indices[i], ast.indices[i + 1]) for i in range(0, len(ast.indices), 2)]
-        else:
-            pairs = [(k, l) for k in _DEFAULT_STUFFLE for l in _DEFAULT_STUFFLE]
-        report = finite.scan_stuffle(pairs, pmax, power, workers)
-    elif ast.target == "shift":
-        (k,) = _need_indices(ast, 1)
-        a = ast.options.get("shift", 1)
-        report = finite.scan_shift_expansion(k, a, pmax, power, workers)
-    else:
-        report = finite.scan_wolstenholme(pmax, workers)
+def _stadic(k: Index, orders: tuple[int, int]) -> tuple[int, list[str]]:
+    grid = stadic.stadic_smzv(k, HARMONIC, orders)
+    return 0, [f"stadic {k} orders={orders[0]},{orders[1]} coefficients of s^m t^n:",
+               *(f"  s^{m} t^{n}: {entry}" for m, n, entry in grid.entries())]
+
+
+def _pairs(ks: tuple[Index, ...]) -> list[tuple[Index, Index]]:
+    if len(ks) % 2:
+        raise UsageError("scan stuffle expects an even number of indices (pairs)")
+    default = (Index((1,)), Index((2,)), Index((1, 1)))
+    return list(zip(ks[::2], ks[1::2])) or list(product(default, repeat=2))
+
+
+def _scan(report: finite.ScanReport) -> tuple[int, list[str]]:
     if report.serial_reason:
         print(f"# scan ran serially: {report.serial_reason}", file=sys.stderr)
     return (0 if report.all_pass else 1), [report.to_csv().rstrip("\n")]
 
 
-def _run_eval(ast: CommandAst, cfg: Config) -> tuple[int, list[str]]:
-    prec = ast.options.get("prec", cfg.prec)
-    orders = ast.options.get("orders", cfg.orders)
-    if ast.target == "mzv":
-        (k,) = _need_indices(ast, 1)
-        return 0, [f"mzv {k} prec={prec} value={mp.nstr(numeric.mzv(k, prec), prec)}"]
-    if ast.target == "mzv-star":
-        (k,) = _need_indices(ast, 1)
-        return 0, [f"mzv-star {k} prec={prec} value={mp.nstr(numeric.mzv_star(k, prec), prec)}"]
-    (k,) = _need_indices(ast, 1)
-    grid = stadic.stadic_smzv(k, HARMONIC, orders)
-    lines = [f"stadic {k} orders={orders[0]},{orders[1]} coefficients of s^m t^n:"]
-    for m, n, entry in grid.entries():
-        lines.append(f"  s^{m} t^{n}: {entry}")
-    return 0, lines
-
-
-def _run_cache(ast: CommandAst, cfg: Config) -> tuple[int, list[str]]:
-    path = cfg.cache_path
-    if ast.target == "show":
-        lines = [f"cache entries: {len(CACHE.records)}"]
-        items = sorted(CACHE.records.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1]))
-        for (k, prec), value in items:
-            lines.append(f"k={','.join(map(str, k))};prec={prec};value={value}")
-        return 0, lines
-    if ast.target == "save":
-        count = CACHE.save(path)
-        return 0, [f"saved {count} records to {path}"]
-    if ast.target == "load":
-        count = CACHE.load(path)
-        return 0, [f"loaded {count} records from {path}"]
+def _cache_clear(path: str) -> tuple[int, list[str]]:
     CACHE.clear()
     if path and os.path.exists(path):
         os.remove(path)
     return 0, ["cache cleared"]
 
 
+# verb -> target -> (index count or None for any, call(indices, args)).  Args
+# default to OPTIONS and the Config; calls look functions up as CHECKS does.
+COMMANDS = {
+    "eval": {
+        "mzv": (1, lambda ks, a: _value("mzv", numeric.mzv, ks, a)),
+        "mzv-star": (1, lambda ks, a: _value("mzv-star", numeric.mzv_star, ks, a)),
+        "stadic": (1, lambda ks, a: _stadic(*ks, a.orders)),
+    },
+    "check": {target: (count, partial(_check, target)) for target, (count, _, _) in CHECKS.items()},
+    "scan": {
+        "stuffle": (None, lambda ks, a: _scan(finite.scan_stuffle(_pairs(ks), a.pmax, a.pow,
+                                                                  a.workers))),
+        "shift": (1, lambda ks, a: _scan(finite.scan_shift_expansion(*ks, a.shift, a.pmax, a.pow,
+                                                                     a.workers))),
+        "wolstenholme": (0, lambda ks, a: _scan(finite.scan_wolstenholme(a.pmax, a.workers))),
+    },
+    "cache": {
+        "show": (0, lambda ks, a: (0, [f"cache entries: {len(CACHE.records)}", *CACHE.lines()])),
+        "save": (0, lambda ks, a: (0, [f"saved {CACHE.save(a.cache_path)} records "
+                                       f"to {a.cache_path}"])),
+        "load": (0, lambda ks, a: (0, [f"loaded {CACHE.load(a.cache_path)} records "
+                                       f"from {a.cache_path}"])),
+        "clear": (0, lambda ks, a: _cache_clear(a.cache_path)),
+    },
+}
+
+
 def run(ast: CommandAst, cfg: Config) -> tuple[int, str]:
     """Dispatch a parsed command; returns (exit code, report text)."""
+    count, call = COMMANDS[ast.verb][ast.target]
+    if count is not None and len(ast.indices) != count:
+        raise UsageError(f"{ast.verb} {ast.target} expects {count} index argument(s), "
+                         f"got {len(ast.indices)}")
+    defaults = {name[2:]: default for name, (_, default) in OPTIONS.items()}
+    args = SimpleNamespace(**{**defaults, **vars(cfg), **ast.options})
     try:
-        if ast.verb == "check":
-            code, lines = _run_check(ast, cfg)
-        elif ast.verb == "scan":
-            code, lines = _run_scan(ast, cfg)
-        elif ast.verb == "eval":
-            code, lines = _run_eval(ast, cfg)
-        else:
-            code, lines = _run_cache(ast, cfg)
+        code, lines = call(ast.indices, args)
     except UsageError:
         raise
     except (ValueError, OSError, ZeroDivisionError) as exc:
@@ -349,31 +303,29 @@ def run(ast: CommandAst, cfg: Config) -> tuple[int, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        ast = parse_command(argv)
+        ast = parse_command(sys.argv[1:] if argv is None else list(argv))
         cfg = load_config(ast.options.get("config"))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    # the persistent value store survives across invocations
-    if cfg.cache_path and os.path.exists(cfg.cache_path):
-        try:
-            CACHE.load(cfg.cache_path)
-        except ValueError as exc:
-            print(f"error[cache]: {exc}", file=sys.stderr)
-            return 1
-    known = len(CACHE.records)
     try:
+        # the persistent value store survives across invocations
+        if cfg.cache_path and os.path.exists(cfg.cache_path):
+            CACHE.load(cfg.cache_path)
+        known = len(CACHE.records)
         code, text = run(ast, cfg)
+        if text:
+            print(text)
+        if (ast.verb != "cache" and cfg.cache_path and len(CACHE.records) != known
+                and os.path.exists(cfg.cache_path)):
+            CACHE.save(cfg.cache_path)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if (ast.verb != "cache" and cfg.cache_path and len(CACHE.records) != known
-            and os.path.exists(cfg.cache_path)):
-        CACHE.save(cfg.cache_path)
-    if text:
-        print(text)
+    except (ValueError, OSError) as exc:
+        print(f"error[cache]: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

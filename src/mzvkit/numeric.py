@@ -33,6 +33,7 @@ from .rings import BiSeries, LinearCombination, ZetaPoly
 from .words import index_of_word, word_of_index
 
 DEFAULT_PREC = 40
+MIN_PREC = 15
 _GUARD = 15
 
 
@@ -82,8 +83,10 @@ class ValueCache:
                     if kpart[:2] != "k=" or ppart[:5] != "prec=" or vpart[:6] != "value=":
                         raise ValueError("unknown field name")
                     kstr = kpart[2:]
-                    k = tuple(int(x) for x in kstr.split(",")) if kstr else ()
+                    k = tuple(map(int, kstr.split(","))) if kstr else ()
                     prec = int(ppart[5:])
+                    if k and (min(k) < 1 or k[-1] < 2) or prec < MIN_PREC:
+                        raise ValueError("not a value that mzv stores")
                     value = vpart[6:]
                     if not math.isfinite(float(value)):
                         raise ValueError("value is not finite")
@@ -97,18 +100,23 @@ class ValueCache:
         """Write the store to a temporary file beside ``path``, then rename it
         over ``path``: readers and a crash midway see the old or the new store,
         never a torn one, and concurrent savers leave one complete store."""
-        items = sorted(self.records.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1]))
+        lines = self.lines()
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                    prefix=os.path.basename(path) + ".", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                for (k, prec), value in items:
-                    fh.write(f"k={','.join(map(str, k))};prec={prec};value={value}\n")
+                fh.writelines(line + "\n" for line in lines)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
             raise
-        return len(items)
+        return len(lines)
+
+    def lines(self) -> list[str]:
+        """The records in their file format, by weight, then index, then prec."""
+        items = sorted(self.records.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1]))
+        return [f"k={','.join(map(str, k))};prec={prec};value={value}"
+                for (k, prec), value in items]
 
 
 CACHE = ValueCache()
@@ -160,8 +168,8 @@ def mzv(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:
     k = Index(k)
     if not k.admissible:
         raise ValueError(f"index {k} is not admissible; the series diverges")
-    if prec < 15:
-        raise ValueError("prec must be at least 15")
+    if prec < MIN_PREC:
+        raise ValueError(f"prec must be at least {MIN_PREC}")
     if k.depth == 0:
         return mp.mpf(1)
     key = (tuple(k), prec)

@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from mzvkit import associator, finite, numeric, stadic
+from mzvkit import associator, cli, finite, numeric, stadic
 from mzvkit.cli import (
-    CommandAst, Config, UsageError, load_config, main, parse_command, render,
-    run,
+    COMMANDS, OPTIONS, CommandAst, Config, UsageError, load_config, main, parse_command, run,
 )
 from mzvkit.indices import Index
 
@@ -15,15 +14,22 @@ CFG = Config(prec=40, orders=(1, 1), cache_path="", workers=1)
 
 
 def test_parse_examples():
-    ast = parse_command(["check", "harmonic", "(1)", "(2)", "--orders", "2,2"])
-    assert ast == CommandAst("check", "harmonic", (Index((1,)), Index((2,))),
-                             {"orders": (2, 2)})
-    ast = parse_command(["eval", "mzv", "(1,2)", "--prec", "40"])
-    assert ast == CommandAst("eval", "mzv", (Index((1, 2)),), {"prec": 40})
-    ast = parse_command(["scan", "stuffle", "--pmax", "100", "--pow", "2"])
-    assert ast.options == {"pmax": 100, "pow": 2}
-    ast = parse_command(["check", "csf-tau", "(2,1)", "--tau", "1/2"])
-    assert ast.options["tau"] == Fraction(1, 2)
+    cases = [
+        (["check", "harmonic", "(1)", "(2)", "--orders", "2,2"],
+         CommandAst("check", "harmonic", (Index((1,)), Index((2,))), {"orders": (2, 2)})),
+        (["eval", "mzv", "(1,2)", "--prec", "40"],
+         CommandAst("eval", "mzv", (Index((1, 2)),), {"prec": 40})),
+        (["scan", "stuffle", "--pmax", "100", "--pow", "2"],
+         CommandAst("scan", "stuffle", (), {"pmax": 100, "pow": 2})),
+        (["scan", "shift", "(2)", "--shift", "1", "--pmax", "100", "--pow", "2"],
+         CommandAst("scan", "shift", (Index((2,)),), {"shift": 1, "pmax": 100, "pow": 2})),
+        (["check", "csf-tau", "(2,1)", "--tau", "1/2"],
+         CommandAst("check", "csf-tau", (Index((2, 1)),), {"tau": Fraction(1, 2)})),
+        (["check", "two-cycle", "--deg", "4"], CommandAst("check", "two-cycle", (), {"deg": 4})),
+        (["cache", "show"], CommandAst("cache", "show", (), {})),
+    ]
+    for argv, ast in cases:
+        assert parse_command(argv) == ast, argv
 
 
 def test_parse_errors_name_token_and_position():
@@ -41,21 +47,12 @@ def test_parse_errors_name_token_and_position():
         parse_command(["check", "harmonic", "(1)", "(1)", "--prec"])
     with pytest.raises(UsageError, match="--prec"):
         parse_command(["eval", "mzv", "(2)", "--prec", "5"])
+    # non-ASCII digits pass str.isdigit but not int()
+    for option, value in (("--prec", "\u00b2"), ("--deg", "\u00b2"), ("--orders", "\u00b2,1")):
+        with pytest.raises(UsageError, match=f"position 4: {option} expects an integer"):
+            parse_command(["check", "two-cycle", option, value])
     with pytest.raises(UsageError):
         parse_command([])
-
-
-def test_render_round_trip():
-    cases = [
-        CommandAst("check", "harmonic", (Index((1,)), Index((2,))), {"orders": (2, 2)}),
-        CommandAst("eval", "mzv", (Index((1, 2)),), {"prec": 40}),
-        CommandAst("scan", "shift", (Index((2,)),), {"shift": 1, "pmax": 100, "pow": 2}),
-        CommandAst("check", "csf-tau", (Index((2, 1)),), {"tau": Fraction(1, 2)}),
-        CommandAst("check", "two-cycle", (), {"deg": 4}),
-        CommandAst("cache", "show", (), {}),
-    ]
-    for ast in cases:
-        assert parse_command(render(ast)) == ast
 
 
 def test_report_line_format():
@@ -105,6 +102,9 @@ def test_check_targets_with_indices():
 def test_wrong_index_count():
     with pytest.raises(UsageError, match="expects 2"):
         run(parse_command(["check", "harmonic", "(1)"]), CFG)
+    for argv in (["scan", "wolstenholme", "(2)"], ["cache", "show", "(2)"], ["eval", "mzv"]):
+        with pytest.raises(UsageError, match="expects [01] index"):
+            run(parse_command(argv), CFG)
 
 
 def test_scan_and_eval():
@@ -205,6 +205,11 @@ def test_checks_call_the_function_bound_on_the_module_when_they_run(monkeypatch)
     assert code == 1 and "residual=2.0" in text
     code, text = run(parse_command(["check", "t-part", "--deg", "2"]), CFG)
     assert code == 1 and text.count("residual=3.0") == 2
+    monkeypatch.setattr(numeric, "mzv", lambda k, prec: mp.mpf(7))
+    assert run(parse_command(["eval", "mzv", "(2)"]), CFG) == (0, "mzv (2) prec=40 value=7.0")
+    monkeypatch.setattr(finite, "scan_wolstenholme", lambda *args: finite.ScanReport("w", ""))
+    code, text = run(parse_command(["scan", "wolstenholme"]), CFG)
+    assert code == 1 and text.splitlines()[-1].startswith("total,0,")
 
 
 def test_nan_value_in_the_store_fails_the_check(tmp_path, capsys):
@@ -242,3 +247,36 @@ def test_scan_reports_a_serial_fallback_on_stderr(tmp_path, monkeypatch, capsys)
     assert report.serial_reason == "OSError: no process pool here"
     assert report.results == finite.scan_stuffle([((1,), (2,))], 40, 1).results
     assert finite.scan_stuffle([((1,), (2,))], 40, 1).serial_reason == ""
+
+
+def test_store_io_errors_exit_1_with_a_cache_error(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"cache_path={tmp_path}\nworkers=1\n")   # the store is a directory
+    assert main(["eval", "mzv", "(2)", "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error[cache]: ") and "Is a directory" in err
+    store = tmp_path / "store.txt"
+    store.write_text("")
+    cfg.write_text(f"cache_path={store}\nworkers=1\n")
+
+    def no_save(path):
+        raise OSError("disk full")
+
+    saved = dict(numeric.CACHE.records)
+    monkeypatch.setattr(numeric.CACHE, "save", no_save)
+    try:
+        numeric.CACHE.clear()
+        assert main(["eval", "mzv", "(3)", "--config", str(cfg)]) == 1
+    finally:
+        numeric.CACHE.records.clear()
+        numeric.CACHE.records.update(saved)
+    out, err = capsys.readouterr()
+    assert out.startswith("mzv (3) prec=40 value=1.2020569") and err == "error[cache]: disk full\n"
+
+
+def test_module_docstring_names_exactly_the_commands_and_options():
+    grammar = cli.__doc__.split("::\n\n")[1].split("\n\n")[0]
+    rules = dict(re.findall(r"^    (\S+) +:= (.*(?:\n {13}\|.*)*)", grammar, re.M))
+    assert {verb: set(re.findall(r"[\w-]+", rules[verb])) for verb in COMMANDS} == {
+        verb: set(targets) for verb, targets in COMMANDS.items()}
+    assert re.findall(r"--\w+", rules["option"]) == list(OPTIONS)

@@ -1,4 +1,4 @@
-"""CLI transcript gate: every eval, check and scan target once, at small sizes.
+"""CLI transcript gate: every eval, check and scan target at least once, at small sizes.
 
 Each command runs in-process through ``cli.main``; its printed lines and exit
 code are compared with ``tests/data/cli_transcript.txt`` line by line.  Only
@@ -62,6 +62,7 @@ COMMANDS = [
     "scan stuffle (1) (2) --pmax 40 --pow 2",
     "scan shift (2) --shift 1 --pmax 60 --pow 2",
     "scan wolstenholme --pmax 60",
+    "scan shift (2,1) --shift 1 --pmax 60 --pow 2",
 ]
 
 _RESIDUAL = re.compile(r"residual=(\S+)")
@@ -247,17 +248,22 @@ def _window_inverses_wrong_sign(p, n, a):
 _SCANS = [c for c in COMMANDS if c.startswith("scan ")]
 _STUFFLE, _SHIFT, _WOLSTENHOLME = ({c for c in _SCANS if c.split()[1] == t}
                                    for t in ("stuffle", "shift", "wolstenholme"))
+_SHIFT_DEPTH_2 = {c for c in _SHIFT if "," in c.split()[2]}
 # planted DP fault -> the transcript scans that must FAIL under it; every
-# other scan must still PASS.  The transcript's shift and Wolstenholme scans
-# ask for depth-1 indices, whose sums have no prefix; the shift scan's second
-# term is p times a sum that vanishes mod p, so it cannot tell the sum of (2)
-# from that of (3); and stuffle holds for power sums of any values, not only
-# of inverses.
+# other scan must still PASS.  Stuffle holds for power sums of any values,
+# not only of inverses, so only the shift and Wolstenholme scans see a wrong
+# inverse.  A memo keyed without the index's last entry answers an index
+# with the column of an earlier one that differs only there: the shift scan
+# of (2,1) sees (2,2) answered as (2,1), but the scan of (2) cannot tell (3)
+# from (2), since its second term is p times a sum that vanishes mod p.  A
+# prefix sum that includes the current term turns every nested sum into its
+# star variant, for which the shift expansion holds just as well.
 SCAN_MUTATIONS = {
     "prefix-includes-current-term": ((finite.WindowSums, "_step",
                                       _step_including_the_current_term), _STUFFLE),
     "memo-keyed-without-last-entry": ((finite.WindowSums, "_column",
-                                       _column_keyed_without_the_last_entry), _STUFFLE),
+                                       _column_keyed_without_the_last_entry),
+                                      _STUFFLE | _SHIFT_DEPTH_2),
     "window-0-inverse-wrong-sign": ((finite, "_window_inverses", _window_inverses_wrong_sign),
                                     _SHIFT | _WOLSTENHOLME),
 }

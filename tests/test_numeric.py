@@ -119,7 +119,10 @@ def test_cache_round_trip(tmp_path):
 
 
 # Each record names a field wrongly or stores a value that is not finite.
-BAD_RECORDS = ["zz2;prec=40;value=1.5", "k=2;prec=40;value=nan", "k=2;prec=40;value=inf"]
+BAD_RECORDS = ["zz2;prec=40;value=1.5", "k=2;prec=40;value=nan", "k=2;prec=40;value=inf",
+               # an index part below 1, a non-admissible index, prec below 15
+               "k=0,2;prec=40;value=1.5", "k=1;prec=40;value=1.5", "k=2;prec=14;value=1.5",
+               "k=2,0;prec=-3;value=1.5"]
 
 
 def test_cache_parse_error(tmp_path):
