@@ -32,6 +32,28 @@ def test_parse_examples():
         assert parse_command(argv) == ast, argv
 
 
+def _render(ast):
+    """Canonical argv of a syntax tree: options sorted, tuples joined by commas."""
+    out = [ast.verb, ast.target, *map(str, ast.indices)]
+    for key, val in sorted(ast.options.items()):
+        out += [f"--{key}", ",".join(map(str, val)) if isinstance(val, tuple) else str(val)]
+    return out
+
+
+def test_render_round_trip():
+    cases = [
+        CommandAst("check", "harmonic", (Index((1,)), Index((2,))), {"orders": (2, 2)}),
+        CommandAst("eval", "mzv", (Index((1, 2)),), {"prec": 40, "config": "cfg.txt"}),
+        CommandAst("scan", "shift", (Index((2,)),), {"shift": 1, "pmax": 100, "pow": 2}),
+        CommandAst("check", "csf-tau", (Index((2, 1)),), {"tau": Fraction(1, 2)}),
+        CommandAst("check", "two-cycle", (), {"deg": 4}),
+        CommandAst("cache", "show", (), {}),
+    ]
+    for ast in cases:
+        assert parse_command(_render(ast)) == ast
+    assert {f"--{key}" for ast in cases for key in ast.options} == set(OPTIONS)
+
+
 def test_parse_errors_name_token_and_position():
     with pytest.raises(UsageError, match="position 1"):
         parse_command(["frobnicate", "harmonic"])
