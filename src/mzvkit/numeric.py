@@ -29,7 +29,7 @@ import mpmath
 from mpmath import mp
 
 from .indices import Index, coarsenings
-from .rings import BiSeries, LinearCombination, ZetaPoly
+from .rings import LinearCombination, ZetaPoly
 from .words import index_of_word, word_of_index
 
 DEFAULT_PREC = 40
@@ -91,7 +91,7 @@ class ValueCache:
                     if not math.isfinite(float(value)):
                         raise ValueError("value is not finite")
                 except ValueError as exc:
-                    raise CacheFormatError(f"line {lineno}: malformed cache record {line!r}") from exc
+                    raise CacheFormatError(f"line {lineno}: malformed cache record {line!r}: {exc}") from exc
                 self.records[(k, prec)] = value
                 count += 1
         return count
@@ -220,9 +220,10 @@ def eval_zeta_poly(p: ZetaPoly, t_values: dict, prec: int = DEFAULT_PREC):
 def residual(lhs, rhs, prec: int) -> mpmath.mpf:
     """The largest |lhs - rhs| over the entries of the difference.
 
-    The sides are numbers, ``ZetaPoly``s, ``BiSeries`` grids of either, or
-    sparse series of numbers (a ``LinearCombination`` that is not a
-    ``ZetaPoly``, compared coefficient by coefficient).  ``ZetaPoly``s are
+    The sides are numbers, ``ZetaPoly``s, or sparse series of either (a
+    ``LinearCombination`` that is not a ``ZetaPoly``, such as a ``BiSeries``,
+    compared coefficient by coefficient; an absent term is 0 and cannot
+    raise the maximum).  ``ZetaPoly``s are
     subtracted exactly and compared coefficient by coefficient in the
     T-symbols: the zeta part of each T-monomial is evaluated on its own, so
     an identity between polynomials in T, T1, T2 holds for every value of
@@ -232,9 +233,7 @@ def residual(lhs, rhs, prec: int) -> mpmath.mpf:
     """
     with mp.workdps(prec + _GUARD):
         diff = lhs - rhs
-        if isinstance(diff, BiSeries):
-            entries = (entry for _, _, entry in diff.entries())
-        elif isinstance(diff, LinearCombination) and not isinstance(diff, ZetaPoly):
+        if isinstance(diff, LinearCombination) and not isinstance(diff, ZetaPoly):
             entries = diff.terms.values()
         else:
             entries = (diff,)

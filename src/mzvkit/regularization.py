@@ -161,8 +161,8 @@ def Z_reg_full(u: NcPoly, product: str) -> ZetaPoly:
 # ---------------------------------------------------------------------------
 
 @cache
-def gamma0_coeffs(order: int) -> tuple[ZetaPoly, ...]:
-    """Coefficients of X^0..X^order of exp(sum_{k>=2} Z[(k)]/k X^k)."""
+def gamma0_coeffs(order: int) -> tuple[ZetaPoly | int, ...]:
+    """Coefficients of X^0..X^order of exp(sum_{k>=2} Z[(k)]/k X^k); 0 where one vanishes."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     s = BiSeries(0, order, [[ZetaPoly.zeta((k,)) * Fraction(1, k) if k >= 2 else ZetaPoly()

@@ -1,26 +1,29 @@
 """Sparse linear combinations and the scalar coefficient rings built on them.
 
 * ``LinearCombination`` -- a finitely supported map from basis keys (words,
-  monomials, indices) to nonzero coefficients.  It is the one sparse core
-  under every dict algebra in the package: zero-dropping construction,
-  ``+``, ``-``, ``scale``, equality, and in-place accumulation (``+=``,
-  ``-=``, ``add_term``) through a single accumulate-and-drop-zeros loop.
+  monomials, indices, exponent pairs) to nonzero coefficients.  It is the
+  one sparse core under all five dict algebras of the package (``ZetaPoly``,
+  ``BiSeries``, ``words.NcPoly``, ``associator.NcSeries``,
+  ``indices.IndexCombination``): zero-dropping construction, ``+``, ``-``,
+  ``scale``, equality, and in-place accumulation (``+=``, ``-=``,
+  ``add_term``) through a single accumulate-and-drop-zeros loop.
 * ``ZetaPoly`` -- commutative polynomials in formal zeta symbols ``Z[k]``
   (k an admissible index) and named indeterminates (``T``, ``T1``, ``T2``)
   with exact rational coefficients.  Equality is structural; no relation
   between zeta symbols is assumed.
-* ``BiSeries`` -- a series in (s, t) truncated at orders (ms, mt), stored as
-  a dense coefficient grid, with coefficients in any ring supporting ``+``,
-  ``-``, ``*`` and ``bool``.  A series in one variable is a ``BiSeries``
-  with ``ms = 0``.
+* ``BiSeries`` -- a series in (s, t) truncated at orders (ms, mt), keyed by
+  exponent pairs (i, j), with coefficients in any ring supporting ``+``,
+  ``-``, ``*`` and ``bool``.  It adds to the core only what truncation
+  needs: the truncating product, shifts and the orders.  A series in one
+  variable is a ``BiSeries`` with ``ms = 0``.
 
 Zero tests go through ``bool(x)``, which works for ``Fraction``, mpmath
 numbers and the classes below.
 
 In-place operations change only the container they are applied to, never a
-coefficient object: coefficients may be shared between combinations and
-grids.  An accumulator must be a fresh object that its function created,
-never a value handed out by a cache.
+coefficient object: coefficients may be shared between combinations.  An
+accumulator must be a fresh object that its function created, never a value
+handed out by a cache.
 """
 
 from __future__ import annotations
@@ -99,7 +102,10 @@ class LinearCombination:
         return self.scale(-1)
 
     def scale(self, c):
-        """Every coefficient multiplied by c, as a new combination."""
+        """Every coefficient multiplied by c, as a new combination.  Scaling by
+        1 copies the container and shares the coefficients."""
+        if c == 1:
+            return self._new(dict(self.terms))
         return self._new({k: cv for k, v in self.terms.items() if (cv := c * v)})
 
     __rmul__ = scale
@@ -230,136 +236,108 @@ def _as_zp(x) -> ZetaPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} into ZetaPoly")
 
 
-class BiSeries:
-    """Series in s and t truncated at orders (ms, mt), as a dense grid.
+class BiSeries(LinearCombination):
+    """Series in s and t truncated at orders (ms, mt), keyed by exponent
+    pairs (i, j) for the term s^i t^j.
 
     A series in one variable is the case ``ms = 0``; its coefficients, in
     powers of t, are ``coeffs``.
     """
 
-    __slots__ = ("ms", "mt", "grid")
+    __slots__ = ("ms", "mt")
 
     def __init__(self, ms: int, mt: int, grid: list[list]):
         if len(grid) != ms + 1 or any(len(row) != mt + 1 for row in grid):
             raise ValueError("grid shape must be (ms+1) x (mt+1)")
         self.ms = ms
         self.mt = mt
-        self.grid = [list(row) for row in grid]
+        self.terms = {(i, j): a for i, row in enumerate(grid) for j, a in enumerate(row) if a}
+
+    def _new(self, terms: dict) -> "BiSeries":
+        return self._sparse(self.ms, self.mt, terms)
+
+    @classmethod
+    def _sparse(cls, ms: int, mt: int, terms: dict) -> "BiSeries":
+        out = object.__new__(cls)
+        out.ms, out.mt, out.terms = ms, mt, terms
+        return out
+
+    def _coerce(self, other: "BiSeries") -> "BiSeries":
+        if not isinstance(other, BiSeries) or (other.ms, other.mt) != (self.ms, self.mt):
+            raise ValueError("truncation orders do not match")
+        return other
 
     @classmethod
     def constant(cls, c, ms: int, mt: int) -> "BiSeries":
-        zero = c * 0
-        grid = [[c if (i == 0 and j == 0) else zero for j in range(mt + 1)] for i in range(ms + 1)]
-        return cls(ms, mt, grid)
+        return cls.monomial(c, 0, 0, ms, mt)
 
     @classmethod
     def monomial(cls, c, i: int, j: int, ms: int, mt: int) -> "BiSeries":
         """c * s^i * t^j, or zero when the monomial is beyond truncation."""
-        zero = c * 0
-        grid = [[zero] * (mt + 1) for _ in range(ms + 1)]
-        if i <= ms and j <= mt:
-            grid[i][j] = c
-        return cls(ms, mt, grid)
+        return cls._sparse(ms, mt, {(i, j): c} if c and i <= ms and j <= mt else {})
 
     @classmethod
     def from_outer(cls, a: "BiSeries", b: "BiSeries") -> "BiSeries":
-        """The product a(s) * b(t) of two one-variable series as a grid."""
-        return cls(a.mt, b.mt, [[x * y for y in b.coeffs] for x in a.coeffs])
+        """The product a(s) * b(t) of two one-variable series."""
+        if a.ms or b.ms:
+            raise ValueError("from_outer needs one-variable series (ms = 0)")
+        return cls._sparse(a.mt, b.mt, {(i, j): xy for (_, i), x in a.terms.items()
+                                        for (_, j), y in b.terms.items() if (xy := x * y)})
+
+    def coeff(self, i: int, j: int):
+        """The coefficient of s^i t^j; 0 when the term is absent."""
+        return self.terms.get((i, j), 0)
 
     @property
     def coeffs(self) -> list:
-        """The coefficients of a one-variable series (ms = 0)."""
+        """The coefficients of a one-variable series (ms = 0), 0 where absent."""
         if self.ms:
             raise ValueError("coeffs needs a one-variable series (ms = 0)")
-        return self.grid[0]
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        self._check(other)
-        return BiSeries(self.ms, self.mt,
-                        [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.grid, other.grid)])
-
-    def __iadd__(self, other: "BiSeries") -> "BiSeries":
-        """In place: each nonzero entry of ``other`` is added into a new entry
-        here, or taken over as it is where this entry is zero."""
-        self._check(other)
-        for row, orow in zip(self.grid, other.grid):
-            for j, b in enumerate(orow):
-                if b:
-                    a = row[j]
-                    row[j] = a + b if a else b
-        return self
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        self._check(other)
-        return BiSeries(self.ms, self.mt,
-                        [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.grid, other.grid)])
-
-    def __neg__(self) -> "BiSeries":
-        return self.scale(-1)
+        return [self.coeff(0, j) for j in range(self.mt + 1)]
 
     def __mul__(self, other) -> "BiSeries":
         if not isinstance(other, BiSeries):
-            return BiSeries(self.ms, self.mt, [[a * other for a in row] for row in self.grid])
-        self._check(other)
-        a, b = self.grid, other.grid
-        out = []
-        for m in range(self.ms + 1):
-            row = []
-            for n in range(self.mt + 1):
-                # each product is a fresh object, so the sum may grow in place
-                acc = None
-                for i in range(m + 1):
-                    for j in range(n + 1):
-                        x, y = a[i][j], b[m - i][n - j]
-                        if x and y:
-                            if acc is None:
-                                acc = x * y
-                            else:
-                                acc += x * y
-                row.append(a[0][0] * 0 if acc is None else acc)
-            out.append(row)
-        return BiSeries(self.ms, self.mt, out)
-
-    def scale(self, c) -> "BiSeries":
-        if c == 1:
-            return BiSeries(self.ms, self.mt, self.grid)
-        return BiSeries(self.ms, self.mt, [[c * a for a in row] for row in self.grid])
-
-    __rmul__ = scale
+            return self.scale(other)
+        self._coerce(other)
+        ms, mt = self.ms, self.mt
+        out: dict = {}
+        for (i, j), x in self.terms.items():
+            for (k, l), y in other.terms.items():
+                if i + k <= ms and j + l <= mt:
+                    # each product is a fresh object, so the sum may grow in place
+                    key = (i + k, j + l)
+                    acc = out.get(key)
+                    if acc is None:
+                        out[key] = x * y
+                    else:
+                        acc += x * y
+                        out[key] = acc
+        return self._new({key: c for key, c in out.items() if c})
 
     def negate_t(self) -> "BiSeries":
         """Substitute -t for t."""
-        return BiSeries(self.ms, self.mt,
-                        [[a if j % 2 == 0 else -1 * a for j, a in enumerate(row)] for row in self.grid])
+        return self._new({(i, j): a if j % 2 == 0 else -1 * a
+                          for (i, j), a in self.terms.items()})
 
     def shift(self, ds: int, dt: int) -> "BiSeries":
         """Multiply by s^ds * t^dt, dropping overflow."""
-        zero = self.grid[0][0] * 0
-        grid = [[zero] * (self.mt + 1) for _ in range(self.ms + 1)]
-        for i in range(self.ms + 1 - ds):
-            for j in range(self.mt + 1 - dt):
-                grid[i + ds][j + dt] = self.grid[i][j]
-        return BiSeries(self.ms, self.mt, grid)
+        return self._new({(i + ds, j + dt): a for (i, j), a in self.terms.items()
+                          if i + ds <= self.ms and j + dt <= self.mt})
 
     def map(self, f: Callable) -> "BiSeries":
-        return BiSeries(self.ms, self.mt, [[f(a) for a in row] for row in self.grid])
+        """f applied to every coefficient; f must send 0 to 0."""
+        return self._new({key: fa for key, a in self.terms.items() if (fa := f(a))})
 
     def entries(self):
-        for i, row in enumerate(self.grid):
-            for j, a in enumerate(row):
-                yield i, j, a
-
-    def _check(self, other):
-        if not isinstance(other, BiSeries) or (other.ms, other.mt) != (self.ms, self.mt):
-            raise ValueError("truncation orders do not match")
+        """(i, j, coefficient) over the whole grid, 0 where a term is absent."""
+        for i in range(self.ms + 1):
+            for j in range(self.mt + 1):
+                yield i, j, self.coeff(i, j)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, BiSeries) and (self.ms, self.mt) == (other.ms, other.mt)
-                and self.grid == other.grid)
-
-    def __bool__(self) -> bool:
-        return any(bool(a) for row in self.grid for a in row)
+        return super().__eq__(other) and (self.ms, self.mt) == (other.ms, other.mt)
 
     def __repr__(self) -> str:
-        rows = ["[" + "; ".join(str(a) for a in row) + "]" for row in self.grid]
+        rows = ["[" + "; ".join(str(self.coeff(i, j)) for j in range(self.mt + 1)) + "]"
+                for i in range(self.ms + 1)]
         return "BiSeries" + "".join("\n  " + r for r in rows)

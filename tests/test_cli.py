@@ -296,6 +296,22 @@ def test_store_io_errors_exit_1_with_a_cache_error(tmp_path, monkeypatch, capsys
     assert out.startswith("mzv (3) prec=40 value=1.2020569") and err == "error[cache]: disk full\n"
 
 
+def test_a_malformed_store_record_is_reported_with_its_reason(tmp_path, capsys):
+    store = tmp_path / "store.txt"
+    store.write_text("k=1;prec=40;value=1.5\n")      # (1) is not admissible
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"cache_path={store}\nworkers=1\n")
+    saved = dict(numeric.CACHE.records)
+    try:
+        assert main(["eval", "mzv", "(2)", "--config", str(cfg)]) == 1
+    finally:
+        numeric.CACHE.records.clear()
+        numeric.CACHE.records.update(saved)
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error[cache]: line 1: malformed cache record "
+                                 "'k=1;prec=40;value=1.5': not a value that mzv stores\n")
+
+
 def test_module_docstring_names_exactly_the_commands_and_options():
     grammar = cli.__doc__.split("::\n\n")[1].split("\n\n")[0]
     rules = dict(re.findall(r"^    (\S+) +:= (.*(?:\n {13}\|.*)*)", grammar, re.M))

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from mzvkit import associator, cli, finite, numeric, regularization, stadic
+from mzvkit import associator, cli, finite, numeric, regularization, stadic, words
 from mzvkit.rings import BiSeries
 from mzvkit.words import NcPoly
 
@@ -170,8 +170,19 @@ def _subst_unit_coefficients(self, images):
 
 def _flanked_pairing_unsigned(series, k, orders):
     grid = _flanked_pairing(series, k, orders)
-    return BiSeries(grid.ms, grid.mt, [[(-1) ** (i + j) * a for j, a in enumerate(row)]
-                                       for i, row in enumerate(grid.grid)])
+    return BiSeries(grid.ms, grid.mt, [[(-1) ** (i + j) * grid.coeff(i, j)
+                                        for j in range(grid.mt + 1)] for i in range(grid.ms + 1)])
+
+
+_shift = BiSeries.shift
+_mul = BiSeries.__mul__
+
+
+def _mul_without_mixed_terms(self, other):
+    out = _mul(self, other)
+    if isinstance(other, BiSeries):
+        out.terms = {(i, j): c for (i, j), c in out.terms.items() if not (i and j)}
+    return out
 
 
 # planted fault -> the transcript checks that must FAIL under it; every other
@@ -184,12 +195,26 @@ MUTATIONS = {
                        {"two-cycle", "three-cycle", "duality-assoc", "rsmzv-routes", "duality"}),
     "flank-without-sign": ((associator, "_flanked_pairing", _flanked_pairing_unsigned),
                            {"smzv-assoc", "rsmzv-routes", "duality"}),
+    "negate-t-identity": ((BiSeries, "negate_t", lambda self: self),
+                          {"csf-nonstar", "csf-star", "csf-tau", "rsmzv-routes", "shuffle",
+                           "smzv-assoc"}),
+    "shift-ignores-dt": ((BiSeries, "shift", lambda self, ds, dt: _shift(self, ds, 0)),
+                         {"csf-nonstar", "csf-shifted", "csf-star", "csf-tau", "duality",
+                          "shuffle"}),
+    "mul-drops-mixed-terms": ((BiSeries, "__mul__", _mul_without_mixed_terms),
+                              {"harmonic", "rsmzv-routes", "shuffle"}),
 }
 
 
 def _clear_series_caches():
+    # every cached value that a fault could have entered, or that was built
+    # before the fault and would hide it
     associator._PHI_CACHE.clear()
     associator._PHI_RS_CACHE.clear()
+    for module in (stadic, regularization, numeric, words):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))

@@ -174,7 +174,7 @@ def test_residual_is_nan_wherever_a_grid_entry_is_nan():
     nan = mp.mpf("nan")
     for i, j in [(0, 1), (1, 0), (1, 1)]:
         grid = BiSeries(1, 1, [[mp.mpf(1), mp.mpf(2)], [mp.mpf(3), mp.mpf(4)]])
-        grid.grid[i][j] = nan
+        grid.terms[(i, j)] = nan
         assert mp.isnan(residual(grid, BiSeries.constant(mp.mpf(0), 1, 1), 40)), (i, j)
     sym = BiSeries(0, 1, [[ZetaPoly.const(1), ZetaPoly.tvar("T") * ZetaPoly.zeta((2,))]])
     saved = dict(CACHE.records)

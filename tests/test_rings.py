@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mzvkit.rings import BiSeries, ZetaPoly
 
@@ -70,14 +71,14 @@ def test_biseries():
     a = BiSeries.monomial(Fraction(1), 0, 1, 1, 1)  # t
     b = BiSeries.monomial(Fraction(1), 1, 0, 1, 1)  # s
     prod = a * b
-    assert prod.grid[1][1] == 1 and prod.grid[0][0] == 0
-    assert (a + b).grid[0][1] == 1 and (a + b).grid[1][0] == 1
+    assert prod.coeff(1, 1) == 1 and prod.coeff(0, 0) == 0
+    assert (a + b).coeff(0, 1) == 1 and (a + b).coeff(1, 0) == 1
     c = BiSeries.constant(Fraction(2), 1, 1)
-    assert (c * a).grid[0][1] == 2
-    assert a.shift(1, 0).grid[1][1] == 1
+    assert (c * a).coeff(0, 1) == 2
+    assert a.shift(1, 0).coeff(1, 1) == 1
     assert not a.shift(1, 1)  # falls off the grid
-    assert a.scale(Fraction(3)).grid[0][1] == 3
-    assert (a * Fraction(3)).grid[0][1] == 3
+    assert a.scale(Fraction(3)).coeff(0, 1) == 3
+    assert (a * Fraction(3)).coeff(0, 1) == 3
 
 
 def test_biseries_outer_product():
@@ -85,7 +86,7 @@ def test_biseries_outer_product():
     t = tseries(1, 0, 5)
     g = BiSeries.from_outer(s, t)
     assert (g.ms, g.mt) == (1, 2)
-    assert g.grid[1][2] == 10 and g.grid[0][0] == 1
+    assert g.coeff(1, 2) == 10 and g.coeff(0, 0) == 1
 
 
 def test_biseries_truncation_in_product():
@@ -121,3 +122,76 @@ def test_ring_axioms_on_samples():
                     assert (a + b) + c == a + (b + c)
                     assert (a * b) * c == a * (b * c)
                     assert a * (b + c) == a * b + a * c
+
+
+# ---------------------------------------------------------------------------
+# the sparse BiSeries against a dense-grid reference (property tests)
+# ---------------------------------------------------------------------------
+
+# Derandomized and small: the same examples on every run, well under a second.
+LAWS = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+_coeffs = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+def _grid(ms, mt):
+    return st.lists(st.lists(_coeffs, min_size=mt + 1, max_size=mt + 1),
+                    min_size=ms + 1, max_size=ms + 1)
+
+
+_orders = st.tuples(st.integers(0, 3), st.integers(0, 3))
+grid_pairs = _orders.flatmap(lambda o: st.tuples(st.just(o), _grid(*o), _grid(*o)))
+
+
+def dense(x):
+    return [[x.coeff(i, j) for j in range(x.mt + 1)] for i in range(x.ms + 1)]
+
+
+def dense_mul(a, b):
+    ms, mt = len(a) - 1, len(a[0]) - 1
+    return [[sum((a[i][j] * b[m - i][n - j] for i in range(m + 1) for j in range(n + 1)),
+                 Fraction(0)) for n in range(mt + 1)] for m in range(ms + 1)]
+
+
+def dense_shift(a, ds, dt):
+    return [[a[i - ds][j - dt] if i >= ds and j >= dt else Fraction(0)
+             for j in range(len(a[0]))] for i in range(len(a))]
+
+
+def assert_matches(x, orders, ref):
+    assert (x.ms, x.mt) == orders
+    assert all(x.terms.values())        # no stored zeros
+    assert dense(x) == ref
+
+
+@LAWS
+@given(grid_pairs, st.fractions(min_value=-3, max_value=3, max_denominator=4),
+       st.integers(0, 4), st.integers(0, 4))
+def test_sparse_biseries_matches_the_dense_grid(pair, q, ds, dt):
+    orders, ga, gb = pair
+    a, b = BiSeries(*orders, ga), BiSeries(*orders, gb)
+    assert_matches(a, orders, ga)
+    assert_matches(a + b, orders, [[x + y for x, y in zip(r, s)] for r, s in zip(ga, gb)])
+    assert_matches(a - b, orders, [[x - y for x, y in zip(r, s)] for r, s in zip(ga, gb)])
+    acc = BiSeries(*orders, ga)
+    acc += b
+    assert acc == a + b and dense(a) == ga
+    assert_matches(a * b, orders, dense_mul(ga, gb))
+    assert_matches(a * q, orders, [[x * q for x in r] for r in ga])
+    assert q * a == a * q
+    assert_matches(a.shift(ds, dt), orders, dense_shift(ga, ds, dt))
+    assert_matches(a.negate_t(), orders, [[x * (-1) ** j for j, x in enumerate(r)] for r in ga])
+    column, row = [r[0] for r in ga], gb[0]
+    outer = BiSeries.from_outer(BiSeries(0, orders[0], [column]), BiSeries(0, orders[1], [row]))
+    assert_matches(outer, orders, [[x * y for y in row] for x in column])
+
+
+@LAWS
+@given(grid_pairs)
+def test_scaling_by_one_copies_the_container_and_shares_the_coefficients(pair):
+    orders, ga, _ = pair
+    a = BiSeries(*orders, [[ZetaPoly.const(x) for x in r] for r in ga])
+    c = a.scale(1)
+    assert c == a and c.terms is not a.terms
+    assert all(c.terms[k] is v for k, v in a.terms.items())

@@ -49,22 +49,22 @@ def test_shifted_star():
 
 
 def test_stadic_empty_and_single():
-    assert stadic_smzv(EMPTY, HARMONIC, (1, 1)).grid[0][0] == ZetaPoly.const(1)
+    assert stadic_smzv(EMPTY, HARMONIC, (1, 1)).coeff(0, 0) == ZetaPoly.const(1)
     g = stadic_smzv(Index((1,)), HARMONIC, (1, 1))
     T1, T2 = ZetaPoly.tvar("T1"), ZetaPoly.tvar("T2")
-    assert g.grid[0][0] == T1 - T2
-    assert g.grid[0][1] == -1 * Z((2,))
-    assert g.grid[1][0] == -1 * Z((2,))
-    assert g.grid[1][1] == ZetaPoly()
+    assert g.coeff(0, 0) == T1 - T2
+    assert g.coeff(0, 1) == -1 * Z((2,))
+    assert g.coeff(1, 0) == -1 * Z((2,))
+    assert g.coeff(1, 1) == ZetaPoly()
 
 
 def test_stadic_single_one_full_pattern():
     # value of (1) at T1 = T2: sum over n >= 1 of Z[n+1] ((-s)^n - t^n)
     g = stadic_smzv(Index((1,)), HARMONIC, (3, 3))
     for n in range(1, 4):
-        assert g.grid[n][0] == Z((n + 1,)) * ((-1) ** n)
-        assert g.grid[0][n] == -1 * Z((n + 1,))
-    assert g.grid[1][1] == ZetaPoly()
+        assert g.coeff(n, 0) == Z((n + 1,)) * ((-1) ** n)
+        assert g.coeff(0, n) == -1 * Z((n + 1,))
+    assert g.coeff(1, 1) == ZetaPoly()
 
 
 def test_stadic_star_and_tau_consistency():
