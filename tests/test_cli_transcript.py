@@ -39,8 +39,8 @@ COMMANDS = [
     "check shifted-harmonic (1) (2) --orders 1,2",
     "check shuffle (1) (2) --orders 2,2",
     "check antipode (1,2) --orders 1,2",
-    "check reg (1,1,2)",
-    "check explicit-reg (1,1,2) --orders 1,2",
+    "check reg (2,1,1)",
+    "check explicit-reg (2,1,1) --orders 1,2",
     "check t-translation (1,2) --orders 2,2",
     "check csf (2,1)",
     "check csf-shifted (2,1) --orders 1,2",
