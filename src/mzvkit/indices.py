@@ -10,6 +10,7 @@ concatenation.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Iterator
@@ -50,7 +51,9 @@ EMPTY = Index()
 
 
 def parse_index(text: str) -> Index:
-    """Parse the literal form ``(k1,k2,...)``; ``()`` is the empty index."""
+    """Parse the literal form ``(k1,k2,...)``; ``()`` is the empty index.
+
+    Parts are written in ASCII digits only."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError(f"index literal must look like (k1,k2,...), got {text!r}")
@@ -60,7 +63,7 @@ def parse_index(text: str) -> Index:
     parts = []
     for piece in inner.split(","):
         piece = piece.strip()
-        if not piece.isdigit():
+        if not re.fullmatch(r"[0-9]+", piece):
             raise ValueError(f"index part {piece!r} is not a positive integer")
         parts.append(int(piece))
     return Index(parts)

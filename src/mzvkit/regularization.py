@@ -2,10 +2,11 @@
 
 H1 is a polynomial algebra over H0 in the single generator e1, for either
 the harmonic or the shuffle product.  Splitting a word along that structure
-gives its regularized decomposition; sending the H0 part through the zeta
-symbol map and e1 to -T yields the regularized polynomial Z_T.  The map is
-extended to all of H for both products by stripping leading e0 powers with
-a binomial-weighted shift formula.
+gives its regularized decomposition, solved in one place (``_decompose_word``,
+once per word); sending the H0 part through the zeta symbol map and e1 to -T
+yields the regularized polynomial Z_T.  The map is extended to all of H for
+both products by stripping leading e0 powers with a binomial-weighted shift
+formula.
 
 The comparison between the two regularizations is the linear map rho on
 polynomials in T, generated by exp(TX) * Gamma0(-X) where Gamma0 collects
@@ -58,36 +59,24 @@ def _strip_trailing_ones(w: Word) -> tuple[Word, int]:
 
 
 @cache
-def reg_word(w: Word, product: str) -> NcPoly:
-    """Constant term of an H1 word in the H0[e1] polynomial structure.
+def _decompose_word(w: Word, product: str) -> tuple[NcPoly, ...]:
+    """The parts (w0, ..., wm) of an H1 word w = head e1^m along H1 = H0[e1].
 
-    Inverts the triangular system w0 e1^n = sum_i reg(w0 e1^(n-i))/i! * e1^i
-    by peeling the maximal trailing e1-run.
+    Part i >= 1 is part 0 of head e1^(m-i) divided by i!; part 0 is what
+    remains of w after the product powers of e1 are taken out, and lies in H0.
     """
     if not in_h1(w):
         raise ValueError(f"word {w} is not supported on H1")
-    if in_h0(w):
-        return NcPoly.from_word(w)
     head, m = _strip_trailing_ones(w)
-    res = NcPoly.from_word(w)
+    parts = [_decompose_word(head + (E1,) * (m - i), product)[0].scale(Fraction(1, factorial(i)))
+             for i in range(1, m + 1)]
+    w0 = NcPoly.from_word(w)
     mul = product_fn(product)
-    for i in range(1, m + 1):
-        ci = reg_word(head + (E1,) * (m - i), product).scale(Fraction(1, factorial(i)))
-        res -= mul(ci, e1_power(product, i))
-    if not res.support_in_h0():
+    for i, wi in enumerate(parts, start=1):
+        w0 -= mul(wi, e1_power(product, i))
+    if not w0.support_in_h0():
         raise AssertionError(f"regularization of {w} left non-H0 words")
-    return res
-
-
-@cache
-def _decompose_word(w: Word, product: str) -> tuple[NcPoly, ...]:
-    if not in_h1(w):
-        raise ValueError(f"word {w} is not supported on H1")
-    head, m = _strip_trailing_ones(w)
-    return tuple(
-        reg_word(head + (E1,) * (m - i), product).scale(Fraction(1, factorial(i)))
-        for i in range(m + 1)
-    )
+    return (w0, *parts)
 
 
 def regularize(u: NcPoly, product: str) -> RegDecomposition:
@@ -110,26 +99,20 @@ def z_of_h0(u: NcPoly) -> ZetaPoly:
         if not in_h0(w):
             raise ValueError(f"word {w} is not supported on H0")
         idx = index_of_word(w)
-        out += ZetaPoly.zeta(tuple(idx)) * (Fraction(c) * (-1) ** idx.depth)
-    return out
-
-
-@cache
-def _z_reg_word(w: Word, product: str) -> ZetaPoly:
-    dec = _decompose_word(w, product)
-    T = ZetaPoly.tvar("T")
-    out = ZetaPoly()
-    power = ZetaPoly.const(1)
-    for i, ci in enumerate(dec):
-        out += z_of_h0(ci) * power
-        power = power * (-1 * T)
+        out += ZetaPoly.zeta(tuple(idx)) * (c * (-1) ** idx.depth)
     return out
 
 
 @cache
 def zeta_reg(k: Index, product: str) -> ZetaPoly:
     """The regularized polynomial of an index, as a ZetaPoly in T."""
-    return _z_reg_word(word_of_index(k), product) * Fraction((-1) ** k.depth)
+    minus_T = -1 * ZetaPoly.tvar("T")
+    out = ZetaPoly()
+    power = ZetaPoly.const(1)
+    for wi in _decompose_word(word_of_index(k), product):
+        out += z_of_h0(wi) * power
+        power = power * minus_T
+    return out * (-1) ** k.depth
 
 
 @cache
@@ -152,7 +135,7 @@ def Z_reg_full(u: NcPoly, product: str) -> ZetaPoly:
     """
     out = ZetaPoly()
     for w, c in u.terms.items():
-        out += _z_reg_full_word(w, product) * Fraction(c)
+        out += _z_reg_full_word(w, product) * c
     return out
 
 
@@ -183,7 +166,7 @@ def rho_of_T_power(n: int) -> ZetaPoly:
     out = ZetaPoly()
     for a in range(n + 1):
         b = n - a
-        coeff = Fraction(factorial(n), factorial(a)) * (-1) ** b
+        coeff = factorial(n) // factorial(a) * (-1) ** b
         out += g[b] * coeff * T ** a
     return out
 

@@ -18,7 +18,9 @@
   variable is a ``BiSeries`` with ``ms = 0``.
 
 Zero tests go through ``bool(x)``, which works for ``Fraction``, mpmath
-numbers and the classes below.
+numbers and the classes below.  Exact coefficients are ``int`` where the
+arithmetic gives one and ``Fraction`` otherwise (the two compare, hash and
+print alike); only constructors that take outside values convert.
 
 In-place operations change only the container they are applied to, never a
 coefficient object: coefficients may be shared between combinations.  An
@@ -136,11 +138,11 @@ class ZetaPoly(LinearCombination):
             raise ValueError(f"zeta symbol requires an admissible index, got {k}")
         if not k:
             return cls.const(1)
-        return cls({(((k, 1),), ()): Fraction(1)})
+        return cls({(((k, 1),), ()): 1})
 
     @classmethod
     def tvar(cls, name: str) -> "ZetaPoly":
-        return cls({((), ((name, 1),)): Fraction(1)})
+        return cls({((), ((name, 1),)): 1})
 
     # -- ring operations ----------------------------------------------
     def _coerce(self, other) -> "ZetaPoly":
@@ -153,7 +155,7 @@ class ZetaPoly(LinearCombination):
 
     def __mul__(self, other) -> "ZetaPoly":
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+            return self.scale(other)
         if not isinstance(other, ZetaPoly):
             return NotImplemented
         out = ZetaPoly()
@@ -198,10 +200,10 @@ class ZetaPoly(LinearCombination):
             out += term
         return out
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Fraction | int:
         """The rational value, if the polynomial is a constant."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if set(self.terms) == {_ONE_MONO}:
             return self.terms[_ONE_MONO]
         raise ValueError(f"not a constant polynomial: {self}")

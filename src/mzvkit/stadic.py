@@ -95,7 +95,7 @@ def _stadic_smzv(k: Index, product: str, orders: tuple[int, int],
         sign = (-1) ** tail.weight
         a = shifted_mzv(head, product, ms, t1sym)
         b = shifted_mzv(reverse(tail), product, mt, t2sym).negate_t()
-        out += BiSeries.from_outer(a, b).scale(Fraction(sign))
+        out += BiSeries.from_outer(a, b).scale(sign)
     return out
 
 
@@ -175,7 +175,7 @@ def check_antipode(k: Index, order: int, prec: int):
         head, tail = split(k, i)
         term = (shifted_mzv(reverse(head), HARMONIC, order)
                 * shifted_mzv_star(tail, HARMONIC, order))
-        acc += term.scale(Fraction((-1) ** i))
+        acc += term.scale((-1) ** i)
     target = BiSeries.constant(ZetaPoly.const(1 if k.depth == 0 else 0), 0, order)
     return residual(acc, target, prec)
 
@@ -203,8 +203,8 @@ def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
         for shift in compositions(n, l.depth):
             idx = concat(k, reverse(oplus(l, shift)))
             term = stadic_smzv(idx, SHUFFLE, orders, None, None).shift(0, n)
-            rhs += term.scale(Fraction(b_coeff(l, shift)))
-    rhs = rhs.scale(Fraction((-1) ** l.weight))
+            rhs += term.scale(b_coeff(l, shift))
+    rhs = rhs.scale((-1) ** l.weight)
     return residual(lhs, rhs, prec)
 
 
@@ -243,7 +243,7 @@ def check_shifted_csf(k: Index, order: int, prec: int):
     for rot in cyclic_class(k):
         for j in range(order + 1):
             rhs += shifted_mzv_star(concat(rot, Index((j + 1,))), HARMONIC, order).shift(0, j)
-    rhs += shifted_mzv_star(Index((k.weight + 1,)), HARMONIC, order).scale(Fraction(k.weight))
+    rhs += shifted_mzv_star(Index((k.weight + 1,)), HARMONIC, order).scale(k.weight)
     return residual(lhs, rhs, prec)
 
 

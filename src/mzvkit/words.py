@@ -73,11 +73,11 @@ class NcPoly(LinearCombination):
     __slots__ = ()
 
     @classmethod
-    def from_word(cls, w: Word, coeff=Fraction(1)) -> "NcPoly":
+    def from_word(cls, w: Word, coeff=1) -> "NcPoly":
         return cls({tuple(w): coeff})
 
     @classmethod
-    def one(cls, coeff=Fraction(1)) -> "NcPoly":
+    def one(cls, coeff=1) -> "NcPoly":
         return cls({(): coeff})
 
     def __mul__(self, other: "NcPoly") -> "NcPoly":
@@ -143,7 +143,7 @@ class NcPoly(LinearCombination):
 
 def embed(k: Index) -> NcPoly:
     """The signed word (-1)^depth e_k of an index."""
-    return NcPoly.from_word(word_of_index(k), Fraction((-1) ** k.depth))
+    return NcPoly.from_word(word_of_index(k), (-1) ** k.depth)
 
 
 def embed_combination(c: IndexCombination) -> NcPoly:
@@ -158,7 +158,7 @@ def extract_combination(u: NcPoly) -> IndexCombination:
     terms = {}
     for w, c in u.terms.items():
         idx = index_of_word(w)
-        terms[idx] = Fraction((-1) ** idx.depth) * c
+        terms[idx] = (-1) ** idx.depth * c
     return IndexCombination(terms)
 
 
@@ -261,16 +261,16 @@ def index_shuffle(k: Index, l: Index) -> IndexCombination:
 # truncated geometric tails and the shifted shuffle
 # ---------------------------------------------------------------------------
 
-def _bs_mono(q: Fraction, var: str, power: int, orders: tuple[int, int]) -> BiSeries:
+def _bs_mono(q: int | Fraction, var: str, power: int, orders: tuple[int, int]) -> BiSeries:
     ms, mt = orders
     i, j = (power, 0) if var == "s" else (0, power)
-    return BiSeries.monomial(Fraction(q), i, j, ms, mt)
+    return BiSeries.monomial(q, i, j, ms, mt)
 
 
 def lift_biseries(u: NcPoly, orders: tuple[int, int]) -> NcPoly:
     """Reinterpret rational coefficients as constant (s,t)-series."""
     ms, mt = orders
-    return u.map_coeffs(lambda c: BiSeries.constant(Fraction(c), ms, mt))
+    return u.map_coeffs(lambda c: BiSeries.constant(c, ms, mt))
 
 
 def geometric(sign: int, letter: int, var: str, orders: tuple[int, int]) -> NcPoly:
@@ -280,15 +280,15 @@ def geometric(sign: int, letter: int, var: str, orders: tuple[int, int]) -> NcPo
     bound = orders[0] if var == "s" else orders[1]
     terms = {}
     for j in range(bound + 1):
-        terms[(letter,) * j] = _bs_mono(Fraction((-sign) ** j), var, j, orders)
+        terms[(letter,) * j] = _bs_mono((-sign) ** j, var, j, orders)
     return NcPoly(terms)
 
 
 def linear_factor(sign: int, letter: int, var: str, orders: tuple[int, int]) -> NcPoly:
     """(1 + sign * e_letter * var) as a word polynomial."""
     return NcPoly({
-        (): _bs_mono(Fraction(1), var, 0, orders),
-        (letter,): _bs_mono(Fraction(sign), var, 1, orders),
+        (): _bs_mono(1, var, 0, orders),
+        (letter,): _bs_mono(sign, var, 1, orders),
     })
 
 
@@ -328,11 +328,11 @@ def telescope_sides(w: Word, orders: tuple[int, int]) -> tuple[NcPoly, NcPoly]:
     for v in range(n + 1):
         left = gt_plus * NcPoly.from_word((E1,) + w[:v])
         right = gs_minus * NcPoly.from_word((E1,) + w[v:][::-1])
-        lhs += shuffle(left, right).scale(Fraction((-1) ** v))
+        lhs += shuffle(left, right).scale((-1) ** v)
 
     rhs = shuffle(gt_plus, gs_minus * e1 * NcPoly.from_word(w[::-1]) * e1 * gt_minus)
     rhs += shuffle(gs_minus, gt_plus * e1 * NcPoly.from_word(w) * e1 * gs_plus).scale(
-        Fraction((-1) ** n))
+        (-1) ** n)
     return lhs, rhs
 
 
@@ -354,7 +354,7 @@ def sigma_t(u: NcPoly, order: int) -> NcPoly:
             for letter, j in zip(w, extra):
                 new.append(letter)
                 new.extend([E0] * j)
-            out.add_term(tuple(new), _bs_mono(Fraction(c) * (-1) ** total, "t", total, orders))
+            out.add_term(tuple(new), _bs_mono(c * (-1) ** total, "t", total, orders))
     return out
 
 
@@ -374,7 +374,7 @@ def coproduct(u: NcPoly) -> dict[tuple[Word, Word], object]:
 
 def counit(u: NcPoly):
     c = u.terms.get(())
-    return c if c is not None else Fraction(0)
+    return c if c is not None else 0
 
 
 def antipode(u: NcPoly) -> NcPoly:
@@ -383,7 +383,7 @@ def antipode(u: NcPoly) -> NcPoly:
     for w, c in u.terms.items():
         idx = index_of_word(w)
         for l in coarsenings(idx):
-            out.add_term(word_of_index(reverse(l)), Fraction((-1) ** l.depth) * c)
+            out.add_term(word_of_index(reverse(l)), (-1) ** l.depth * c)
     return out
 
 

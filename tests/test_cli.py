@@ -77,6 +77,15 @@ def test_parse_errors_name_token_and_position():
         parse_command([])
 
 
+def test_an_index_in_non_ascii_digits_is_a_usage_error(capsys):
+    for literal in ("(\u0661,\u0662)", "(\u00b2)"):
+        assert main(["eval", "mzv", literal]) == 2, literal
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"position 3: bad index literal {literal!r}" in captured.err
+        assert "is not a positive integer" in captured.err
+
+
 def test_report_line_format():
     code, text = run(parse_command(["check", "harmonic", "(1)", "(2)"]), CFG)
     assert code == 0

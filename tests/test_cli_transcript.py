@@ -21,13 +21,14 @@ import re
 import sys
 import tempfile
 from decimal import Decimal
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 from mzvkit import associator, cli, finite, numeric, regularization, stadic, words
-from mzvkit.rings import BiSeries
-from mzvkit.words import NcPoly
+from mzvkit.rings import BiSeries, ZetaPoly
+from mzvkit.words import NcPoly, index_of_word
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_transcript.txt"
 
@@ -185,8 +186,31 @@ def _mul_without_mixed_terms(self, other):
     return out
 
 
+_decompose_word = regularization._decompose_word
+_zeta_reg = regularization.zeta_reg
+
+
+def _decompose_word_without_factorial(w, product):
+    return tuple(wi.scale(factorial(i)) for i, wi in enumerate(_decompose_word(w, product)))
+
+
+def _z_of_h0_without_sign(u):
+    out = ZetaPoly()
+    for w, c in u.terms.items():
+        out += ZetaPoly.zeta(tuple(index_of_word(w))) * c
+    return out
+
+
+def _zeta_reg_plus_T(k, product):
+    return _zeta_reg(k, product).subst_tvars({"T": -1 * ZetaPoly.tvar("T")})
+
+
 # planted fault -> the transcript checks that must FAIL under it; every other
-# check of the transcript must still PASS.
+# check of the transcript must still PASS.  Only t-part sees a sign error in
+# T: it alone sets phi at T against an explicit function of T; the other
+# associator checks hold for every T or run at T = 0, rho commutes with
+# T -> -T in the degrees <= 2 that reg (2,1,1) reaches, and stadic reads
+# zeta_reg through its own import of the name, which the fault leaves alone.
 MUTATIONS = {
     "eps-without-sign": ((NcPoly, "eps", NcPoly.reverse), {"independence", "smzv-assoc"}),
     "subst-unit-coefficients": ((NcPoly, "subst", _subst_unit_coefficients),
@@ -203,6 +227,15 @@ MUTATIONS = {
                           "shuffle"}),
     "mul-drops-mixed-terms": ((BiSeries, "__mul__", _mul_without_mixed_terms),
                               {"harmonic", "rsmzv-routes", "shuffle"}),
+    "decompose-without-factorial": ((regularization, "_decompose_word",
+                                     _decompose_word_without_factorial),
+                                    {"explicit-reg", "reg", "t-part"}),
+    "h0-symbol-without-sign": ((regularization, "z_of_h0", _z_of_h0_without_sign),
+                               {"antipode", "csf-nonstar", "csf-shifted", "csf-star", "csf-tau",
+                                "duality", "duality-assoc", "explicit-reg", "gamma-factor",
+                                "harmonic", "independence", "reg", "rsmzv-routes",
+                                "shifted-harmonic", "three-cycle", "two-cycle"}),
+    "zeta-reg-plus-T": ((regularization, "zeta_reg", _zeta_reg_plus_T), {"t-part"}),
 }
 
 

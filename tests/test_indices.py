@@ -131,6 +131,14 @@ def test_parse_and_render():
         assert parse_index(str(k)) == k
 
 
+def test_parse_index_takes_ascii_digits_only():
+    # Arabic-Indic one and two, and a superscript two: str.isdigit accepts all
+    # three, and int() reads the first two as 1 and 2
+    for bad in ["(\u0661,\u0662)", "(1,\u0662)", "(\u00b2)"]:
+        with pytest.raises(ValueError, match="is not a positive integer"):
+            parse_index(bad)
+
+
 def test_index_combination():
     a = IndexCombination.single(Index((2,)), 2)
     b = IndexCombination.single(Index((1, 1)), Fraction(1, 2))
