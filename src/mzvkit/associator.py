@@ -69,12 +69,16 @@ class NcSeries(NcPoly):
         return cls(deg, {(a,): mp.mpf(1) * c})
 
     def __mul__(self, other: "NcSeries") -> "NcSeries":
+        """Truncated product.  ``fits[m]`` holds the right factor's terms of length
+        <= m in their own order, so each left word meets only the partners it
+        keeps, in the order of the full double loop."""
         self._check(other)
         deg = self.deg
+        fits = [[(w, c) for w, c in other.terms.items() if len(w) <= m] for m in range(deg + 1)]
         out = self._new({})
         out._accumulate((w1 + w2, c1 * c2)
-                        for w1, c1 in self.terms.items() for w2, c2 in other.terms.items()
-                        if len(w1) + len(w2) <= deg)
+                        for w1, c1 in self.terms.items() if len(w1) <= deg
+                        for w2, c2 in fits[deg - len(w1)])
         return out
 
     def exp(self) -> "NcSeries":

@@ -9,9 +9,11 @@ combinations carries the sign (-1)^depth.
 ``NcPoly`` is a finitely supported map from words to coefficients in a
 pluggable scalar ring (anything with +, -, *, bool), on the sparse core
 ``rings.LinearCombination``.  Its ``*`` is concatenation; ``subst``, ``eps``
-and ``reverse`` are its letter maps.  The harmonic (quasi-shuffle) and shuffle
-products are the bilinear maps :func:`harmonic` and :func:`shuffle`, with
-integer structure constants computed once per word pair and cached.
+and ``reverse`` are its letter maps.  ``subst`` runs position by position, so
+words that agree after a letter is replaced are summed before the next letter
+expands.  The harmonic (quasi-shuffle) and shuffle products are the bilinear
+maps :func:`harmonic` and :func:`shuffle`, with integer structure constants
+computed once per word pair and cached.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from math import prod
 
 from .indices import Index, IndexCombination, coarsenings, reverse
 from .rings import BiSeries, LinearCombination
@@ -95,11 +96,23 @@ class NcPoly(LinearCombination):
         return self.terms.get(tuple(w), 0)
 
     def subst(self, images: dict[int, tuple[tuple[int, object], ...]]) -> "NcPoly":
-        """Algebra endomorphism: each letter a becomes sum m * b over ``images[a]``."""
-        out = self._new({})
-        for w, c in self.terms.items():
-            out._accumulate((tuple(b for b, _ in choices), c * prod(m for _, m in choices))
-                            for choices in itertools.product(*(images[a] for a in w)))
+        """Algebra endomorphism: each letter a becomes sum m * b over ``images[a]``.
+
+        The images are linear, so pass p replaces position p of every word and
+        the words that then agree are summed before position p + 1 expands."""
+
+        def expand(terms, p):
+            for w, c in terms.items():
+                if p < len(w):
+                    head, tail = w[:p], w[p + 1:]
+                    for b, m in images[w[p]]:
+                        yield head + (b,) + tail, c if m == 1 else c * m
+                else:
+                    yield w, c
+
+        out = self._new(dict(self.terms))
+        for p in range(max(map(len, self.terms), default=0)):
+            out = self._new({})._accumulate(expand(out.terms, p))
         return out
 
     def reverse(self) -> "NcPoly":
@@ -372,11 +385,6 @@ def coproduct(u: NcPoly) -> dict[tuple[Word, Word], object]:
     return out.terms
 
 
-def counit(u: NcPoly):
-    c = u.terms.get(())
-    return c if c is not None else 0
-
-
 def antipode(u: NcPoly) -> NcPoly:
     """e_k -> sum over coarsenings l of k of (-1)^depth(l) e_reverse(l)."""
     out = NcPoly()
@@ -384,41 +392,4 @@ def antipode(u: NcPoly) -> NcPoly:
         idx = index_of_word(w)
         for l in coarsenings(idx):
             out.add_term(word_of_index(reverse(l)), (-1) ** l.depth * c)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# letter endomorphisms
-# ---------------------------------------------------------------------------
-
-def endo_tau(u: NcPoly) -> NcPoly:
-    """Swap e0 and e1."""
-    return u.subst(SWAP)
-
-
-def endo_S(u: NcPoly, tau: Fraction) -> NcPoly:
-    """Algebra endomorphism e1 -> e1 + tau e0, e0 -> e0."""
-    return u.subst({E0: ((E0, 1),), E1: ((E1, 1), (E0, Fraction(tau)))})
-
-
-def endo_A(u: NcPoly, tau: Fraction) -> NcPoly:
-    """Algebra endomorphism e1 -> tau e0, e0 -> e0."""
-    return u.subst({E0: ((E0, 1),), E1: ((E0, Fraction(tau)),)})
-
-
-def endo_C(u: NcPoly) -> NcPoly:
-    """Sum of all letter rotations of each word; the empty word maps to 0."""
-    out = NcPoly()
-    for w, c in u.terms.items():
-        for j in range(1, len(w) + 1):
-            out.add_term(w[j:] + w[:j], c)
-    return out
-
-
-def endo_H(u: NcPoly) -> NcPoly:
-    """Strip a leading e1; words starting with e0 (and 1) map to 0."""
-    out = NcPoly()
-    for w, c in u.terms.items():
-        if w and w[0] == E1:
-            out.add_term(w[1:], c)
     return out

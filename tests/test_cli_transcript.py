@@ -164,10 +164,25 @@ def _check_verdicts() -> dict[str, set[str]]:
 
 _subst = NcPoly.subst
 _flanked_pairing = associator._flanked_pairing
+_nc_mul = associator.NcSeries.__mul__
 
 
 def _subst_unit_coefficients(self, images):
     return _subst(self, {a: tuple((b, 1) for b, _ in img) for a, img in images.items()})
+
+
+def _subst_keeping_the_last_letter(self, images):
+    out = self._new({})
+    for w, c in self.terms.items():
+        head = _subst(self._new({w[:-1]: c}), images)
+        out._accumulate((v + w[-1:], d) for v, d in head.terms.items())
+    return out
+
+
+def _mul_dropping_the_top_degree(self, other):
+    out = _nc_mul(self, other)
+    out.terms = {w: c for w, c in out.terms.items() if len(w) < self.deg}
+    return out
 
 
 def _flanked_pairing_unsigned(series, k, orders):
@@ -214,13 +229,19 @@ def _zeta_reg_plus_T(k, product):
 # term that changes sign.  The other associator checks hold for every T or
 # run at T = 0, rho commutes with T -> -T in the degrees <= 2 that
 # reg (2,1,1) reaches, and stadic reads zeta_reg through its own import of
-# the name, which the fault leaves alone.
+# the name, which the fault leaves alone.  The cycle identities hold degree
+# by degree, so a product that drops its top degree passes them.
 MUTATIONS = {
     "eps-without-sign": ((NcPoly, "eps", NcPoly.reverse), {"independence", "smzv-assoc"}),
     "subst-unit-coefficients": ((NcPoly, "subst", _subst_unit_coefficients),
                                 {"three-cycle", "duality-assoc"}),
     "subst-identity": ((NcPoly, "subst", lambda self, images: self),
                        {"two-cycle", "three-cycle", "duality-assoc", "rsmzv-routes", "duality"}),
+    "subst-keeps-last-letter": ((NcPoly, "subst", _subst_keeping_the_last_letter),
+                                {"duality", "duality-assoc", "rsmzv-routes", "three-cycle",
+                                 "two-cycle"}),
+    "mul-drops-top-degree": ((associator.NcSeries, "__mul__", _mul_dropping_the_top_degree),
+                             {"gamma-factor", "rsmzv-routes", "t-part"}),
     "flank-without-sign": ((associator, "_flanked_pairing", _flanked_pairing_unsigned),
                            {"smzv-assoc", "rsmzv-routes", "duality"}),
     "negate-t-identity": ((BiSeries, "negate_t", lambda self: self),

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +10,10 @@ from mzvkit.associator import NcSeries
 from mzvkit.indices import EMPTY, Index
 from mzvkit.rings import BiSeries
 from mzvkit.words import (
-    E0, E1, NcPoly, antipode, coproduct, counit, embed, embed_combination,
-    endo_A, endo_C, endo_H, endo_S, endo_tau, extract_combination,
-    geometric, harmonic, in_h0, in_h1, index_harmonic, index_of_word,
-    index_shuffle, lift_biseries, shuffle, shuffle_shifted, sigma_t,
-    telescope_sides, word_of_index,
+    E0, E1, SWAP, NcPoly, antipode, coproduct, embed, embed_combination,
+    extract_combination, geometric, harmonic, in_h0, in_h1, index_harmonic,
+    index_of_word, index_shuffle, lift_biseries, shuffle, shuffle_shifted,
+    sigma_t, telescope_sides, word_of_index,
 )
 
 W = NcPoly.from_word
@@ -62,6 +62,21 @@ def stuffle_index_oracle(k, l):
     add(l[0], stuffle_index_oracle(k, l[1:]))
     add(k[0] + l[0], stuffle_index_oracle(k[1:], l[1:]))
     return out
+
+
+def subst_reference(u, images):
+    """Word-by-word expansion: every choice of one image term per letter."""
+    out = {}
+    for w, c in u.terms.items():
+        for choices in itertools.product(*(images[a] for a in w)):
+            key = tuple(b for b, _ in choices)
+            out[key] = out.get(key, 0) + c * prod(m for _, m in choices)
+    return NcPoly(out)
+
+
+def truncated_product_reference(u, v, deg):
+    """The untruncated concatenation product, truncated afterwards."""
+    return NcSeries(deg, (NcPoly(u.terms) * NcPoly(v.terms)).terms)
 
 
 def truncated_sum(k, n_max):
@@ -261,6 +276,43 @@ def test_telescoping_lemma_small():
 # Hopf structure and endomorphisms
 # ---------------------------------------------------------------------------
 
+def counit(u):
+    return u.terms.get((), 0)
+
+
+def endo_tau(u):
+    """Swap e0 and e1."""
+    return u.subst(SWAP)
+
+
+def endo_S(u, tau):
+    """Algebra endomorphism e1 -> e1 + tau e0, e0 -> e0."""
+    return u.subst({E0: ((E0, 1),), E1: ((E1, 1), (E0, Fraction(tau)))})
+
+
+def endo_A(u, tau):
+    """Algebra endomorphism e1 -> tau e0, e0 -> e0."""
+    return u.subst({E0: ((E0, 1),), E1: ((E0, Fraction(tau)),)})
+
+
+def endo_C(u):
+    """Sum of all letter rotations of each word; the empty word maps to 0."""
+    out = NcPoly()
+    for w, c in u.terms.items():
+        for j in range(1, len(w) + 1):
+            out.add_term(w[j:] + w[:j], c)
+    return out
+
+
+def endo_H(u):
+    """Strip a leading e1; words starting with e0 (and 1) map to 0."""
+    out = NcPoly()
+    for w, c in u.terms.items():
+        if w and w[0] == E1:
+            out.add_term(w[1:], c)
+    return out
+
+
 def test_coproduct_example():
     got = coproduct(W((E1, E1)))
     assert got == {
@@ -361,3 +413,36 @@ def test_reverse_is_an_involution(u):
 @given(polys, images, st.integers(min_value=0, max_value=4))
 def test_truncation_commutes_with_subst(u, img, deg):
     assert NcSeries(deg, u.terms).subst(img) == NcSeries(deg, u.subst(img).terms)
+
+
+# ---------------------------------------------------------------------------
+# substitution and the truncated product against references
+# ---------------------------------------------------------------------------
+
+_long_polys = st.dictionaries(st.lists(_letters, max_size=7).map(tuple), _coeffs,
+                              max_size=6).map(NcPoly)
+
+
+@LAWS
+@given(_long_polys, images)
+def test_subst_matches_the_word_by_word_expansion(u, img):
+    assert u.subst(img) == subst_reference(u, img)
+
+
+@LAWS
+@given(st.data(), st.integers(min_value=0, max_value=5))
+def test_truncated_product_matches_the_full_product_truncated(data, deg):
+    top = data.draw(st.lists(_letters, min_size=deg, max_size=deg).map(tuple))
+    left = {**data.draw(_long_polys).terms, top: Fraction(1, 3)}   # a left word of length deg
+    u, v = NcSeries(deg, left), NcSeries(deg, data.draw(_long_polys).terms)
+    got, want = u * v, truncated_product_reference(u, v, deg)
+    assert list(got.terms.items()) == list(want.terms.items())     # same keys in the same order
+    empty = NcSeries(deg)
+    assert u * empty == empty and empty * v == empty and empty * empty == empty
+
+
+def test_truncated_product_drops_a_left_word_beyond_the_degree():
+    # NcSeries never builds one, but _new does not check lengths
+    u = NcSeries(2)._new({(E0, E0, E0): Fraction(1), (E1,): Fraction(2)})
+    v = NcSeries(2, {(): Fraction(1), (E0,): Fraction(5)})
+    assert u * v == NcSeries(2, {(E1,): Fraction(2), (E1, E0): Fraction(10)})
