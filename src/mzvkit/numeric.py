@@ -256,17 +256,6 @@ def _t_coefficients(p: ZetaPoly, prec: int):
     return (eval_zeta_poly(ZetaPoly(part), {}, prec) for part in parts.values())
 
 
-def euler_check(k: int, prec: int = DEFAULT_PREC) -> mpmath.mpf:
-    """Residual of the classical even-zeta identities at weight 4 or 6."""
-    if k not in (2, 3):
-        raise ValueError("only k in {2, 3} is supported")
-    with mp.workdps(prec + _GUARD):
-        z2 = mzv((2,), prec)
-        if k == 2:
-            return residual(mzv((4,), prec), Fraction(2, 5) * z2 ** 2, prec)
-        return residual(mzv((6,), prec), Fraction(8, 35) * z2 ** 3, prec)
-
-
 def pi_val(prec: int = DEFAULT_PREC) -> mpmath.mpf:
     with mp.workdps(prec + _GUARD):
         return +mp.pi

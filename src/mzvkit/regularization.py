@@ -106,13 +106,17 @@ def z_of_h0(u: NcPoly) -> ZetaPoly:
 @cache
 def zeta_reg(k: Index, product: str) -> ZetaPoly:
     """The regularized polynomial of an index, as a ZetaPoly in T."""
-    minus_T = -1 * ZetaPoly.tvar("T")
-    out = ZetaPoly()
-    power = ZetaPoly.const(1)
-    for wi in _decompose_word(word_of_index(k), product):
-        out += z_of_h0(wi) * power
-        power = power * minus_T
-    return out * (-1) ** k.depth
+    # part i (of e1^i) goes to (-T)^i; the whole is multiplied by (-1)^depth.
+    # The parts divide by factorials, so a whole coefficient may come out as a
+    # Fraction; it is stored as an int, which every later product then keeps.
+    parts = _decompose_word(word_of_index(k), product)
+    return ZetaPoly({(zpart, (("T", i),) if i else ()): _int_if_whole((-1) ** (i + k.depth) * c)
+                     for i, wi in enumerate(parts) for (zpart, _), c in z_of_h0(wi).terms.items()})
+
+
+def _int_if_whole(q):
+    """An exact rational as an int when it is whole, else unchanged."""
+    return q.numerator if q.denominator == 1 else q
 
 
 @cache

@@ -6,7 +6,8 @@
   ``BiSeries``, ``words.NcPoly``, ``associator.NcSeries``,
   ``indices.IndexCombination``): zero-dropping construction, ``+``, ``-``,
   ``scale``, equality, and in-place accumulation (``+=``, ``-=``,
-  ``add_term``) through a single accumulate-and-drop-zeros loop.
+  ``add_term``, ``add_scaled``) through a single accumulate-and-drop-zeros
+  loop.
 * ``ZetaPoly`` -- commutative polynomials in formal zeta symbols ``Z[k]``
   (k an admissible index) and named indeterminates (``T``, ``T1``, ``T2``)
   with exact rational coefficients.  Equality is structural; no relation
@@ -20,7 +21,11 @@
 Zero tests go through ``bool(x)``, which works for ``Fraction``, mpmath
 numbers and the classes below.  Exact coefficients are ``int`` where the
 arithmetic gives one and ``Fraction`` otherwise (the two compare, hash and
-print alike); only constructors that take outside values convert.
+print alike); ``ZetaPoly.const`` keeps an ``int`` and converts only other
+outside values to ``Fraction``, so that products stay in ``int`` arithmetic
+where they can.  A constant ``ZetaPoly`` equals and hashes as its value.
+The ZetaPoly product merges the exponents of two monomials only when both
+have some in that part; an empty part leaves the other as it is.
 
 In-place operations change only the container they are applied to, never a
 coefficient object: coefficients may be shared between combinations.  An
@@ -42,6 +47,8 @@ _ONE_MONO: Monomial = ((), ())
 
 
 def _merge_powers(a, b):
+    if not a or not b:
+        return a or b
     d = {}
     for key, e in a:
         d[key] = d.get(key, 0) + e
@@ -83,6 +90,10 @@ class LinearCombination:
     def add_term(self, key, c) -> None:
         """In place: add c times the basis element ``key``."""
         self._accumulate(((key, c),))
+
+    def add_scaled(self, other, c) -> None:
+        """In place: add c times ``other``, without building the scaled copy."""
+        self._accumulate((k, c * v) for k, v in self._coerce(other).terms.items())
 
     def __iadd__(self, other):
         return self._accumulate(self._coerce(other).terms.items())
@@ -127,7 +138,9 @@ class ZetaPoly(LinearCombination):
     # -- constructors -------------------------------------------------
     @classmethod
     def const(cls, q) -> "ZetaPoly":
-        q = Fraction(q)
+        """The constant q; an int stays an int, anything else becomes a Fraction."""
+        if not isinstance(q, int):
+            q = Fraction(q)
         return cls({_ONE_MONO: q} if q else {})
 
     @classmethod
@@ -183,12 +196,12 @@ class ZetaPoly(LinearCombination):
         return super().__eq__(other)
 
     def __hash__(self):
+        # a constant hashes as its value, since it compares equal to it
+        if self.terms.keys() <= {_ONE_MONO}:
+            return hash(self.terms.get(_ONE_MONO, 0))
         return hash(frozenset(self.terms.items()))
 
     # -- structure ------------------------------------------------------
-    def tvar_names(self) -> set[str]:
-        return {name for (_, tpart) in self.terms for (name, _) in tpart}
-
     def subst_tvars(self, values: dict[str, "ZetaPoly | Fraction | int"]) -> "ZetaPoly":
         """Substitute polynomials/constants for the named T-variables."""
         out = ZetaPoly()
@@ -199,14 +212,6 @@ class ZetaPoly(LinearCombination):
                     term = term * (_as_zp(values[name]) ** e)
             out += term
         return out
-
-    def constant_value(self) -> Fraction | int:
-        """The rational value, if the polynomial is a constant."""
-        if not self.terms:
-            return 0
-        if set(self.terms) == {_ONE_MONO}:
-            return self.terms[_ONE_MONO]
-        raise ValueError(f"not a constant polynomial: {self}")
 
     def _degree(self, mono: Monomial) -> int:
         zpart, tpart = mono

@@ -58,7 +58,7 @@ def _shifted_mzv(k: Index, product: str, order: int, tsym: str | None) -> BiSeri
     for n in range(order + 1):
         acc = ZetaPoly()
         for shift in compositions(n, k.depth):
-            acc += _zeta_reg_sym(oplus(k, shift), product, tsym) * b_coeff(k, shift)
+            acc.add_scaled(_zeta_reg_sym(oplus(k, shift), product, tsym), b_coeff(k, shift))
         coeffs.append(acc * ((-1) ** n))
     return BiSeries(0, order, [coeffs])
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvkit.indices import EMPTY, Index
+from mzvkit.indices import EMPTY, Index, compositions
 from mzvkit.numeric import residual, tolerance
 from mzvkit.regularization import (
     R_poly, RegDecomposition, Z_reg_full, check_reg_theorem,
@@ -67,6 +67,19 @@ def test_zeta_reg_examples():
     assert zeta_reg(Index((1, 1)), SHUFFLE) == T * T * Fraction(1, 2)
     assert zeta_reg(EMPTY, HARMONIC) == ZetaPoly.const(1)
     assert zeta_reg(Index((2,)), SHUFFLE) == Z((2,))
+
+
+def test_zeta_reg_keeps_whole_coefficients_as_ints():
+    # Fraction(n, 1) has the value of n, so no check of values can see one;
+    # it would only make every product built from zeta_reg slower
+    indices = [Index(tuple(1 + n for n in shift)) for weight in range(1, 7)
+               for depth in range(1, weight + 1) for shift in compositions(weight - depth, depth)]
+    assert len(indices) == 63
+    for k in indices:
+        for product in (HARMONIC, SHUFFLE):
+            whole = [c for c in zeta_reg(k, product).terms.values()
+                     if isinstance(c, Fraction) and c.denominator == 1]
+            assert not whole, (k, product, whole)
 
 
 def test_z_reg_full():

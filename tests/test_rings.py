@@ -1,9 +1,21 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mzvkit.rings import BiSeries, ZetaPoly
+
+
+def constant_value(p: ZetaPoly):
+    """The rational value of a constant polynomial; ValueError otherwise."""
+    if p.terms.keys() - {((), ())}:
+        raise ValueError(f"not a constant polynomial: {p}")
+    return p.terms.get(((), ()), 0)
+
+
+def tvar_names(p: ZetaPoly) -> set[str]:
+    return {name for (_, tpart) in p.terms for (name, _) in tpart}
 
 
 def test_zetapoly_construction():
@@ -23,19 +35,39 @@ def test_zetapoly_arithmetic():
     assert p - p == ZetaPoly()
     assert z2 * Fraction(1, 2) + z2 * Fraction(1, 2) == z2
     assert (T ** 3).subst_tvars({"T": 2}) == ZetaPoly.const(8)
-    assert ZetaPoly.const(Fraction(3, 4)).constant_value() == Fraction(3, 4)
+    assert constant_value(ZetaPoly.const(Fraction(3, 4))) == Fraction(3, 4)
+    assert constant_value(ZetaPoly()) == 0
     with pytest.raises(ValueError):
-        (T + z2).constant_value()
+        constant_value(T + z2)
 
 
 def test_zetapoly_substitution_and_rename():
     T = ZetaPoly.tvar("T")
     p = T * T + ZetaPoly.zeta((3,)) * T
     q = p.subst_tvars({"T": ZetaPoly.tvar("T1")})
-    assert q.tvar_names() == {"T1"}
+    assert tvar_names(q) == {"T1"}
     assert q.subst_tvars({"T1": 0}) == ZetaPoly()
     assert p.subst_tvars({"T": Fraction(1, 2)}) == (
         ZetaPoly.const(Fraction(1, 4)) + ZetaPoly.zeta((3,)) * Fraction(1, 2))
+
+
+def test_const_keeps_ints_and_converts_everything_else():
+    assert type(ZetaPoly.const(3).terms[((), ())]) is int
+    assert type(ZetaPoly.const(Fraction(6, 2)).terms[((), ())]) is Fraction
+    assert ZetaPoly.const(0.5) == Fraction(1, 2)
+    assert ZetaPoly.const(3) == ZetaPoly.const(Fraction(3))
+    assert all(type(c) is int for c in (ZetaPoly.tvar("T") * ZetaPoly.const(1)).terms.values())
+
+
+def test_a_constant_hashes_as_its_value():
+    z2 = ZetaPoly.zeta((2,))
+    for p, value in [(ZetaPoly(), 0), (ZetaPoly.const(1), 1), (ZetaPoly.const(-4), -4),
+                     (ZetaPoly.const(Fraction(2, 3)), Fraction(2, 3)), (z2 - z2, 0)]:
+        assert p == value and hash(p) == hash(value)
+    assert {ZetaPoly.const(1): "one"}.get(1) == "one"
+    assert {1: "one"}.get(ZetaPoly.const(1)) == "one"
+    assert {0: "zero"}.get(ZetaPoly()) == "zero"
+    assert hash(z2 + 1) == hash(1 + z2)
 
 
 def test_zetapoly_text_form():
@@ -195,3 +227,47 @@ def test_scaling_by_one_copies_the_container_and_shares_the_coefficients(pair):
     c = a.scale(1)
     assert c == a and c.terms is not a.terms
     assert all(c.terms[k] is v for k, v in a.terms.items())
+
+
+# ---------------------------------------------------------------------------
+# the ZetaPoly product against a Counter-merging reference (property tests)
+# ---------------------------------------------------------------------------
+
+# Both parts of a monomial may be empty: a pure T-monomial, a pure zeta
+# monomial and the constant monomial all take the empty-side merge.
+_zparts = st.dictionaries(st.sampled_from([(2,), (3,), (2, 1), (3, 1, 2)]),
+                          st.integers(1, 3), max_size=2)
+_tparts = st.dictionaries(st.sampled_from(["T", "T1", "T2"]), st.integers(1, 3), max_size=2)
+_monomials = st.tuples(_zparts, _tparts).map(
+    lambda zt: (tuple(sorted(zt[0].items())), tuple(sorted(zt[1].items()))))
+_zetapolys = st.dictionaries(_monomials, st.one_of(st.integers(-3, 3), _coeffs),
+                             max_size=4).map(ZetaPoly)
+
+
+def reference_product(a: ZetaPoly, b: ZetaPoly) -> dict:
+    """The product by merging exponents in Counters, in Fraction arithmetic."""
+    out: Counter = Counter()
+    for (z1, t1), c1 in a.terms.items():
+        for (z2, t2), c2 in b.terms.items():
+            z = Counter(dict(z1)) + Counter(dict(z2))
+            t = Counter(dict(t1)) + Counter(dict(t2))
+            out[(tuple(sorted(z.items())), tuple(sorted(t.items())))] += Fraction(c1) * Fraction(c2)
+    return {m: c for m, c in out.items() if c}
+
+
+@LAWS
+@given(_zetapolys, _zetapolys)
+def test_zetapoly_product_matches_the_counter_reference(a, b):
+    product = a * b
+    assert product.terms == reference_product(a, b)
+    assert all(product.terms.values())  # no stored zeros
+    for zpart, tpart in product.terms:
+        assert list(zpart) == sorted(zpart) and list(tpart) == sorted(tpart)
+        assert all(e > 0 for _, e in zpart + tpart)
+    one = ZetaPoly.const(1)
+    assert a * one == a and one * a == a
+    acc = ZetaPoly(a.terms)
+    acc.add_scaled(b, Fraction(-3, 2))
+    assert acc == a + b * Fraction(-3, 2) and all(acc.terms.values())
+    if all(type(c) is int for c in [*a.terms.values(), *b.terms.values()]):
+        assert all(type(c) is int for c in product.terms.values())
