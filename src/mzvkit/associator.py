@@ -13,22 +13,32 @@ convention here and is pinned by dedicated tests.
 The module builds the shuffle associator (regularized at T = 0), its
 letter-substituted and conjugated variants, the five-factor dressed series
 used for refined symmetric values, and the residual checkers for the cycle
-relations, the factorization identities and refined duality.  Symmetric
-values read the flanked coefficients e0^i e_k e1 e0^j straight from a
-series as an (s,t) grid.
+relations, the factorization identities and refined duality.  Each
+coefficient of phi sums the numbers Z_T(index) named by the shift formula
+of its word, each index evaluated once.
+
+Symmetric values read the flanked coefficients e0^i e_k e1 e0^j as an (s,t)
+grid.  The pairings (``rsmzv``, ``smzv_via_assoc`` and the duality built on
+them) read a product without building it: the coefficient of F1...Fr at a
+word is the sum over the splits of the word into r consecutive pieces, and
+each factor is a word -> coefficient function (``_SplitProduct``).  The
+whole-series checks (cycles, factorizations, ``duality-assoc``) still
+multiply ``NcSeries``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from mpmath import mp
 
+from . import regularization
 from .indices import Index, coarsenings, hoffman_dual
 from .numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp
-from .regularization import Z_reg_full, _z_reg_full_word, gamma0_coeffs
+from .regularization import Z_reg_full, gamma0_coeffs
 from .rings import BiSeries
 from .stadic import stadic_smzv
 from .words import E0, E1, HARMONIC, SHUFFLE, SWAP, NcPoly, Word, word_of_index
@@ -120,6 +130,25 @@ _PHI_CACHE: dict[tuple, NcSeries] = {}
 _PHI_RS_CACHE: dict[tuple[int, int], NcSeries] = {}
 
 
+@cache
+def _zeta_reg_value(k: Index, product: str, T, prec: int):
+    """The number Z_T(k), evaluated once per index.  ``zeta_reg`` is looked up
+    on its module, so a replacement there is the one evaluated."""
+    with mp.workdps(prec + _GUARD):
+        return eval_zeta_poly(regularization.zeta_reg(k, product), {"T": to_mp(T)}, prec)
+
+
+@cache
+def _phi_coeff(w: Word, product: str, T, prec: int):
+    """<phi(T), w> = Z_T(reverse w), summed from the values of the indices that
+    the shift formula of the reversed word names."""
+    with mp.workdps(prec + _GUARD):
+        total = mp.mpf(0)
+        for k, c in regularization._shift_expansion(w[::-1]):
+            total += c * _zeta_reg_value(k, product, T, prec)
+        return total
+
+
 def phi(product: str, T, D: int, prec: int) -> NcSeries:
     """Generating series of regularized values at parameter T.
 
@@ -130,18 +159,8 @@ def phi(product: str, T, D: int, prec: int) -> NcSeries:
     cached = _PHI_CACHE.get(key)
     if cached is not None:
         return cached
-    with mp.workdps(prec + _GUARD):
-        tval = to_mp(T)
-        terms: dict[Word, object] = {}
-        for n in range(D + 1):
-            for w in itertools.product((E0, E1), repeat=n):
-                zp = _z_reg_full_word(w[::-1], product)
-                if not zp:
-                    continue
-                c = eval_zeta_poly(zp, {"T": tval}, prec)
-                if c:
-                    terms[w] = c
-        series = NcSeries(D, terms)
+    series = NcSeries(D, {w: _phi_coeff(w, product, T, prec)
+                          for n in range(D + 1) for w in itertools.product((E0, E1), repeat=n)})
     _PHI_CACHE[key] = series
     return series
 
@@ -195,10 +214,62 @@ def _budget(wt: int, orders: tuple[int, int], D: int) -> None:
         raise TruncationError(f"degree budget {D} too small; need {need}")
 
 
-def _flanked_pairing(series: NcSeries, k: Index, orders: tuple[int, int]) -> BiSeries:
+class _SplitProduct:
+    """A product F1...Fr of word -> coefficient functions, read one word at a
+    time without building it.
+
+    Every split of a word into r consecutive pieces, empty ones included,
+    adds F1(piece 1)...Fr(piece r); a truncated product has that coefficient
+    at every word it keeps.  ``_known[i]`` maps each prefix read so far to
+    the coefficient of F1...F(i+1) at it, so words that share a prefix share
+    its work.
+    """
+
+    __slots__ = ("factors", "_known")
+
+    def __init__(self, factors):
+        self.factors = factors
+        self._known = [{} for _ in factors]
+
+    def coeff(self, w: Word):
+        row = [1] + [0] * len(w)         # the empty product at each prefix
+        for f, known in zip(self.factors, self._known):
+            for j in range(len(w), -1, -1):  # row[m <= j] still holds the previous factor
+                c = known.get(w[:j])
+                if c is None:
+                    c = known[w[:j]] = sum(row[m] * f(w[m:j]) for m in range(j + 1) if row[m])
+                row[j] = c
+        return row[-1]
+
+
+def _exp_letter(a: int, c):
+    """exp(c X_a) as a factor: c^n/n! on a^n, 0 elsewhere."""
+    return lambda u: c ** len(u) / factorial(len(u)) if u.count(a) == len(u) else 0
+
+
+@cache
+def _ad_product(product: str, T1, T2, prec: int) -> _SplitProduct:
+    """phi_ad(T1, T2) = eps(phi(T1)) X1 phi(T2), read by splits."""
+    return _SplitProduct([lambda u: (-1) ** len(u) * _phi_coeff(u[::-1], product, T1, prec),
+                          lambda u: 1 if u == (E1,) else 0,
+                          lambda u: _phi_coeff(u, product, T2, prec)])
+
+
+@cache
+def _rs_product(prec: int) -> _SplitProduct:
+    """phi_rs, read by splits at prec + _GUARD; KZ(X1,X0) reads the swapped word."""
+    with mp.workdps(prec + _GUARD):
+        half = _exp_letter(E0, mp.pi * mp.mpc(0, 1) / 2)
+        mid = _exp_letter(E1, 2 * mp.pi * mp.mpc(0, 1))
+    return _SplitProduct([half, lambda u: _phi_coeff(tuple(1 - a for a in u), SHUFFLE, 0, prec),
+                          mid, lambda u: _phi_coeff(u, SHUFFLE, 0, prec), half])
+
+
+def _flanked_pairing(series, k: Index, orders: tuple[int, int]) -> BiSeries:
     """<series, (1 + e0 s)^(-1) e_k e1 (1 + e0 t)^(-1)> as an (s,t) grid.
 
-    The (i, j) entry is (-1)^(i+j) times the coefficient of e0^i e_k e1 e0^j;
+    The (i, j) entry is (-1)^(i+j) times the coefficient of e0^i e_k e1 e0^j,
+    read through ``series.coeff`` (an ``NcSeries`` or a ``_SplitProduct``);
     callers check the degree budget first.
     """
     core = word_of_index(k) + (E1,)
@@ -213,10 +284,8 @@ def smzv_via_assoc(k: Index, product: str, T1, T2, orders: tuple[int, int],
     k = Index(k)
     if k.depth == 0:
         raise ValueError("the pairing route needs a non-empty index")
-    D = _degree(k.weight, orders)
     with mp.workdps(prec + _GUARD):
-        series = phi_ad(product, T1, T2, D, prec)
-        val = _flanked_pairing(series, k, orders)
+        val = _flanked_pairing(_ad_product(product, T1, T2, prec), k, orders)
         return val.scale(mp.mpf((-1) ** (k.weight + k.depth)))
 
 
@@ -231,7 +300,10 @@ def _exp_st_grid(orders: tuple[int, int], prec: int) -> BiSeries:
 
 
 def rsmzv(k: Index, orders: tuple[int, int], prec: int, D: int | None = None) -> BiSeries:
-    """Refined symmetric value via the dressed associator pairing."""
+    """Refined symmetric value via the dressed associator pairing.
+
+    ``D`` is the degree budget: a flanked word longer than it raises.
+    """
     k = Index(k)
     if k.depth == 0:
         return _exp_st_grid(orders, prec)
@@ -239,8 +311,7 @@ def rsmzv(k: Index, orders: tuple[int, int], prec: int, D: int | None = None) ->
         D = _degree(k.weight, orders)
     _budget(k.weight, orders, D)
     with mp.workdps(prec + _GUARD):
-        series = phi_rs(D, prec)
-        val = _flanked_pairing(series, k, orders)
+        val = _flanked_pairing(_rs_product(prec), k, orders)
         scale = mp.mpf((-1) ** (k.weight + k.depth)) / (2 * mp.pi * mp.mpc(0, 1))
         return val.scale(scale)
 

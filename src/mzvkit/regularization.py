@@ -64,6 +64,7 @@ def _decompose_word(w: Word, product: str) -> tuple[NcPoly, ...]:
 
     Part i >= 1 is part 0 of head e1^(m-i) divided by i!; part 0 is what
     remains of w after the product powers of e1 are taken out, and lies in H0.
+    Whole coefficients are ints, so every later product stays in int arithmetic.
     """
     if not in_h1(w):
         raise ValueError(f"word {w} is not supported on H1")
@@ -76,7 +77,7 @@ def _decompose_word(w: Word, product: str) -> tuple[NcPoly, ...]:
         w0 -= mul(wi, e1_power(product, i))
     if not w0.support_in_h0():
         raise AssertionError(f"regularization of {w} left non-H0 words")
-    return (w0, *parts)
+    return tuple(part.map_coeffs(_int_if_whole) for part in (w0, *parts))
 
 
 def regularize(u: NcPoly, product: str) -> RegDecomposition:
@@ -107,10 +108,8 @@ def z_of_h0(u: NcPoly) -> ZetaPoly:
 def zeta_reg(k: Index, product: str) -> ZetaPoly:
     """The regularized polynomial of an index, as a ZetaPoly in T."""
     # part i (of e1^i) goes to (-T)^i; the whole is multiplied by (-1)^depth.
-    # The parts divide by factorials, so a whole coefficient may come out as a
-    # Fraction; it is stored as an int, which every later product then keeps.
     parts = _decompose_word(word_of_index(k), product)
-    return ZetaPoly({(zpart, (("T", i),) if i else ()): _int_if_whole((-1) ** (i + k.depth) * c)
+    return ZetaPoly({(zpart, (("T", i),) if i else ()): (-1) ** (i + k.depth) * c
                      for i, wi in enumerate(parts) for (zpart, _), c in z_of_h0(wi).terms.items()})
 
 
@@ -119,17 +118,27 @@ def _int_if_whole(q):
     return q.numerator if q.denominator == 1 else q
 
 
-@cache
-def _z_reg_full_word(w: Word, product: str) -> ZetaPoly:
+def _shift_expansion(w: Word) -> tuple[tuple[Index, int], ...]:
+    """Z_T(w) as sum c * Z_T(index) over the returned (index, c) pairs.
+
+    Leading e0^n is stripped by the shift formula: w = e0^n e_k gives the
+    shifts k + n' of total size n, each weighted by b(k; n') and the sign
+    (-1)^(n + depth).  The pairs hold for both products and every T.
+    """
     n = 0
     while n < len(w) and w[n] == E0:
         n += 1
-    rest = w[n:]
-    k = index_of_word(rest)
+    k = index_of_word(w[n:])
+    sign = (-1) ** (n + k.depth)
+    return tuple((oplus(k, shift), sign * b_coeff(k, shift)) for shift in compositions(n, k.depth))
+
+
+@cache
+def _z_reg_full_word(w: Word, product: str) -> ZetaPoly:
     out = ZetaPoly()
-    for shift in compositions(n, k.depth):
-        out += zeta_reg(oplus(k, shift), product) * b_coeff(k, shift)
-    return out * ((-1) ** (n + k.depth))
+    for k, c in _shift_expansion(w):
+        out.add_scaled(zeta_reg(k, product), c)
+    return out
 
 
 def Z_reg_full(u: NcPoly, product: str) -> ZetaPoly:
@@ -172,7 +181,7 @@ def rho_of_T_power(n: int) -> ZetaPoly:
         b = n - a
         coeff = factorial(n) // factorial(a) * (-1) ** b
         out += g[b] * coeff * T ** a
-    return out
+    return ZetaPoly({key: _int_if_whole(c) for key, c in out.terms.items()})
 
 
 def rho(p: ZetaPoly) -> ZetaPoly:

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from mzvkit.associator import (
     phi_rs, rsmzv, rsmzv_star, smzv_via_assoc, _flanked_pairing,
 )
 from mzvkit.indices import Index
-from mzvkit.numeric import mzv, residual, tolerance
+from mzvkit.numeric import eval_zeta_poly, mzv, residual, tolerance
+from mzvkit.regularization import _z_reg_full_word
 from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly
 
 TOL = tolerance(40)
@@ -183,15 +185,49 @@ def test_degree_budget_is_the_longest_flanked_word(monkeypatch):
         assert max(abs(a - deeper.coeff(i, j)) for i, j, a in exact.entries()) == 0.0
         with pytest.raises(TruncationError):
             rsmzv(k, orders, 40, D=need - 1)
-    # duality pads (2) up to (1,2,1): weight 4, so degree 4 + 1 + 1 + 1
-    associator._PHI_RS_CACHE.clear()
+    # duality pads (2) up to (1,2,1): weight 4, so degree 4 + 1 + 1 + 1; every
+    # budget it asks for is that degree, and it is the longest word it reads
+    budgets, lengths = [], []
+    budget, coeff = associator._budget, associator._SplitProduct.coeff
+    monkeypatch.setattr(associator, "_budget",
+                        lambda wt, orders, D: budgets.append(D) or budget(wt, orders, D))
+    monkeypatch.setattr(associator._SplitProduct, "coeff",
+                        lambda self, w: lengths.append(len(w)) or coeff(self, w))
     exact = check_refined_duality(Index((2,)), (1, 1), 40)
-    assert set(associator._PHI_RS_CACHE) == {(7, 40)}
+    assert set(budgets) == {7} and max(lengths) == 7
     degree = associator._degree
     monkeypatch.setattr(associator, "_degree", lambda wt, orders: degree(wt, orders) + 1)
-    associator._PHI_RS_CACHE.clear()
+    budgets.clear()
     assert check_refined_duality(Index((2,)), (1, 1), 40) == exact
-    assert set(associator._PHI_RS_CACHE) == {(8, 40)}
+    assert set(budgets) == {8}
+
+
+def _words(D):
+    return [w for n in range(D + 1) for w in itertools.product((E0, E1), repeat=n)]
+
+
+def test_split_sum_coefficients_equal_the_series_products():
+    # reading a product by splits gives its coefficient at every word the
+    # truncated NcSeries product keeps
+    T1, T2 = Fraction(3, 10), Fraction(-7, 10)
+    with mp.workdps(55):
+        for D in range(7):
+            rs, ad = phi_rs(D, 40), phi_ad(HARMONIC, T1, T2, D, 40)
+            # fresh products, so no word is read from what a longer one kept
+            rs_splits = associator._SplitProduct(associator._rs_product(40).factors)
+            ad_splits = associator._SplitProduct(associator._ad_product(HARMONIC, T1, T2, 40).factors)
+            for w in _words(D):
+                assert abs(rs_splits.coeff(w) - rs.coeff(w)) < 1e-45, w
+                assert abs(ad_splits.coeff(w) - ad.coeff(w)) < 1e-45, w
+
+
+def test_per_word_phi_equals_the_symbolic_value():
+    # per-index numbers summed by the shift formula against the symbolic sum
+    for product in (HARMONIC, SHUFFLE):
+        for T in (0, Fraction(7, 10)):
+            for w in _words(6):
+                symbolic = eval_zeta_poly(_z_reg_full_word(w[::-1], product), {"T": T}, 40)
+                assert abs(associator._phi_coeff(w, product, T, 40) - symbolic) < 1e-45, w
 
 
 def test_rsmzv():

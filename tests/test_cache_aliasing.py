@@ -53,6 +53,7 @@ def _batch() -> None:
     associator.check_smzv_routes(Index((2,)), (1, 1), PREC)
     associator.check_rsmzv_routes(Index((2,)), (1, 1), PREC)
     associator.check_refined_duality(Index((2,)), (1, 1), PREC)
+    associator.check_pair_convention(1, Index((1, 2)), HARMONIC, T, PREC)
 
 
 def _same(a, b) -> bool:

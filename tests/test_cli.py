@@ -321,6 +321,27 @@ def test_a_malformed_store_record_is_reported_with_its_reason(tmp_path, capsys):
                                  "'k=1;prec=40;value=1.5': not a value that mzv stores\n")
 
 
+def test_only_a_scan_runs_without_reading_the_value_store(tmp_path, capsys):
+    store = tmp_path / "store.txt"
+    store.write_text("k=1;prec=40;value=1.5\n")      # every load of it fails
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"cache_path={store}\nworkers=1\n")
+    saved = dict(numeric.CACHE.records)
+    try:
+        assert main(["scan", "wolstenholme", "--pmax", "20", "--config", str(cfg)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("prime,") and err == ""
+        for argv in (["eval", "mzv", "(2)"], ["check", "harmonic", "(1)", "(2)"],
+                     ["cache", "show"]):
+            assert main(argv + ["--config", str(cfg)]) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error[cache]: line 1: malformed cache record")
+    finally:
+        numeric.CACHE.records.clear()
+        numeric.CACHE.records.update(saved)
+    assert store.read_text() == "k=1;prec=40;value=1.5\n"
+
+
 def test_module_docstring_names_exactly_the_commands_and_options():
     grammar = cli.__doc__.split("::\n\n")[1].split("\n\n")[0]
     rules = dict(re.findall(r"^    (\S+) +:= (.*(?:\n {13}\|.*)*)", grammar, re.M))

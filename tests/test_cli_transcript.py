@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from mzvkit import associator, cli, finite, numeric, regularization, rings, stadic, words
+from mzvkit import associator, cli, finite, indices, numeric, regularization, rings, stadic, words
 from mzvkit.rings import BiSeries, ZetaPoly
 from mzvkit.words import NcPoly, index_of_word
 
@@ -191,6 +191,19 @@ def _flanked_pairing_unsigned(series, k, orders):
                                         for j in range(grid.mt + 1)] for i in range(grid.ms + 1)])
 
 
+_SplitProduct = associator._SplitProduct
+_split_coeff = _SplitProduct.coeff
+
+
+def _split_without_an_empty_first_piece(self, w):
+    first = self.factors[0]
+    return _split_coeff(_SplitProduct([lambda u: first(u) if u else 0, *self.factors[1:]]), w)
+
+
+def _split_skipping_the_last_factor(self, w):
+    return _split_coeff(_SplitProduct(self.factors[:-1]), w)
+
+
 _shift = BiSeries.shift
 _mul = BiSeries.__mul__
 
@@ -221,6 +234,18 @@ def _zeta_reg_plus_T(k, product):
     return _zeta_reg(k, product).subst_tvars({"T": -1 * ZetaPoly.tvar("T")})
 
 
+def _mzv_star_without_the_index_itself(k, prec):
+    return sum(numeric.mzv(l, prec) for l in indices.coarsenings(k)[1:])
+
+
+_zeta_reg_sym = stadic._zeta_reg_sym
+
+
+def _zeta_reg_sym_negating_T2(k, product, tsym):
+    p = _zeta_reg_sym(k, product, tsym)
+    return p.subst_tvars({"T2": -1 * ZetaPoly.tvar("T2")}) if tsym == "T2" else p
+
+
 # planted fault -> the transcript checks that must FAIL under it; every other
 # check of the transcript must still PASS.  An entry names a check target
 # (every command of it FAILs) or one command, such as "reg (2,1,1,1)".  A
@@ -233,18 +258,27 @@ def _zeta_reg_plus_T(k, product):
 # by degree, so a product that drops its top degree passes them.  A ZetaPoly
 # product that keeps one factor's powers and drops the other's, whenever both
 # have some, fails the checks listed for it, as measured; most associator
-# checks multiply NcSeries over numbers and never build such a product.
+# checks multiply NcSeries over numbers and never build such a product.  The
+# pairings (duality, rsmzv-routes, smzv-assoc) read a product by splits of
+# each word and build no series, so eps, subst and the NcSeries product reach
+# them only through a fault in the split sum.  The classical cyclic sum
+# formula alone sums numeric star values, and t-translation alone tells a
+# value of T2 - T1 from one of T1 + T2.
 MUTATIONS = {
-    "eps-without-sign": ((NcPoly, "eps", NcPoly.reverse), {"independence", "smzv-assoc"}),
+    "eps-without-sign": ((NcPoly, "eps", NcPoly.reverse), {"independence"}),
     "subst-unit-coefficients": ((NcPoly, "subst", _subst_unit_coefficients),
                                 {"three-cycle", "duality-assoc"}),
     "subst-identity": ((NcPoly, "subst", lambda self, images: self),
-                       {"two-cycle", "three-cycle", "duality-assoc", "rsmzv-routes", "duality"}),
+                       {"two-cycle", "three-cycle", "duality-assoc"}),
     "subst-keeps-last-letter": ((NcPoly, "subst", _subst_keeping_the_last_letter),
-                                {"duality", "duality-assoc", "rsmzv-routes", "three-cycle",
-                                 "two-cycle"}),
+                                {"duality-assoc", "three-cycle", "two-cycle"}),
     "mul-drops-top-degree": ((associator.NcSeries, "__mul__", _mul_dropping_the_top_degree),
-                             {"gamma-factor", "rsmzv-routes", "t-part"}),
+                             {"gamma-factor", "t-part"}),
+    "split-drops-empty-first-piece": ((_SplitProduct, "coeff",
+                                       _split_without_an_empty_first_piece),
+                                      {"duality", "rsmzv-routes", "smzv-assoc"}),
+    "split-skips-last-factor": ((_SplitProduct, "coeff", _split_skipping_the_last_factor),
+                                {"duality", "rsmzv-routes", "smzv-assoc"}),
     "flank-without-sign": ((associator, "_flanked_pairing", _flanked_pairing_unsigned),
                            {"smzv-assoc", "rsmzv-routes", "duality"}),
     "negate-t-identity": ((BiSeries, "negate_t", lambda self: self),
@@ -268,6 +302,10 @@ MUTATIONS = {
     "merge-keeps-one-side": ((rings, "_merge_powers", lambda a, b: a or b),
                              {"antipode", "csf-nonstar", "csf-star", "csf-tau", "explicit-reg",
                               "gamma-factor", "harmonic", "reg", "shifted-harmonic", "shuffle"}),
+    "star-without-the-index-itself": ((stadic, "mzv_star", _mzv_star_without_the_index_itself),
+                                      {"csf"}),
+    "T2-with-wrong-sign": ((stadic, "_zeta_reg_sym", _zeta_reg_sym_negating_T2),
+                           {"t-translation"}),
 }
 
 
@@ -276,7 +314,7 @@ def _clear_series_caches():
     # before the fault and would hide it
     associator._PHI_CACHE.clear()
     associator._PHI_RS_CACHE.clear()
-    for module in (stadic, regularization, numeric, words):
+    for module in (associator, stadic, regularization, numeric, words):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()

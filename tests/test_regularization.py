@@ -71,15 +71,21 @@ def test_zeta_reg_examples():
 
 def test_zeta_reg_keeps_whole_coefficients_as_ints():
     # Fraction(n, 1) has the value of n, so no check of values can see one;
-    # it would only make every product built from zeta_reg slower
+    # it would only make every product built from zeta_reg, the parts of the
+    # solve or rho slower
+    def whole(p):
+        return [c for c in p.terms.values() if isinstance(c, Fraction) and c.denominator == 1]
+
     indices = [Index(tuple(1 + n for n in shift)) for weight in range(1, 7)
                for depth in range(1, weight + 1) for shift in compositions(weight - depth, depth)]
     assert len(indices) == 63
     for k in indices:
         for product in (HARMONIC, SHUFFLE):
-            whole = [c for c in zeta_reg(k, product).terms.values()
-                     if isinstance(c, Fraction) and c.denominator == 1]
-            assert not whole, (k, product, whole)
+            assert not whole(zeta_reg(k, product)), (k, product)
+            parts = regularize(W(word_of_index(k)), product).coefficients
+            assert not [c for part in parts for c in whole(part)], (k, product)
+    for n in range(7):
+        assert not whole(rho_of_T_power(n)), n
 
 
 def test_z_reg_full():
