@@ -240,6 +240,7 @@ def test_rsmzv():
         assert check_rsmzv_routes(Index((2,)), (0, 0), 40) < TOL
         assert check_rsmzv_routes(Index((2,)), (1, 1), 40) < TOL
         assert check_rsmzv_routes(Index((1, 1)), (1, 1), 40) < TOL
+        assert check_rsmzv_routes(Index((1, 2)), (2, 2), 40) < TOL
 
 
 def test_rsmzv_harmonic_relation():
@@ -262,6 +263,8 @@ def test_rsmzv_harmonic_relation():
 def test_refined_duality():
     assert check_refined_duality(Index((3,)), (0, 0), 40) < TOL
     assert check_refined_duality(Index((2,)), (1, 1), 40) < TOL
+    # past the toy orders: paddings up to weight 7, flanked words of length 12
+    assert check_refined_duality(Index((1, 2)), (2, 2), 40) < TOL
     with pytest.raises(ValueError):
         check_refined_duality(Index(()), (0, 0), 40)
 
