@@ -203,17 +203,6 @@ def pair(series: NcSeries, u: NcPoly):
     return total
 
 
-def _degree(wt: int, orders: tuple[int, int]) -> int:
-    """Length of the longest flanked word e0^i e_k e1 e0^j a pairing reads."""
-    return wt + 1 + orders[0] + orders[1]
-
-
-def _budget(wt: int, orders: tuple[int, int], D: int) -> None:
-    need = _degree(wt, orders)
-    if need > D:
-        raise TruncationError(f"degree budget {D} too small; need {need}")
-
-
 class _SplitProduct:
     """A product F1...Fr of word -> coefficient functions, read one word at a
     time without building it.
@@ -269,8 +258,9 @@ def _flanked_pairing(series, k: Index, orders: tuple[int, int]) -> BiSeries:
     """<series, (1 + e0 s)^(-1) e_k e1 (1 + e0 t)^(-1)> as an (s,t) grid.
 
     The (i, j) entry is (-1)^(i+j) times the coefficient of e0^i e_k e1 e0^j,
-    read through ``series.coeff`` (an ``NcSeries`` or a ``_SplitProduct``);
-    callers check the degree budget first.
+    read through ``series.coeff``: a ``_SplitProduct`` reads every word
+    exactly, an ``NcSeries`` must reach the longest word,
+    weight(k) + 1 + s-order + t-order.
     """
     core = word_of_index(k) + (E1,)
     ms, mt = orders
@@ -299,17 +289,11 @@ def _exp_st_grid(orders: tuple[int, int], prec: int) -> BiSeries:
         return BiSeries(ms, mt, grid)
 
 
-def rsmzv(k: Index, orders: tuple[int, int], prec: int, D: int | None = None) -> BiSeries:
-    """Refined symmetric value via the dressed associator pairing.
-
-    ``D`` is the degree budget: a flanked word longer than it raises.
-    """
+def rsmzv(k: Index, orders: tuple[int, int], prec: int) -> BiSeries:
+    """Refined symmetric value via the dressed associator pairing."""
     k = Index(k)
     if k.depth == 0:
         return _exp_st_grid(orders, prec)
-    if D is None:
-        D = _degree(k.weight, orders)
-    _budget(k.weight, orders, D)
     with mp.workdps(prec + _GUARD):
         val = _flanked_pairing(_rs_product(prec), k, orders)
         scale = mp.mpf((-1) ** (k.weight + k.depth)) / (2 * mp.pi * mp.mpc(0, 1))
@@ -327,14 +311,14 @@ def rsmzv_remark_route(k: Index, orders: tuple[int, int], prec: int) -> BiSeries
         return _exp_st_grid(orders, prec) * num
 
 
-def rsmzv_star(k: Index, orders: tuple[int, int], prec: int, D: int | None = None) -> BiSeries:
+def rsmzv_star(k: Index, orders: tuple[int, int], prec: int) -> BiSeries:
     k = Index(k)
     if k.depth == 0:
         raise ValueError("star values need a non-empty index")
     with mp.workdps(prec + _GUARD):
         out = BiSeries.constant(mp.mpf(0), *orders)
         for l in coarsenings(k):
-            out += rsmzv(l, orders, prec, D)
+            out += rsmzv(l, orders, prec)
         return out
 
 
@@ -445,14 +429,13 @@ def check_refined_duality(k: Index, orders: tuple[int, int], prec: int):
     if k.depth == 0:
         raise ValueError("duality needs a non-empty index")
     ms, mt = orders
-    D = _degree(k.weight + ms + mt, orders)     # the longest padding
 
     def side(idx: Index) -> BiSeries:
         acc = BiSeries.constant(mp.mpf(0), ms, mt)
         for m in range(ms + 1):
             for n in range(mt + 1):
                 padded = Index((1,) * m + tuple(idx) + (1,) * n)
-                acc += rsmzv_star(padded, orders, prec, D).shift(m, n)
+                acc += rsmzv_star(padded, orders, prec).shift(m, n)
         return acc
 
     with mp.workdps(prec + _GUARD):

@@ -77,6 +77,8 @@ def _decompose_word(w: Word, product: str) -> tuple[NcPoly, ...]:
         w0 -= mul(wi, e1_power(product, i))
     if not w0.support_in_h0():
         raise AssertionError(f"regularization of {w} left non-H0 words")
+    if not parts:       # w lies in H0: its one part is w itself, coefficient 1
+        return (w0,)
     return tuple(part.map_coeffs(_int_if_whole) for part in (w0, *parts))
 
 

@@ -171,35 +171,23 @@ def test_smzv_via_assoc_routes():
     assert check_smzv_routes(Index((1, 2)), (1, 1), 40) < TOL
     with pytest.raises(ValueError):
         smzv_via_assoc(Index(()), HARMONIC, 0, 0, (1, 1), 40)
-    with pytest.raises(TruncationError):
-        rsmzv(Index((2,)), (1, 1), 40, D=3)
 
 
 def test_degree_budget_is_the_longest_flanked_word(monkeypatch):
-    # coefficients up to the longest word read do not depend on D, so the
-    # exact budget and one degree more give the same values, bit for bit
-    for k, orders in ((Index((2,)), (1, 1)), (Index((1, 2)), (1, 1)), (Index((2, 1)), (2, 1))):
-        need = associator._degree(k.weight, orders)
-        assert need == k.weight + 1 + orders[0] + orders[1]
-        exact, deeper = rsmzv(k, orders, 40), rsmzv(k, orders, 40, D=need + 1)
-        assert max(abs(a - deeper.coeff(i, j)) for i, j, a in exact.entries()) == 0.0
-        with pytest.raises(TruncationError):
-            rsmzv(k, orders, 40, D=need - 1)
-    # duality pads (2) up to (1,2,1): weight 4, so degree 4 + 1 + 1 + 1; every
-    # budget it asks for is that degree, and it is the longest word it reads
-    budgets, lengths = [], []
-    budget, coeff = associator._budget, associator._SplitProduct.coeff
-    monkeypatch.setattr(associator, "_budget",
-                        lambda wt, orders, D: budgets.append(D) or budget(wt, orders, D))
+    # a pairing reads no word longer than e0^i e_k e1 e0^j at the full orders,
+    # weight + 1 + s-order + t-order letters, and reads that word itself
+    lengths = []
+    coeff = associator._SplitProduct.coeff
     monkeypatch.setattr(associator._SplitProduct, "coeff",
                         lambda self, w: lengths.append(len(w)) or coeff(self, w))
-    exact = check_refined_duality(Index((2,)), (1, 1), 40)
-    assert set(budgets) == {7} and max(lengths) == 7
-    degree = associator._degree
-    monkeypatch.setattr(associator, "_degree", lambda wt, orders: degree(wt, orders) + 1)
-    budgets.clear()
-    assert check_refined_duality(Index((2,)), (1, 1), 40) == exact
-    assert set(budgets) == {8}
+    for k, orders in ((Index((2,)), (1, 1)), (Index((1, 2)), (1, 1)), (Index((2, 1)), (2, 1))):
+        lengths.clear()
+        rsmzv(k, orders, 40)
+        assert max(lengths) == k.weight + 1 + orders[0] + orders[1]
+    # duality pads (2) up to (1,2,1): weight 4, so degree 4 + 1 + 1 + 1
+    lengths.clear()
+    assert check_refined_duality(Index((2,)), (1, 1), 40) < TOL
+    assert max(lengths) == 7
 
 
 def _words(D):
@@ -252,10 +240,10 @@ def test_rsmzv_harmonic_relation():
         combo = index_harmonic(Index((1,)), Index((1,)))
         acc = None
         for idx, c in combo.terms.items():
-            v = rsmzv(idx, orders, 40, D=6).scale(mp.mpf(int(c)))
+            v = rsmzv(idx, orders, 40).scale(mp.mpf(int(c)))
             acc = v if acc is None else acc + v
         lhs = _exp_st_grid(orders, 40) * acc
-        one = rsmzv(Index((1,)), orders, 40, D=6)
+        one = rsmzv(Index((1,)), orders, 40)
         rhs = one * one
         assert max(abs(e) for _, _, e in (lhs - rhs).entries()) < TOL
 
