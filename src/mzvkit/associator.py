@@ -38,7 +38,7 @@ from mpmath import mp
 from . import regularization
 from .indices import Index, coarsenings, hoffman_dual
 from .numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp
-from .regularization import Z_reg_full, gamma0_coeffs
+from .regularization import gamma0_coeffs
 from .rings import BiSeries
 from .stadic import stadic_smzv
 from .words import E0, E1, HARMONIC, SHUFFLE, SWAP, NcPoly, Word, word_of_index
@@ -46,10 +46,6 @@ from .words import E0, E1, HARMONIC, SHUFFLE, SWAP, NcPoly, Word, word_of_index
 
 # The real parameter at which the numeric series checks compare phi(T).
 SAMPLE_T = Fraction(7, 10)
-
-
-class TruncationError(ValueError):
-    """A pairing or expansion would silently lose terms beyond the degree."""
 
 
 class NcSeries(NcPoly):
@@ -187,20 +183,6 @@ def phi_rs(D: int, prec: int) -> NcSeries:
             mid = NcSeries.letter(D, E1, 2 * mp.pi * mp.mpc(0, 1)).exp()
             _PHI_RS_CACHE[key] = half * kz.subst(IMG_SWAP) * mid * kz * half
     return _PHI_RS_CACHE[key]
-
-
-def pair(series: NcSeries, u: NcPoly):
-    """Coefficient extraction <series, u>, word for word in the same order.
-
-    Words longer than the degree bound raise rather than truncate.
-    """
-    total = mp.mpf(0)
-    for w, c in u.terms.items():
-        if len(w) > series.deg:
-            raise TruncationError(
-                f"word of length {len(w)} exceeds the degree bound {series.deg}")
-        total += series.coeff(w) * to_mp(c)
-    return total
 
 
 class _SplitProduct:
@@ -374,32 +356,11 @@ def check_independence_factor(T, D: int, prec: int):
         return residual(lhs, rhs, prec)
 
 
-def check_phi_ad_translation(T1, T2, D: int, prec: int):
-    """phi_ad(T1, T2) = phi_ad(0, T2 - T1) for the harmonic product."""
-    with mp.workdps(prec + _GUARD):
-        lhs = phi_ad(HARMONIC, T1, T2, D, prec)
-        rhs = phi_ad(HARMONIC, 0, to_mp(T2) - to_mp(T1), D, prec)
-        return residual(lhs, rhs, prec)
-
-
 def check_duality_assoc(D: int, prec: int):
     """The dressed series at (X_inf, X0) is the conjugate of it at (X_inf, X1)."""
     with mp.workdps(prec + _GUARD):
         rs = phi_rs(D, prec)
         return residual(rs.subst(IMG_INF_0), rs.subst(IMG_INF_1).conj(), prec)
-
-
-def check_pair_convention(n: int, k: Index, product: str, T, prec: int):
-    """<phi(T), w> equals the regularized value of the reversed word."""
-    k = Index(k)
-    w = (E0,) * n + word_of_index(k)
-    D = len(w)
-    with mp.workdps(prec + _GUARD):
-        series = phi(product, T, D, prec)
-        lhs = pair(series, NcPoly.from_word(w))
-        rhs = eval_zeta_poly(Z_reg_full(NcPoly.from_word(w[::-1]), product),
-                             {"T": to_mp(T)}, prec)
-        return residual(lhs, rhs, prec)
 
 
 def check_rsmzv_routes(k: Index, orders: tuple[int, int], prec: int):

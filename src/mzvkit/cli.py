@@ -135,11 +135,10 @@ class Config:
     prec: int = 40
     orders: tuple[int, int] = (2, 2)
     cache_path: str = "mzv_cache.txt"
-    workers: int = field(default_factory=lambda: os.cpu_count() or 1)
 
 
 _CONFIG_KEYS = {"prec": OPTIONS["--prec"][0], "orders": OPTIONS["--orders"][0],
-                "cache_path": str, "workers": partial(_integer, low=1)}
+                "cache_path": str}
 
 
 def load_config(path: str | None) -> Config:
@@ -155,6 +154,11 @@ def load_config(path: str | None) -> Config:
             if "=" not in line:
                 raise UsageError(f"config line {lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
+            if key == "workers":    # scans run serially; a config may still ask for one worker
+                if value != "1":
+                    raise UsageError(f"config line {lineno}: workers={value}: scans run "
+                                     "serially, so workers must be 1 or left out")
+                continue
             if key not in _CONFIG_KEYS:
                 raise UsageError(f"config line {lineno}: unknown key {key!r}")
             try:
@@ -246,8 +250,6 @@ def _pairs(ks: tuple[Index, ...]) -> list[tuple[Index, Index]]:
 
 
 def _scan(report: finite.ScanReport) -> tuple[int, list[str]]:
-    if report.serial_reason:
-        print(f"# scan ran serially: {report.serial_reason}", file=sys.stderr)
     return (0 if report.all_pass else 1), [report.to_csv().rstrip("\n")]
 
 
@@ -268,11 +270,9 @@ COMMANDS = {
     },
     "check": {target: (count, partial(_check, target)) for target, (count, _, _) in CHECKS.items()},
     "scan": {
-        "stuffle": (None, lambda ks, a: _scan(finite.scan_stuffle(_pairs(ks), a.pmax, a.pow,
-                                                                  a.workers))),
-        "shift": (1, lambda ks, a: _scan(finite.scan_shift_expansion(*ks, a.shift, a.pmax, a.pow,
-                                                                     a.workers))),
-        "wolstenholme": (0, lambda ks, a: _scan(finite.scan_wolstenholme(a.pmax, a.workers))),
+        "stuffle": (None, lambda ks, a: _scan(finite.scan_stuffle(_pairs(ks), a.pmax, a.pow))),
+        "shift": (1, lambda ks, a: _scan(finite.scan_shift_expansion(*ks, a.shift, a.pmax, a.pow))),
+        "wolstenholme": (0, lambda ks, a: _scan(finite.scan_wolstenholme(a.pmax))),
     },
     "cache": {
         "show": (0, lambda ks, a: (0, [f"cache entries: {len(CACHE.records)}", *CACHE.lines()])),

@@ -10,14 +10,13 @@ unit.  A prefix-sum dynamic program evaluates the nested sum in O(depth*p)
 ring operations per prime; ``WindowSums`` keeps one prime's window inverses,
 inverse-power tables and prefix columns, so a scan's indices share them.
 
-Scans verify exact congruences over prime ranges and report per-prime
-results; a failing prime lands in the counterexample list, never an
-exception.
+Scans verify exact congruences over prime ranges, one prime after another
+in a single process, and report per-prime results; a failing prime lands in
+the counterexample list, never an exception.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import accumulate
@@ -163,10 +162,7 @@ def finite_mzv(k, p: int, n: int = 1, a: int = 0) -> Residue:
 def finite_mzv_star(k, p: int, n: int = 1, a: int = 0) -> Residue:
     """Coarsening sum of the window harmonic sums."""
     sums = WindowSums(p, n, a)
-    out = Residue(p, n, 0)
-    for l in coarsenings(Index(k)):
-        out = out + sums(l)
-    return out
+    return Residue(p, n, sum(sums(l).value for l in coarsenings(Index(k))) % sums.modulus)
 
 
 def finite_mzv_bruteforce(k, p: int, n: int = 1, a: int = 0) -> Residue:
@@ -196,7 +192,6 @@ class ScanReport:
     params: str
     results: list[tuple[int, bool]] = field(default_factory=list)
     counterexamples: list[tuple[int, str]] = field(default_factory=list)
-    serial_reason: str = ""     # why a scan asked for workers ran serially
 
     @property
     def all_pass(self) -> bool:
@@ -232,11 +227,9 @@ def _check_stuffle_prime(p: int, n: int, pairs: list[tuple[Index, Index]]) -> tu
     val = WindowSums(p, n)
     for k, l in pairs:
         lhs = val(k) * val(l)
-        rhs = Residue(p, n, 0)
-        for idx, c in _stuffle_expansion(k, l):
-            rhs = rhs + val(idx) * c
-        if lhs.value != rhs.value:
-            return False, f"pair {k}x{l}: {lhs.value} != {rhs.value}"
+        rhs = sum(val(idx).value * c for idx, c in _stuffle_expansion(k, l)) % val.modulus
+        if lhs.value != rhs:
+            return False, f"pair {k}x{l}: {lhs.value} != {rhs}"
     return True, ""
 
 
@@ -261,39 +254,27 @@ def _check_wolstenholme_prime(p: int) -> tuple[bool, str]:
     return True, ""
 
 
-def _run_scan(report: ScanReport, primes: list[int], one, workers: int) -> ScanReport:
-    if workers > 1 and len(primes) > 1:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(one, primes, chunksize=max(1, len(primes) // (4 * workers))))
-        except (OSError, RuntimeError) as exc:
-            report.serial_reason = f"{type(exc).__name__}: {exc}"
-            outcomes = [one(p) for p in primes]
-    else:
-        outcomes = [one(p) for p in primes]
-    for p, (ok, detail) in zip(primes, outcomes):
+def _run_scan(report: ScanReport, primes: list[int], one) -> ScanReport:
+    for p in primes:
+        ok, detail = one(p)
         report.results.append((p, ok))
         if not ok:
             report.counterexamples.append((p, detail))
     return report
 
 
-def scan_stuffle(pairs: list[tuple[Index, Index]], p_max: int, n: int = 1,
-                 workers: int = 1) -> ScanReport:
+def scan_stuffle(pairs: list[tuple[Index, Index]], p_max: int, n: int = 1) -> ScanReport:
     """Check finite(k)*finite(l) = finite(k stuffle l) over primes 5..p_max."""
     pairs = [(Index(k), Index(l)) for k, l in pairs]
-    for k, l in pairs:
-        _stuffle_expansion(k, l)
     params = " ".join(f"{k}x{l}" for k, l in pairs) or "none"
     report = ScanReport("stuffle", params)
     if not pairs:
         return report
     primes = [p for p in sieve_primes(p_max) if p >= 5 and p > n]
-    return _run_scan(report, primes, partial(_check_stuffle_prime, n=n, pairs=pairs), workers)
+    return _run_scan(report, primes, partial(_check_stuffle_prime, n=n, pairs=pairs))
 
 
-def scan_shift_expansion(k, a: int, p_max: int, n: int = 1,
-                         workers: int = 1) -> ScanReport:
+def scan_shift_expansion(k, a: int, p_max: int, n: int = 1) -> ScanReport:
     """Check the window shift against the truncated binomial expansion.
 
     Terms with total shift weight >= n carry p^n and vanish, so the
@@ -304,12 +285,12 @@ def scan_shift_expansion(k, a: int, p_max: int, n: int = 1,
         raise ValueError("the shift a must be at least 1")
     report = ScanReport("shift", f"{k} a={a}")
     primes = [p for p in sieve_primes(p_max) if p >= 5 and p > n]
-    return _run_scan(report, primes, partial(_check_shift_prime, n=n, k=k, a=a), workers)
+    return _run_scan(report, primes, partial(_check_shift_prime, n=n, k=k, a=a))
 
 
-def scan_wolstenholme(p_max: int, workers: int = 1) -> ScanReport:
+def scan_wolstenholme(p_max: int) -> ScanReport:
     """H_(p-1) vanishes mod p^2 for every prime p >= 5."""
     report = ScanReport("wolstenholme", "(1) pow=2")
     primes = [p for p in sieve_primes(p_max) if p >= 5]
-    return _run_scan(report, primes, _check_wolstenholme_prime, workers)
+    return _run_scan(report, primes, _check_wolstenholme_prime)
 

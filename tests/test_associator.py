@@ -6,19 +6,51 @@ from mpmath import mp
 
 from mzvkit import associator
 from mzvkit.associator import (
-    IMG_SWAP, NcSeries, TruncationError, check_duality_assoc,
-    check_gamma_factor, check_independence_factor, check_pair_convention,
-    check_phi_ad_translation, check_refined_duality, check_rsmzv_routes,
-    check_smzv_routes, check_t_part, check_three_cycle, check_two_cycle,
-    pair, phi, phi_ad, phi_kz,
+    IMG_SWAP, NcSeries, check_duality_assoc,
+    check_gamma_factor, check_independence_factor, check_refined_duality,
+    check_rsmzv_routes, check_smzv_routes, check_t_part, check_three_cycle,
+    check_two_cycle, phi, phi_ad, phi_kz,
     phi_rs, rsmzv, rsmzv_star, smzv_via_assoc, _flanked_pairing,
 )
 from mzvkit.indices import Index
-from mzvkit.numeric import eval_zeta_poly, mzv, residual, tolerance
-from mzvkit.regularization import _z_reg_full_word
-from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly
+from mzvkit.numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp, tolerance
+from mzvkit.regularization import Z_reg_full, _z_reg_full_word
+from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, word_of_index
 
 TOL = tolerance(40)
+
+
+class TruncationError(ValueError):
+    """A pairing would silently lose terms beyond the degree."""
+
+
+def pair(series: NcSeries, u: NcPoly):
+    """Coefficient extraction <series, u>, word for word in the same order;
+    a word longer than the degree bound raises rather than reads 0."""
+    total = mp.mpf(0)
+    for w, c in u.terms.items():
+        if len(w) > series.deg:
+            raise TruncationError(f"word of length {len(w)} exceeds the degree bound {series.deg}")
+        total += series.coeff(w) * to_mp(c)
+    return total
+
+
+def check_pair_convention(n: int, k: Index, product: str, T, prec: int):
+    """<phi(T), w> equals the regularized value of the reversed word, w = e0^n e_k."""
+    w = (E0,) * n + word_of_index(Index(k))
+    with mp.workdps(prec + _GUARD):
+        lhs = pair(phi(product, T, len(w), prec), NcPoly.from_word(w))
+        rhs = eval_zeta_poly(Z_reg_full(NcPoly.from_word(w[::-1]), product),
+                             {"T": to_mp(T)}, prec)
+        return residual(lhs, rhs, prec)
+
+
+def check_phi_ad_translation(T1, T2, D: int, prec: int):
+    """phi_ad(T1, T2) = phi_ad(0, T2 - T1) for the harmonic product."""
+    with mp.workdps(prec + _GUARD):
+        lhs = phi_ad(HARMONIC, T1, T2, D, prec)
+        rhs = phi_ad(HARMONIC, 0, to_mp(T2) - to_mp(T1), D, prec)
+        return residual(lhs, rhs, prec)
 
 
 def test_ncseries_ops():

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from mzvkit import associator, regularization, stadic, words
 from mzvkit.indices import Index
-from mzvkit.words import HARMONIC
+from mzvkit.words import E0, E1, HARMONIC, NcPoly
 
 PREC = 40
 MODULES = (words, regularization, stadic, associator)
@@ -53,7 +53,7 @@ def _batch() -> None:
     associator.check_smzv_routes(Index((2,)), (1, 1), PREC)
     associator.check_rsmzv_routes(Index((2,)), (1, 1), PREC)
     associator.check_refined_duality(Index((2,)), (1, 1), PREC)
-    associator.check_pair_convention(1, Index((1, 2)), HARMONIC, T, PREC)
+    regularization.Z_reg_full(NcPoly.from_word((E0, E1, E1, E0)), HARMONIC)
 
 
 def _same(a, b) -> bool:

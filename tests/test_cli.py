@@ -10,7 +10,7 @@ from mzvkit.cli import (
 )
 from mzvkit.indices import Index
 
-CFG = Config(prec=40, orders=(1, 1), cache_path="", workers=1)
+CFG = Config(prec=40, orders=(1, 1), cache_path="")
 
 
 def test_parse_examples():
@@ -154,7 +154,7 @@ def test_scan_and_eval():
 
 
 def test_cache_commands(tmp_path):
-    cfg = Config(prec=40, orders=(1, 1), cache_path=str(tmp_path / "c.txt"), workers=1)
+    cfg = Config(prec=40, orders=(1, 1), cache_path=str(tmp_path / "c.txt"))
     run(parse_command(["eval", "mzv", "(2)"]), cfg)
     code, text = run(parse_command(["cache", "save"]), cfg)
     assert code == 0 and "saved" in text
@@ -187,9 +187,9 @@ def test_cache_persists_across_invocations(tmp_path, monkeypatch):
 
 def test_config_file(tmp_path, monkeypatch):
     path = tmp_path / "cfg.txt"
-    path.write_text("prec=50\norders=1,3\nworkers=2\ncache_path=/tmp/x.txt\n")
+    path.write_text("prec=50\norders=1,3\ncache_path=/tmp/x.txt\n")
     cfg = load_config(str(path))
-    assert cfg.prec == 50 and cfg.orders == (1, 3) and cfg.workers == 2
+    assert cfg.prec == 50 and cfg.orders == (1, 3)
     assert cfg.cache_path == "/tmp/x.txt"
     monkeypatch.setenv("MZVKIT_CONFIG", str(path))
     assert load_config(None).prec == 50
@@ -207,6 +207,10 @@ def test_config_file(tmp_path, monkeypatch):
     badint.write_text("prec=forty\n")
     with pytest.raises(UsageError, match="bad value"):
         load_config(str(badint))
+    pool = tmp_path / "pool.txt"
+    pool.write_text("prec=50\nworkers=2\n")
+    with pytest.raises(UsageError, match="line 2: workers=2: scans run serially"):
+        load_config(str(pool))
     monkeypatch.setenv("MZVKIT_CONFIG", str(badint))
     assert main(["eval", "mzv", "(2)"]) == 2
     monkeypatch.delenv("MZVKIT_CONFIG")
@@ -245,7 +249,7 @@ def test_checks_call_the_function_bound_on_the_module_when_they_run(monkeypatch)
 
 def test_nan_value_in_the_store_fails_the_check(tmp_path, capsys):
     cfg = tmp_path / "config.txt"
-    cfg.write_text(f"cache_path={tmp_path / 'absent.txt'}\nworkers=1\n")
+    cfg.write_text(f"cache_path={tmp_path / 'absent.txt'}\n")
     saved = dict(numeric.CACHE.records)
     try:
         numeric.CACHE.put((2,), 40, "nan")
@@ -258,37 +262,30 @@ def test_nan_value_in_the_store_fails_the_check(tmp_path, capsys):
     assert re.search(r"residual=nan tol=\S+ FAIL$", out.strip())
 
 
-def test_scan_reports_a_serial_fallback_on_stderr(tmp_path, monkeypatch, capsys):
-    import concurrent.futures
-
-    def no_pool(*args, **kwargs):
-        raise OSError("no process pool here")
-
-    def scan(workers):
-        cfg = tmp_path / f"config{workers}.txt"
-        cfg.write_text(f"cache_path=\nworkers={workers}\n")
-        code = main(["scan", "stuffle", "(1)", "(2)", "--pmax", "40", "--config", str(cfg)])
-        return code, capsys.readouterr()
-
-    code, serial = scan(1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    assert scan(2) == (code, serial._replace(err="# scan ran serially: OSError: no process pool here\n"))
-    assert code == 0 and serial.err == ""
-    report = finite.scan_stuffle([((1,), (2,))], 40, 1, workers=2)
-    assert report.serial_reason == "OSError: no process pool here"
-    assert report.results == finite.scan_stuffle([((1,), (2,))], 40, 1).results
-    assert finite.scan_stuffle([((1,), (2,))], 40, 1).serial_reason == ""
+def test_a_config_may_name_only_the_one_worker_every_scan_uses(tmp_path, capsys):
+    cfg = tmp_path / "config.txt"
+    cfg.write_text("cache_path=\n")
+    assert vars(load_config(str(cfg))) == vars(Config(cache_path=""))
+    assert main(["scan", "stuffle", "(1)", "(2)", "--pmax", "40", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith("total,10,passed,10,failed,0\n") and err == ""
+    for value in ("2", "0"):
+        cfg.write_text(f"cache_path=\n\nworkers={value}\n")
+        assert main(["scan", "stuffle", "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"usage error: config line 3: workers={value}: ")
+        assert "scans run serially" in err
 
 
 def test_store_io_errors_exit_1_with_a_cache_error(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "config.txt"
-    cfg.write_text(f"cache_path={tmp_path}\nworkers=1\n")   # the store is a directory
+    cfg.write_text(f"cache_path={tmp_path}\n")   # the store is a directory
     assert main(["eval", "mzv", "(2)", "--config", str(cfg)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error[cache]: ") and "Is a directory" in err
     store = tmp_path / "store.txt"
     store.write_text("")
-    cfg.write_text(f"cache_path={store}\nworkers=1\n")
+    cfg.write_text(f"cache_path={store}\n")
 
     def no_save(path):
         raise OSError("disk full")
@@ -309,7 +306,7 @@ def test_a_malformed_store_record_is_reported_with_its_reason(tmp_path, capsys):
     store = tmp_path / "store.txt"
     store.write_text("k=1;prec=40;value=1.5\n")      # (1) is not admissible
     cfg = tmp_path / "config.txt"
-    cfg.write_text(f"cache_path={store}\nworkers=1\n")
+    cfg.write_text(f"cache_path={store}\n")
     saved = dict(numeric.CACHE.records)
     try:
         assert main(["eval", "mzv", "(2)", "--config", str(cfg)]) == 1
@@ -325,7 +322,7 @@ def test_only_a_scan_runs_without_reading_the_value_store(tmp_path, capsys):
     store = tmp_path / "store.txt"
     store.write_text("k=1;prec=40;value=1.5\n")      # every load of it fails
     cfg = tmp_path / "config.txt"
-    cfg.write_text(f"cache_path={store}\nworkers=1\n")
+    cfg.write_text(f"cache_path={store}\n")
     saved = dict(numeric.CACHE.records)
     try:
         assert main(["scan", "wolstenholme", "--pmax", "20", "--config", str(cfg)]) == 0

@@ -76,7 +76,7 @@ def transcript() -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "config.txt")
         with open(config, "w", encoding="utf-8") as fh:
-            fh.write("cache_path=\nworkers=1\n")
+            fh.write("cache_path=\n")
         for command in COMMANDS:
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
@@ -140,7 +140,7 @@ def test_every_check_returns_the_value_of_numeric_residual(monkeypatch):
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "config.txt")
         with open(config, "w", encoding="utf-8") as fh:
-            fh.write("cache_path=\nworkers=1\n")
+            fh.write("cache_path=\n")
         for command in checks:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(command.split() + ["--config", config]) == 0, command

@@ -178,12 +178,6 @@ def test_wolstenholme_small():
     assert len(r.results) == len([p for p in sieve_primes(500) if p >= 5])
 
 
-def test_parallel_matches_sequential():
-    seq = scan_stuffle([(Index((1,)), Index((2,)))], 80, 2, workers=1)
-    par = scan_stuffle([(Index((1,)), Index((2,)))], 80, 2, workers=2)
-    assert seq.results == par.results
-
-
 def test_csv_format():
     report = ScanReport("stuffle", "(1)x(1)",
                         results=[(5, True), (7, False)],
