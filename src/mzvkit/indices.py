@@ -183,16 +183,17 @@ def uplus(k: Index, l: Index) -> Index:
 
 
 class IndexCombination(LinearCombination):
-    """A finitely supported rational linear combination of indices."""
+    """A finitely supported rational linear combination of indices; whole
+    coefficients stay ints."""
 
     __slots__ = ()
 
-    def __init__(self, terms: dict[Index, Fraction] | None = None):
-        super().__init__({Index(idx): Fraction(c) for idx, c in (terms or {}).items()})
+    def __init__(self, terms: dict[Index, Fraction | int] | None = None):
+        super().__init__({Index(idx): c for idx, c in (terms or {}).items()})
 
     @classmethod
     def single(cls, k: Index, c: Fraction | int = 1) -> "IndexCombination":
-        return cls({Index(k): Fraction(c)})
+        return cls({Index(k): c})
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: (kv[0].weight, kv[0]))

@@ -410,6 +410,25 @@ def test_planted_dp_faults_fail_exactly_the_scans_that_see_them(monkeypatch, mut
         assert seen == ("FAIL" if command in failing else "PASS"), (mutation, command, seen)
 
 
+# the index grid of test_finite.test_dp_matches_bruteforce
+_DP_INDICES = [(1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 2), (2, 1, 2), (5,)]
+_DP_WINDOWS = list(itertools.product((5, 7, 11, 13), (1, 2), (0, 1, 3)))
+
+
+@pytest.mark.parametrize("mutation", sorted(SCAN_MUTATIONS))
+def test_planted_dp_faults_fail_the_dp_against_the_oracle(monkeypatch, mutation):
+    # one evaluator per (p, n, a) answers the whole grid, as in a scan: a memo
+    # keyed without the last entry is only seen once a column is reused
+    (owner, name, fault), _ = SCAN_MUTATIONS[mutation]
+    monkeypatch.setattr(owner, name, fault)
+    mismatches = 0
+    for p, n, a in _DP_WINDOWS:
+        sums = finite.WindowSums(p, n, a)
+        mismatches += sum(sums(k) != finite.finite_mzv_bruteforce(k, p, n, a)
+                          for k in _DP_INDICES)
+    assert mismatches > 0, mutation
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("\n".join(transcript()) + "\n", encoding="utf-8")
