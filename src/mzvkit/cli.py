@@ -310,8 +310,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     try:
-        # the persistent value store survives across invocations; a scan reads no value
-        if ast.verb != "scan" and cfg.cache_path and os.path.exists(cfg.cache_path):
+        # the persistent value store survives across invocations; a scan reads no
+        # value, and `cache clear` must also remove a store that does not load
+        if (ast.verb != "scan" and (ast.verb, ast.target) != ("cache", "clear")
+                and cfg.cache_path and os.path.exists(cfg.cache_path)):
             CACHE.load(cfg.cache_path)
         known = len(CACHE.records)
         code, text = run(ast, cfg)

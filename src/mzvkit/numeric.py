@@ -8,10 +8,12 @@ letters and reverses, which keeps every piece convergent exactly when the
 index is admissible.  Each piece is summed in Python-int fixed point and
 becomes an mpf once, at the end.
 
-Computed values are memoised as decimal strings keyed by (index, prec); a
-``ValueCache`` can persist them as one sorted record per line.  ``mzv``
-looks its string up in the store on every call but parses each string to
-an mpf only once.
+Computed values are memoised as decimal strings keyed by the key text of
+their record, ``k=2,1,3;prec=40``; a ``ValueCache`` can persist them as one
+sorted record per line.  A loaded record is kept as it is read: one pattern
+checks each line and accepts only the canonical form that ``save`` writes,
+so loading parses no number.  ``mzv`` looks its string up in the store on
+every call but parses each string to an mpf only once.
 
 ``residual`` is the one measure of every relation checker: the largest
 |lhs - rhs| over the entries of the difference.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 from fractions import Fraction
 from functools import cache
@@ -56,17 +59,41 @@ class CacheFormatError(ValueError):
     pass
 
 
+# A record exactly as ``save`` writes it: the key text (index parts >= 1
+# without leading zeros, the last >= 2; prec >= MIN_PREC = 15 without a
+# leading zero), then a decimal value, which cannot be NaN or infinite.
+_DECIMAL = r"-?[0-9]+(?:\.[0-9]*)?(?:e[-+]?[0-9]+)?"
+_RECORD = re.compile(r"(k=(?:(?:[1-9][0-9]*,)*(?:[2-9]|[1-9][0-9]+))?"
+                     rf";prec=(?:1[5-9]|[2-9][0-9]|[1-9][0-9]{{2,}}));value=({_DECIMAL})")
+
+
+def _key(k, prec: int) -> str:
+    """The key text of the record of (k, prec): ``k=2,1,3;prec=40``."""
+    return f"k={','.join(map(str, k))};prec={prec}"
+
+
+def _bad_record(line: str) -> str:
+    """Why a line that ``_RECORD`` refuses is not a record."""
+    fields = line.split(";")
+    if [field.partition("=")[0] for field in fields] != ["k", "prec", "value"]:
+        return "unknown field name"
+    if not re.fullmatch(_DECIMAL, fields[2][6:]):
+        return "value is not a finite decimal"
+    return "not a value that mzv stores"
+
+
 class ValueCache:
-    """Decimal-string store for (index, prec) -> value records."""
+    """Decimal-string store of ``mzv`` values, keyed by the key text of their
+    records (``k=2,1,3;prec=40``), so a loaded line is kept as it is read."""
 
     def __init__(self):
-        self.records: dict[tuple[tuple, int], str] = {}
+        self.records: dict[str, str] = {}
 
-    def get(self, k: tuple, prec: int) -> str | None:
-        return self.records.get((tuple(k), prec))
+    def get(self, k, prec: int) -> str | None:
+        return self.records.get(_key(k, prec))
 
-    def put(self, k: tuple, prec: int, value: str) -> None:
-        self.records[(tuple(k), prec)] = value
+    def put(self, k, prec: int, value: str) -> None:
+        self.records[_key(k, prec)] = value
 
     def clear(self) -> None:
         self.records.clear()
@@ -78,21 +105,11 @@ class ValueCache:
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    kpart, ppart, vpart = line.split(";")
-                    if kpart[:2] != "k=" or ppart[:5] != "prec=" or vpart[:6] != "value=":
-                        raise ValueError("unknown field name")
-                    kstr = kpart[2:]
-                    k = tuple(map(int, kstr.split(","))) if kstr else ()
-                    prec = int(ppart[5:])
-                    if k and (min(k) < 1 or k[-1] < 2) or prec < MIN_PREC:
-                        raise ValueError("not a value that mzv stores")
-                    value = vpart[6:]
-                    if not math.isfinite(float(value)):
-                        raise ValueError("value is not finite")
-                except ValueError as exc:
-                    raise CacheFormatError(f"line {lineno}: malformed cache record {line!r}: {exc}") from exc
-                self.records[(k, prec)] = value
+                match = _RECORD.fullmatch(line)
+                if match is None:
+                    raise CacheFormatError(
+                        f"line {lineno}: malformed cache record {line!r}: {_bad_record(line)}")
+                self.records[match[1]] = match[2]
                 count += 1
         return count
 
@@ -114,9 +131,11 @@ class ValueCache:
 
     def lines(self) -> list[str]:
         """The records in their file format, by weight, then index, then prec."""
-        items = sorted(self.records.items(), key=lambda kv: (sum(kv[0][0]), kv[0][0], kv[0][1]))
-        return [f"k={','.join(map(str, k))};prec={prec};value={value}"
-                for (k, prec), value in items]
+        def order(key: str):
+            parts, _, prec = key[2:].partition(";prec=")
+            k = tuple(map(int, parts.split(","))) if parts else ()
+            return sum(k), k, int(prec)
+        return [f"{key};value={self.records[key]}" for key in sorted(self.records, key=order)]
 
 
 CACHE = ValueCache()
@@ -164,7 +183,8 @@ def _mzv_compute(k: Index, prec: int) -> mpmath.mpf:
 
 
 def mzv(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:
-    """zeta(k) for an admissible index, with |error| <= 10^-prec."""
+    """zeta(k) for an admissible index, rounded to prec significant digits,
+    so |error| <= 10^(1-prec) |zeta(k)| (no guard digits are kept)."""
     k = Index(k)
     if not k.admissible:
         raise ValueError(f"index {k} is not admissible; the series diverges")
@@ -172,13 +192,12 @@ def mzv(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:
         raise ValueError(f"prec must be at least {MIN_PREC}")
     if k.depth == 0:
         return mp.mpf(1)
-    key = (tuple(k), prec)
-    cached = CACHE.get(*key)
+    cached = CACHE.get(k, prec)
     if cached is None:
         with mp.workdps(prec + _GUARD):
             value = _mzv_compute(k, prec)
             cached = mp.nstr(value, prec, strip_zeros=False)
-        CACHE.put(tuple(k), prec, cached)
+        CACHE.put(k, prec, cached)
     return _value_of(cached, prec)
 
 

@@ -333,10 +333,14 @@ def test_only_a_scan_runs_without_reading_the_value_store(tmp_path, capsys):
             assert main(argv + ["--config", str(cfg)]) == 1, argv
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error[cache]: line 1: malformed cache record")
+        assert store.read_text() == "k=1;prec=40;value=1.5\n"
+        # clearing is what a store that does not load needs
+        assert main(["cache", "clear", "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == ("cache cleared\n", "")
     finally:
         numeric.CACHE.records.clear()
         numeric.CACHE.records.update(saved)
-    assert store.read_text() == "k=1;prec=40;value=1.5\n"
+    assert not store.exists()
 
 
 def test_module_docstring_names_exactly_the_commands_and_options():

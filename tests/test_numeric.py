@@ -8,13 +8,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 
 from mzvkit import numeric
 from mzvkit.associator import NcSeries
 from mzvkit.indices import compositions
 from mzvkit.numeric import (
-    _GUARD, CACHE, CacheFormatError, ValueCache, _li_half, eval_zeta_poly,
+    _GUARD, CACHE, MIN_PREC, CacheFormatError, ValueCache, _li_half, eval_zeta_poly,
     mzv, mzv_star, pi_val, residual, to_mp, tolerance,
 )
 from mzvkit.rings import BiSeries, ZetaPoly
@@ -74,6 +75,17 @@ def test_against_mpmath_zeta():
             assert abs(mzv((k,), 40) - mp.zeta(k)) < mp.mpf(10) ** -38
 
 
+@pytest.mark.parametrize("prec", [15, 40, 100])
+def test_error_is_within_the_documented_bound(prec):
+    # a value is rounded to prec significant digits, so its error can pass
+    # 10^-prec (zeta(9) at prec 40 is off by 3.94e-40) but not 10^(1-prec) |zeta(k)|
+    with mp.workdps(prec + 30):
+        unit = mp.mpf(10) ** (1 - prec)
+        for n in range(2, 17):
+            assert abs(mzv((n,), prec) - mp.zeta(n)) <= unit * mp.zeta(n), n
+        assert abs(mzv((1, 2), prec) - mp.zeta(3)) <= unit * mp.zeta(3)
+
+
 def test_against_direct_summation():
     with mp.workdps(30):
         for k in [(2,), (3,), (1, 2), (2, 2), (1, 1, 3)]:
@@ -118,11 +130,63 @@ def test_cache_round_trip(tmp_path):
     assert lines[0].startswith("k=;prec=20")
 
 
-# Each record names a field wrongly or stores a value that is not finite.
+def test_the_golden_store_loads_as_it_was_saved(tmp_path):
+    text = GOLDEN_VALUES.read_text(encoding="utf-8")
+    cache = ValueCache()
+    assert cache.load(str(GOLDEN_VALUES)) == 149
+    cache.save(str(tmp_path / "store.txt"))
+    assert (tmp_path / "store.txt").read_text(encoding="utf-8") == text
+    for line in text.splitlines():
+        kpart, ppart, vpart = line.split(";")
+        k = tuple(int(part) for part in kpart[2:].split(","))
+        assert cache.get(k, int(ppart[5:])) == vpart[6:], line
+
+
+indices_at_prec = st.tuples(
+    st.lists(st.integers(1, 12), max_size=4).map(tuple).filter(lambda k: not k or k[-1] >= 2),
+    st.integers(MIN_PREC, 300))
+# decimal strings as mpmath prints them, exponent forms included
+decimals = st.builds(lambda m, e, digits: mp.nstr(mp.mpf(m) * mp.mpf(10) ** e, digits,
+                                                  strip_zeros=False),
+                     st.integers(-10**9, 10**9), st.integers(-80, 80), st.integers(1, 40))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.dictionaries(indices_at_prec, decimals, max_size=12))
+@example({((), 20): "1.0", ((2,), 40): "1.234e-50", ((1, 12), 15): "-6.02e+23"})
+def test_cache_round_trips_any_records(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("store") / "store.txt"
+    cache = ValueCache()
+    for (k, prec), value in records.items():
+        cache.put(k, prec, value)
+    assert cache.save(str(path)) == len(records)
+    loaded = ValueCache()
+    assert loaded.load(str(path)) == len(records)
+    assert loaded.lines() == cache.lines()
+    for (k, prec), value in records.items():
+        assert loaded.get(k, prec) == value
+
+
+def test_cache_skips_blank_lines_and_reads_crlf_line_ends(tmp_path):
+    path = tmp_path / "store.txt"
+    path.write_bytes(b"\r\nk=2;prec=40;value=1.6\r\n\n  \nk=3;prec=40;value=1.2\r\n")
+    cache = ValueCache()
+    assert cache.load(str(path)) == 2
+    assert cache.get((2,), 40) == "1.6" and cache.get((3,), 40) == "1.2"
+    path.write_bytes(b"k=2;prec=40;value=1.6\r\n\r\nk=02;prec=40;value=1.6\r\n")
+    with pytest.raises(CacheFormatError, match="line 3: malformed cache record 'k=02;"):
+        ValueCache().load(str(path))
+
+
+# Each record names a field wrongly, stores a value that is not a finite
+# decimal, or is not in the one form `cache save` writes.
 BAD_RECORDS = ["zz2;prec=40;value=1.5", "k=2;prec=40;value=nan", "k=2;prec=40;value=inf",
                # an index part below 1, a non-admissible index, prec below 15
                "k=0,2;prec=40;value=1.5", "k=1;prec=40;value=1.5", "k=2;prec=14;value=1.5",
-               "k=2,0;prec=-3;value=1.5"]
+               "k=2,0;prec=-3;value=1.5",
+               # leading zeros, a space, a digit separator
+               "k=02;prec=40;value=1.5", "k=2;prec=040;value=1.5", "k=2, 3;prec=40;value=1.5",
+               "k=2;prec=40;value=1_0"]
 
 
 def test_cache_parse_error(tmp_path):
