@@ -293,17 +293,6 @@ def rsmzv_remark_route(k: Index, orders: tuple[int, int], prec: int) -> BiSeries
         return _exp_st_grid(orders, prec) * num
 
 
-def rsmzv_star(k: Index, orders: tuple[int, int], prec: int) -> BiSeries:
-    k = Index(k)
-    if k.depth == 0:
-        raise ValueError("star values need a non-empty index")
-    with mp.workdps(prec + _GUARD):
-        out = BiSeries.constant(mp.mpf(0), *orders)
-        for l in coarsenings(k):
-            out += rsmzv(l, orders, prec)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # residual checkers
 # ---------------------------------------------------------------------------
@@ -385,8 +374,8 @@ def check_refined_duality(k: Index, orders: tuple[int, int], prec: int):
 
     Paddings by ones beyond the truncation orders multiply s or t past the
     grid, so the two generating functions are compared exactly on the grid.
-    The coarsenings of different paddings repeat indices, so each distinct
-    ``rsmzv`` value is computed once and summed where ``rsmzv_star`` would.
+    A padding's star value sums ``rsmzv`` over its coarsenings; paddings
+    share coarsenings, so each distinct ``rsmzv`` value is computed once.
     """
     k = Index(k)
     if k.depth == 0:

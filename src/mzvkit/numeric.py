@@ -6,7 +6,9 @@ a geometrically convergent nested series (ratio 1/2), so ``prec`` digits
 need about 3.33*prec terms.  The reflected upper piece swaps the two
 letters and reverses, which keeps every piece convergent exactly when the
 index is admissible.  Each piece is summed in Python-int fixed point and
-becomes an mpf once, at the end.
+becomes an mpf once, at the end.  Each nesting level is one pass over the
+level of the parent composition, held in a bounded memo, so pieces that
+share a prefix share its sums.
 
 Computed values are memoised as decimal strings keyed by the key text of
 their record, ``k=2,1,3;prec=40``; a ``ValueCache`` can persist them as one
@@ -26,7 +28,8 @@ import os
 import re
 import tempfile
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
+from itertools import accumulate, repeat
 
 import mpmath
 from mpmath import mp
@@ -141,6 +144,18 @@ class ValueCache:
 CACHE = ValueCache()
 
 
+def _bits(prec: int) -> int:
+    return math.ceil(math.log2(10) * (prec + _GUARD)) + 32
+
+
+@lru_cache(maxsize=32)
+def _level(comp: tuple, prec: int) -> list[int]:
+    """The innermost nesting level of ``comp`` at n = 1 .. N, in fixed point."""
+    parent, c = comp[:-1], comp[-1]
+    sums = accumulate(_level(parent, prec), initial=0) if parent else repeat(1 << _bits(prec))
+    return [s // n ** c for s, n in zip(sums, range(1, int(3.322 * (prec + 12)) + 17))]
+
+
 @cache
 def _li_half(comp: tuple, prec: int) -> mpmath.mpf:
     """Multiple polylogarithm of a composition at 1/2.
@@ -148,26 +163,22 @@ def _li_half(comp: tuple, prec: int) -> mpmath.mpf:
     Sum over 0 < n_1 < ... < n_q of 2^(-n_q) / prod n_j^(c_j), summed to
     N = ceil(3.33 (prec+12)) + 16 terms; the tail is below (N+2) 2^(1-N).
 
-    The sum runs in Python-int fixed point scaled by 2^bits: level j of the
-    nesting is the floor quotient of level j-1's prefix sum by n^(c_j), and
+    The sum runs in Python-int fixed point scaled by 2^bits.  Level j at n
+    (``_level``) is the floor quotient by n^(c_j) of level j-1's sum over
+    m < n, and level j-1 is the memoised level of the parent composition;
     2^(-n) is a right shift.  The floors lose at most N (q+1) units of
-    2^-bits, which 32 guard bits beyond prec + _GUARD digits absorb.
+    2^-bits, which 32 guard bits beyond prec + _GUARD digits absorb.  The
+    level memo keeps 32 lists, enough for the pieces of one index to reach
+    their parents; an unbounded memo is faster on a long cold table but
+    holds megabytes.  As a functools cache it is emptied with the others.
     """
     if not comp:
         return mp.mpf(1)
-    bits = math.ceil(math.log2(10) * (prec + _GUARD)) + 32
-    nterms = int(3.322 * (prec + 12)) + 16
-    one = 1 << bits
-    first, rest = comp[0], comp[1:]
-    pref = [0] * len(rest)      # pref[j]: sum of the level-j terms of all m < n
-    acc = 0
-    for n in range(1, nterms + 1):
-        term = one // n ** first
-        for j, c in enumerate(rest):
-            term, pref[j] = pref[j] // n ** c, pref[j] + term
-        acc += term >> n
+    for j in range(1, len(comp)):   # parents first, so no level recurses deeply
+        _level(comp[:j], prec)
+    acc = sum(term >> n for n, term in enumerate(_level(comp, prec), start=1))
     with mp.workdps(prec + _GUARD):
-        return mp.mpf((acc, -bits))
+        return mp.mpf((acc, -_bits(prec)))
 
 
 def _mzv_compute(k: Index, prec: int) -> mpmath.mpf:

@@ -10,11 +10,12 @@ from mzvkit.associator import (
     check_gamma_factor, check_independence_factor, check_refined_duality,
     check_rsmzv_routes, check_smzv_routes, check_t_part, check_three_cycle,
     check_two_cycle, phi, phi_ad, phi_kz,
-    phi_rs, rsmzv, rsmzv_star, smzv_via_assoc, _flanked_pairing,
+    phi_rs, rsmzv, smzv_via_assoc, _flanked_pairing,
 )
-from mzvkit.indices import Index
+from mzvkit.indices import Index, coarsenings
 from mzvkit.numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp, tolerance
 from mzvkit.regularization import Z_reg_full, _z_reg_full_word
+from mzvkit.rings import BiSeries
 from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, word_of_index
 
 TOL = tolerance(40)
@@ -33,6 +34,18 @@ def pair(series: NcSeries, u: NcPoly):
             raise TruncationError(f"word of length {len(w)} exceeds the degree bound {series.deg}")
         total += series.coeff(w) * to_mp(c)
     return total
+
+
+def rsmzv_star(k: Index, orders: tuple[int, int], prec: int) -> BiSeries:
+    """The refined symmetric star value: ``rsmzv`` summed over the coarsenings."""
+    k = Index(k)
+    if k.depth == 0:
+        raise ValueError("star values need a non-empty index")
+    with mp.workdps(prec + _GUARD):
+        out = BiSeries.constant(mp.mpf(0), *orders)
+        for l in coarsenings(k):
+            out += rsmzv(l, orders, prec)
+        return out
 
 
 def check_pair_convention(n: int, k: Index, product: str, T, prec: int):

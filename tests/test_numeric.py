@@ -1,5 +1,6 @@
 import math
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -19,7 +20,7 @@ from mzvkit.numeric import (
     mzv, mzv_star, pi_val, residual, to_mp, tolerance,
 )
 from mzvkit.rings import BiSeries, ZetaPoly
-from mzvkit.words import E0, E1
+from mzvkit.words import E0, E1, index_of_word, word_of_index
 
 GOLDEN_VALUES = Path(__file__).resolve().parent / "data" / "mzv_values.txt"
 # (largest weight, prec) of the golden value store
@@ -419,6 +420,7 @@ def test_values_match_the_golden_store(tmp_path):
 def test_li_half_against_closed_forms(prec):
     # Li_{1,...,1}(1/2) = log(2)^q / q!  and  Li_c(1/2) = polylog(c, 1/2)
     _li_half.cache_clear()
+    numeric._level.cache_clear()
     with mp.workdps(prec + _GUARD + 20):
         bound = mp.mpf(10) ** -(prec + _GUARD)
         for q in range(1, 7):
@@ -427,6 +429,53 @@ def test_li_half_against_closed_forms(prec):
         for c in range(1, 7):
             want = mp.polylog(c, mp.mpf(1) / 2)
             assert abs(_li_half((c,), prec) - want) < bound, c
+
+
+def _li_half_reference(comp, prec):
+    """The nested loop ``_li_half`` used before its levels were memoised: every
+    level of ``comp`` summed from scratch, one n at a time."""
+    if not comp:
+        return mp.mpf(1)
+    bits = math.ceil(math.log2(10) * (prec + _GUARD)) + 32
+    nterms = int(3.322 * (prec + 12)) + 16
+    one = 1 << bits
+    first, rest = comp[0], comp[1:]
+    pref = [0] * len(rest)      # pref[j]: sum of the level-j terms of all m < n
+    acc = 0
+    for n in range(1, nterms + 1):
+        term = one // n ** first
+        for j, c in enumerate(rest):
+            term, pref[j] = pref[j] // n ** c, pref[j] + term
+        acc += term >> n
+    with mp.workdps(prec + _GUARD):
+        return mp.mpf((acc, -bits))
+
+
+def split_compositions(k):
+    """The compositions whose polylogarithms ``_mzv_compute`` multiplies for ``k``."""
+    w = word_of_index(k)
+    for i in range(len(w) + 1):
+        yield tuple(index_of_word(w[:i]))
+        yield tuple(index_of_word(tuple(1 - a for a in reversed(w[i:]))))
+
+
+def test_li_half_levels_match_the_nested_loop():
+    # every piece of the weight <= 8 (prec 40) and <= 5 (prec 100) values, in
+    # sorted order and then shuffled, so the bounded level memo evicts parents
+    # and derives them again; and one composition deeper than Python's
+    # recursion limit
+    cases = sorted({(comp, prec) for max_weight, prec in ((8, 40), (5, 100))
+                    for k in admissible_indices(max_weight) for comp in split_compositions(k)}
+                   | {((1,) * 1200 + (2,), MIN_PREC)})
+    want = {case: _li_half_reference(*case)._mpf_ for case in cases}
+    misses = []
+    for order in (cases, random.Random(1).sample(cases, len(cases))):
+        _li_half.cache_clear()
+        numeric._level.cache_clear()
+        for comp, prec in order:
+            assert _li_half(comp, prec)._mpf_ == want[comp, prec], (comp, prec)
+        misses.append(numeric._level.cache_info().misses)
+    assert misses[1] > misses[0]
 
 
 if __name__ == "__main__":
