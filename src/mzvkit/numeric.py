@@ -36,7 +36,6 @@ from mpmath import mp
 
 from .indices import Index, coarsenings
 from .rings import LinearCombination, ZetaPoly
-from .words import index_of_word, word_of_index
 
 DEFAULT_PREC = 40
 MIN_PREC = 15
@@ -181,15 +180,30 @@ def _li_half(comp: tuple, prec: int) -> mpmath.mpf:
         return mp.mpf((acc, -_bits(prec)))
 
 
+def _prefixes(k: tuple) -> list[tuple]:
+    """The index of each prefix of k's word, shortest first: (), then
+    k[:j] + (m,) for each part k[j] and 1 <= m <= k[j]."""
+    return [()] + [k[:j] + (m,) for j, p in enumerate(k) for m in range(1, p + 1)]
+
+
+def _dual(k: tuple) -> tuple:
+    """The index whose word is k's word reversed with e0 and e1 swapped: each
+    part p of k, last first, adds p - 1 parts 1 and then 1 to the last part."""
+    parts: list[int] = []
+    for p in reversed(k):
+        parts += [1] * (p - 1)
+        parts[-1] += 1
+    return tuple(parts)
+
+
 def _mzv_compute(k: Index, prec: int) -> mpmath.mpf:
-    w = word_of_index(k)
-    n = len(w)
+    # the split of k's word w after i letters: the index of w[:i] and the
+    # index of the reflected w[i:], which is the dual's prefix of n - i letters
+    lower, upper = _prefixes(k), _prefixes(_dual(k))
     with mp.workdps(prec + _GUARD):
         total = mp.mpf(0)
-        for i in range(n + 1):
-            lower = w[:i]
-            upper = tuple(1 - a for a in reversed(w[i:]))
-            total += _li_half(index_of_word(lower), prec) * _li_half(index_of_word(upper), prec)
+        for head, tail in zip(lower, reversed(upper)):
+            total += _li_half(head, prec) * _li_half(tail, prec)
         return total
 
 

@@ -10,6 +10,9 @@ split positions i of
     (-1)^(weight of tail) * shifted(head; s, T1) * shifted(reverse tail; -t, T2)
 
 with values in ZetaPoly[T1,T2] coefficient grids truncated at (ms, mt).
+Shifted values are polynomials in T; the symmetric value renames T to T1
+in its head factor and to T2 in its tail factor, and a check at T = 0
+drops every monomial with a T-part.
 The tau-interpolated family weights each coarsening by tau^(drop in depth);
 tau = 0 is the plain value and tau = 1 the star value, the coarsening sum.
 
@@ -38,69 +41,49 @@ from .words import (
 )
 
 @cache
-def _zeta_reg_sym(k: Index, product: str, tsym: str | None) -> ZetaPoly:
-    """zeta(k;T) with the T symbol renamed to ``tsym`` (or set to 0)."""
-    p = zeta_reg(k, product)
-    if tsym == "T":
-        return p
-    return p.subst_tvars({"T": ZetaPoly.tvar(tsym) if tsym else 0})
-
-
-def shifted_mzv(k: Index, product: str, order: int, tsym: str | None = "T") -> BiSeries:
+def shifted_mzv(k: Index, product: str, order: int) -> BiSeries:
     """The shift deformation sum_n b(k;n) zeta(k+n;T) (-t)^wt(n) to t^order."""
-    return _shifted_mzv(k, product, order, tsym)
-
-
-@cache
-def _shifted_mzv(k: Index, product: str, order: int, tsym: str | None) -> BiSeries:
     k = Index(k)
     coeffs = []
     for n in range(order + 1):
         acc = ZetaPoly()
         for shift in compositions(n, k.depth):
-            acc.add_scaled(_zeta_reg_sym(oplus(k, shift), product, tsym), b_coeff(k, shift))
+            acc.add_scaled(zeta_reg(oplus(k, shift), product), b_coeff(k, shift))
         coeffs.append(acc * ((-1) ** n))
     return BiSeries(0, order, [coeffs])
 
 
-# The public cached names bind their default symbols before the lookup, so a
-# call that spells a default out shares the cache entry of one that omits it;
-# they expose the statistics of the cache behind them.
-shifted_mzv.cache_info = _shifted_mzv.cache_info
-shifted_mzv.cache_clear = _shifted_mzv.cache_clear
+def _t_renamed(series: BiSeries, name: str | None) -> BiSeries:
+    """``series`` with T renamed to ``name``, or with every T-symbol set to 0
+    when ``name`` is None.  A rename needs coefficients in T alone, as
+    ``shifted_mzv`` gives; each monomial keeps its zeta part and exponent."""
+    def rewrite(p: ZetaPoly) -> ZetaPoly:
+        return ZetaPoly({(zpart, ((name, tpart[0][1]),) if tpart else ()): c
+                         for (zpart, tpart), c in p.terms.items() if name or not tpart})
+    return series.map(rewrite)
 
 
-def shifted_mzv_star(k: Index, product: str, order: int, tsym: str | None = "T") -> BiSeries:
+def shifted_mzv_star(k: Index, product: str, order: int) -> BiSeries:
     """Coarsening sum of shifted values; 1 for the empty index."""
     out = BiSeries.constant(ZetaPoly(), 0, order)
     for l in coarsenings(Index(k)):
-        out += shifted_mzv(l, product, order, tsym)
+        out += shifted_mzv(l, product, order)
     return out
 
 
-def stadic_smzv(k: Index, product: str, orders: tuple[int, int],
-                t1sym: str | None = "T1", t2sym: str | None = "T2") -> BiSeries:
-    """Two-parameter symmetric value as a ZetaPoly grid over (s, t)."""
-    return _stadic_smzv(k, product, orders, t1sym, t2sym)
-
-
 @cache
-def _stadic_smzv(k: Index, product: str, orders: tuple[int, int],
-                 t1sym: str | None, t2sym: str | None) -> BiSeries:
+def stadic_smzv(k: Index, product: str, orders: tuple[int, int]) -> BiSeries:
+    """Two-parameter symmetric value as a ZetaPoly grid over (s, t)."""
     k = Index(k)
     ms, mt = orders
     out = BiSeries.constant(ZetaPoly(), ms, mt)
     for i in range(k.depth + 1):
         head, tail = split(k, i)
         sign = (-1) ** tail.weight
-        a = shifted_mzv(head, product, ms, t1sym)
-        b = shifted_mzv(reverse(tail), product, mt, t2sym).negate_t()
+        a = _t_renamed(shifted_mzv(head, product, ms), "T1")
+        b = _t_renamed(shifted_mzv(reverse(tail), product, mt), "T2").negate_t()
         out += BiSeries.from_outer(a, b).scale(sign)
     return out
-
-
-stadic_smzv.cache_info = _stadic_smzv.cache_info
-stadic_smzv.cache_clear = _stadic_smzv.cache_clear
 
 
 def stadic_smzv_star(k: Index, product: str, orders: tuple[int, int]) -> BiSeries:
@@ -195,14 +178,14 @@ def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
     for w, series in word.terms.items():
         combo = extract_combination(NcPoly.from_word(w))
         [(idx, sign)] = combo.terms.items()
-        value = stadic_smzv(idx, SHUFFLE, orders, None, None)
+        value = _t_renamed(stadic_smzv(idx, SHUFFLE, orders), None)
         lhs += (series.map(ZetaPoly.const) * value).scale(sign)
 
     rhs = BiSeries.constant(ZetaPoly(), ms, mt)
     for n in range(mt + 1):
         for shift in compositions(n, l.depth):
             idx = concat(k, reverse(oplus(l, shift)))
-            term = stadic_smzv(idx, SHUFFLE, orders, None, None).shift(0, n)
+            term = _t_renamed(stadic_smzv(idx, SHUFFLE, orders), None).shift(0, n)
             rhs += term.scale(b_coeff(l, shift))
     rhs = rhs.scale((-1) ** l.weight)
     return residual(lhs, rhs, prec)
@@ -299,7 +282,7 @@ def check_explicit_reg(k: Index, order: int, prec: int):
     """Shuffle-shifted value at T=0 as a split sum of harmonic-shifted values
     against the all-ones correction polynomials."""
     k = Index(k)
-    lhs = shifted_mzv(k, SHUFFLE, order, tsym=None)
+    lhs = _t_renamed(shifted_mzv(k, SHUFFLE, order), None)
     rhs = BiSeries.constant(ZetaPoly(), 0, order)
     for i in range(k.depth + 1):
         head, tail = split(k, i)

@@ -238,12 +238,18 @@ def _mzv_star_without_the_index_itself(k, prec):
     return sum(numeric.mzv(l, prec) for l in indices.coarsenings(k)[1:])
 
 
-_zeta_reg_sym = stadic._zeta_reg_sym
+_t_renamed = stadic._t_renamed
 
 
-def _zeta_reg_sym_negating_T2(k, product, tsym):
-    p = _zeta_reg_sym(k, product, tsym)
-    return p.subst_tvars({"T2": -1 * ZetaPoly.tvar("T2")}) if tsym == "T2" else p
+def _t_renamed_negating_T2(series, name):
+    out = _t_renamed(series, name)
+    if name != "T2":
+        return out
+    return out.map(lambda p: p.subst_tvars({"T2": -1 * ZetaPoly.tvar("T2")}))
+
+
+def _t_renamed_keeping_T_at_zero(series, name):
+    return _t_renamed(series, name) if name else series
 
 
 # planted fault -> the transcript checks that must FAIL under it; every other
@@ -263,7 +269,8 @@ def _zeta_reg_sym_negating_T2(k, product, tsym):
 # each word and build no series, so eps, subst and the NcSeries product reach
 # them only through a fault in the split sum.  The classical cyclic sum
 # formula alone sums numeric star values, and t-translation alone tells a
-# value of T2 - T1 from one of T1 + T2.
+# value of T2 - T1 from one of T1 + T2.  A zeroing that keeps the T terms
+# reaches only the two checks at T = 0, explicit-reg and shuffle, as measured.
 MUTATIONS = {
     "eps-without-sign": ((NcPoly, "eps", NcPoly.reverse), {"independence"}),
     "subst-unit-coefficients": ((NcPoly, "subst", _subst_unit_coefficients),
@@ -304,8 +311,10 @@ MUTATIONS = {
                               "gamma-factor", "harmonic", "reg", "shifted-harmonic", "shuffle"}),
     "star-without-the-index-itself": ((stadic, "mzv_star", _mzv_star_without_the_index_itself),
                                       {"csf"}),
-    "T2-with-wrong-sign": ((stadic, "_zeta_reg_sym", _zeta_reg_sym_negating_T2),
+    "T2-with-wrong-sign": ((stadic, "_t_renamed", _t_renamed_negating_T2),
                            {"t-translation"}),
+    "zeroing-keeps-T": ((stadic, "_t_renamed", _t_renamed_keeping_T_at_zero),
+                        {"explicit-reg", "shuffle"}),
 }
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from mzvkit import stadic
-from mzvkit.indices import EMPTY, Index
+from mzvkit.indices import EMPTY, Index, reverse, split
 from mzvkit.numeric import residual, tolerance
 from mzvkit.regularization import Z_reg_full
 from mzvkit.rings import BiSeries, ZetaPoly
@@ -201,15 +201,29 @@ def test_explicit_reg():
         assert check_explicit_reg(k, 2, 40) < TOL
 
 
-def test_default_symbols_share_one_cache_entry():
-    k = Index((2, 1))
-    stadic_smzv.cache_clear()
-    plain = stadic_smzv(k, HARMONIC, (1, 1))
-    assert stadic_smzv(k, HARMONIC, (1, 1), "T1", "T2") is plain
-    assert stadic_smzv(k, HARMONIC, (1, 1), t2sym="T2") is plain
-    assert stadic_smzv.cache_info().misses == 1
-    shifted_mzv.cache_clear()
-    plain = shifted_mzv(k, HARMONIC, 2)
-    assert shifted_mzv(k, HARMONIC, 2, "T") is plain
-    assert shifted_mzv(k, HARMONIC, 2, tsym="T") is plain
-    assert shifted_mzv.cache_info().misses == 1
+def test_symbols_are_renamed_and_zeroed_as_by_substitution():
+    # shifted values are in T; the symmetric value's head factor is in T1 and
+    # its tail factor in T2; a check at T = 0 drops every monomial with a T-part
+    T1, T2 = ZetaPoly.tvar("T1"), ZetaPoly.tvar("T2")
+    orders = (2, 2)
+    for k in [EMPTY, *all_nonempty_indices(5)]:
+        for product in (HARMONIC, SHUFFLE):
+            shifted_mzv.cache_clear()
+            shifted = shifted_mzv(k, product, 2)
+            assert shifted_mzv.cache_info().misses == 1
+            for name, image in (("T1", T1), ("T2", T2), (None, 0)):
+                assert stadic._t_renamed(shifted, name) == shifted.map(
+                    lambda p: p.subst_tvars({"T": image}))
+            stadic_smzv.cache_clear()
+            value = stadic_smzv(k, product, orders)
+            assert stadic_smzv.cache_info().misses == 1
+            assert stadic_smzv(k, product, orders) is value
+            assert stadic._t_renamed(value, None) == value.map(
+                lambda p: p.subst_tvars({"T1": 0, "T2": 0}))
+            expected = BiSeries.constant(ZetaPoly(), *orders)
+            for i in range(k.depth + 1):
+                head, tail = split(k, i)
+                a = shifted_mzv(head, product, 2).map(lambda p: p.subst_tvars({"T": T1}))
+                b = shifted_mzv(reverse(tail), product, 2).map(lambda p: p.subst_tvars({"T": T2}))
+                expected += BiSeries.from_outer(a, b.negate_t()).scale((-1) ** tail.weight)
+            assert value == expected
