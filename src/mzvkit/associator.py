@@ -15,7 +15,11 @@ letter-substituted and conjugated variants, the five-factor dressed series
 used for refined symmetric values, and the residual checkers for the cycle
 relations, the factorization identities and refined duality.  Each
 coefficient of phi sums the numbers Z_T(index) named by the shift formula
-of its word, each index evaluated once.
+of its word, each index evaluated once.  A non-admissible index takes its
+number from admissible values by the product recursion
+T Z_T(head) = Z_T((1) * head), for the shuffle or the harmonic product, so
+no symbolic regularization is built here and the checks that compare phi
+with ``zeta_reg`` or ``stadic`` compare two independent routes.
 
 Symmetric values read the flanked coefficients e0^i e_k e1 e0^j as an (s,t)
 grid.  The pairings (``rsmzv``, ``smzv_via_assoc`` and the duality built on
@@ -41,7 +45,9 @@ from .numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp
 from .regularization import gamma0_coeffs
 from .rings import BiSeries
 from .stadic import stadic_smzv
-from .words import E0, E1, HARMONIC, SHUFFLE, SWAP, NcPoly, Word, word_of_index
+from .words import (
+    E0, E1, HARMONIC, SHUFFLE, SWAP, NcPoly, Word, index_harmonic, index_shuffle, word_of_index,
+)
 
 
 # The real parameter at which the numeric series checks compare phi(T).
@@ -128,10 +134,21 @@ _PHI_RS_CACHE: dict[tuple[int, int], NcSeries] = {}
 
 @cache
 def _zeta_reg_value(k: Index, product: str, T, prec: int):
-    """The number Z_T(k), evaluated once per index.  ``zeta_reg`` is looked up
-    on its module, so a replacement there is the one evaluated."""
+    """The number Z_T(k), once per index, by the product recursion.
+
+    Z_T is an algebra homomorphism for either product with Z_T((1)) = T, so
+    T Z_T(head) = sum c_l Z_T(l) over the expansion of (1) * head, where
+    head = k[:-1].  k appears there with its number of trailing 1s as
+    coefficient, and every other l has fewer, so the recursion ends at
+    admissible indices, whose values are ``mzv``.
+    """
+    if k.admissible:
+        return mzv(k, prec)
+    head = Index(k[:-1])
+    terms = (index_shuffle if product == SHUFFLE else index_harmonic)(Index((1,)), head).terms
     with mp.workdps(prec + _GUARD):
-        return eval_zeta_poly(regularization.zeta_reg(k, product), {"T": to_mp(T)}, prec)
+        rest = sum(c * _zeta_reg_value(l, product, T, prec) for l, c in terms.items() if l != k)
+        return (to_mp(T) * _zeta_reg_value(head, product, T, prec) - rest) / terms[k]
 
 
 @cache
@@ -359,7 +376,9 @@ def check_rsmzv_routes(k: Index, orders: tuple[int, int], prec: int):
 
 
 def check_smzv_routes(k: Index, orders: tuple[int, int], prec: int):
-    """Direct harmonic symmetric value at T1 = T2 = 0 against the associator pairing."""
+    """Direct harmonic symmetric value at T1 = T2 = 0 against the associator
+    pairing: the first reads the symbolic ``zeta_reg``, the second the
+    product recursion, so the two routes are independent."""
     k = Index(k)
     with mp.workdps(prec + _GUARD):
         tvals = {"T1": to_mp(0), "T2": to_mp(0)}

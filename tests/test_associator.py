@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from mzvkit import associator
+from mzvkit import associator, numeric, regularization, stadic, words
 from mzvkit.associator import (
     IMG_SWAP, NcSeries, check_duality_assoc,
     check_gamma_factor, check_independence_factor, check_refined_duality,
@@ -255,12 +255,50 @@ def test_split_sum_coefficients_equal_the_series_products():
 
 
 def test_per_word_phi_equals_the_symbolic_value():
-    # per-index numbers summed by the shift formula against the symbolic sum
+    # the product recursion summed by the shift formula against the symbolic
+    # zeta_reg summed the same way: two independent routes to each coefficient
     for product in (HARMONIC, SHUFFLE):
         for T in (0, Fraction(7, 10)):
-            for w in _words(6):
+            for w in _words(8):
                 symbolic = eval_zeta_poly(_z_reg_full_word(w[::-1], product), {"T": T}, 40)
                 assert abs(associator._phi_coeff(w, product, T, 40) - symbolic) < 1e-45, w
+
+
+def _clear_caches():
+    associator._PHI_CACHE.clear()
+    associator._PHI_RS_CACHE.clear()
+    for module in (associator, stadic, regularization, numeric, words):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def test_the_associator_builds_no_symbolic_regularization():
+    _clear_caches()
+    with mp.workdps(60):
+        phi_kz(7, 40)
+        rsmzv(Index((1, 2)), (1, 1), 40)
+        assert check_two_cycle(5, 40) < TOL
+        for product in (HARMONIC, SHUFFLE):
+            assert check_t_part(product, Fraction(7, 10), 5, 40) < TOL
+    assert associator._zeta_reg_value.cache_info().misses > 0
+    assert regularization.zeta_reg.cache_info().misses == 0
+    assert regularization._decompose_word.cache_info().misses == 0
+
+
+def test_the_product_recursion_at_T():
+    T = Fraction(7, 10)
+    value = associator._zeta_reg_value
+    with mp.workdps(60):
+        t = to_mp(T)
+        for product in (HARMONIC, SHUFFLE):
+            assert abs(value(Index((1,)), product, T, 40) - t) < 1e-50
+        assert abs(value(Index((1, 1)), SHUFFLE, T, 40) - t ** 2 / 2) < 1e-50
+        assert abs(value(Index((1, 1)), HARMONIC, T, 40) - (t ** 2 - mzv((2,), 40)) / 2) < 1e-50
+        k = Index((2, 1, 1, 1, 1, 1, 1))        # six trailing 1s: divides by 6
+        for product in (HARMONIC, SHUFFLE):
+            symbolic = eval_zeta_poly(regularization.zeta_reg(k, product), {"T": T}, 40)
+            assert abs(value(k, product, T, 40) - symbolic) < 1e-45, product
 
 
 def test_rsmzv():

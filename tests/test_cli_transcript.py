@@ -14,6 +14,7 @@ Re-record the golden file (only when an output change is intended) with::
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import itertools
 import os
@@ -25,6 +26,7 @@ from math import factorial
 from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from mzvkit import associator, cli, finite, indices, numeric, regularization, rings, stadic, words
 from mzvkit.rings import BiSeries, ZetaPoly
@@ -252,16 +254,39 @@ def _t_renamed_keeping_T_at_zero(series, name):
     return _t_renamed(series, name) if name else series
 
 
+def _zeta_reg_value_faulted(k, product, T, prec, *, t_term=True, divide=True):
+    """The product recursion of ``associator._zeta_reg_value``, optionally
+    without its T Z_T(head) term or without its division by the coefficient
+    of k; it recurses through the planted name."""
+    if k.admissible:
+        return numeric.mzv(k, prec)
+    head = indices.Index(k[:-1])
+    expand = words.index_shuffle if product == words.SHUFFLE else words.index_harmonic
+    terms = expand(indices.Index((1,)), head).terms
+    value = associator._zeta_reg_value
+    with mp.workdps(prec + numeric._GUARD):
+        rest = sum(c * value(l, product, T, prec) for l, c in terms.items() if l != k)
+        top = (numeric.to_mp(T) * value(head, product, T, prec) if t_term else 0) - rest
+        return top / terms[k] if divide else top
+
+
 # planted fault -> the transcript checks that must FAIL under it; every other
 # check of the transcript must still PASS.  An entry names a check target
-# (every command of it FAILs) or one command, such as "reg (2,1,1,1)".  A
-# sign error in T reaches t-part, which alone sets phi at T against an
-# explicit function of T, and reg (2,1,1,1), whose rho(T^3) has a zeta(3)
-# term that changes sign.  The other associator checks hold for every T or
-# run at T = 0, rho commutes with T -> -T in the degrees <= 2 that
-# reg (2,1,1) reaches, and stadic reads zeta_reg through its own import of
-# the name, which the fault leaves alone.  The cycle identities hold degree
-# by degree, so a product that drops its top degree passes them.  A ZetaPoly
+# (every command of it FAILs) or one command, such as "reg (2,1,1,1)".  The
+# associator builds no symbolic regularization: its values Z_T(index) come
+# from the product recursion, so a fault in _decompose_word, z_of_h0 or
+# zeta_reg reaches the stadic and regularization checks, and the associator
+# only through the routes that set it against them (rsmzv-routes,
+# smzv-assoc).  A sign error in zeta_reg's T reaches only reg (2,1,1,1),
+# whose rho(T^3) has a zeta(3) term that changes sign: rho commutes with
+# T -> -T in the degrees <= 2 that reg (2,1,1) reaches, and stadic reads
+# zeta_reg through its own import of the name, which the fault leaves alone.
+# A recursion without its T Z_T(head) term computes Z_0 at every T, which only
+# t-part sees, since it alone sets phi at T against an explicit function of
+# T.  One without its division changes every value with two or more
+# trailing 1s, which the two pairings at (2) never read: no piece of their
+# words has two adjacent e1.  The cycle identities hold degree by degree, so
+# a product that drops its top degree passes them.  A ZetaPoly
 # product that keeps one factor's powers and drops the other's, whenever both
 # have some, fails the checks listed for it, as measured; most associator
 # checks multiply NcSeries over numbers and never build such a product.  The
@@ -298,14 +323,20 @@ MUTATIONS = {
                               {"harmonic", "rsmzv-routes", "shuffle"}),
     "decompose-without-factorial": ((regularization, "_decompose_word",
                                      _decompose_word_without_factorial),
-                                    {"explicit-reg", "reg", "t-part"}),
+                                    {"explicit-reg", "reg"}),
     "h0-symbol-without-sign": ((regularization, "z_of_h0", _z_of_h0_without_sign),
                                {"antipode", "csf-nonstar", "csf-shifted", "csf-star", "csf-tau",
-                                "duality", "duality-assoc", "explicit-reg", "gamma-factor",
-                                "harmonic", "independence", "reg", "rsmzv-routes",
-                                "shifted-harmonic", "three-cycle", "two-cycle"}),
+                                "explicit-reg", "harmonic", "reg", "rsmzv-routes",
+                                "shifted-harmonic", "smzv-assoc"}),
     "zeta-reg-plus-T": ((regularization, "zeta_reg", _zeta_reg_plus_T),
-                        {"reg (2,1,1,1)", "t-part"}),
+                        {"reg (2,1,1,1)"}),
+    "reg-value-without-T-term": ((associator, "_zeta_reg_value",
+                                  functools.partial(_zeta_reg_value_faulted, t_term=False)),
+                                 {"t-part"}),
+    "reg-value-without-division": ((associator, "_zeta_reg_value",
+                                    functools.partial(_zeta_reg_value_faulted, divide=False)),
+                                   {"duality", "duality-assoc", "gamma-factor", "independence",
+                                    "t-part", "three-cycle", "two-cycle"}),
     "merge-keeps-one-side": ((rings, "_merge_powers", lambda a, b: a or b),
                              {"antipode", "csf-nonstar", "csf-star", "csf-tau", "explicit-reg",
                               "gamma-factor", "harmonic", "reg", "shifted-harmonic", "shuffle"}),
