@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
 
-from .indices import Index, b_coeff, coarsenings, compositions, oplus
+from .indices import Index, coarsenings, shifts
 from .words import index_harmonic
 
 
@@ -195,8 +195,8 @@ def _check_shift_prime(p: int, n: int, k: Index, a: int) -> bool:
     rhs = 0
     for total in range(n):
         step = pow(-a * p, total, modulus)
-        for shift in compositions(total, k.depth):
-            rhs = (rhs + b_coeff(k, shift) * base(oplus(k, shift)) * step) % modulus
+        for l, b in shifts(k, total):
+            rhs = (rhs + b * base(l) * step) % modulus
     return WindowSums(p, n, a)(k) == rhs
 
 

@@ -3,9 +3,10 @@
 An index is a finite tuple of positive integers.  It is *admissible* when it
 is empty or its last entry is at least 2 (so the attached nested series
 converges).  This module holds the index type plus the combinatorial maps
-used everywhere else: reversal, splitting, componentwise shifts, Hoffman
-duality, coarsenings (comma-to-plus merges), cyclic rotations and the glued
-concatenation.
+used everywhere else: reversal, splitting, the componentwise shifts of a
+given total with their binomial weights (every shift sum runs over these),
+Hoffman duality, coarsenings (comma-to-plus merges), cyclic rotations and the
+glued concatenation.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .rings import LinearCombination
 
@@ -87,61 +88,31 @@ def concat(*indices: Iterable[int]) -> Index:
     return Index(out)
 
 
-def oplus(k: Index, n: tuple[int, ...]) -> Index:
-    """Componentwise sum of an index and a same-length tuple of shifts >= 0."""
-    if len(k) != len(n):
-        raise ValueError(f"shape mismatch: depth {len(k)} vs tuple length {len(n)}")
-    if any(m < 0 for m in n):
-        raise ValueError("shift entries must be nonnegative")
-    return Index(a + b for a, b in zip(k, n))
+def shifts(k: Index, n: int) -> list[tuple[Index, int]]:
+    """Every shift k + m with m >= 0 componentwise and |m| = n, paired with
+    its weight b(k; m) = prod C(k_i + m_i - 1, m_i); m_1 ascends first.
 
-
-def b_coeff(k: Index, n: tuple[int, ...]) -> int:
-    """Product of binomials C(k_i + n_i - 1, n_i) over the components."""
-    if len(k) != len(n):
-        raise ValueError(f"shape mismatch: depth {len(k)} vs tuple length {len(n)}")
-    out = 1
-    for a, b in zip(k, n):
-        if b < 0:
-            raise ValueError("shift entries must be nonnegative")
-        out *= comb(a + b - 1, b)
-    return out
-
-
-def compositions(total: int, length: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``length`` nonnegative integers summing to ``total``."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    if length == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, length - 1):
-            yield (first,) + rest
+    The empty index has the one shift () at n = 0 and none above.
+    """
+    partial = [((), 1, n)]      # (shifted parts so far, their weight, n left)
+    last = len(k) - 1
+    for i, a in enumerate(k):
+        partial = [(parts + (a + m,), b * comb(a + m - 1, m), left - m)
+                   for parts, b, left in partial
+                   for m in ((left,) if i == last else range(left + 1))]
+    return [(Index(parts), b) for parts, b, left in partial if left == 0]
 
 
 def hoffman_dual(k: Index) -> Index:
-    """Swap commas and pluses in the all-ones expansion of a non-empty index.
-
-    Writing k as 1+...+1 blocks separated by commas, the separators sit at
-    the partial sums of k; the dual takes the complementary separator set.
-    """
+    """Swap commas and pluses in the all-ones expansion of a non-empty index:
+    each comma of k adds 1 to the current part, and each part p of k then
+    appends p - 1 parts 1."""
     if len(k) == 0:
         raise ValueError("the empty index has no dual")
-    w = k.weight
-    cuts = set()
-    acc = 0
-    for p in k[:-1]:
-        acc += p
-        cuts.add(acc)
-    dual_cuts = sorted(set(range(1, w)) - cuts)
-    parts = []
-    prev = 0
-    for c in dual_cuts + [w]:
-        parts.append(c - prev)
-        prev = c
+    parts = [1] * k[0]
+    for p in k[1:]:
+        parts[-1] += 1
+        parts += [1] * (p - 1)
     return Index(parts)
 
 

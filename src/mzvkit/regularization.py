@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .indices import Index, b_coeff, compositions, oplus
+from .indices import Index, shifts
 from .numeric import residual
 from .rings import BiSeries, ZetaPoly
 from .words import (
@@ -132,7 +132,7 @@ def _shift_expansion(w: Word) -> tuple[tuple[Index, int], ...]:
         n += 1
     k = index_of_word(w[n:])
     sign = (-1) ** (n + k.depth)
-    return tuple((oplus(k, shift), sign * b_coeff(k, shift)) for shift in compositions(n, k.depth))
+    return tuple((l, sign * b) for l, b in shifts(k, n))
 
 
 @cache

@@ -29,8 +29,7 @@ from functools import cache
 from mpmath import mp
 
 from .indices import (
-    Index, IndexCombination, b_coeff, coarsenings, compositions, concat,
-    cyclic_class, oplus, reverse, split, uplus,
+    Index, IndexCombination, coarsenings, concat, cyclic_class, reverse, shifts, split, uplus,
 )
 from .numeric import _GUARD, mzv_star, residual
 from .regularization import R_poly, zeta_reg
@@ -47,8 +46,8 @@ def shifted_mzv(k: Index, product: str, order: int) -> BiSeries:
     coeffs = []
     for n in range(order + 1):
         acc = ZetaPoly()
-        for shift in compositions(n, k.depth):
-            acc.add_scaled(zeta_reg(oplus(k, shift), product), b_coeff(k, shift))
+        for l, b in shifts(k, n):
+            acc.add_scaled(zeta_reg(l, product), b)
         coeffs.append(acc * ((-1) ** n))
     return BiSeries(0, order, [coeffs])
 
@@ -183,10 +182,9 @@ def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
 
     rhs = BiSeries.constant(ZetaPoly(), ms, mt)
     for n in range(mt + 1):
-        for shift in compositions(n, l.depth):
-            idx = concat(k, reverse(oplus(l, shift)))
-            term = _t_renamed(stadic_smzv(idx, SHUFFLE, orders), None).shift(0, n)
-            rhs += term.scale(b_coeff(l, shift))
+        for m, b in shifts(l, n):
+            term = _t_renamed(stadic_smzv(concat(k, reverse(m)), SHUFFLE, orders), None)
+            rhs += term.shift(0, n).scale(b)
     rhs = rhs.scale((-1) ** l.weight)
     return residual(lhs, rhs, prec)
 

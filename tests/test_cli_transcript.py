@@ -22,7 +22,7 @@ import re
 import sys
 import tempfile
 from decimal import Decimal
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -67,6 +67,7 @@ COMMANDS = [
     "scan shift (2) --shift 1 --pmax 60 --pow 2",
     "scan wolstenholme --pmax 60",
     "scan shift (2,1) --shift 1 --pmax 60 --pow 2",
+    "scan shift (1,2) --shift 2 --pmax 60 --pow 3",
 ]
 
 _RESIDUAL = re.compile(r"residual=(\S+)")
@@ -254,6 +255,14 @@ def _t_renamed_keeping_T_at_zero(series, name):
     return _t_renamed(series, name) if name else series
 
 
+_shifts = indices.shifts
+
+
+def _shifts_with_power_weights(k, n):
+    """The shifts of k, each weighted by prod k_i^m_i in place of b(k; m)."""
+    return [(l, prod(a ** (b - a) for a, b in zip(k, l))) for l, _ in _shifts(k, n)]
+
+
 def _zeta_reg_value_faulted(k, product, T, prec, *, t_term=True, divide=True):
     """The product recursion of ``associator._zeta_reg_value``, optionally
     without its T Z_T(head) term or without its division by the coefficient
@@ -296,6 +305,12 @@ def _zeta_reg_value_faulted(k, product, T, prec, *, t_term=True, divide=True):
 # formula alone sums numeric star values, and t-translation alone tells a
 # value of T2 - T1 from one of T1 + T2.  A zeroing that keeps the T terms
 # reaches only the two checks at T = 0, explicit-reg and shuffle, as measured.
+# The shift weight prod k_i^m_i equals b(k; m) = prod C(k_i + m_i - 1, m_i)
+# wherever every m_i <= 1, so only a shift of total >= 2 sees it.  stadic and
+# regularization each bind ``shifts`` themselves, so it is planted in each:
+# in stadic it fails the checks listed for it, as measured; in regularization
+# it reaches only the phi coefficients (_shift_expansion), which the
+# associator checks listed for it read.
 MUTATIONS = {
     "eps-without-sign": ((NcPoly, "eps", NcPoly.reverse), {"independence"}),
     "subst-unit-coefficients": ((NcPoly, "subst", _subst_unit_coefficients),
@@ -346,6 +361,13 @@ MUTATIONS = {
                            {"t-translation"}),
     "zeroing-keeps-T": ((stadic, "_t_renamed", _t_renamed_keeping_T_at_zero),
                         {"explicit-reg", "shuffle"}),
+    "stadic-shift-power-weights": ((stadic, "shifts", _shifts_with_power_weights),
+                                   {"antipode", "csf-nonstar", "csf-shifted", "csf-star",
+                                    "csf-tau", "harmonic", "shifted-harmonic", "shuffle"}),
+    "regularization-shift-power-weights": ((regularization, "shifts",
+                                            _shifts_with_power_weights),
+                                           {"duality", "duality-assoc", "three-cycle",
+                                            "two-cycle"}),
 }
 
 
@@ -448,6 +470,18 @@ def test_planted_dp_faults_fail_exactly_the_scans_that_see_them(monkeypatch, mut
     assert set(verdicts) == set(_SCANS)
     for command, seen in verdicts.items():
         assert seen == ("FAIL" if command in failing else "PASS"), (mutation, command, seen)
+
+
+def test_a_wrong_shift_weight_fails_only_the_pow_3_shift_scan(monkeypatch):
+    # a scan at pow n sums the shifts of total < n, and prod k_i^m_i equals
+    # b(k; m) wherever every m_i <= 1: no pow-2 scan can tell the two apart
+    failing = {c for c in _SHIFT if c.endswith("--pow 3")}
+    assert failing
+    monkeypatch.setattr(finite, "shifts", _shifts_with_power_weights)
+    verdicts = _scan_verdicts()
+    assert set(verdicts) == set(_SCANS)
+    for command, seen in verdicts.items():
+        assert seen == ("FAIL" if command in failing else "PASS"), (command, seen)
 
 
 # the index grid of test_finite.test_dp_matches_bruteforce

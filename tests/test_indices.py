@@ -1,10 +1,12 @@
-import pytest
+import itertools
 from fractions import Fraction
+from math import comb, prod
+
+import pytest
 
 from mzvkit.indices import (
-    EMPTY, Index, IndexCombination, b_coeff, coarsenings, compositions,
-    concat, cyclic_class, hoffman_dual, oplus, parse_index, reverse, split,
-    uplus,
+    EMPTY, Index, IndexCombination, coarsenings, concat, cyclic_class, hoffman_dual,
+    parse_index, reverse, shifts, split, uplus,
 )
 
 
@@ -56,16 +58,25 @@ def test_split():
             assert concat(head, tail) == k
 
 
-def test_oplus_and_b_coeff():
-    assert oplus(Index((1, 2)), (0, 3)) == Index((1, 5))
-    assert b_coeff(Index((2,)), (1,)) == 2
-    assert b_coeff(Index((1, 2)), (2, 1)) == 2  # C(2,2)*C(2,1)
-    with pytest.raises(ValueError):
-        oplus(Index((1, 2)), (1,))
-    with pytest.raises(ValueError):
-        b_coeff(Index((1,)), (1, 1))
-    for k in all_indices(5, 1):
-        assert b_coeff(k, (0,) * k.depth) == 1
+def test_shifts():
+    assert shifts(Index((1, 2)), 3)[3] == (Index((4, 2)), 1)
+    assert shifts(Index((1, 2)), 3)[1] == (Index((2, 4)), 3)    # C(1,1)*C(3,2)
+    assert shifts(EMPTY, 0) == [(EMPTY, 1)]
+    assert all(shifts(EMPTY, n) == [] for n in range(1, 6))
+    for k in all_indices(6, 1):
+        if k.depth > 4:
+            continue
+        d = k.depth
+        for n in range(6):
+            # every m >= 0 with |m| = n, m_1 ascending first, and its weight
+            want = [(Index(a + b for a, b in zip(k, m)),
+                     prod(comb(a + b - 1, b) for a, b in zip(k, m)))
+                    for m in itertools.product(range(n + 1), repeat=d) if sum(m) == n]
+            got = shifts(k, n)
+            assert got == want, (k, n)
+            assert all(type(l) is Index for l, _ in got)
+            assert len(got) == comb(n + d - 1, d - 1)
+            assert sum(b for _, b in got) == comb(k.weight + n - 1, n)
 
 
 def test_hoffman_dual():
@@ -110,13 +121,6 @@ def test_uplus():
     assert uplus(Index((1, 2)), Index((3, 4))) == Index((1, 5, 4))
     with pytest.raises(ValueError):
         uplus(EMPTY, Index((1,)))
-
-
-def test_compositions():
-    assert list(compositions(0, 0)) == [()]
-    assert list(compositions(2, 0)) == []
-    assert sorted(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
-    assert len(list(compositions(4, 3))) == 15
 
 
 def test_parse_and_render():

@@ -14,7 +14,7 @@ from mpmath import mp
 
 from mzvkit import numeric
 from mzvkit.associator import NcSeries
-from mzvkit.indices import compositions
+from mzvkit.indices import Index, shifts
 from mzvkit.numeric import (
     _GUARD, CACHE, MIN_PREC, CacheFormatError, ValueCache, _li_half, eval_zeta_poly,
     mzv, mzv_star, pi_val, residual, to_mp, tolerance,
@@ -388,9 +388,8 @@ def admissible_indices(max_weight):
     """Every admissible index of weight 2 .. max_weight."""
     for weight in range(2, max_weight + 1):
         for depth in range(1, weight):
-            for shift in compositions(weight - depth, depth):
-                k = tuple(1 + a for a in shift)
-                if k[-1] >= 2:
+            for k, _ in shifts(Index((1,) * depth), weight - depth):
+                if k.admissible:
                     yield k
 
 

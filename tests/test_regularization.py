@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mzvkit.indices import EMPTY, Index, compositions
+from mzvkit.indices import EMPTY, Index, shifts
 from mzvkit.numeric import residual, tolerance
 from mzvkit.regularization import (
     R_poly, RegDecomposition, Z_reg_full, check_reg_theorem,
@@ -76,8 +76,8 @@ def test_zeta_reg_keeps_whole_coefficients_as_ints():
     def whole(p):
         return [c for c in p.terms.values() if isinstance(c, Fraction) and c.denominator == 1]
 
-    indices = [Index(tuple(1 + n for n in shift)) for weight in range(1, 7)
-               for depth in range(1, weight + 1) for shift in compositions(weight - depth, depth)]
+    indices = [k for weight in range(1, 7) for depth in range(1, weight + 1)
+               for k, _ in shifts(Index((1,) * depth), weight - depth)]
     assert len(indices) == 63
     for k in indices:
         for product in (HARMONIC, SHUFFLE):
