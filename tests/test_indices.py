@@ -79,6 +79,26 @@ def test_shifts():
             assert sum(b for _, b in got) == comb(k.weight + n - 1, n)
 
 
+def test_compositions():
+    # the shift vectors m = l - k of shifts(k, n) are the compositions of n
+    # into depth(k) nonnegative parts
+    def ms(k, n):
+        return [tuple(b - a for a, b in zip(k, l)) for l, _ in shifts(k, n)]
+    assert shifts(EMPTY, 0) == [(EMPTY, 1)]
+    assert shifts(EMPTY, 2) == []
+    assert sorted(ms(Index((1, 1)), 2)) == [(0, 2), (1, 1), (2, 0)]
+    assert len(ms(Index((1, 1, 1)), 4)) == 15
+
+
+def test_oplus_and_b_coeff():
+    # each shift k + m comes with its weight b(k; m) = prod C(k_i + m_i - 1, m_i)
+    assert (Index((1, 5)), 4) in shifts(Index((1, 2)), 3)   # C(0,0)*C(4,3)
+    assert shifts(Index((2,)), 1) == [(Index((3,)), 2)]
+    assert (Index((3, 3)), 2) in shifts(Index((1, 2)), 3)   # C(2,2)*C(2,1)
+    for k in all_indices(5, 1):
+        assert shifts(k, 0) == [(k, 1)]
+
+
 def test_hoffman_dual():
     assert hoffman_dual(Index((2,))) == Index((1, 1))
     assert hoffman_dual(Index((1, 1, 1))) == Index((3,))
