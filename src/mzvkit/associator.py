@@ -40,14 +40,12 @@ from math import factorial
 from mpmath import mp
 
 from . import regularization
-from .indices import Index, coarsenings, hoffman_dual
+from .indices import Index, coarsenings, hoffman_dual, stuffle
 from .numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp
 from .regularization import gamma0_coeffs
 from .rings import BiSeries
 from .stadic import stadic_smzv
-from .words import (
-    E0, E1, HARMONIC, SHUFFLE, SWAP, NcPoly, Word, index_harmonic, index_shuffle, word_of_index,
-)
+from .words import E0, E1, HARMONIC, SHUFFLE, SWAP, NcPoly, Word, word_of_index
 
 
 # The real parameter at which the numeric series checks compare phi(T).
@@ -132,20 +130,32 @@ _PHI_CACHE: dict[tuple, NcSeries] = {}
 _PHI_RS_CACHE: dict[tuple[int, int], NcSeries] = {}
 
 
+def _shuffle_one(head: Index) -> dict[Index, int]:
+    """(1) sh head on indices: e1 goes in at each letter position of the word
+    of head, which prepends a part 1 or splits a part p into (m + 1, p - m)."""
+    out = {Index((1,) + head): 1}
+    for i, p in enumerate(head):
+        for m in range(p):
+            l = Index(head[:i] + (m + 1, p - m) + head[i + 1:])
+            out[l] = out.get(l, 0) + 1
+    return out
+
+
 @cache
 def _zeta_reg_value(k: Index, product: str, T, prec: int):
     """The number Z_T(k), once per index, by the product recursion.
 
     Z_T is an algebra homomorphism for either product with Z_T((1)) = T, so
     T Z_T(head) = sum c_l Z_T(l) over the expansion of (1) * head, where
-    head = k[:-1].  k appears there with its number of trailing 1s as
-    coefficient, and every other l has fewer, so the recursion ends at
-    admissible indices, whose values are ``mzv``.
+    head = k[:-1], taken on indices (``_shuffle_one`` or ``stuffle``).  k
+    appears there with its number of trailing 1s as coefficient, and every
+    other l has fewer, so the recursion ends at admissible indices, whose
+    values are ``mzv``.
     """
     if k.admissible:
         return mzv(k, prec)
     head = Index(k[:-1])
-    terms = (index_shuffle if product == SHUFFLE else index_harmonic)(Index((1,)), head).terms
+    terms = _shuffle_one(head) if product == SHUFFLE else dict(stuffle((1,), head))
     with mp.workdps(prec + _GUARD):
         rest = sum(c * _zeta_reg_value(l, product, T, prec) for l, c in terms.items() if l != k)
         return (to_mp(T) * _zeta_reg_value(head, product, T, prec) - rest) / terms[k]

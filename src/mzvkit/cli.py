@@ -123,8 +123,8 @@ OPTIONS = {
     "--prec": (partial(_integer, low=MIN_PREC), None),
     "--tau": (_tau, Fraction(1, 2)),
     "--pmax": (_integer, 100),
-    "--pow": (_integer, 1),
-    "--shift": (_integer, 1),
+    "--pow": (partial(_integer, low=1), 1),
+    "--shift": (partial(_integer, low=1), 1),
     "--deg": (partial(_integer, low=1), 4),
     "--config": (str, None),
 }

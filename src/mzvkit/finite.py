@@ -19,11 +19,9 @@ in its CSV row, never an exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
 from itertools import accumulate
 
-from .indices import Index, coarsenings, shifts
-from .words import index_harmonic
+from .indices import Index, coarsenings, shifts, stuffle
 
 
 def sieve_primes(limit: int) -> list[int]:
@@ -171,19 +169,10 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-@cache
-def _stuffle_expansion(k: Index, l: Index) -> tuple:
-    """Integer expansion of the index-level stuffle product."""
-    out = tuple(index_harmonic(k, l).terms.items())
-    if not all(isinstance(c, int) for _, c in out):
-        raise AssertionError("stuffle structure constants must be integers")
-    return out
-
-
 def _check_stuffle_prime(p: int, n: int, pairs: list[tuple[Index, Index]]) -> bool:
     val = WindowSums(p, n)
     for k, l in pairs:
-        rhs = sum(val(idx) * c for idx, c in _stuffle_expansion(k, l))
+        rhs = sum(val(idx) * c for idx, c in stuffle(k, l))
         if (val(k) * val(l) - rhs) % val.modulus:
             return False
     return True

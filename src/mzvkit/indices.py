@@ -5,14 +5,17 @@ is empty or its last entry is at least 2 (so the attached nested series
 converges).  This module holds the index type plus the combinatorial maps
 used everywhere else: reversal, splitting, the componentwise shifts of a
 given total with their binomial weights (every shift sum runs over these),
-Hoffman duality, coarsenings (comma-to-plus merges), cyclic rotations and the
-glued concatenation.
+the stuffle (harmonic) product of two indices (every stuffle in mzvkit,
+the word-level harmonic product included, reads it), Hoffman duality,
+coarsenings (comma-to-plus merges), cyclic rotations and the glued
+concatenation.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import cache
 from math import comb
 from typing import Iterable
 
@@ -101,6 +104,21 @@ def shifts(k: Index, n: int) -> list[tuple[Index, int]]:
                    for parts, b, left in partial
                    for m in ((left,) if i == last else range(left + 1))]
     return [(Index(parts), b) for parts, b, left in partial if left == 0]
+
+
+@cache
+def stuffle(k: Index, l: Index) -> tuple[tuple[Index, int], ...]:
+    """The stuffle k * l as (index, coefficient) pairs, by the recursion on
+    last parts (k,a) * (l,b) = (k * (l,b), a) + ((k,a) * l, b) + (k * l, a+b)."""
+    if not k or not l:
+        return ((Index(k or l), 1),)
+    out: dict[Index, int] = {}
+    for terms, last in ((stuffle(k[:-1], l), k[-1]), (stuffle(k, l[:-1]), l[-1]),
+                        (stuffle(k[:-1], l[:-1]), k[-1] + l[-1])):
+        for m, c in terms:
+            m = Index(m + (last,))
+            out[m] = out.get(m, 0) + c
+    return tuple(out.items())
 
 
 def hoffman_dual(k: Index) -> Index:

@@ -29,15 +29,12 @@ from functools import cache
 from mpmath import mp
 
 from .indices import (
-    Index, IndexCombination, coarsenings, concat, cyclic_class, reverse, shifts, split, uplus,
+    Index, coarsenings, concat, cyclic_class, reverse, shifts, split, stuffle, uplus,
 )
 from .numeric import _GUARD, mzv_star, residual
 from .regularization import R_poly, zeta_reg
 from .rings import BiSeries, ZetaPoly
-from .words import (
-    HARMONIC, SHUFFLE, NcPoly, embed, extract_combination, index_harmonic,
-    lift_biseries, shuffle_shifted,
-)
+from .words import HARMONIC, SHUFFLE, embed, index_of_word, lift_biseries, shuffle_shifted
 
 @cache
 def shifted_mzv(k: Index, product: str, order: int) -> BiSeries:
@@ -101,10 +98,10 @@ def stadic_smzv_tau(k: Index, tau: Fraction, product: str, orders: tuple[int, in
     return out
 
 
-def stadic_of_combination(combo: IndexCombination, product: str,
-                          orders: tuple[int, int]) -> BiSeries:
+def stadic_of_combination(terms, product: str, orders: tuple[int, int]) -> BiSeries:
+    """The symmetric value of a combination given as (index, coefficient) pairs."""
     out = BiSeries.constant(ZetaPoly(), *orders)
-    for idx, c in combo.terms.items():
+    for idx, c in terms:
         out += stadic_smzv(idx, product, orders).scale(c)
     return out
 
@@ -133,7 +130,7 @@ def _require_weight_gt_depth(k: Index) -> None:
 def check_harmonic(k: Index, l: Index, orders: tuple[int, int], prec: int):
     """Stuffle multiplicativity of the two-parameter symmetric values."""
     k, l = Index(k), Index(l)
-    lhs = stadic_of_combination(index_harmonic(k, l), HARMONIC, orders)
+    lhs = stadic_of_combination(stuffle(k, l), HARMONIC, orders)
     rhs = stadic_smzv(k, HARMONIC, orders) * stadic_smzv(l, HARMONIC, orders)
     return residual(lhs, rhs, prec)
 
@@ -142,7 +139,7 @@ def check_shifted_harmonic(k: Index, l: Index, order: int, prec: int):
     """Stuffle multiplicativity of the shifted values."""
     k, l = Index(k), Index(l)
     lhs = BiSeries.constant(ZetaPoly(), 0, order)
-    for idx, c in index_harmonic(k, l).terms.items():
+    for idx, c in stuffle(k, l):
         lhs += shifted_mzv(idx, HARMONIC, order).scale(c)
     rhs = shifted_mzv(k, HARMONIC, order) * shifted_mzv(l, HARMONIC, order)
     return residual(lhs, rhs, prec)
@@ -165,8 +162,8 @@ def check_antipode(k: Index, order: int, prec: int):
 def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
     """Shifted-shuffle relation, with both parameters at T = 0.
 
-    The left side transports the word-level s-shifted shuffle of the two
-    signed words back to indices and applies the symmetric value linearly;
+    The left side reads each word of the s-shifted shuffle of the two signed
+    words as its signed index and applies the symmetric value linearly;
     the right side is the binomially shifted concatenation sum.
     """
     l, k = Index(l), Index(k)
@@ -175,10 +172,9 @@ def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
                            lift_biseries(embed(k), orders), orders)
     lhs = BiSeries.constant(ZetaPoly(), ms, mt)
     for w, series in word.terms.items():
-        combo = extract_combination(NcPoly.from_word(w))
-        [(idx, sign)] = combo.terms.items()
+        idx = index_of_word(w)
         value = _t_renamed(stadic_smzv(idx, SHUFFLE, orders), None)
-        lhs += (series.map(ZetaPoly.const) * value).scale(sign)
+        lhs += (series.map(ZetaPoly.const) * value).scale((-1) ** idx.depth)
 
     rhs = BiSeries.constant(ZetaPoly(), ms, mt)
     for n in range(mt + 1):

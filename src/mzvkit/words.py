@@ -13,7 +13,9 @@ and ``reverse`` are its letter maps.  ``subst`` runs position by position, so
 words that agree after a letter is replaced are summed before the next letter
 expands.  The harmonic (quasi-shuffle) and shuffle products are the bilinear
 maps :func:`harmonic` and :func:`shuffle`, with integer structure constants
-computed once per word pair and cached.
+computed once per word pair and cached.  The harmonic constants are those of
+``indices.stuffle``, where the stuffle recursion lives, carried through the
+signed embedding.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
-from .indices import Index, IndexCombination, coarsenings, reverse
+from .indices import Index, IndexCombination, coarsenings, reverse, stuffle
 from .rings import BiSeries, LinearCombination
 
 E0 = 0
@@ -197,36 +199,13 @@ def _shuffle_words(w1: Word, w2: Word) -> tuple:
     return tuple(sorted(out.items()))
 
 
-def _last_block(w: Word) -> tuple[Word, int]:
-    """Split an H1 word as (head, k) where the word ends in e1 e0^(k-1)."""
-    i = len(w) - 1
-    while w[i] == E0:
-        i -= 1
-    return w[:i], len(w) - i
-
-
 @cache
 def _harmonic_words(w1: Word, w2: Word) -> tuple:
-    """Quasi-shuffle structure constants for two H1 words.
-
-    Recursion on the last index blocks:
-    u.B(k) * v.B(l) = (u.B(k) * v).B(l) + (u * v.B(l)).B(k) - (u * v).B(k+l).
-    """
-    if not w1:
-        return ((w2, 1),)
-    if not w2:
-        return ((w1, 1),)
-    if w2 < w1:
-        w1, w2 = w2, w1
-    u1, k = _last_block(w1)
-    u2, l = _last_block(w2)
-    out = NcPoly()
-    for terms, suffix_k, sign in ((_harmonic_words(w1, u2), l, 1),
-                                  (_harmonic_words(u1, w2), k, 1),
-                                  (_harmonic_words(u1, u2), k + l, -1)):
-        suffix = (E1,) + (E0,) * (suffix_k - 1)
-        out._accumulate((w + suffix, sign * c) for w, c in terms)
-    return tuple(sorted(out.terms.items()))
+    """Quasi-shuffle structure constants for two H1 words: the stuffle of
+    their indices, signed as e_k * e_l = (-1)^(d_k+d_l) sum c (-1)^d_m e_m."""
+    k, l = index_of_word(w1), index_of_word(w2)
+    sign = (-1) ** (k.depth + l.depth)
+    return tuple(sorted((word_of_index(m), sign * (-1) ** m.depth * c) for m, c in stuffle(k, l)))
 
 
 def _bilinear(kernel, u: NcPoly, v: NcPoly) -> NcPoly:
@@ -259,15 +238,6 @@ def product_fn(tag: str):
     if tag == SHUFFLE:
         return shuffle
     raise ValueError(f"unknown product tag {tag!r}")
-
-
-def index_harmonic(k: Index, l: Index) -> IndexCombination:
-    """The stuffle k * l as an index combination, via the signed embedding."""
-    return extract_combination(harmonic(embed(k), embed(l)))
-
-
-def index_shuffle(k: Index, l: Index) -> IndexCombination:
-    return extract_combination(shuffle(embed(k), embed(l)))
 
 
 # ---------------------------------------------------------------------------

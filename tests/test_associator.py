@@ -12,7 +12,7 @@ from mzvkit.associator import (
     check_two_cycle, phi, phi_ad, phi_kz,
     phi_rs, rsmzv, smzv_via_assoc, _flanked_pairing,
 )
-from mzvkit.indices import Index, coarsenings
+from mzvkit.indices import Index, coarsenings, stuffle
 from mzvkit.numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp, tolerance
 from mzvkit.regularization import Z_reg_full, _z_reg_full_word
 from mzvkit.rings import BiSeries
@@ -317,12 +317,10 @@ def test_rsmzv():
 def test_rsmzv_harmonic_relation():
     # exp(-(s+t) pi i/2) rsmzv((1)*(1)) = rsmzv((1))^2 at orders (1,1)
     from mzvkit.associator import _exp_st_grid
-    from mzvkit.words import index_harmonic
     with mp.workdps(60):
         orders = (1, 1)
-        combo = index_harmonic(Index((1,)), Index((1,)))
         acc = None
-        for idx, c in combo.terms.items():
+        for idx, c in stuffle(Index((1,)), Index((1,))):
             v = rsmzv(idx, orders, 40).scale(mp.mpf(int(c)))
             acc = v if acc is None else acc + v
         lhs = _exp_st_grid(orders, 40) * acc

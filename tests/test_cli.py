@@ -217,11 +217,14 @@ def test_config_file(tmp_path, monkeypatch):
 
 
 def test_degree_below_one_is_a_usage_error(capsys):
-    for target in ("two-cycle", "three-cycle", "duality-assoc", "t-part", "independence",
-                   "gamma-factor"):
-        for deg in ("-1", "0"):
-            assert main(["check", target, "--deg", deg]) == 2, (target, deg)
-            assert "--deg must be at least 1" in capsys.readouterr().err
+    # the modulus exponent and the window shift are refused in the same way
+    commands = [["check", target, "--deg"] for target in (
+        "two-cycle", "three-cycle", "duality-assoc", "t-part", "independence", "gamma-factor")]
+    commands += [["scan", "stuffle", "--pow"], ["scan", "shift", "(1)", "--shift"]]
+    for command in commands:
+        for value in ("-2", "-1", "0"):
+            assert main(command + [value]) == 2, (command, value)
+            assert f"{command[-1]} must be at least 1" in capsys.readouterr().err
 
 
 def test_scan_that_checked_no_prime_fails():

@@ -152,17 +152,21 @@ def test_every_check_returns_the_value_of_numeric_residual(monkeypatch):
         assert any(value is r for r in produced), name
 
 
-def _check_verdicts() -> dict[str, set[str]]:
+def _check_verdicts() -> dict[str, dict[str, str]]:
     """Each check command of the transcript, without its leading "check", ->
-    the set of its PASS/FAIL words."""
-    verdicts: dict[str, set[str]] = {}
+    {line: its PASS/FAIL word}.  The line of a one-line command is named by
+    the command; t-part prints one line per product, named "t-part harmonic"
+    and "t-part shuffle"."""
+    printed: dict[str, list[list[str]]] = {}
     command = None
     for line in transcript():
         if line.startswith("$ "):
             command = line[len("$ check "):] if line.startswith("$ check ") else None
         elif command and not line.startswith("exit="):
-            verdicts.setdefault(command, set()).add(line.split()[-1])
-    return verdicts
+            printed.setdefault(command, []).append(line.split())
+    return {command: {command: lines[0][-1]} if len(lines) == 1
+            else {f"{command.split()[0]} {words[1]}": words[-1] for words in lines}
+            for command, lines in printed.items()}
 
 
 _subst = NcPoly.subst
@@ -270,8 +274,10 @@ def _zeta_reg_value_faulted(k, product, T, prec, *, t_term=True, divide=True):
     if k.admissible:
         return numeric.mzv(k, prec)
     head = indices.Index(k[:-1])
-    expand = words.index_shuffle if product == words.SHUFFLE else words.index_harmonic
-    terms = expand(indices.Index((1,)), head).terms
+    if product == words.SHUFFLE:
+        terms = associator._shuffle_one(head)
+    else:
+        terms = dict(associator.stuffle((1,), head))
     value = associator._zeta_reg_value
     with mp.workdps(prec + numeric._GUARD):
         rest = sum(c * value(l, product, T, prec) for l, c in terms.items() if l != k)
@@ -279,9 +285,39 @@ def _zeta_reg_value_faulted(k, product, T, prec, *, t_term=True, divide=True):
         return top / terms[k] if divide else top
 
 
+_stuffle = indices.stuffle
+
+
+def _stuffle_without_merged_terms(k, l):
+    """The stuffle without its merged terms (k * l, a + b): only the terms
+    that keep every part of k and l."""
+    return tuple((m, c) for m, c in _stuffle(k, l) if len(m) == len(k) + len(l))
+
+
+_shuffle_one = associator._shuffle_one
+
+
+def _shuffle_one_without_the_prepended_part(head):
+    """(1) sh head without the e1 put in before the first letter of a
+    non-empty head; the empty head keeps its one term (1)."""
+    out = _shuffle_one(head)
+    if head:
+        out[(1,) + tuple(head)] -= 1
+    return out
+
+
+_stadic_smzv_tau = stadic.stadic_smzv_tau
+
+
+def _star_values_at_tau_0(k, tau, product, orders):
+    """The tau-interpolated value with every coarsening weighted by 1 at tau = 0."""
+    return _stadic_smzv_tau(k, tau or 1, product, orders)
+
+
 # planted fault -> the transcript checks that must FAIL under it; every other
 # check of the transcript must still PASS.  An entry names a check target
-# (every command of it FAILs) or one command, such as "reg (2,1,1,1)".  The
+# (every command of it FAILs), one command, such as "reg (2,1,1,1)", or one
+# line of t-part, such as "t-part shuffle".  The
 # associator builds no symbolic regularization: its values Z_T(index) come
 # from the product recursion, so a fault in _decompose_word, z_of_h0 or
 # zeta_reg reaches the stadic and regularization checks, and the associator
@@ -310,7 +346,16 @@ def _zeta_reg_value_faulted(k, product, T, prec, *, t_term=True, divide=True):
 # regularization each bind ``shifts`` themselves, so it is planted in each:
 # in stadic it fails the checks listed for it, as measured; in regularization
 # it reaches only the phi coefficients (_shift_expansion), which the
-# associator checks listed for it read.
+# associator checks listed for it read.  stadic, associator, words and finite
+# each bind ``stuffle`` too, so a stuffle without its merged terms is planted
+# in each (finite in its own scan test below): in stadic it reaches the two
+# stuffle checks; in associator only the harmonic phi, which gamma-factor and
+# independence read; in words the harmonic product of the symbolic
+# regularization, and so every check listed for it, as measured.  A (1) sh
+# head without its prepended part 1 changes every shuffle value Z_T(k) with a
+# trailing 1, which the associator checks listed for it read, the shuffle
+# line of t-part among them.  Only csf-nonstar and csf-tau at tau = 0 read the
+# symmetric values at tau = 0, so star values there fail only those two.
 MUTATIONS = {
     "eps-without-sign": ((NcPoly, "eps", NcPoly.reverse), {"independence"}),
     "subst-unit-coefficients": ((NcPoly, "subst", _subst_unit_coefficients),
@@ -368,6 +413,22 @@ MUTATIONS = {
                                             _shifts_with_power_weights),
                                            {"duality", "duality-assoc", "three-cycle",
                                             "two-cycle"}),
+    "stadic-stuffle-without-merged-terms": ((stadic, "stuffle", _stuffle_without_merged_terms),
+                                            {"harmonic", "shifted-harmonic"}),
+    "associator-stuffle-without-merged-terms": ((associator, "stuffle",
+                                                 _stuffle_without_merged_terms),
+                                                {"gamma-factor", "independence"}),
+    "words-stuffle-without-merged-terms": ((words, "stuffle", _stuffle_without_merged_terms),
+                                           {"antipode", "csf-nonstar", "csf-star", "csf-tau",
+                                            "explicit-reg", "harmonic", "reg",
+                                            "shifted-harmonic"}),
+    "shuffle-one-without-the-prepended-part": ((associator, "_shuffle_one",
+                                                _shuffle_one_without_the_prepended_part),
+                                               {"duality", "duality-assoc", "gamma-factor",
+                                                "independence", "rsmzv-routes", "t-part shuffle",
+                                                "three-cycle", "two-cycle"}),
+    "tau-0-reads-star-values": ((stadic, "stadic_smzv_tau", _star_values_at_tau_0),
+                                {"csf-nonstar", "csf-tau (2,1) --tau 0 --orders 2,2"}),
 }
 
 
@@ -394,10 +455,12 @@ def test_planted_faults_fail_exactly_the_checks_that_see_them(monkeypatch, mutat
         _clear_series_caches()
     targets = {command.split()[0] for command in verdicts}
     assert targets == set(cli.CHECKS)
-    assert failing <= targets | set(verdicts), failing - targets - set(verdicts)
-    for command, seen in verdicts.items():
-        fails = command in failing or command.split()[0] in failing
-        assert seen == ({"FAIL"} if fails else {"PASS"}), (mutation, command, seen)
+    names = targets | set(verdicts) | {line for lines in verdicts.values() for line in lines}
+    assert failing <= names, failing - names
+    for command, lines in verdicts.items():
+        for line, seen in lines.items():
+            fails = {line, command, command.split()[0]} & failing
+            assert seen == ("FAIL" if fails else "PASS"), (mutation, line, seen)
 
 
 def _scan_verdicts() -> dict[str, str]:
@@ -482,6 +545,16 @@ def test_a_wrong_shift_weight_fails_only_the_pow_3_shift_scan(monkeypatch):
     assert set(verdicts) == set(_SCANS)
     for command, seen in verdicts.items():
         assert seen == ("FAIL" if command in failing else "PASS"), (command, seen)
+
+
+def test_a_stuffle_without_merged_terms_fails_only_the_stuffle_scans(monkeypatch):
+    # the DP still agrees with the oracle under this fault, so it cannot be a
+    # SCAN_MUTATIONS entry (test_planted_dp_faults_fail_the_dp_against_the_oracle)
+    monkeypatch.setattr(finite, "stuffle", _stuffle_without_merged_terms)
+    verdicts = _scan_verdicts()
+    assert set(verdicts) == set(_SCANS)
+    for command, seen in verdicts.items():
+        assert seen == ("FAIL" if command in _STUFFLE else "PASS"), (command, seen)
 
 
 # the index grid of test_finite.test_dp_matches_bruteforce

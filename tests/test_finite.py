@@ -99,6 +99,15 @@ def test_dp_matches_bruteforce():
                     assert got == want, (ktup, p, n, a)
 
 
+def test_default_exponent_and_window():
+    # n = 1 and a = 0 by default: at (2,1) and p = 5, (n, a) = (1, 0), (2, 0)
+    # and (2, 1) give 4, 24 and 4 (star values 4, 19 and 14)
+    k, p = (2, 1), 5
+    for value in (finite_mzv, finite_mzv_star, finite_mzv_bruteforce):
+        assert value(k, p) == value(k, p, 1, 0) != value(k, p, 2, 0), value
+        assert value(k, p, 2) == value(k, p, 2, 0) != value(k, p, 2, 1), value
+
+
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 ENTRIES = st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple)
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -6,13 +7,13 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvkit.associator import NcSeries
-from mzvkit.indices import EMPTY, Index
+from mzvkit.associator import NcSeries, _shuffle_one
+from mzvkit.indices import EMPTY, Index, stuffle
 from mzvkit.rings import BiSeries
 from mzvkit.words import (
     E0, E1, SWAP, NcPoly, antipode, coproduct, embed, embed_combination,
-    extract_combination, geometric, harmonic, in_h0, in_h1, index_harmonic,
-    index_of_word, index_shuffle, lift_biseries, shuffle, shuffle_shifted,
+    extract_combination, geometric, harmonic, in_h0, in_h1,
+    index_of_word, lift_biseries, shuffle, shuffle_shifted,
     sigma_t, telescope_sides, word_of_index,
 )
 
@@ -62,6 +63,58 @@ def stuffle_index_oracle(k, l):
     add(l[0], stuffle_index_oracle(k, l[1:]))
     add(k[0] + l[0], stuffle_index_oracle(k[1:], l[1:]))
     return out
+
+
+def index_harmonic(k, l):
+    """The stuffle by the word route: multiply the signed words, read back."""
+    return extract_combination(harmonic(embed(k), embed(l)))
+
+
+def index_shuffle(k, l):
+    return extract_combination(shuffle(embed(k), embed(l)))
+
+
+def _last_block(w):
+    """Split an H1 word as (head, k) where the word ends in e1 e0^(k-1)."""
+    i = len(w) - 1
+    while w[i] == E0:
+        i -= 1
+    return w[:i], len(w) - i
+
+
+@functools.cache
+def harmonic_words_by_blocks(w1, w2):
+    """Signed quasi-shuffle of two H1 words by the recursion on last blocks,
+    independent of ``indices.stuffle``:
+    u.B(k) * v.B(l) = (u.B(k) * v).B(l) + (u * v.B(l)).B(k) - (u * v).B(k+l).
+    """
+    if not w1:
+        return {w2: 1}
+    if not w2:
+        return {w1: 1}
+    u1, k = _last_block(w1)
+    u2, l = _last_block(w2)
+    out = {}
+    for terms, suffix_k, sign in ((harmonic_words_by_blocks(w1, u2), l, 1),
+                                  (harmonic_words_by_blocks(u1, w2), k, 1),
+                                  (harmonic_words_by_blocks(u1, u2), k + l, -1)):
+        suffix = (E1,) + (E0,) * (suffix_k - 1)
+        for w, c in terms.items():
+            out[w + suffix] = out.get(w + suffix, 0) + sign * c
+    return {w: c for w, c in out.items() if c}
+
+
+def indices_up_to(weight):
+    """Every index of weight <= ``weight``, the empty one included."""
+    return [Index(p) for n in range(weight + 1) for p in _compositions(n)]
+
+
+def _compositions(n):
+    if n == 0:
+        yield ()
+    for first in range(1, n + 1):
+        for rest in _compositions(n - first):
+            yield (first,) + rest
 
 
 def subst_reference(u, images):
@@ -149,12 +202,32 @@ def test_shuffle_against_recursive_oracle():
 
 
 def test_stuffle_against_index_oracle():
-    ks = [Index((1,)), Index((2,)), Index((1, 1)), Index((2, 1)), Index((1, 2))]
+    # every pair of total weight <= 8, against the first-part recursion on
+    # indices and the signed last-block recursion on words
+    ks = indices_up_to(8)
+    pairs = 0
     for k in ks:
         for l in ks:
-            got = index_harmonic(k, l)
-            want = stuffle_index_oracle(tuple(k), tuple(l))
-            assert {i: int(c) for i, c in got.terms.items()} == want
+            if k.weight + l.weight > 8:
+                continue
+            pairs += 1
+            got = dict(stuffle(k, l))
+            assert all(type(c) is int for c in got.values())
+            assert got == stuffle_index_oracle(tuple(k), tuple(l)), (k, l)
+            by_blocks = harmonic_words_by_blocks(word_of_index(k), word_of_index(l))
+            sign = (-1) ** (k.depth + l.depth)
+            assert {index_of_word(w): sign * (-1) ** index_of_word(w).depth * c
+                    for w, c in by_blocks.items()} == got, (k, l)
+    assert pairs == 1280
+
+
+def test_shuffle_one_against_the_word_route():
+    # (1) sh head of the product recursion, for every head of weight <= 10
+    heads = indices_up_to(10)
+    assert len(heads) == 1024
+    for head in heads:
+        assert _shuffle_one(head) == extract_combination(
+            shuffle(embed(Index((1,))), embed(head))).terms, head
 
 
 def test_stuffle_against_truncated_sums():
