@@ -44,6 +44,7 @@ COMMANDS = [
     "check antipode (1,2) --orders 1,2",
     "check reg (2,1,1)",
     "check reg (2,1,1,1)",
+    "check reg (2,1,1,1,1)",
     "check explicit-reg (2,1,1) --orders 1,2",
     "check t-translation (1,2) --orders 2,2",
     "check csf (2,1)",
@@ -322,10 +323,11 @@ def _star_values_at_tau_0(k, tau, product, orders):
 # from the product recursion, so a fault in _decompose_word, z_of_h0 or
 # zeta_reg reaches the stadic and regularization checks, and the associator
 # only through the routes that set it against them (rsmzv-routes,
-# smzv-assoc).  A sign error in zeta_reg's T reaches only reg (2,1,1,1),
-# whose rho(T^3) has a zeta(3) term that changes sign: rho commutes with
-# T -> -T in the degrees <= 2 that reg (2,1,1) reaches, and stadic reads
-# zeta_reg through its own import of the name, which the fault leaves alone.
+# smzv-assoc).  A sign error in zeta_reg's T reaches only reg (2,1,1,1) and
+# reg (2,1,1,1,1), whose rho(T^3) and rho(T^4) have zeta(3) terms that change
+# sign: rho commutes with T -> -T in the degrees <= 2 that reg (2,1,1)
+# reaches, and stadic reads zeta_reg through its own import of the name, which
+# the fault leaves alone.
 # A recursion without its T Z_T(head) term computes Z_0 at every T, which only
 # t-part sees, since it alone sets phi at T against an explicit function of
 # T.  One without its division changes every value with two or more
@@ -389,7 +391,7 @@ MUTATIONS = {
                                 "explicit-reg", "harmonic", "reg", "rsmzv-routes",
                                 "shifted-harmonic", "smzv-assoc"}),
     "zeta-reg-plus-T": ((regularization, "zeta_reg", _zeta_reg_plus_T),
-                        {"reg (2,1,1,1)"}),
+                        {"reg (2,1,1,1)", "reg (2,1,1,1,1)"}),
     "reg-value-without-T-term": ((associator, "_zeta_reg_value",
                                   functools.partial(_zeta_reg_value_faulted, t_term=False)),
                                  {"t-part"}),
