@@ -1,8 +1,8 @@
 """Degree-truncated noncommutative series over X0, X1 and the KZ machinery.
 
 ``NcSeries`` is a degree-bounded ``NcPoly`` with high-precision complex
-coefficients: it adds only the bound, a product truncated beyond it, exp
-and conjugation.  Letter substitution, eps and reversal are the ``NcPoly``
+coefficients: it adds only the bound, a product truncated beyond it and
+conjugation.  Letter substitution, eps and reversal are the ``NcPoly``
 operations of ``words`` and keep the bound.  The generating
 series of regularized values places Z_T(e_{a1}...e_{an}) on the reversed
 word X_{an}...X_{a1}; consequently the pairing (plain coefficient
@@ -43,7 +43,7 @@ from . import regularization
 from .indices import Index, coarsenings, hoffman_dual, stuffle
 from .numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp
 from .regularization import gamma0_coeffs
-from .rings import BiSeries
+from .rings import BiSeries, exp_coeffs
 from .stadic import stadic_smzv
 from .words import E0, E1, HARMONIC, SHUFFLE, SWAP, NcPoly, Word, word_of_index
 
@@ -75,8 +75,8 @@ class NcSeries(NcPoly):
         return cls(deg, {(): mp.mpf(1) * c})
 
     @classmethod
-    def letter(cls, deg: int, a: int, c=1) -> "NcSeries":
-        return cls(deg, {(a,): mp.mpf(1) * c})
+    def letter(cls, deg: int, a: int) -> "NcSeries":
+        return cls(deg, {(a,): mp.mpf(1)})
 
     def __mul__(self, other: "NcSeries") -> "NcSeries":
         """Truncated product.  ``fits[m]`` holds the right factor's terms of length
@@ -89,17 +89,6 @@ class NcSeries(NcPoly):
         out._accumulate((w1 + w2, c1 * c2)
                         for w1, c1 in self.terms.items() if len(w1) <= deg
                         for w2, c2 in fits[deg - len(w1)])
-        return out
-
-    def exp(self) -> "NcSeries":
-        """exp of a series with no constant term, truncated at the degree."""
-        if () in self.terms:
-            raise ValueError("exponent series must have no constant term")
-        out = NcSeries.const(self.deg)
-        power = NcSeries.const(self.deg)
-        for n in range(1, self.deg + 1):
-            power = power * self
-            out += power.scale(mp.mpf(1) / factorial(n))
         return out
 
     def conj(self) -> "NcSeries":
@@ -117,6 +106,13 @@ class NcSeries(NcPoly):
         return " + ".join(pieces) or "0"
 
     __str__ = __repr__
+
+
+def exp_linear(deg: int, c, letters: tuple[int, ...]) -> NcSeries:
+    """exp(c x), x the sum of ``letters``, in closed form: c^n/n! on every word
+    of length n over them, and the real constant term 1."""
+    return NcSeries(deg, {w: c ** n / factorial(n) if n else mp.mpf(1)
+                          for n in range(deg + 1) for w in itertools.product(letters, repeat=n)})
 
 
 # substitution images
@@ -206,8 +202,8 @@ def phi_rs(D: int, prec: int) -> NcSeries:
     if key not in _PHI_RS_CACHE:
         with mp.workdps(prec + _GUARD):
             kz = phi_kz(D, prec)
-            half = NcSeries.letter(D, E0, mp.pi * mp.mpc(0, 1) / 2).exp()
-            mid = NcSeries.letter(D, E1, 2 * mp.pi * mp.mpc(0, 1)).exp()
+            half = exp_linear(D, mp.pi * mp.mpc(0, 1) / 2, (E0,))
+            mid = exp_linear(D, 2 * mp.pi * mp.mpc(0, 1), (E1,))
             _PHI_RS_CACHE[key] = half * kz.subst(IMG_SWAP) * mid * kz * half
     return _PHI_RS_CACHE[key]
 
@@ -335,11 +331,11 @@ def check_three_cycle(D: int, prec: int):
         kz = phi_kz(D, prec)
         pij = mp.pi * mp.mpc(0, 1)
         prod = (kz
-                * NcSeries.letter(D, E0, pij).exp()
+                * exp_linear(D, pij, (E0,))
                 * kz.subst(IMG_INF_0)
-                * NcSeries(D, {(E0,): -pij, (E1,): -pij}).exp()
+                * exp_linear(D, -pij, (E0, E1))
                 * kz.subst(IMG_1_INF)
-                * NcSeries.letter(D, E1, pij).exp())
+                * exp_linear(D, pij, (E1,)))
         return residual(prod, NcSeries.const(D), prec)
 
 
@@ -347,7 +343,7 @@ def check_t_part(product: str, T, D: int, prec: int):
     """phi(T) = exp(-T X1) phi(0)."""
     with mp.workdps(prec + _GUARD):
         lhs = phi(product, T, D, prec)
-        rhs = NcSeries.letter(D, E1, -to_mp(T)).exp() * phi(product, 0, D, prec)
+        rhs = exp_linear(D, -to_mp(T), (E1,)) * phi(product, 0, D, prec)
         return residual(lhs, rhs, prec)
 
 
@@ -365,8 +361,9 @@ def check_independence_factor(T, D: int, prec: int):
     """The adjoint shuffle series factors through exp(sum zeta(2k)/k X1^2k)."""
     with mp.workdps(prec + _GUARD):
         lhs = phi_ad(SHUFFLE, 0, T, D, prec)
-        mid = NcSeries(D, {(E1,) * (2 * kk): mzv((2 * kk,), prec) / kk
-                           for kk in range(1, D // 2 + 1)}).exp()
+        gamma = exp_coeffs([mzv((n,), prec) / (n // 2) if n % 2 == 0 < n else mp.mpf(0)
+                            for n in range(D + 1)])
+        mid = NcSeries(D, {(E1,) * n: e for n, e in enumerate(gamma)})
         x1 = NcSeries.letter(D, E1)
         rhs = phi(HARMONIC, 0, D, prec).eps() * x1 * mid * phi(HARMONIC, T, D, prec)
         return residual(lhs, rhs, prec)

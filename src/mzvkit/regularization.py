@@ -22,7 +22,7 @@ from math import factorial
 
 from .indices import Index, shifts
 from .numeric import residual
-from .rings import BiSeries, ZetaPoly
+from .rings import ZetaPoly, exp_coeffs
 from .words import (
     E0, E1, HARMONIC, SHUFFLE, NcPoly, Word, in_h0, in_h1, index_of_word,
     product_fn, word_of_index,
@@ -159,31 +159,27 @@ def Z_reg_full(u: NcPoly, product: str) -> ZetaPoly:
 # ---------------------------------------------------------------------------
 
 @cache
-def gamma0_coeffs(order: int) -> tuple[ZetaPoly | int, ...]:
-    """Coefficients of X^0..X^order of exp(sum_{k>=2} Z[(k)]/k X^k); 0 where one vanishes."""
+def gamma0_coeffs(order: int) -> tuple[ZetaPoly, ...]:
+    """Coefficients of X^0..X^order of exp(sum_{k>=2} Z[(k)]/k X^k)."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    s = BiSeries(0, order, [[ZetaPoly.zeta((k,)) * Fraction(1, k) if k >= 2 else ZetaPoly()
-                              for k in range(order + 1)]])
-    out = BiSeries.constant(ZetaPoly.const(1), 0, order)
-    power = BiSeries.constant(ZetaPoly.const(1), 0, order)
-    for m in range(1, order // 2 + 1):
-        power = power * s
-        out += power.scale(Fraction(1, factorial(m)))
-    return tuple(out.coeffs)
+    return tuple(exp_coeffs([ZetaPoly.zeta((k,)) / k if k >= 2 else ZetaPoly()
+                             for k in range(order + 1)]))
+
+
+def _exp_T_gamma0(n: int, sign: int) -> ZetaPoly:
+    """[X^n] exp(sign T X) Gamma0(-X) = sum_{a+b=n} (sign T)^a/a! (-1)^b Gamma0_b."""
+    g = gamma0_coeffs(n)
+    return ZetaPoly({(zpart, (("T", a),) if a else ()):
+                     _int_if_whole(c * Fraction(sign ** a * (-1) ** (n - a), factorial(a)))
+                     for a in range(n + 1) for (zpart, _), c in g[n - a].terms.items()})
 
 
 @cache
 def rho_of_T_power(n: int) -> ZetaPoly:
     """rho(T^n), read off from exp(TX) Gamma0(-X) = sum rho(T^n)/n! X^n."""
-    g = gamma0_coeffs(n)
-    T = ZetaPoly.tvar("T")
-    out = ZetaPoly()
-    for a in range(n + 1):
-        b = n - a
-        coeff = factorial(n) // factorial(a) * (-1) ** b
-        out += g[b] * coeff * T ** a
-    return ZetaPoly({key: _int_if_whole(c) for key, c in out.terms.items()})
+    return ZetaPoly({key: _int_if_whole(c * factorial(n))
+                     for key, c in _exp_T_gamma0(n, 1).terms.items()})
 
 
 def rho(p: ZetaPoly) -> ZetaPoly:
@@ -203,18 +199,11 @@ def R_poly(k: Index) -> ZetaPoly:
     """The correction polynomial R(k;T) of the explicit comparison formula.
 
     Vanishes unless every part of k is 1; for the all-ones index of depth r
-    it is sum_{a+b=r} rho(T^b)|_{T=0} (-T)^a / (a! b!).
+    it is [X^r] exp(-TX) Gamma0(-X).
     """
     if any(p != 1 for p in k):
         return ZetaPoly()
-    r = k.depth
-    T = ZetaPoly.tvar("T")
-    out = ZetaPoly()
-    for a in range(r + 1):
-        b = r - a
-        const = rho_of_T_power(b).subst_tvars({"T": 0})
-        out += const * (-1 * T) ** a * Fraction(1, factorial(a) * factorial(b))
-    return out
+    return _exp_T_gamma0(k.depth, -1)
 
 
 def check_reg_theorem(k: Index, prec: int):

@@ -17,6 +17,8 @@
   ``-``, ``*`` and ``bool``.  It adds to the core only what truncation
   needs: the truncating product, shifts and the orders.  A series in one
   variable is a ``BiSeries`` with ``ms = 0``.
+* ``exp_coeffs`` -- the coefficients of exp(sum c_k x^k) in one variable,
+  over any coefficient ring, by one recurrence.
 
 Zero tests go through ``bool(x)``, which works for ``Fraction``, mpmath
 numbers and the classes below.  Exact coefficients are ``int`` where the
@@ -36,7 +38,7 @@ handed out by a cache.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 # A monomial is (zpart, tpart):
 #   zpart: tuple of (index_tuple, exponent), sorted by index_tuple
@@ -348,3 +350,16 @@ class BiSeries(LinearCombination):
         rows = ["[" + "; ".join(str(self.coeff(i, j)) for j in range(self.mt + 1)) + "]"
                 for i in range(self.ms + 1)]
         return "BiSeries" + "".join("\n  " + r for r in rows)
+
+
+def exp_coeffs(c: Sequence) -> list:
+    """The coefficients e_0..e_n of exp(sum_k c_k x^k), n = len(c) - 1, by
+    n e_n = sum_{k=1..n} k c_k e_(n-k) (from e' = c' e).  c_0 must be the
+    ring's zero, such as ``ZetaPoly()`` or ``mpf(0)``; e_0 = c_0 + 1 is its one."""
+    if c[0]:
+        raise ValueError("exponent series must have no constant term")
+    e = [c[0] + 1]
+    for n in range(1, len(c)):
+        e.append(sum((k * c[k] * e[n - k] for k in range(1, n + 1) if c[k] and e[n - k]),
+                     c[0]) / n)
+    return e

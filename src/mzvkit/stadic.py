@@ -26,12 +26,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from mpmath import mp
-
 from .indices import (
     Index, coarsenings, concat, cyclic_class, reverse, shifts, split, stuffle, uplus,
 )
-from .numeric import _GUARD, mzv_star, residual
+from .numeric import residual
 from .regularization import R_poly, zeta_reg
 from .rings import BiSeries, ZetaPoly
 from .words import HARMONIC, SHUFFLE, embed, index_of_word, lift_biseries, shuffle_shifted
@@ -195,16 +193,20 @@ def check_t_translation(k: Index, orders: tuple[int, int], prec: int):
     return residual(v, v.map(lambda p: p.subst_tvars({"T1": 0, "T2": T2 - T1})), prec)
 
 
+def _zeta_star(k: Index) -> ZetaPoly:
+    """The star value of an admissible index: Z[l] summed over its coarsenings l."""
+    return sum(map(ZetaPoly.zeta, coarsenings(k)), ZetaPoly())
+
+
 def check_classical_csf(k: Index, prec: int):
     """Cyclic sum formula for star values of an index with weight > depth."""
     k = Index(k)
     _require_weight_gt_depth(k)
-    with mp.workdps(prec + _GUARD):
-        lhs = mp.mpf(0)
-        for u, l in _rotations_with_head(k):
-            for j in range(u - 1):
-                lhs += mzv_star(concat(Index((j + 1,)), l, Index((u - j,))), prec)
-        rhs = k.weight * mzv_star(Index((k.weight + 1,)), prec)
+    lhs = ZetaPoly()
+    for u, l in _rotations_with_head(k):
+        for j in range(u - 1):
+            lhs += _zeta_star(concat(Index((j + 1,)), l, Index((u - j,))))
+    rhs = _zeta_star(Index((k.weight + 1,))) * k.weight
     return residual(lhs, rhs, prec)
 
 

@@ -322,22 +322,18 @@ def telescope_sides(w: Word, orders: tuple[int, int]) -> tuple[NcPoly, NcPoly]:
 def sigma_t(u: NcPoly, order: int) -> NcPoly:
     """Ring endomorphism e_i -> e_i (1 + e0 t)^(-1), truncated at t^order.
 
-    Expands each letter into e_i e0^j (-t)^j and multiplies out; the input
-    must have rational coefficients.
+    Each word is the product of the images of its letters, and the truncating
+    (s,t)-series product drops every term beyond t^order as it goes; the
+    input must have rational coefficients.
     """
     orders = (0, order)
+    tail = geometric(1, E0, "t", orders)
     out = NcPoly()
-    for w, c in u.terms.items():
-        n = len(w)
-        for extra in itertools.product(range(order + 1), repeat=n):
-            total = sum(extra)
-            if total > order:
-                continue
-            new = []
-            for letter, j in zip(w, extra):
-                new.append(letter)
-                new.extend([E0] * j)
-            out.add_term(tuple(new), _bs_mono(c * (-1) ** total, "t", total, orders))
+    for w, c in lift_biseries(u, orders).terms.items():
+        term = NcPoly.one(c)
+        for a in w:
+            term = term * NcPoly.from_word((a,)) * tail
+        out += term
     return out
 
 

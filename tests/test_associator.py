@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp
@@ -9,13 +10,13 @@ from mzvkit.associator import (
     IMG_SWAP, NcSeries, check_duality_assoc,
     check_gamma_factor, check_independence_factor, check_refined_duality,
     check_rsmzv_routes, check_smzv_routes, check_t_part, check_three_cycle,
-    check_two_cycle, phi, phi_ad, phi_kz,
+    check_two_cycle, exp_linear, phi, phi_ad, phi_kz,
     phi_rs, rsmzv, smzv_via_assoc, _flanked_pairing,
 )
 from mzvkit.indices import Index, coarsenings, stuffle
 from mzvkit.numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp, tolerance
 from mzvkit.regularization import Z_reg_full, _z_reg_full_word
-from mzvkit.rings import BiSeries
+from mzvkit.rings import BiSeries, exp_coeffs
 from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, word_of_index
 
 TOL = tolerance(40)
@@ -89,30 +90,48 @@ def test_reversed_t_factorization():
     with mp.workdps(60):
         T = Fraction(7, 10)
         lhs = phi(SHUFFLE, T, 4, 40).reverse()
-        rhs = phi(SHUFFLE, 0, 4, 40).reverse() * NcSeries.letter(4, E1, -mp.mpf(7) / 10).exp()
+        rhs = phi(SHUFFLE, 0, 4, 40).reverse() * exp_linear(4, -mp.mpf(7) / 10, (E1,))
         assert residual(lhs, rhs, 40) < TOL
+
+
+def _exp_by_products(x: NcSeries) -> NcSeries:
+    """exp of a series with no constant term as sum x^n/n!, by truncated products."""
+    out = power = NcSeries.const(x.deg)
+    for n in range(1, x.deg + 1):
+        power = power * x
+        out = out + power.scale(mp.mpf(1) / factorial(n))
+    return out
 
 
 def test_exp_letter_linear():
     with mp.workdps(50):
-        e = NcSeries.letter(3, E0, mp.mpf(2)).exp()
+        e = exp_linear(3, mp.mpf(2), (E0,))
         assert e.coeff(()) == 1
         assert e.coeff((E0,)) == 2
         assert e.coeff((E0, E0)) == 2
         assert abs(e.coeff((E0, E0, E0)) - mp.mpf(8) / 6) < mp.mpf(10) ** -45
-        mixed = NcSeries(2, {(E0,): mp.mpf(1), (E1,): mp.mpf(1)}).exp()
+        mixed = exp_linear(2, mp.mpf(1), (E0, E1))
         assert mixed.coeff((E0, E1)) == mp.mpf(1) / 2
+        # the closed form is the sum of the truncated powers, with a real 1
+        c = mp.mpc(mp.mpf(3) / 10, -mp.mpf(7) / 10)
+        for letters in ((E0,), (E1,), (E0, E1)):
+            closed = exp_linear(6, c, letters)
+            assert type(closed.coeff(())) is mp.mpf
+            x = NcSeries(6, {(a,): c for a in letters})
+            assert residual(closed, _exp_by_products(x), 40) < mp.mpf(10) ** -45
 
 
 def test_exp_single_letter_series():
     with mp.workdps(50):
         # exp(x^2) = 1 + x^2 + x^4/2 on one letter
-        e = NcSeries(4, {(E1, E1): mp.mpf(1)}).exp()
+        coeffs = exp_coeffs([mp.mpf(0), 0, mp.mpf(1), 0, 0])
+        e = NcSeries(4, {(E1,) * n: c for n, c in enumerate(coeffs)})
+        assert e.coeff(()) == 1 and type(e.coeff(())) is mp.mpf
         assert e.coeff((E1, E1)) == 1
         assert abs(e.coeff((E1,) * 4) - mp.mpf(1) / 2) < mp.mpf(10) ** -45
         assert e.coeff((E1,)) == 0
         with pytest.raises(ValueError):
-            NcSeries(2, {(): mp.mpf(1), (E1,): mp.mpf(1)}).exp()
+            exp_coeffs([mp.mpf(1), mp.mpf(1), 0])
 
 
 def test_subst():
@@ -208,6 +227,17 @@ def test_factorizations():
     for deg in (4, 5):
         assert check_phi_ad_translation(Fraction(3, 10), Fraction(-7, 10), deg, 40) < TOL
     assert check_duality_assoc(4, 40) < TOL
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_three_cycle(10, 40),
+    lambda: check_duality_assoc(10, 40),
+    lambda: check_independence_factor(associator.SAMPLE_T, 10, 40),
+], ids=["three-cycle", "duality-assoc", "independence"])
+def test_whole_series_checks_at_degree_10(check):
+    # every exponential factor reaches words of length 10, and independence
+    # reads the recurrence for exp(sum zeta(2k)/k X1^2k) up to X1^10
+    assert check() < TOL
 
 
 def test_smzv_via_assoc_routes():

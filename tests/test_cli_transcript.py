@@ -242,8 +242,22 @@ def _zeta_reg_plus_T(k, product):
     return _zeta_reg(k, product).subst_tvars({"T": -1 * ZetaPoly.tvar("T")})
 
 
-def _mzv_star_without_the_index_itself(k, prec):
-    return sum(numeric.mzv(l, prec) for l in indices.coarsenings(k)[1:])
+def _zeta_star_without_the_index_itself(k):
+    return sum(map(ZetaPoly.zeta, indices.coarsenings(k)[1:]), ZetaPoly())
+
+
+def _exp_coeffs_without_factor_k(c):
+    """The recurrence n e_n = sum c_k e_(n-k), without the factor k."""
+    e = [c[0] + 1]
+    for n in range(1, len(c)):
+        e.append(sum((c[k] * e[n - k] for k in range(1, n + 1) if c[k] and e[n - k]), c[0]) / n)
+    return e
+
+
+def _exp_linear_without_factorial(deg, c, letters):
+    """exp(c x) in closed form with c^n on every word of length n, no 1/n!."""
+    return associator.NcSeries(deg, {w: c ** n if n else mp.mpf(1) for n in range(deg + 1)
+                                     for w in itertools.product(letters, repeat=n)})
 
 
 _t_renamed = stadic._t_renamed
@@ -333,14 +347,18 @@ def _star_values_at_tau_0(k, tau, product, orders):
 # T.  One without its division changes every value with two or more
 # trailing 1s, which the two pairings at (2) never read: no piece of their
 # words has two adjacent e1.  The cycle identities hold degree by degree, so
-# a product that drops its top degree passes them.  A ZetaPoly
+# a product that drops its top degree passes them, and so does independence,
+# whose two sides are products alike; the exponentials are closed forms or
+# one-variable recurrences that multiply no series, so only gamma-factor and
+# t-part, which set a product against phi itself, see it.  A ZetaPoly
 # product that keeps one factor's powers and drops the other's, whenever both
 # have some, fails the checks listed for it, as measured; most associator
 # checks multiply NcSeries over numbers and never build such a product.  The
 # pairings (duality, rsmzv-routes, smzv-assoc) read a product by splits of
 # each word and build no series, so eps, subst and the NcSeries product reach
 # them only through a fault in the split sum.  The classical cyclic sum
-# formula alone sums numeric star values, and t-translation alone tells a
+# formula alone reads the star values of admissible indices, the coarsening
+# sums of zeta symbols in stadic._zeta_star, and t-translation alone tells a
 # value of T2 - T1 from one of T1 + T2.  A zeroing that keeps the T terms
 # reaches only the two checks at T = 0, explicit-reg and shuffle, as measured.
 # The shift weight prod k_i^m_i equals b(k; m) = prod C(k_i + m_i - 1, m_i)
@@ -358,6 +376,13 @@ def _star_values_at_tau_0(k, tau, product, orders):
 # trailing 1, which the associator checks listed for it read, the shuffle
 # line of t-part among them.  Only csf-nonstar and csf-tau at tau = 0 read the
 # symmetric values at tau = 0, so star values there fail only those two.
+# regularization and associator each bind ``exp_coeffs``, the recurrence
+# n e_n = sum k c_k e_(n-k), so a recurrence without the factor k is planted
+# in each: in regularization it changes Gamma0 from X^2 on, and so rho and R,
+# which every check listed for it reads; in associator only the zeta(2k)/k
+# factor of independence.  A closed form exp(c x) without its 1/n! fails the
+# checks that multiply by exp(c X_a): three-cycle, t-part, and duality-assoc
+# through phi_rs.
 MUTATIONS = {
     "eps-without-sign": ((NcPoly, "eps", NcPoly.reverse), {"independence"}),
     "subst-unit-coefficients": ((NcPoly, "subst", _subst_unit_coefficients),
@@ -402,7 +427,7 @@ MUTATIONS = {
     "merge-keeps-one-side": ((rings, "_merge_powers", lambda a, b: a or b),
                              {"antipode", "csf-nonstar", "csf-star", "csf-tau", "explicit-reg",
                               "gamma-factor", "harmonic", "reg", "shifted-harmonic", "shuffle"}),
-    "star-without-the-index-itself": ((stadic, "mzv_star", _mzv_star_without_the_index_itself),
+    "star-without-the-index-itself": ((stadic, "_zeta_star", _zeta_star_without_the_index_itself),
                                       {"csf"}),
     "T2-with-wrong-sign": ((stadic, "_t_renamed", _t_renamed_negating_T2),
                            {"t-translation"}),
@@ -431,6 +456,13 @@ MUTATIONS = {
                                                 "three-cycle", "two-cycle"}),
     "tau-0-reads-star-values": ((stadic, "stadic_smzv_tau", _star_values_at_tau_0),
                                 {"csf-nonstar", "csf-tau (2,1) --tau 0 --orders 2,2"}),
+    "regularization-exp-without-factor-k": ((regularization, "exp_coeffs",
+                                             _exp_coeffs_without_factor_k),
+                                            {"explicit-reg", "gamma-factor", "reg"}),
+    "associator-exp-without-factor-k": ((associator, "exp_coeffs", _exp_coeffs_without_factor_k),
+                                        {"independence"}),
+    "exp-linear-without-factorial": ((associator, "exp_linear", _exp_linear_without_factorial),
+                                     {"duality-assoc", "t-part", "three-cycle"}),
 }
 
 

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -10,7 +11,7 @@ from mzvkit.regularization import (
     e1_power, gamma0_coeffs, reg_theorem_sides, regularize, rho,
     rho_of_T_power, zeta_reg,
 )
-from mzvkit.rings import ZetaPoly
+from mzvkit.rings import BiSeries, ZetaPoly
 from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, word_of_index
 
 W = NcPoly.from_word
@@ -117,6 +118,46 @@ def test_gamma0():
     assert g[2] == Z((2,)) * Fraction(1, 2)
     assert g[3] == Z((3,)) * Fraction(1, 3)
     assert g[4] == Z((4,)) * Fraction(1, 4) + Z((2,)) * Z((2,)) * Fraction(1, 8)
+
+
+def _gamma0_by_powers(order):
+    """Gamma0 up to X^order as sum_m s^m/m! of truncated BiSeries powers of
+    s = sum_{k>=2} Z[(k)]/k X^k; 0 where a coefficient vanishes."""
+    s = BiSeries(0, order, [[Z((k,)) * Fraction(1, k) if k >= 2 else ZetaPoly()
+                             for k in range(order + 1)]])
+    out = BiSeries.constant(ZetaPoly.const(1), 0, order)
+    power = BiSeries.constant(ZetaPoly.const(1), 0, order)
+    for m in range(1, order // 2 + 1):
+        power = power * s
+        out += power.scale(Fraction(1, factorial(m)))
+    return out.coeffs
+
+
+def _rho_by_convolution(n):
+    """rho(T^n) = sum_{a+b=n} n!/a! (-1)^b Gamma0_b T^a."""
+    g = _gamma0_by_powers(n)
+    out = ZetaPoly()
+    for a in range(n + 1):
+        b = n - a
+        out += g[b] * (factorial(n) // factorial(a) * (-1) ** b) * T ** a
+    return out
+
+
+def _R_by_convolution(r):
+    """R(1^r; T) = sum_{a+b=r} rho(T^b)|_{T=0} (-T)^a / (a! b!)."""
+    out = ZetaPoly()
+    for a in range(r + 1):
+        b = r - a
+        const = _rho_by_convolution(b).subst_tvars({"T": 0})
+        out += const * (-1 * T) ** a * Fraction(1, factorial(a) * factorial(b))
+    return out
+
+
+def test_gamma0_rho_and_R_equal_the_power_and_convolution_routes():
+    assert list(gamma0_coeffs(14)) == _gamma0_by_powers(14)
+    for n in range(11):
+        assert rho_of_T_power(n).terms == _rho_by_convolution(n).terms, n
+        assert R_poly(Index((1,) * n)).terms == _R_by_convolution(n).terms, n
 
 
 def test_rho():

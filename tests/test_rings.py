@@ -1,10 +1,12 @@
+import random
 from collections import Counter
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvkit.rings import BiSeries, ZetaPoly
+from mzvkit.rings import BiSeries, ZetaPoly, exp_coeffs
 
 
 def constant_value(p: ZetaPoly):
@@ -271,3 +273,19 @@ def test_zetapoly_product_matches_the_counter_reference(a, b):
     assert acc == a + b * Fraction(-3, 2) and all(acc.terms.values())
     if all(type(c) is int for c in [*a.terms.values(), *b.terms.values()]):
         assert all(type(c) is int for c in product.terms.values())
+
+
+def test_exp_coeffs_equals_the_truncated_power_series():
+    # sum_m c^m/m! with every power truncated at x^n, for seeded rational c
+    rng = random.Random(22)
+    for n in range(9):
+        c = [Fraction(0)] + [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        want = [Fraction(1)] + [Fraction(0)] * n
+        power = list(want)
+        for m in range(1, n + 1):
+            power = [sum(power[i] * c[j - i] for i in range(j + 1)) for j in range(n + 1)]
+            want = [w + p / factorial(m) for w, p in zip(want, power)]
+        assert exp_coeffs(c) == want, c
+    assert exp_coeffs([ZetaPoly(), 0, ZetaPoly.zeta((2,))])[2] == ZetaPoly.zeta((2,))
+    with pytest.raises(ValueError):
+        exp_coeffs([Fraction(1), Fraction(2)])

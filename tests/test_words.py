@@ -331,6 +331,33 @@ def test_sigma_t_examples():
     })
 
 
+def _sigma_t_by_shift_vectors(u, order):
+    """sigma_t by enumerating, for each word, every vector of e0 counts
+    (j_1, ..., j_n) of total <= order put after its letters."""
+    orders = (0, order)
+    out = NcPoly()
+    for w, c in u.terms.items():
+        for extra in itertools.product(range(order + 1), repeat=len(w)):
+            total = sum(extra)
+            if total > order:
+                continue
+            new = []
+            for letter, j in zip(w, extra):
+                new.append(letter)
+                new.extend([E0] * j)
+            out.add_term(tuple(new), BiSeries.monomial(c * (-1) ** total, 0, total, *orders))
+    return out
+
+
+def test_sigma_t_equals_the_shift_vector_enumeration():
+    for w in words_up_to(6):
+        for order in range(4):
+            u = W(w, Fraction(3, 7))
+            got, want = sigma_t(u, order), _sigma_t_by_shift_vectors(u, order)
+            assert got.terms.keys() == want.terms.keys(), (w, order)
+            assert all(got.terms[v].terms == want.terms[v].terms for v in want.terms), (w, order)
+
+
 def test_sigma_t_harmonic_homomorphism_small():
     e1 = W((E1,))
     e2 = W((E1, E0))
