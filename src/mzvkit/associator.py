@@ -1,9 +1,13 @@
 """Degree-truncated noncommutative series over X0, X1 and the KZ machinery.
 
-``NcSeries`` is a degree-bounded ``NcPoly`` with high-precision complex
-coefficients: it adds only the bound, a product truncated beyond it and
-conjugation.  Letter substitution, eps and reversal are the ``NcPoly``
-operations of ``words`` and keep the bound.  The generating
+``NcSeries`` is a degree-bounded ``NcPoly`` that holds numeric coefficients
+as ints at a fixed binary scale, real and imaginary part in one int where
+pi i enters: it adds the bound, a product truncated beyond it that sums exact
+int products and rounds each coefficient once, and conjugation.  Numbers
+are converted to ints once when a series is built and back to mpf or mpc
+only when a coefficient or a residual is read.  Letter substitution, eps and
+reversal are the ``NcPoly`` operations of ``words``; they keep the bound and
+stay exact on the ints.  The generating
 series of regularized values places Z_T(e_{a1}...e_{an}) on the reversed
 word X_{an}...X_{a1}; consequently the pairing (plain coefficient
 extraction, same letter order on both sides) satisfies
@@ -26,8 +30,8 @@ grid.  The pairings (``rsmzv``, ``smzv_via_assoc`` and the duality built on
 them) read a product without building it: the coefficient of F1...Fr at a
 word is the sum over the splits of the word into r consecutive pieces, and
 each factor is a word -> coefficient function (``_SplitProduct``).  The
-whole-series checks (cycles, factorizations, ``duality-assoc``) still
-multiply ``NcSeries``.
+whole-series checks (cycles, factorizations, ``duality-assoc``) multiply
+``NcSeries``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from math import factorial
 from mpmath import mp
 
 from . import regularization
-from .indices import Index, coarsenings, hoffman_dual, stuffle
+from .indices import Index, coarsenings, hoffman_dual, stuffle, trusted_index
 from .numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp
 from .regularization import gamma0_coeffs
 from .rings import BiSeries, exp_coeffs
@@ -53,46 +57,151 @@ SAMPLE_T = Fraction(7, 10)
 
 
 class NcSeries(NcPoly):
-    """Truncated series over words in two letters with complex coefficients."""
+    """Truncated series over words in two letters.
 
-    __slots__ = ("deg",)
+    A series of numbers (some coefficient an mpf or mpc) holds each value v
+    in fixed point, as the int round(v 2^bits), with bits = mp.prec when it
+    is built.  A complex value a + bi is the one int a + b 2^k (``_k``, more
+    than twice ``bits``), so sums, negation and the int images of ``subst``
+    and ``eps`` act on both parts at once and exactly.  A product of two such
+    ints has the base-2^k digits a1 a2, a1 b2 + b1 a2 and b1 b2; ``_rounded``
+    reads the real part a1 a2 - b1 b2 and the imaginary part from them and
+    rounds each with one shift.  Values come back as mpf or mpc only through
+    ``coeff`` and ``largest``.  A NaN or infinite value stays an mpmath
+    number, so every sum and product it enters is NaN or infinite too.  A
+    series over an exact ring (no mpmath coefficient) keeps its coefficients
+    as given (bits = 0), and its product is exact.  The right operand of
+    ``*``, ``+`` and ``-`` is first held at the left operand's bits.
+    """
+
+    __slots__ = ("deg", "bits")
 
     def __init__(self, deg: int, terms: dict[Word, object] | None = None):
+        terms = terms or {}
         self.deg = deg
-        self.terms = {w: c for w, c in (terms or {}).items() if c and len(w) <= deg}
+        self.bits = mp.prec if any(isinstance(c, (mp.mpf, mp.mpc)) for c in terms.values()) else 0
+        self.terms = {w: f for w, c in terms.items() if len(w) <= deg and (f := self._fixed(c))}
 
     def _new(self, terms: dict) -> "NcSeries":
         out = super()._new(terms)
-        out.deg = self.deg
+        out.deg, out.bits = self.deg, self.bits
         return out
 
     def _coerce(self, other: "NcSeries") -> "NcSeries":
         self._check(other)
-        return other
+        return other._at(self.bits)
 
     @classmethod
-    def const(cls, deg: int, c=1) -> "NcSeries":
-        return cls(deg, {(): mp.mpf(1) * c})
+    def const(cls, deg: int) -> "NcSeries":
+        return cls(deg, {(): mp.mpf(1)})
 
     @classmethod
     def letter(cls, deg: int, a: int) -> "NcSeries":
         return cls(deg, {(a,): mp.mpf(1)})
 
+    @property
+    def _k(self) -> int:
+        """The bit offset of imaginary parts: 2 deg + 64 bits above the scale
+        2^(2 bits) of a product sum, whose digits reach about 2^(2 bits + deg)
+        in the associator checks (measured up to deg 14)."""
+        return 2 * (self.bits + self.deg) + 64
+
+    def _fixed(self, c):
+        """A number held at this series' bits: an int, or c itself when it is
+        not finite or the series is exact."""
+        if not self.bits:
+            return c
+        v = to_mp(c)
+        re, im = (v.real, v.imag) if isinstance(v, mp.mpc) else (v, mp.zero)
+        re, im = _scaled(re, self.bits), _scaled(im, self.bits)
+        return v if re is None or im is None else re + (im << self._k)
+
+    def _value(self, c):
+        """A coefficient as an mpf, or an mpc when its imaginary part is not 0."""
+        if not self.bits or type(c) is not int:
+            return c
+        re, im = _digits(c, self._k)
+        x = mp.mpf((re, -self.bits))
+        return mp.mpc(x, mp.mpf((im, -self.bits))) if im else x
+
+    def _rounded(self, sums: dict) -> dict:
+        """Product sums, exact at scale 2^(2 bits), rounded to scale 2^bits;
+        the zeros dropped."""
+        bits, k = self.bits, self._k
+        half, top = 1 << (bits - 1), 1 << (k - 1)
+        out = {}
+        for w, s in sums.items():
+            if type(s) is int:
+                if -top < s < top:                   # real
+                    s = (s + half) >> bits
+                else:
+                    a, rest = _digits(s, k)
+                    b, c = _digits(rest, k)
+                    s = ((a - c + half) >> bits) + (((b + half) >> bits) << k)
+            if s:
+                out[w] = s
+        return out
+
+    def _at(self, bits: int) -> "NcSeries":
+        """This series held at ``bits`` (0: as mpmath numbers)."""
+        if bits == self.bits:
+            return self
+        out = self._new({})
+        out.bits = bits
+        out.terms = {w: f for w, c in self.terms.items() if (f := out._fixed(self._value(c)))}
+        return out
+
+    def coeff(self, w: Word):
+        """The coefficient of ``w`` as a number; 0 when the word is absent."""
+        c = self.terms.get(tuple(w))
+        return 0 if c is None else self._value(c)
+
+    def largest(self):
+        """The coefficients that are not finite, and the fixed-point one of
+        largest modulus, found on the ints: only these can be largest."""
+        if not self.bits:
+            return self.terms.values()
+        k = self._k
+        out = [c for c in self.terms.values() if type(c) is not int]
+        fixed = [_digits(c, k) for c in self.terms.values() if type(c) is int]
+        if fixed:
+            re, im = max(fixed, key=lambda d: d[0] * d[0] + d[1] * d[1])
+            out.append(self._value(re + (im << k)))
+        return out
+
     def __mul__(self, other: "NcSeries") -> "NcSeries":
         """Truncated product.  ``fits[m]`` holds the right factor's terms of length
         <= m in their own order, so each left word meets only the partners it
-        keeps, in the order of the full double loop."""
+        keeps, in the order of the full double loop.  Fixed-point coefficients
+        are summed exactly and rounded once each."""
         self._check(other)
+        other = other._at(self.bits)
         deg = self.deg
-        fits = [[(w, c) for w, c in other.terms.items() if len(w) <= m] for m in range(deg + 1)]
+        fits = [[] for _ in range(deg + 1)]
+        for w, c in other.terms.items():
+            for m in range(len(w), deg + 1):
+                fits[m].append((w, c))
         out = self._new({})
         out._accumulate((w1 + w2, c1 * c2)
                         for w1, c1 in self.terms.items() if len(w1) <= deg
                         for w2, c2 in fits[deg - len(w1)])
+        if self.bits:
+            out.terms = out._rounded(out.terms)
         return out
 
+    def scale(self, c) -> "NcSeries":
+        """Every coefficient times c; a number that is not an int multiplies a
+        fixed-point series as a constant series."""
+        if not self.bits or isinstance(c, int):
+            return super().scale(c)
+        return self * self._new({(): self._fixed(c)})
+
+    __rmul__ = scale
+
     def conj(self) -> "NcSeries":
-        return self._new({w: mp.conj(c) for w, c in self.terms.items()})
+        """Complex conjugation; a fixed-point a + b 2^k becomes 2a - (a + b 2^k)."""
+        return self._new({w: 2 * _digits(c, self._k)[0] - c if self.bits and type(c) is int
+                          else mp.conj(c) for w, c in self.terms.items()})
 
     def _check(self, other):
         if self.deg != other.deg:
@@ -102,17 +211,36 @@ class NcSeries(NcPoly):
         pieces = []
         for w in sorted(self.terms, key=lambda w: (len(w), w)):
             body = "".join(f"X{a}" for a in w) or "1"
-            pieces.append(f"({mp.nstr(self.terms[w], 8)})*{body}")
+            pieces.append(f"({mp.nstr(self.coeff(w), 8)})*{body}")
         return " + ".join(pieces) or "0"
 
     __str__ = __repr__
 
 
+def _digits(c: int, k: int) -> tuple[int, int]:
+    """The signed digits (low, high) of c = low + high 2^k, |low| <= 2^(k-1)."""
+    half = 1 << (k - 1)
+    low = ((c + half) & ((half << 1) - 1)) - half
+    return low, (c - low) >> k
+
+
+def _scaled(x, bits: int):
+    """round(x 2^bits) for a finite mpf x, from its mantissa and exponent; None
+    when x is NaN or infinite."""
+    sign, man, exp, _ = x._mpf_
+    if not man:
+        return None if exp else 0
+    shift = exp + bits
+    man = -man if sign else man
+    return man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
+
+
 def exp_linear(deg: int, c, letters: tuple[int, ...]) -> NcSeries:
     """exp(c x), x the sum of ``letters``, in closed form: c^n/n! on every word
     of length n over them, and the real constant term 1."""
-    return NcSeries(deg, {w: c ** n / factorial(n) if n else mp.mpf(1)
-                          for n in range(deg + 1) for w in itertools.product(letters, repeat=n)})
+    terms = [mp.mpf(1)] + [c ** n / factorial(n) for n in range(1, deg + 1)]
+    return NcSeries(deg, {w: terms[n] for n in range(deg + 1)
+                          for w in itertools.product(letters, repeat=n)})
 
 
 # substitution images
@@ -128,11 +256,12 @@ _PHI_RS_CACHE: dict[tuple[int, int], NcSeries] = {}
 
 def _shuffle_one(head: Index) -> dict[Index, int]:
     """(1) sh head on indices: e1 goes in at each letter position of the word
-    of head, which prepends a part 1 or splits a part p into (m + 1, p - m)."""
-    out = {Index((1,) + head): 1}
+    of head, which prepends a part 1 or splits a part p into (m + 1, p - m).
+    Both keep every part positive, so no term is checked again."""
+    out = {trusted_index((1,) + head): 1}
     for i, p in enumerate(head):
         for m in range(p):
-            l = Index(head[:i] + (m + 1, p - m) + head[i + 1:])
+            l = trusted_index(head[:i] + (m + 1, p - m) + head[i + 1:])
             out[l] = out.get(l, 0) + 1
     return out
 
@@ -178,8 +307,9 @@ def phi(product: str, T, D: int, prec: int) -> NcSeries:
     cached = _PHI_CACHE.get(key)
     if cached is not None:
         return cached
-    series = NcSeries(D, {w: _phi_coeff(w, product, T, prec)
-                          for n in range(D + 1) for w in itertools.product((E0, E1), repeat=n)})
+    with mp.workdps(prec + _GUARD):
+        series = NcSeries(D, {w: _phi_coeff(w, product, T, prec)
+                              for n in range(D + 1) for w in itertools.product((E0, E1), repeat=n)})
     _PHI_CACHE[key] = series
     return series
 

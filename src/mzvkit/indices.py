@@ -54,6 +54,12 @@ class Index(tuple):
 EMPTY = Index()
 
 
+def trusted_index(parts: tuple) -> Index:
+    """An Index of parts that are positive ints by construction, built
+    without checking them again."""
+    return tuple.__new__(Index, parts)
+
+
 def parse_index(text: str) -> Index:
     """Parse the literal form ``(k1,k2,...)``; ``()`` is the empty index.
 
@@ -95,7 +101,8 @@ def shifts(k: Index, n: int) -> list[tuple[Index, int]]:
     """Every shift k + m with m >= 0 componentwise and |m| = n, paired with
     its weight b(k; m) = prod C(k_i + m_i - 1, m_i); m_1 ascends first.
 
-    The empty index has the one shift () at n = 0 and none above.
+    The empty index has the one shift () at n = 0 and none above.  A shift
+    keeps every part of k positive, so no shift is checked again.
     """
     partial = [((), 1, n)]      # (shifted parts so far, their weight, n left)
     last = len(k) - 1
@@ -103,20 +110,23 @@ def shifts(k: Index, n: int) -> list[tuple[Index, int]]:
         partial = [(parts + (a + m,), b * comb(a + m - 1, m), left - m)
                    for parts, b, left in partial
                    for m in ((left,) if i == last else range(left + 1))]
-    return [(Index(parts), b) for parts, b, left in partial if left == 0]
+    return [(trusted_index(parts), b) for parts, b, left in partial if left == 0]
 
 
 @cache
 def stuffle(k: Index, l: Index) -> tuple[tuple[Index, int], ...]:
     """The stuffle k * l as (index, coefficient) pairs, by the recursion on
-    last parts (k,a) * (l,b) = (k * (l,b), a) + ((k,a) * l, b) + (k * l, a+b)."""
+    last parts (k,a) * (l,b) = (k * (l,b), a) + ((k,a) * l, b) + (k * l, a+b).
+
+    The recursion reaches k * () and () * l, where k and l are checked, so
+    the parts it appends are not checked again."""
     if not k or not l:
         return ((Index(k or l), 1),)
     out: dict[Index, int] = {}
     for terms, last in ((stuffle(k[:-1], l), k[-1]), (stuffle(k, l[:-1]), l[-1]),
                         (stuffle(k[:-1], l[:-1]), k[-1] + l[-1])):
         for m, c in terms:
-            m = Index(m + (last,))
+            m = trusted_index(m + (last,))
             out[m] = out.get(m, 0) + c
     return tuple(out.items())
 

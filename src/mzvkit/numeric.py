@@ -266,8 +266,8 @@ def residual(lhs, rhs, prec: int) -> mpmath.mpf:
 
     The sides are numbers, ``ZetaPoly``s, or sparse series of either (a
     ``LinearCombination`` that is not a ``ZetaPoly``, such as a ``BiSeries``,
-    compared coefficient by coefficient; an absent term is 0 and cannot
-    raise the maximum).  ``ZetaPoly``s are
+    compared coefficient by coefficient through its ``largest``; an absent
+    term is 0 and cannot raise the maximum).  ``ZetaPoly``s are
     subtracted exactly and compared coefficient by coefficient in the
     T-symbols: the zeta part of each T-monomial is evaluated on its own, so
     an identity between polynomials in T, T1, T2 holds for every value of
@@ -278,7 +278,7 @@ def residual(lhs, rhs, prec: int) -> mpmath.mpf:
     with mp.workdps(prec + _GUARD):
         diff = lhs - rhs
         if isinstance(diff, LinearCombination) and not isinstance(diff, ZetaPoly):
-            entries = diff.terms.values()
+            entries = diff.largest()
         else:
             entries = (diff,)
         worst = mp.mpf(0)

@@ -125,6 +125,11 @@ class LinearCombination:
 
     __rmul__ = scale
 
+    def largest(self):
+        """The coefficients among which ``numeric.residual`` finds the largest
+        modulus: all of them here."""
+        return self.terms.values()
+
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.terms == other.terms
 

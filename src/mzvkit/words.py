@@ -9,9 +9,10 @@ combinations carries the sign (-1)^depth.
 ``NcPoly`` is a finitely supported map from words to coefficients in a
 pluggable scalar ring (anything with +, -, *, bool), on the sparse core
 ``rings.LinearCombination``.  Its ``*`` is concatenation; ``subst``, ``eps``
-and ``reverse`` are its letter maps.  ``subst`` runs position by position, so
-words that agree after a letter is replaced are summed before the next letter
-expands.  The harmonic (quasi-shuffle) and shuffle products are the bilinear
+and ``reverse`` are its letter maps.  ``subst`` runs position by position on
+the words of each length, read as the bits of an int, so words that agree
+after a letter is replaced are summed before the next letter expands.  The
+harmonic (quasi-shuffle) and shuffle products are the bilinear
 maps :func:`harmonic` and :func:`shuffle`, with integer structure constants
 computed once per word pair and cached.  The harmonic constants are those of
 ``indices.stuffle``, where the stuffle recursion lives, carried through the
@@ -24,7 +25,7 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
-from .indices import Index, IndexCombination, coarsenings, reverse, stuffle
+from .indices import Index, IndexCombination, coarsenings, reverse, stuffle, trusted_index
 from .rings import BiSeries, LinearCombination
 
 E0 = 0
@@ -53,7 +54,7 @@ def word_of_index(k: Index) -> Word:
 
 
 def index_of_word(w: Word) -> Index:
-    """Parse an H1 word back into its index."""
+    """Parse an H1 word back into its index; every part is at least 1."""
     if not in_h1(w):
         raise ValueError(f"word {w} does not start with e1")
     parts = []
@@ -62,7 +63,7 @@ def index_of_word(w: Word) -> Index:
             parts.append(1)
         else:
             parts[-1] += 1
-    return Index(parts)
+    return trusted_index(tuple(parts))
 
 
 def _word_sort_key(w: Word):
@@ -100,21 +101,27 @@ class NcPoly(LinearCombination):
     def subst(self, images: dict[int, tuple[tuple[int, object], ...]]) -> "NcPoly":
         """Algebra endomorphism: each letter a becomes sum m * b over ``images[a]``.
 
-        The images are linear, so pass p replaces position p of every word and
-        the words that then agree are summed before position p + 1 expands."""
+        The images are linear and keep lengths, so the words of each length n
+        are substituted on their own, as n-bit ints with the first letter
+        highest: pass p replaces bit p of every word, and the words that then
+        agree are summed before bit p + 1 expands."""
 
-        def expand(terms, p):
-            for w, c in terms.items():
-                if p < len(w):
-                    head, tail = w[:p], w[p + 1:]
-                    for b, m in images[w[p]]:
-                        yield head + (b,) + tail, c if m == 1 else c * m
-                else:
-                    yield w, c
+        flips = {a: tuple((b != a, m) for b, m in img) for a, img in images.items()}
 
-        out = self._new(dict(self.terms))
-        for p in range(max(map(len, self.terms), default=0)):
-            out = self._new({})._accumulate(expand(out.terms, p))
+        def expand(terms, bit):
+            for code, c in terms.items():
+                for flip, m in flips[1 if code & bit else 0]:
+                    yield code ^ bit if flip else code, c if m == 1 else c * m
+
+        by_length: dict[int, dict[int, object]] = {}
+        for w, c in self.terms.items():
+            by_length.setdefault(len(w), {})[int("".join(map(str, w)), 2) if w else 0] = c
+        out = self._new({})
+        for n, terms in by_length.items():
+            for p in range(n):
+                terms = LinearCombination()._accumulate(expand(terms, 1 << (n - 1 - p))).terms
+            out._accumulate((tuple(code >> i & 1 for i in range(n - 1, -1, -1)), c)
+                            for code, c in terms.items())
         return out
 
     def reverse(self) -> "NcPoly":

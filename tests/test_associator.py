@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -83,6 +84,72 @@ def test_ncseries_ops():
         assert d.conj().coeff((E0, E1)) == mp.mpc(0, -1)
         assert b.eps().coeff((E1,)) == -3
         assert b.reverse().coeff((E1,)) == 3
+
+
+def _random_terms(rng: random.Random, D: int, complex_values: bool) -> dict:
+    """About four in five words of length <= D, each with a value of full
+    working precision in (-2, 2), complex or real."""
+    def part():
+        return mp.mpf(rng.randrange(-2 ** 200, 2 ** 200)) / 2 ** 199
+
+    return {w: mp.mpc(part(), part()) if complex_values else part()
+            for w in _words(D) if rng.random() < 0.8}
+
+
+def _mpmath_product(a: dict, b: dict, D: int) -> dict:
+    """The truncated product of two word -> number maps, summed in mpmath."""
+    out = {}
+    for (w1, c1), (w2, c2) in itertools.product(a.items(), b.items()):
+        if len(w1) + len(w2) <= D:
+            out[w1 + w2] = out.get(w1 + w2, 0) + c1 * c2
+    return out
+
+
+def test_fixed_point_products_agree_with_mpmath_products():
+    rng = random.Random(20261019)
+    D, prec = 6, 40
+    for left_complex, right_complex in itertools.product((False, True), repeat=2):
+        with mp.workdps(prec + _GUARD):
+            a = _random_terms(rng, D, left_complex)
+            b = _random_terms(rng, D, right_complex)
+            got = NcSeries(D, a) * NcSeries(D, b)
+        with mp.workdps(prec + _GUARD + 10):
+            finer = NcSeries(D, b)                # held at more bits, read at the left's
+        with mp.workdps(prec + 40):
+            want = _mpmath_product(a, b, D)
+            for product in (got, NcSeries(D, a) * finer):
+                assert set(product.terms) == set(want)
+                worst = max(abs(product.coeff(w) - c) for w, c in want.items())
+                assert worst < mp.mpf(10) ** -(prec + 10)
+            complex_product = left_complex or right_complex
+            assert all(isinstance(got.coeff(w), mp.mpc) == complex_product for w in want)
+
+
+@pytest.mark.parametrize("check", [check_three_cycle, check_duality_assoc],
+                         ids=["three-cycle", "duality-assoc"])
+def test_a_phi_coefficient_off_by_1e_25_fails(monkeypatch, check):
+    exact = associator._phi_coeff
+    monkeypatch.setattr(associator, "_PHI_CACHE", {})
+    monkeypatch.setattr(associator, "_PHI_RS_CACHE", {})
+    assert check(5, 40) < TOL
+    monkeypatch.setattr(associator, "_phi_coeff", lambda w, *args: exact(w, *args)
+                        + (mp.mpf("1e-25") if w == (E0, E0, E1) else 0))
+    associator._PHI_CACHE.clear()
+    associator._PHI_RS_CACHE.clear()
+    assert not check(5, 40) < TOL
+
+
+def test_a_non_finite_coefficient_in_a_product_never_passes():
+    with mp.workdps(40 + _GUARD):
+        kz = phi_kz(3, 40)
+        for bad in (mp.nan, mp.inf, -mp.inf, mp.mpc(mp.nan, 0), mp.mpc(1, mp.inf)):
+            series = NcSeries(3, {(): mp.mpf(1), (E0,): bad})
+            for product in (series * kz, kz * series, kz * series.conj()):
+                try:
+                    r = residual(product, kz, 40)
+                except (ValueError, ArithmeticError):
+                    continue
+                assert not r < TOL, bad
 
 
 def test_reversed_t_factorization():

@@ -167,6 +167,20 @@ def test_csf_star_nonstar_tau():
         check_csf_star(Index((1, 1)), (1, 1), 40)
 
 
+@pytest.mark.parametrize("served, failing", [(1, check_csf_nonstar), (0, check_csf_star)],
+                         ids=["star-values-at-tau-0", "plain-values-at-tau-1"])
+def test_csf_nonstar_reads_the_plain_values_and_csf_star_the_star_values(monkeypatch, served,
+                                                                       failing):
+    # both formulas are theorems, so only values of the wrong kind tell the two
+    # checks apart: served at the other tau, they fail the check that reads them
+    values = stadic.stadic_smzv_tau
+    monkeypatch.setattr(stadic, "stadic_smzv_tau", lambda k, tau, *args:
+                        values(k, served if tau == 1 - served else tau, *args))
+    k = Index((2, 1))
+    for check in (check_csf_nonstar, check_csf_star):
+        assert (check(k, (2, 2), 40) < TOL) == (check is not failing), check.__name__
+
+
 def test_terms_of_weight_zero_are_skipped(monkeypatch):
     def refuse(*args):
         raise AssertionError("a term of weight 0 was computed")

@@ -230,6 +230,16 @@ def test_shuffle_one_against_the_word_route():
             shuffle(embed(Index((1,))), embed(head))).terms, head
 
 
+def test_every_term_of_the_index_expansions_is_a_valid_index():
+    # (1) sh head and (1) * head build their terms without checking the parts
+    # again; checking them here must change nothing
+    for head in indices_up_to(8):
+        for terms in (_shuffle_one(head), dict(stuffle(Index((1,)), head))):
+            for l in terms:
+                assert type(l) is Index and Index(tuple(l)) == l, (head, l)
+                assert l.weight == head.weight + 1, (head, l)
+
+
 def test_stuffle_against_truncated_sums():
     n_max = 25
     for k, l in [((1,), (2,)), ((2,), (2,)), ((1, 1), (2,)), ((1, 2), (1,))]:
