@@ -22,8 +22,12 @@ coefficient of phi sums the numbers Z_T(index) named by the shift formula
 of its word, each index evaluated once.  A non-admissible index takes its
 number from admissible values by the product recursion
 T Z_T(head) = Z_T((1) * head), for the shuffle or the harmonic product, so
-no symbolic regularization is built here and the checks that compare phi
-with ``zeta_reg`` or ``stadic`` compare two independent routes.
+no symbolic regularization is built here.  ``regularization.zeta_reg``
+solves the same recursion over the zeta symbols: the checks that compare
+phi with ``zeta_reg`` or ``stadic`` share the index expansions
+(``indices.shuffle_one`` and ``indices.stuffle``) but not the arithmetic,
+and the word route of the regularization tests is the independent check of
+both.
 
 Symmetric values read the flanked coefficients e0^i e_k e1 e0^j as an (s,t)
 grid.  The pairings (``rsmzv``, ``smzv_via_assoc`` and the duality built on
@@ -44,7 +48,7 @@ from math import factorial
 from mpmath import mp
 
 from . import regularization
-from .indices import Index, coarsenings, hoffman_dual, stuffle, trusted_index
+from .indices import Index, coarsenings, hoffman_dual, shuffle_one, stuffle
 from .numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp
 from .regularization import gamma0_coeffs
 from .rings import BiSeries, exp_coeffs
@@ -254,25 +258,13 @@ _PHI_CACHE: dict[tuple, NcSeries] = {}
 _PHI_RS_CACHE: dict[tuple[int, int], NcSeries] = {}
 
 
-def _shuffle_one(head: Index) -> dict[Index, int]:
-    """(1) sh head on indices: e1 goes in at each letter position of the word
-    of head, which prepends a part 1 or splits a part p into (m + 1, p - m).
-    Both keep every part positive, so no term is checked again."""
-    out = {trusted_index((1,) + head): 1}
-    for i, p in enumerate(head):
-        for m in range(p):
-            l = trusted_index(head[:i] + (m + 1, p - m) + head[i + 1:])
-            out[l] = out.get(l, 0) + 1
-    return out
-
-
 @cache
 def _zeta_reg_value(k: Index, product: str, T, prec: int):
     """The number Z_T(k), once per index, by the product recursion.
 
     Z_T is an algebra homomorphism for either product with Z_T((1)) = T, so
     T Z_T(head) = sum c_l Z_T(l) over the expansion of (1) * head, where
-    head = k[:-1], taken on indices (``_shuffle_one`` or ``stuffle``).  k
+    head = k[:-1], taken on indices (``shuffle_one`` or ``stuffle``).  k
     appears there with its number of trailing 1s as coefficient, and every
     other l has fewer, so the recursion ends at admissible indices, whose
     values are ``mzv``.
@@ -280,7 +272,7 @@ def _zeta_reg_value(k: Index, product: str, T, prec: int):
     if k.admissible:
         return mzv(k, prec)
     head = Index(k[:-1])
-    terms = _shuffle_one(head) if product == SHUFFLE else dict(stuffle((1,), head))
+    terms = shuffle_one(head) if product == SHUFFLE else dict(stuffle((1,), head))
     with mp.workdps(prec + _GUARD):
         rest = sum(c * _zeta_reg_value(l, product, T, prec) for l, c in terms.items() if l != k)
         return (to_mp(T) * _zeta_reg_value(head, product, T, prec) - rest) / terms[k]
@@ -515,7 +507,9 @@ def check_rsmzv_routes(k: Index, orders: tuple[int, int], prec: int):
 def check_smzv_routes(k: Index, orders: tuple[int, int], prec: int):
     """Direct harmonic symmetric value at T1 = T2 = 0 against the associator
     pairing: the first reads the symbolic ``zeta_reg``, the second the
-    product recursion, so the two routes are independent."""
+    numeric product recursion.  Both expand (1) * head by ``indices.stuffle``,
+    so a fault there can pass here; the word-route test of ``zeta_reg`` is
+    the independent check of that expansion."""
     k = Index(k)
     with mp.workdps(prec + _GUARD):
         tvals = {"T1": to_mp(0), "T2": to_mp(0)}

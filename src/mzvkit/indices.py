@@ -6,7 +6,8 @@ converges).  This module holds the index type plus the combinatorial maps
 used everywhere else: reversal, splitting, the componentwise shifts of a
 given total with their binomial weights (every shift sum runs over these),
 the stuffle (harmonic) product of two indices (every stuffle in mzvkit,
-the word-level harmonic product included, reads it), Hoffman duality,
+the word-level harmonic product included, reads it), the shuffle (1) sh k
+of the product recursion of regularized values, Hoffman duality,
 coarsenings (comma-to-plus merges), cyclic rotations and the glued
 concatenation.
 """
@@ -129,6 +130,18 @@ def stuffle(k: Index, l: Index) -> tuple[tuple[Index, int], ...]:
             m = trusted_index(m + (last,))
             out[m] = out.get(m, 0) + c
     return tuple(out.items())
+
+
+def shuffle_one(head: Index) -> dict[Index, int]:
+    """(1) sh head on indices: e1 goes in at each letter position of the word
+    of head, which prepends a part 1 or splits a part p into (m + 1, p - m).
+    Both keep every part positive, so no term is checked again."""
+    out = {trusted_index((1,) + head): 1}
+    for i, p in enumerate(head):
+        for m in range(p):
+            l = trusted_index(head[:i] + (m + 1, p - m) + head[i + 1:])
+            out[l] = out.get(l, 0) + 1
+    return out
 
 
 def hoffman_dual(k: Index) -> Index:

@@ -13,9 +13,10 @@ share a prefix share its sums.
 Computed values are memoised as decimal strings keyed by the key text of
 their record, ``k=2,1,3;prec=40``; a ``ValueCache`` can persist them as one
 sorted record per line.  A loaded record is kept as it is read: one pattern
-checks each line and accepts only the canonical form that ``save`` writes,
-so loading parses no number.  ``mzv`` looks its string up in the store on
-every call but parses each string to an mpf only once.
+accepts only the canonical form that ``save`` writes, and one multiline
+match of it reads a whole store, so loading parses no number.  ``mzv``
+looks its string up in the store on every call but parses each string to an
+mpf only once.
 
 ``residual`` is the one measure of every relation checker: the largest
 |lhs - rhs| over the entries of the difference.
@@ -67,6 +68,10 @@ class CacheFormatError(ValueError):
 _DECIMAL = r"-?[0-9]+(?:\.[0-9]*)?(?:e[-+]?[0-9]+)?"
 _RECORD = re.compile(r"(k=(?:(?:[1-9][0-9]*,)*(?:[2-9]|[1-9][0-9]+))?"
                      rf";prec=(?:1[5-9]|[2-9][0-9]|[1-9][0-9]{{2,}}));value=({_DECIMAL})")
+# Every line of a store that is one record, with the whitespace around it
+# that ``load`` strips; a record holds no whitespace, so a store of records
+# and blank lines has as many whitespace-separated words as records.
+_RECORD_LINES = re.compile(rf"^[^\S\n]*{_RECORD.pattern}[^\S\n]*$", re.MULTILINE)
 
 
 def _key(k, prec: int) -> str:
@@ -101,19 +106,23 @@ class ValueCache:
         self.records.clear()
 
     def load(self, path: str) -> int:
-        count = 0
+        """Add the records of the store at ``path``; return how many it holds.
+
+        One multiline match reads a store of records and blank lines.  Any
+        other line makes the counts disagree; the store then adds nothing,
+        and a pass over the lines names the first bad one and why it is not
+        a record."""
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
+            text = fh.read()
+        found = _RECORD_LINES.findall(text)
+        if len(found) != len(text.split()):
+            for lineno, line in enumerate(text.split("\n"), start=1):
                 line = line.strip()
-                if not line:
-                    continue
-                match = _RECORD.fullmatch(line)
-                if match is None:
+                if line and _RECORD.fullmatch(line) is None:
                     raise CacheFormatError(
                         f"line {lineno}: malformed cache record {line!r}: {_bad_record(line)}")
-                self.records[match[1]] = match[2]
-                count += 1
-        return count
+        self.records.update(found)
+        return len(found)
 
     def save(self, path: str) -> int:
         """Write the store to a temporary file beside ``path``, then rename it

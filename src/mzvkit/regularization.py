@@ -1,11 +1,14 @@
 """Regularized multiple zeta polynomials.
 
 H1 is a polynomial algebra over H0 in the single generator e1, for either
-the harmonic or the shuffle product.  Splitting a word along that structure
-gives its regularized decomposition, solved in one place (``_decompose_word``,
-once per word); sending the H0 part through the zeta symbol map and e1 to -T
-yields the regularized polynomial Z_T.  The map is extended to all of H for
-both products by stripping leading e0 powers with a binomial-weighted shift
+the harmonic or the shuffle product, and the regularized polynomial Z_T is
+the algebra map that sends each admissible index to its zeta symbol and the
+index (1), the letter e1, to T.  ``zeta_reg`` solves for Z_T(k) by the product recursion
+T Z_T(head) = Z_T((1) * head), with the expansion taken on indices, so it
+builds no word product.  The decomposition of a word along H1 = H0[e1]
+(``_decompose_word``, ``regularize``) stays as the word route, which the
+tests hold ``zeta_reg`` against.  Z_T is extended to all of H for both
+products by stripping leading e0 powers with a binomial-weighted shift
 formula.
 
 The comparison between the two regularizations is the linear map rho on
@@ -20,13 +23,12 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .indices import Index, shifts
+from .indices import Index, shifts, shuffle_one, stuffle, trusted_index
 from .numeric import residual
 from .rings import ZetaPoly, exp_coeffs
-from .words import (
-    E0, E1, HARMONIC, SHUFFLE, NcPoly, Word, in_h0, in_h1, index_of_word,
-    product_fn, word_of_index,
-)
+from .words import E0, E1, HARMONIC, SHUFFLE, NcPoly, Word, in_h1, index_of_word, product_fn
+
+_T = ZetaPoly.tvar("T")
 
 
 @dataclass(frozen=True)
@@ -95,24 +97,29 @@ def regularize(u: NcPoly, product: str) -> RegDecomposition:
     return RegDecomposition(tuple(parts), product)
 
 
-def z_of_h0(u: NcPoly) -> ZetaPoly:
-    """The zeta symbol map on H0: e_k -> (-1)^depth Z[k]."""
-    out = ZetaPoly()
-    for w, c in u.terms.items():
-        if not in_h0(w):
-            raise ValueError(f"word {w} is not supported on H0")
-        idx = index_of_word(w)
-        out += ZetaPoly.zeta(tuple(idx)) * (c * (-1) ** idx.depth)
-    return out
-
-
 @cache
 def zeta_reg(k: Index, product: str) -> ZetaPoly:
-    """The regularized polynomial of an index, as a ZetaPoly in T."""
-    # part i (of e1^i) goes to (-T)^i; the whole is multiplied by (-1)^depth.
-    parts = _decompose_word(word_of_index(k), product)
-    return ZetaPoly({(zpart, (("T", i),) if i else ()): (-1) ** (i + k.depth) * c
-                     for i, wi in enumerate(parts) for (zpart, _), c in z_of_h0(wi).terms.items()})
+    """The regularized polynomial Z_T(k) of an index, as a ZetaPoly in T.
+
+    Z[k] for an admissible k.  Otherwise, Z_T is an algebra homomorphism for
+    the product with Z_T((1)) = T, so T Z_T(head) = sum c_l Z_T(l) over the
+    expansion of (1) * head, head = k[:-1], taken on indices (``shuffle_one``
+    or ``stuffle``).  k appears there with its number of trailing 1s as
+    coefficient c_k, and every other l has fewer, so solving for Z_T(k)
+    recurses down to admissible indices.  Whole coefficients stay ints.
+    """
+    if k.admissible:
+        return ZetaPoly.zeta(k)
+    head = trusted_index(k[:-1])
+    terms = shuffle_one(head) if product == SHUFFLE else dict(stuffle((1,), head))
+    out = zeta_reg(head, product) * _T
+    for l, c in terms.items():
+        if l != k:
+            out.add_scaled(zeta_reg(l, product), -c)
+    ck = terms[k]
+    if ck == 1:
+        return out
+    return ZetaPoly({m: _int_if_whole(Fraction(c) / ck) for m, c in out.terms.items()})
 
 
 def _int_if_whole(q):

@@ -49,8 +49,15 @@ _ONE_MONO: Monomial = ((), ())
 
 
 def _merge_powers(a, b):
+    """The product of two sorted power tuples; two one-factor parts, such as
+    T1 against T2, merge without a dict (exponents are positive)."""
     if not a or not b:
         return a or b
+    if len(a) == 1 == len(b):
+        (x, e), (y, f) = a[0], b[0]
+        if x == y:
+            return ((x, e + f),)
+        return (a[0], b[0]) if x < y else (b[0], a[0])
     d = {}
     for key, e in a:
         d[key] = d.get(key, 0) + e

@@ -76,7 +76,7 @@ def stadic_smzv(k: Index, product: str, orders: tuple[int, int]) -> BiSeries:
         sign = (-1) ** tail.weight
         a = _t_renamed(shifted_mzv(head, product, ms), "T1")
         b = _t_renamed(shifted_mzv(reverse(tail), product, mt), "T2").negate_t()
-        out += BiSeries.from_outer(a, b).scale(sign)
+        out.add_scaled(BiSeries.from_outer(a, b), sign)
     return out
 
 

@@ -22,7 +22,7 @@ import re
 import sys
 import tempfile
 from decimal import Decimal
-from math import factorial, prod
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -30,7 +30,7 @@ from mpmath import mp
 
 from mzvkit import associator, cli, finite, indices, numeric, regularization, rings, stadic, words
 from mzvkit.rings import BiSeries, ZetaPoly
-from mzvkit.words import NcPoly, index_of_word
+from mzvkit.words import NcPoly
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_transcript.txt"
 
@@ -223,23 +223,35 @@ def _mul_without_mixed_terms(self, other):
     return out
 
 
-_decompose_word = regularization._decompose_word
 _zeta_reg = regularization.zeta_reg
-
-
-def _decompose_word_without_factorial(w, product):
-    return tuple(wi.scale(factorial(i)) for i, wi in enumerate(_decompose_word(w, product)))
-
-
-def _z_of_h0_without_sign(u):
-    out = ZetaPoly()
-    for w, c in u.terms.items():
-        out += ZetaPoly.zeta(tuple(index_of_word(w))) * c
-    return out
 
 
 def _zeta_reg_plus_T(k, product):
     return _zeta_reg(k, product).subst_tvars({"T": -1 * ZetaPoly.tvar("T")})
+
+
+def _zeta_reg_faulted(owner, k, product, *, t_term=True, divide=True, signed_leaves=False):
+    """The product recursion of ``regularization.zeta_reg``, optionally
+    without its T Z_T(head) term, without its division by the coefficient of
+    k, or with (-1)^depth Z[k] at its admissible leaves; it recurses through
+    the name planted in ``owner``."""
+    if k.admissible:
+        return ZetaPoly.zeta(k) * ((-1) ** k.depth if signed_leaves else 1)
+    head = indices.Index(k[:-1])
+    if product == words.SHUFFLE:
+        terms = indices.shuffle_one(head)
+    else:
+        terms = dict(indices.stuffle((1,), head))
+    value = owner.zeta_reg
+    out = value(head, product) * ZetaPoly.tvar("T") if t_term else ZetaPoly()
+    for l, c in terms.items():
+        if l != k:
+            out.add_scaled(value(l, product), -c)
+    return out / terms[k] if divide else out
+
+
+def _zeta_reg_fault(owner, **fault):
+    return functools.cache(functools.partial(_zeta_reg_faulted, owner, **fault))
 
 
 def _zeta_star_without_the_index_itself(k):
@@ -290,9 +302,9 @@ def _zeta_reg_value_faulted(k, product, T, prec, *, t_term=True, divide=True):
         return numeric.mzv(k, prec)
     head = indices.Index(k[:-1])
     if product == words.SHUFFLE:
-        terms = associator._shuffle_one(head)
+        terms = indices.shuffle_one(head)
     else:
-        terms = dict(associator.stuffle((1,), head))
+        terms = dict(indices.stuffle((1,), head))
     value = associator._zeta_reg_value
     with mp.workdps(prec + numeric._GUARD):
         rest = sum(c * value(l, product, T, prec) for l, c in terms.items() if l != k)
@@ -309,7 +321,7 @@ def _stuffle_without_merged_terms(k, l):
     return tuple((m, c) for m, c in _stuffle(k, l) if len(m) == len(k) + len(l))
 
 
-_shuffle_one = associator._shuffle_one
+_shuffle_one = indices.shuffle_one
 
 
 def _shuffle_one_without_the_prepended_part(head):
@@ -334,19 +346,32 @@ def _star_values_at_tau_0(k, tau, product, orders):
 # (every command of it FAILs), one command, such as "reg (2,1,1,1)", or one
 # line of t-part, such as "t-part shuffle".  The
 # associator builds no symbolic regularization: its values Z_T(index) come
-# from the product recursion, so a fault in _decompose_word, z_of_h0 or
-# zeta_reg reaches the stadic and regularization checks, and the associator
-# only through the routes that set it against them (rsmzv-routes,
-# smzv-assoc).  A sign error in zeta_reg's T reaches only reg (2,1,1,1) and
-# reg (2,1,1,1,1), whose rho(T^3) and rho(T^4) have zeta(3) terms that change
-# sign: rho commutes with T -> -T in the degrees <= 2 that reg (2,1,1)
-# reaches, and stadic reads zeta_reg through its own import of the name, which
-# the fault leaves alone.
-# A recursion without its T Z_T(head) term computes Z_0 at every T, which only
-# t-part sees, since it alone sets phi at T against an explicit function of
-# T.  One without its division changes every value with two or more
-# trailing 1s, which the two pairings at (2) never read: no piece of their
-# words has two adjacent e1.  The cycle identities hold degree by degree, so
+# from its own numeric product recursion, so a fault in zeta_reg reaches the
+# stadic and regularization checks, and the associator only through the
+# routes that set it against them (rsmzv-routes, smzv-assoc).  zeta_reg
+# solves the same recursion over the zeta symbols and recurses through the
+# name in regularization; stadic binds the unfaulted function under its own
+# name, so a fault planted in regularization reaches the stadic checks only
+# through the inner values of that function.  No check reads the word route
+# (_decompose_word and the word products), so its faults are planted in
+# tests/test_regularization.py, where the word route is the oracle of
+# zeta_reg.  A sign error in T, applied again at each level of the
+# recursion, is wrong from degree 2 on: it reaches every reg command and,
+# through inner values, explicit-reg.  A recursion without its T Z_T(head)
+# term computes Z_0, which is still multiplicative, so only reg, which sets
+# the two products against each other through rho, and explicit-reg see it.
+# One without its division by c_k scales Z_T(k) by c_k, the number of
+# trailing 1s of k: at the top of reg (2,1,1) both sides scale by 2, so only
+# the deeper reg commands, whose inner values scale too, see it.  Leaves
+# (-1)^depth Z[k] planted in stadic change its admissible values, the only
+# ones csf-shifted (2,1) can see: its non-admissible terms cancel between its
+# two sides.  shuffle still holds under them, because every term of a
+# shuffle of two indices has the same depth, and so does t-translation.
+# In the associator, a recursion without its T Z_T(head) term computes Z_0
+# at every T, which only t-part sees, since it alone sets phi at T against an
+# explicit function of T.  One without its division changes every value with
+# two or more trailing 1s, which the two pairings at (2) never read: no piece
+# of their words has two adjacent e1.  The cycle identities hold degree by degree, so
 # a product that drops its top degree passes them, and so does independence,
 # whose two sides are products alike; the exponentials are closed forms or
 # one-variable recurrences that multiply no series, so only gamma-factor and
@@ -366,15 +391,17 @@ def _star_values_at_tau_0(k, tau, product, orders):
 # regularization each bind ``shifts`` themselves, so it is planted in each:
 # in stadic it fails the checks listed for it, as measured; in regularization
 # it reaches only the phi coefficients (_shift_expansion), which the
-# associator checks listed for it read.  stadic, associator, words and finite
-# each bind ``stuffle`` too, so a stuffle without its merged terms is planted
-# in each (finite in its own scan test below): in stadic it reaches the two
-# stuffle checks; in associator only the harmonic phi, which gamma-factor and
-# independence read; in words the harmonic product of the symbolic
-# regularization, and so every check listed for it, as measured.  A (1) sh
-# head without its prepended part 1 changes every shuffle value Z_T(k) with a
-# trailing 1, which the associator checks listed for it read, the shuffle
-# line of t-part among them.  Only csf-nonstar and csf-tau at tau = 0 read the
+# associator checks listed for it read.  stadic, associator, regularization
+# and finite each bind ``stuffle`` too, so a stuffle without its merged terms
+# is planted in each (finite in its own scan test below): in stadic it
+# reaches the two stuffle checks; in associator only the harmonic phi, which
+# gamma-factor and independence read; in regularization the harmonic
+# recursion of zeta_reg, and so every check listed for it, as measured.  The
+# one in words reaches only the word route.  A (1) sh head without its
+# prepended part 1 changes every shuffle value Z_T(k) with a trailing 1:
+# planted in associator, the checks listed for it read one, the shuffle line
+# of t-part among them; planted in regularization, the shuffle values of reg,
+# explicit-reg and shuffle.  Only csf-nonstar and csf-tau at tau = 0 read the
 # symmetric values at tau = 0, so star values there fail only those two.
 # regularization and associator each bind ``exp_coeffs``, the recurrence
 # n e_n = sum k c_k e_(n-k), so a recurrence without the factor k is planted
@@ -408,15 +435,18 @@ MUTATIONS = {
                           "shuffle"}),
     "mul-drops-mixed-terms": ((BiSeries, "__mul__", _mul_without_mixed_terms),
                               {"harmonic", "rsmzv-routes", "shuffle"}),
-    "decompose-without-factorial": ((regularization, "_decompose_word",
-                                     _decompose_word_without_factorial),
-                                    {"explicit-reg", "reg"}),
-    "h0-symbol-without-sign": ((regularization, "z_of_h0", _z_of_h0_without_sign),
-                               {"antipode", "csf-nonstar", "csf-shifted", "csf-star", "csf-tau",
-                                "explicit-reg", "harmonic", "reg", "rsmzv-routes",
-                                "shifted-harmonic", "smzv-assoc"}),
-    "zeta-reg-plus-T": ((regularization, "zeta_reg", _zeta_reg_plus_T),
-                        {"reg (2,1,1,1)", "reg (2,1,1,1,1)"}),
+    "zeta-reg-plus-T": ((regularization, "zeta_reg", _zeta_reg_plus_T), {"explicit-reg", "reg"}),
+    "zeta-reg-without-T-term": ((regularization, "zeta_reg",
+                                 _zeta_reg_fault(regularization, t_term=False)),
+                                {"explicit-reg", "reg"}),
+    "zeta-reg-without-division": ((regularization, "zeta_reg",
+                                   _zeta_reg_fault(regularization, divide=False)),
+                                  {"reg (2,1,1,1)", "reg (2,1,1,1,1)"}),
+    "stadic-zeta-reg-with-signed-leaves": ((stadic, "zeta_reg",
+                                            _zeta_reg_fault(stadic, signed_leaves=True)),
+                                           {"antipode", "csf-nonstar", "csf-shifted", "csf-star",
+                                            "csf-tau", "explicit-reg", "harmonic", "rsmzv-routes",
+                                            "shifted-harmonic", "smzv-assoc"}),
     "reg-value-without-T-term": ((associator, "_zeta_reg_value",
                                   functools.partial(_zeta_reg_value_faulted, t_term=False)),
                                  {"t-part"}),
@@ -442,18 +472,22 @@ MUTATIONS = {
                                             "two-cycle"}),
     "stadic-stuffle-without-merged-terms": ((stadic, "stuffle", _stuffle_without_merged_terms),
                                             {"harmonic", "shifted-harmonic"}),
+    "regularization-stuffle-without-merged-terms": ((regularization, "stuffle",
+                                                     _stuffle_without_merged_terms),
+                                                    {"antipode", "csf-nonstar", "csf-star",
+                                                     "csf-tau", "explicit-reg", "harmonic", "reg",
+                                                     "shifted-harmonic"}),
     "associator-stuffle-without-merged-terms": ((associator, "stuffle",
                                                  _stuffle_without_merged_terms),
                                                 {"gamma-factor", "independence"}),
-    "words-stuffle-without-merged-terms": ((words, "stuffle", _stuffle_without_merged_terms),
-                                           {"antipode", "csf-nonstar", "csf-star", "csf-tau",
-                                            "explicit-reg", "harmonic", "reg",
-                                            "shifted-harmonic"}),
-    "shuffle-one-without-the-prepended-part": ((associator, "_shuffle_one",
+    "shuffle-one-without-the-prepended-part": ((associator, "shuffle_one",
                                                 _shuffle_one_without_the_prepended_part),
                                                {"duality", "duality-assoc", "gamma-factor",
                                                 "independence", "rsmzv-routes", "t-part shuffle",
                                                 "three-cycle", "two-cycle"}),
+    "regularization-shuffle-one-without-the-prepended-part": (
+        (regularization, "shuffle_one", _shuffle_one_without_the_prepended_part),
+        {"explicit-reg", "reg", "shuffle"}),
     "tau-0-reads-star-values": ((stadic, "stadic_smzv_tau", _star_values_at_tau_0),
                                 {"csf-nonstar", "csf-tau (2,1) --tau 0 --orders 2,2"}),
     "regularization-exp-without-factor-k": ((regularization, "exp_coeffs",

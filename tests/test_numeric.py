@@ -198,6 +198,31 @@ def test_cache_parse_error(tmp_path):
             ValueCache().load(str(path))
 
 
+def test_a_bad_line_in_the_middle_of_a_store_is_named_with_its_reason(tmp_path):
+    lines = GOLDEN_VALUES.read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "store.txt"
+    reasons = {"zz2;prec=40;value=1.5": "unknown field name",
+               "k=2;prec=40;value=nan": "value is not a finite decimal",
+               "k=1;prec=40;value=1.5": "not a value that mzv stores"}
+    for record in BAD_RECORDS:
+        path.write_text("\n".join(lines[:74] + ["", record] + lines[74:]) + "\n")
+        cache = ValueCache()
+        with pytest.raises(CacheFormatError) as raised:
+            cache.load(str(path))
+        reason = reasons.get(record, numeric._bad_record(record))
+        assert str(raised.value) == f"line 76: malformed cache record {record!r}: {reason}"
+        assert not cache.records, "a store with a bad line adds none of its records"
+
+
+def test_a_repeated_key_keeps_its_last_value_and_counts_twice(tmp_path):
+    path = tmp_path / "store.txt"
+    path.write_bytes(b"k=2;prec=40;value=1.6\r\n\r\n\t k=3;prec=40;value=1.2 \r\n"
+                     b"k=2;prec=40;value=1.7\n\n")
+    cache = ValueCache()
+    assert cache.load(str(path)) == 3
+    assert cache.records == {"k=2;prec=40": "1.7", "k=3;prec=40": "1.2"}
+
+
 def test_cache_rejects_bad_records_under_python_optimize(tmp_path):
     # -O strips assert statements; the format check must not rest on one
     script = (

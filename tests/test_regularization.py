@@ -1,9 +1,11 @@
 import itertools
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from mzvkit import regularization, stadic, words
 from mzvkit.indices import EMPTY, Index, shifts
 from mzvkit.numeric import residual, tolerance
 from mzvkit.regularization import (
@@ -12,7 +14,8 @@ from mzvkit.regularization import (
     rho_of_T_power, zeta_reg,
 )
 from mzvkit.rings import BiSeries, ZetaPoly
-from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, word_of_index
+from mzvkit.stadic import check_csf_tau, check_harmonic
+from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, index_of_word, word_of_index
 
 W = NcPoly.from_word
 Z = ZetaPoly.zeta
@@ -87,6 +90,98 @@ def test_zeta_reg_keeps_whole_coefficients_as_ints():
             assert not [c for part in parts for c in whole(part)], (k, product)
     for n in range(7):
         assert not whole(rho_of_T_power(n)), n
+
+
+def _indices_of_weight_up_to(n):
+    """Every non-empty index of weight <= n."""
+    return [k for weight in range(1, n + 1) for depth in range(1, weight + 1)
+            for k, _ in shifts(Index((1,) * depth), weight - depth)]
+
+
+def _zeta_symbols(u):
+    """The zeta symbol map on H0: e_k -> (-1)^depth Z[k]."""
+    out = ZetaPoly()
+    for w, c in u.terms.items():
+        k = index_of_word(w)
+        out.add_scaled(ZetaPoly.zeta(k), c * (-1) ** k.depth)
+    return out
+
+
+def _zeta_reg_by_words(k, product):
+    """Z_T(k) by the word route: the parts w_i of the word of k along
+    H1 = H0[e1], part i sent to (-T)^i, all times (-1)^depth."""
+    out = ZetaPoly()
+    for i, wi in enumerate(regularize(W(word_of_index(k)), product).coefficients):
+        out.add_scaled(_zeta_symbols(wi) * T ** i, (-1) ** (i + k.depth))
+    return out
+
+
+def test_zeta_reg_equals_the_word_route():
+    indices = [EMPTY] + _indices_of_weight_up_to(9)
+    assert len(indices) == 512
+    for k in indices:
+        for product in (HARMONIC, SHUFFLE):
+            assert zeta_reg(k, product) == _zeta_reg_by_words(k, product), (k, product)
+
+
+def _decompose_word_without_factorial(w, product):
+    return tuple(wi.scale(factorial(i)) for i, wi in enumerate(_decompose_word(w, product)))
+
+
+def _zeta_symbols_without_sign(u):
+    return sum((ZetaPoly.zeta(index_of_word(w)) * c for w, c in u.terms.items()), ZetaPoly())
+
+
+def _stuffle_without_merged_terms(k, l):
+    return tuple((m, c) for m, c in _stuffle(k, l) if len(m) == len(k) + len(l))
+
+
+_decompose_word = regularization._decompose_word
+_stuffle = words.stuffle
+
+# planted faults on the word route, which no check reads: each must make the
+# word route disagree with zeta_reg
+WORD_ROUTE_FAULTS = {
+    "decompose-without-factorial": (regularization, "_decompose_word",
+                                    _decompose_word_without_factorial),
+    "h0-symbol-without-sign": (sys.modules[__name__], "_zeta_symbols",
+                               _zeta_symbols_without_sign),
+    "words-stuffle-without-merged-terms": (words, "stuffle", _stuffle_without_merged_terms),
+}
+
+
+def _clear_caches(*modules):
+    for module in modules or (regularization, words):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+@pytest.mark.parametrize("fault", sorted(WORD_ROUTE_FAULTS))
+def test_oracle_sees_word_route_fault(monkeypatch, fault):
+    owner, name, planted = WORD_ROUTE_FAULTS[fault]
+    indices = _indices_of_weight_up_to(5)
+    expected = {(k, p): zeta_reg(k, p) for k in indices for p in (HARMONIC, SHUFFLE)}
+    _clear_caches()
+    monkeypatch.setattr(owner, name, planted)
+    try:
+        wrong = [key for key, value in expected.items() if _zeta_reg_by_words(*key) != value]
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    assert wrong, fault
+
+
+def test_the_symbolic_checks_build_no_word_products():
+    _clear_caches(regularization, words, stadic)
+    prec = 40
+    tol = tolerance(prec)
+    assert check_harmonic(Index((1, 1)), Index((2, 1)), (2, 2), prec) < tol
+    assert check_csf_tau(Index((1, 2, 1)), Fraction(1, 2), (2, 2), prec) < tol
+    assert check_reg_theorem(Index((2, 1, 1, 1)), prec) < tol
+    assert regularization.zeta_reg.cache_info().misses > 0
+    assert regularization._decompose_word.cache_info().misses == 0
+    assert words._harmonic_words.cache_info().misses == 0
 
 
 def test_z_reg_full():

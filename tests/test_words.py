@@ -7,8 +7,8 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mzvkit.associator import NcSeries, _shuffle_one
-from mzvkit.indices import EMPTY, Index, stuffle
+from mzvkit.associator import NcSeries
+from mzvkit.indices import EMPTY, Index, shuffle_one, stuffle
 from mzvkit.rings import BiSeries
 from mzvkit.words import (
     E0, E1, SWAP, NcPoly, antipode, coproduct, embed, embed_combination,
@@ -226,7 +226,7 @@ def test_shuffle_one_against_the_word_route():
     heads = indices_up_to(10)
     assert len(heads) == 1024
     for head in heads:
-        assert _shuffle_one(head) == extract_combination(
+        assert shuffle_one(head) == extract_combination(
             shuffle(embed(Index((1,))), embed(head))).terms, head
 
 
@@ -234,7 +234,7 @@ def test_every_term_of_the_index_expansions_is_a_valid_index():
     # (1) sh head and (1) * head build their terms without checking the parts
     # again; checking them here must change nothing
     for head in indices_up_to(8):
-        for terms in (_shuffle_one(head), dict(stuffle(Index((1,)), head))):
+        for terms in (shuffle_one(head), dict(stuffle(Index((1,)), head))):
             for l in terms:
                 assert type(l) is Index and Index(tuple(l)) == l, (head, l)
                 assert l.weight == head.weight + 1, (head, l)
