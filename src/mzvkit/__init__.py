@@ -8,7 +8,7 @@ regularized values (``regularization``), high-precision numerics
 congruence scans mod prime powers (``finite``) and the CLI (``cli``).
 """
 
-from .indices import Index, IndexCombination, parse_index
+from .indices import Index, parse_index
 from .numeric import DEFAULT_PREC, mzv, mzv_star, tolerance
 from .rings import BiSeries, ZetaPoly
 from .words import HARMONIC, SHUFFLE, NcPoly
@@ -16,7 +16,7 @@ from .words import HARMONIC, SHUFFLE, NcPoly
 __version__ = "0.1.0"
 
 __all__ = [
-    "Index", "IndexCombination", "parse_index",
+    "Index", "parse_index",
     "DEFAULT_PREC", "mzv", "mzv_star", "tolerance",
     "BiSeries", "ZetaPoly",
     "HARMONIC", "SHUFFLE", "NcPoly",

@@ -74,8 +74,10 @@ class NcSeries(NcPoly):
     ``coeff`` and ``largest``.  A NaN or infinite value stays an mpmath
     number, so every sum and product it enters is NaN or infinite too.  A
     series over an exact ring (no mpmath coefficient) keeps its coefficients
-    as given (bits = 0), and its product is exact.  The right operand of
-    ``*``, ``+`` and ``-`` is first held at the left operand's bits.
+    as given (bits = 0), and its product is exact.  The operands of ``*``,
+    ``+`` and ``-`` share their degree and their bits: series built at
+    different precisions, or an exact one and a fixed-point one, raise
+    ``ValueError``.
     """
 
     __slots__ = ("deg", "bits")
@@ -93,7 +95,7 @@ class NcSeries(NcPoly):
 
     def _coerce(self, other: "NcSeries") -> "NcSeries":
         self._check(other)
-        return other._at(self.bits)
+        return other
 
     @classmethod
     def const(cls, deg: int) -> "NcSeries":
@@ -146,15 +148,6 @@ class NcSeries(NcPoly):
                 out[w] = s
         return out
 
-    def _at(self, bits: int) -> "NcSeries":
-        """This series held at ``bits`` (0: as mpmath numbers)."""
-        if bits == self.bits:
-            return self
-        out = self._new({})
-        out.bits = bits
-        out.terms = {w: f for w, c in self.terms.items() if (f := out._fixed(self._value(c)))}
-        return out
-
     def coeff(self, w: Word):
         """The coefficient of ``w`` as a number; 0 when the word is absent."""
         c = self.terms.get(tuple(w))
@@ -179,7 +172,6 @@ class NcSeries(NcPoly):
         keeps, in the order of the full double loop.  Fixed-point coefficients
         are summed exactly and rounded once each."""
         self._check(other)
-        other = other._at(self.bits)
         deg = self.deg
         fits = [[] for _ in range(deg + 1)]
         for w, c in other.terms.items():
@@ -210,6 +202,8 @@ class NcSeries(NcPoly):
     def _check(self, other):
         if self.deg != other.deg:
             raise ValueError("degree bounds do not match")
+        if self.bits != other.bits:
+            raise ValueError("fixed-point scales do not match")
 
     def __repr__(self) -> str:
         pieces = []

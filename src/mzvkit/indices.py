@@ -15,12 +15,9 @@ concatenation.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cache
 from math import comb
 from typing import Iterable
-
-from .rings import LinearCombination
 
 
 class Index(tuple):
@@ -193,24 +190,3 @@ def uplus(k: Index, l: Index) -> Index:
         raise ValueError("uplus needs two non-empty indices")
     return Index(k[:-1] + (k[-1] + l[0],) + l[1:])
 
-
-class IndexCombination(LinearCombination):
-    """A finitely supported rational linear combination of indices; whole
-    coefficients stay ints."""
-
-    __slots__ = ()
-
-    def __init__(self, terms: dict[Index, Fraction | int] | None = None):
-        super().__init__({Index(idx): c for idx, c in (terms or {}).items()})
-
-    @classmethod
-    def single(cls, k: Index, c: Fraction | int = 1) -> "IndexCombination":
-        return cls({Index(k): c})
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: (kv[0].weight, kv[0]))
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{idx}" for idx, c in self.items())

@@ -1,13 +1,12 @@
 """Sparse linear combinations and the scalar coefficient rings built on them.
 
 * ``LinearCombination`` -- a finitely supported map from basis keys (words,
-  monomials, indices, exponent pairs) to nonzero coefficients.  It is the
-  one sparse core under all five dict algebras of the package (``ZetaPoly``,
-  ``BiSeries``, ``words.NcPoly``, ``associator.NcSeries``,
-  ``indices.IndexCombination``): zero-dropping construction, ``+``, ``-``,
-  ``scale``, equality, and in-place accumulation (``+=``, ``-=``,
-  ``add_term``, ``add_scaled``) through a single accumulate-and-drop-zeros
-  loop.
+  monomials, exponent pairs) to nonzero coefficients.  It is the one sparse
+  core under all four dict algebras of the package (``ZetaPoly``,
+  ``BiSeries``, ``words.NcPoly``, ``associator.NcSeries``): zero-dropping
+  construction, ``+``, ``-``, ``scale``, equality, and in-place
+  accumulation (``+=``, ``-=``, ``add_term``, ``add_scaled``) through a
+  single accumulate-and-drop-zeros loop.
 * ``ZetaPoly`` -- commutative polynomials in formal zeta symbols ``Z[k]``
   (k an admissible index) and named indeterminates (``T``, ``T1``, ``T2``)
   with exact rational coefficients.  Equality is structural; no relation

@@ -172,7 +172,7 @@ def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
     for w, series in word.terms.items():
         idx = index_of_word(w)
         value = _t_renamed(stadic_smzv(idx, SHUFFLE, orders), None)
-        lhs += (series.map(ZetaPoly.const) * value).scale((-1) ** idx.depth)
+        lhs += (series * value).scale((-1) ** idx.depth)
 
     rhs = BiSeries.constant(ZetaPoly(), ms, mt)
     for n in range(mt + 1):
@@ -241,7 +241,7 @@ def check_csf_tau(k: Index, tau: Fraction, orders: tuple[int, int], prec: int):
 
     Each rotation contributes a prepended/appended part j+1 plus, weighted
     by 1 - tau, the variant glued into the rotation; the single-zeta term
-    weight * zeta(weight+1) carries tau^depth.  Terms of weight 0 are skipped.
+    weight * zeta(weight+1) carries tau^depth.
     """
     k = Index(k)
     _require_weight_gt_depth(k)

@@ -3,8 +3,8 @@
 Words live over the letters ``E0`` and ``E1`` (encoded 0 and 1).  A word is
 in H1 when it is empty or starts with E1, and in H0 when it is empty or
 starts with E1 and ends with E0.  An index k = (k1,...,kr) corresponds to
-the word ``e1 e0^(k1-1) ... e1 e0^(kr-1)``; the linear bijection onto index
-combinations carries the sign (-1)^depth.
+the word ``e1 e0^(k1-1) ... e1 e0^(kr-1)``; its signed image ``embed``
+carries the sign (-1)^depth.
 
 ``NcPoly`` is a finitely supported map from words to coefficients in a
 pluggable scalar ring (anything with +, -, *, bool), on the sparse core
@@ -25,7 +25,7 @@ import itertools
 from fractions import Fraction
 from functools import cache
 
-from .indices import Index, IndexCombination, coarsenings, reverse, stuffle, trusted_index
+from .indices import Index, coarsenings, reverse, stuffle, trusted_index
 from .rings import BiSeries, LinearCombination
 
 E0 = 0
@@ -166,22 +166,6 @@ class NcPoly(LinearCombination):
 def embed(k: Index) -> NcPoly:
     """The signed word (-1)^depth e_k of an index."""
     return NcPoly.from_word(word_of_index(k), (-1) ** k.depth)
-
-
-def embed_combination(c: IndexCombination) -> NcPoly:
-    out = NcPoly()
-    for idx, q in c.terms.items():
-        out += embed(idx).scale(q)
-    return out
-
-
-def extract_combination(u: NcPoly) -> IndexCombination:
-    """Inverse of :func:`embed_combination`; the support must lie in H1."""
-    terms = {}
-    for w, c in u.terms.items():
-        idx = index_of_word(w)
-        terms[idx] = (-1) ** idx.depth * c
-    return IndexCombination(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -113,16 +113,29 @@ def test_fixed_point_products_agree_with_mpmath_products():
             a = _random_terms(rng, D, left_complex)
             b = _random_terms(rng, D, right_complex)
             got = NcSeries(D, a) * NcSeries(D, b)
-        with mp.workdps(prec + _GUARD + 10):
-            finer = NcSeries(D, b)                # held at more bits, read at the left's
         with mp.workdps(prec + 40):
             want = _mpmath_product(a, b, D)
-            for product in (got, NcSeries(D, a) * finer):
-                assert set(product.terms) == set(want)
-                worst = max(abs(product.coeff(w) - c) for w, c in want.items())
-                assert worst < mp.mpf(10) ** -(prec + 10)
+            assert set(got.terms) == set(want)
+            worst = max(abs(got.coeff(w) - c) for w, c in want.items())
+            assert worst < mp.mpf(10) ** -(prec + 10)
             complex_product = left_complex or right_complex
             assert all(isinstance(got.coeff(w), mp.mpc) == complex_product for w in want)
+
+
+def test_series_of_different_scales_do_not_combine():
+    # a whole-series check builds every factor at one precision; a factor
+    # built at another, or exact against fixed point, is an error, not a
+    # silent conversion
+    with mp.workdps(40 + _GUARD):
+        coarse = exp_linear(4, mp.mpf(1) / 3, (E0, E1))
+    with mp.workdps(60 + _GUARD):
+        fine = exp_linear(4, mp.mpf(1) / 3, (E0, E1))
+    exact = NcSeries(4, {(): 1, (E0,): Fraction(1, 3)})
+    assert exact.bits == 0 and 0 < coarse.bits < fine.bits
+    for a, b in [(coarse, fine), (fine, coarse), (exact, fine), (coarse, exact)]:
+        for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(ValueError, match="fixed-point scales do not match"):
+                op(a, b)
 
 
 @pytest.mark.parametrize("check", [check_three_cycle, check_duality_assoc],
@@ -154,7 +167,7 @@ def test_a_non_finite_coefficient_in_a_product_never_passes():
 
 def test_reversed_t_factorization():
     # the reversed series factors on the right: rev(phi(T)) = rev(phi(0)) exp(-T X1)
-    with mp.workdps(60):
+    with mp.workdps(40 + _GUARD):
         T = Fraction(7, 10)
         lhs = phi(SHUFFLE, T, 4, 40).reverse()
         rhs = phi(SHUFFLE, 0, 4, 40).reverse() * exp_linear(4, -mp.mpf(7) / 10, (E1,))
@@ -305,6 +318,26 @@ def test_whole_series_checks_at_degree_10(check):
     # every exponential factor reaches words of length 10, and independence
     # reads the recurrence for exp(sum zeta(2k)/k X1^2k) up to X1^10
     assert check() < TOL
+
+
+WHOLE_SERIES_CHECKS = {
+    "two-cycle": check_two_cycle,
+    "three-cycle": check_three_cycle,
+    "t-part-shuffle": lambda D, prec: check_t_part(SHUFFLE, associator.SAMPLE_T, D, prec),
+    "t-part-harmonic": lambda D, prec: check_t_part(HARMONIC, associator.SAMPLE_T, D, prec),
+    "gamma-factor": lambda D, prec: check_gamma_factor(associator.SAMPLE_T, D, prec),
+    "independence": lambda D, prec: check_independence_factor(associator.SAMPLE_T, D, prec),
+    "duality-assoc": check_duality_assoc,
+}
+
+
+@pytest.mark.parametrize("name", list(WHOLE_SERIES_CHECKS))
+def test_whole_series_checks_at_every_precision(name):
+    # each check builds all its factors at its own precision, also when the
+    # series caches already hold phi at another one
+    for prec in (15, 60, 40):
+        for D in (5, 6):
+            assert WHOLE_SERIES_CHECKS[name](D, prec) < tolerance(prec), (D, prec)
 
 
 def test_smzv_via_assoc_routes():

@@ -1,11 +1,13 @@
+import ast
 import itertools
-from fractions import Fraction
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 
+from mzvkit import indices, rings
 from mzvkit.indices import (
-    EMPTY, Index, IndexCombination, coarsenings, concat, cyclic_class, hoffman_dual,
+    EMPTY, Index, coarsenings, concat, cyclic_class, hoffman_dual,
     parse_index, reverse, shifts, split, uplus,
 )
 
@@ -163,13 +165,16 @@ def test_parse_index_takes_ascii_digits_only():
             parse_index(bad)
 
 
-def test_index_combination():
-    a = IndexCombination.single(Index((2,)), 2)
-    b = IndexCombination.single(Index((1, 1)), Fraction(1, 2))
-    c = a + b
-    assert c.terms[Index((2,))] == 2
-    d = c - a
-    assert d == b
-    assert not (d - b)
-    e = Fraction(0) * c
-    assert not e and e.terms == {}
+def _mzvkit_imports(module):
+    """The mzvkit modules that a module's source imports, relative or absolute."""
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.split(".")[0] == "mzvkit"):
+            yield "." * node.level + (node.module or "")
+        elif isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.split(".")[0] == "mzvkit")
+
+
+@pytest.mark.parametrize("module", [indices, rings], ids=["indices", "rings"])
+def test_the_leaf_layers_import_no_other_mzvkit_module(module):
+    # the other layers import indices and rings, never the reverse
+    assert list(_mzvkit_imports(module)) == []
