@@ -18,16 +18,16 @@ The module builds the shuffle associator (regularized at T = 0), its
 letter-substituted and conjugated variants, the five-factor dressed series
 used for refined symmetric values, and the residual checkers for the cycle
 relations, the factorization identities and refined duality.  Each
-coefficient of phi sums the numbers Z_T(index) named by the shift formula
-of its word, each index evaluated once.  A non-admissible index takes its
-number from admissible values by the product recursion
-T Z_T(head) = Z_T((1) * head), for the shuffle or the harmonic product, so
-no symbolic regularization is built here.  ``regularization.zeta_reg``
-solves the same recursion over the zeta symbols: the checks that compare
-phi with ``zeta_reg`` or ``stadic`` share the index expansions
-(``indices.shuffle_one`` and ``indices.stuffle``) but not the arithmetic,
-and the word route of the regularization tests is the independent check of
-both.
+coefficient of phi, the value of a word e0^n e_k, strips one e0 at a time
+by the one-letter recursion from Z_T(e0) = 0, down to values Z_T(index),
+each index evaluated once.  A non-admissible index takes its number from
+admissible values by the product recursion T Z_T(head) = Z_T((1) * head),
+for the shuffle or the harmonic product, so no symbolic regularization is
+built here.  ``regularization`` solves both recursions over the zeta
+symbols: the checks that compare phi with ``zeta_reg`` or ``stadic`` share
+the index expansions (``indices.shifts``, ``indices.shuffle_one`` and
+``indices.stuffle``) but not the arithmetic, and the word route of the
+regularization tests is the independent check of both.
 
 Symmetric values read the flanked coefficients e0^i e_k e1 e0^j as an (s,t)
 grid.  The pairings (``rsmzv``, ``smzv_via_assoc`` and the duality built on
@@ -47,13 +47,12 @@ from math import factorial
 
 from mpmath import mp
 
-from . import regularization
-from .indices import Index, coarsenings, hoffman_dual, shuffle_one, stuffle
+from .indices import Index, coarsenings, hoffman_dual, shifts, shuffle_one, stuffle
 from .numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp
 from .regularization import gamma0_coeffs
 from .rings import BiSeries, exp_coeffs
 from .stadic import stadic_smzv
-from .words import E0, E1, HARMONIC, SHUFFLE, SWAP, NcPoly, Word, word_of_index
+from .words import E0, E1, HARMONIC, SHUFFLE, SWAP, NcPoly, Word, index_of_word, word_of_index
 
 
 # The real parameter at which the numeric series checks compare phi(T).
@@ -274,13 +273,19 @@ def _zeta_reg_value(k: Index, product: str, T, prec: int):
 
 @cache
 def _phi_coeff(w: Word, product: str, T, prec: int):
-    """<phi(T), w> = Z_T(reverse w), summed from the values of the indices that
-    the shift formula of the reversed word names."""
+    """<phi(T), w> = Z_T(reverse w) = Z_T(e0^n e_k): (-1)^depth Z_T(k) at n = 0,
+    and otherwise n Z_T(e0^n e_k) = -sum_i k_i Z_T(e0^(n-1) e_(k + delta_i)),
+    the one-letter recursion from Z_T(e0) = 0, over the shifts of k by 1."""
+    u = w[::-1]
+    n = u.index(E1) if E1 in u else len(u)
+    k = index_of_word(u[n:])
     with mp.workdps(prec + _GUARD):
+        if not n:
+            return mp.mpf((-1) ** k.depth * _zeta_reg_value(k, product, T, prec))
         total = mp.mpf(0)
-        for k, c in regularization._shift_expansion(w[::-1]):
-            total += c * _zeta_reg_value(k, product, T, prec)
-        return total
+        for l, c in shifts(k, 1):
+            total -= c * _phi_coeff(word_of_index(l)[::-1] + (E0,) * (n - 1), product, T, prec)
+        return total / n
 
 
 def phi(product: str, T, D: int, prec: int) -> NcSeries:

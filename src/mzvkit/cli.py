@@ -37,7 +37,7 @@ from mpmath import mp
 
 from . import associator, finite, numeric, regularization, stadic
 from .indices import Index, parse_index
-from .numeric import CACHE, MIN_PREC, tolerance
+from .numeric import CACHE, DEFAULT_PREC, MIN_PREC, tolerance
 from .words import HARMONIC, SHUFFLE
 
 
@@ -132,7 +132,7 @@ OPTIONS = {
 
 @dataclass
 class Config:
-    prec: int = 40
+    prec: int = DEFAULT_PREC
     orders: tuple[int, int] = (2, 2)
     cache_path: str = "mzv_cache.txt"
 

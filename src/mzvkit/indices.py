@@ -4,7 +4,8 @@ An index is a finite tuple of positive integers.  It is *admissible* when it
 is empty or its last entry is at least 2 (so the attached nested series
 converges).  This module holds the index type plus the combinatorial maps
 used everywhere else: reversal, splitting, the componentwise shifts of a
-given total with their binomial weights (every shift sum runs over these),
+given total with their binomial weights (every shift sum and, at total 1,
+the one-letter recursion of regularized values run over these),
 the stuffle (harmonic) product of two indices (every stuffle in mzvkit,
 the word-level harmonic product included, reads it), the shuffle (1) sh k
 of the product recursion of regularized values, Hoffman duality,

@@ -5,10 +5,10 @@ index at the midpoint 1/2.  Each piece is a multiple polylogarithm at 1/2,
 a geometrically convergent nested series (ratio 1/2), so ``prec`` digits
 need about 3.33*prec terms.  The reflected upper piece swaps the two
 letters and reverses, which keeps every piece convergent exactly when the
-index is admissible.  Each piece is summed in Python-int fixed point and
-becomes an mpf once, at the end.  Each nesting level is one pass over the
-level of the parent composition, held in a bounded memo, so pieces that
-share a prefix share its sums.
+index is admissible.  Each piece is summed in Python-int fixed point, and
+the exact sum of their products becomes an mpf once, at the end.  Each
+nesting level is one pass over the level of the parent composition, held
+in a bounded memo, so pieces that share a prefix share its sums.
 
 Computed values are memoised as decimal strings keyed by the key text of
 their record, ``k=2,1,3;prec=40``; a ``ValueCache`` can persist them as one
@@ -165,28 +165,26 @@ def _level(comp: tuple, prec: int) -> list[int]:
 
 
 @cache
-def _li_half(comp: tuple, prec: int) -> mpmath.mpf:
-    """Multiple polylogarithm of a composition at 1/2.
+def _li_half(comp: tuple, prec: int) -> int:
+    """Multiple polylogarithm of a composition at 1/2, as an int scaled by
+    2^bits, bits = ``_bits(prec)``.
 
     Sum over 0 < n_1 < ... < n_q of 2^(-n_q) / prod n_j^(c_j), summed to
     N = ceil(3.33 (prec+12)) + 16 terms; the tail is below (N+2) 2^(1-N).
 
-    The sum runs in Python-int fixed point scaled by 2^bits.  Level j at n
-    (``_level``) is the floor quotient by n^(c_j) of level j-1's sum over
-    m < n, and level j-1 is the memoised level of the parent composition;
-    2^(-n) is a right shift.  The floors lose at most N (q+1) units of
-    2^-bits, which 32 guard bits beyond prec + _GUARD digits absorb.  The
-    level memo keeps 32 lists, enough for the pieces of one index to reach
-    their parents; an unbounded memo is faster on a long cold table but
+    Level j at n (``_level``) is the floor quotient by n^(c_j) of level j-1's
+    sum over m < n, and level j-1 is the memoised level of the parent
+    composition; 2^(-n) is a right shift.  The floors lose at most N (q+1)
+    units of 2^-bits, which 32 guard bits beyond prec + _GUARD digits absorb.
+    The level memo keeps 32 lists, enough for the pieces of one index to
+    reach their parents; an unbounded memo is faster on a long cold table but
     holds megabytes.  As a functools cache it is emptied with the others.
     """
     if not comp:
-        return mp.mpf(1)
+        return 1 << _bits(prec)
     for j in range(1, len(comp)):   # parents first, so no level recurses deeply
         _level(comp[:j], prec)
-    acc = sum(term >> n for n, term in enumerate(_level(comp, prec), start=1))
-    with mp.workdps(prec + _GUARD):
-        return mp.mpf((acc, -_bits(prec)))
+    return sum(term >> n for n, term in enumerate(_level(comp, prec), start=1))
 
 
 def _prefixes(k: tuple) -> list[tuple]:
@@ -209,11 +207,10 @@ def _mzv_compute(k: Index, prec: int) -> mpmath.mpf:
     # the split of k's word w after i letters: the index of w[:i] and the
     # index of the reflected w[i:], which is the dual's prefix of n - i letters
     lower, upper = _prefixes(k), _prefixes(_dual(k))
+    total = sum(_li_half(head, prec) * _li_half(tail, prec)
+                for head, tail in zip(lower, reversed(upper)))
     with mp.workdps(prec + _GUARD):
-        total = mp.mpf(0)
-        for head, tail in zip(lower, reversed(upper)):
-            total += _li_half(head, prec) * _li_half(tail, prec)
-        return total
+        return mp.mpf((total, -2 * _bits(prec)))
 
 
 def mzv(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:

@@ -8,8 +8,7 @@ T Z_T(head) = Z_T((1) * head), with the expansion taken on indices, so it
 builds no word product.  The decomposition of a word along H1 = H0[e1]
 (``_decompose_word``, ``regularize``) stays as the word route, which the
 tests hold ``zeta_reg`` against.  Z_T is extended to all of H for both
-products by stripping leading e0 powers with a binomial-weighted shift
-formula.
+products by Z_T(e0) = 0, which strips leading e0s one letter at a time.
 
 The comparison between the two regularizations is the linear map rho on
 polynomials in T, generated by exp(TX) * Gamma0(-X) where Gamma0 collects
@@ -26,7 +25,8 @@ from math import factorial
 from .indices import Index, shifts, shuffle_one, stuffle, trusted_index
 from .numeric import residual
 from .rings import ZetaPoly, exp_coeffs
-from .words import E0, E1, HARMONIC, SHUFFLE, NcPoly, Word, in_h1, index_of_word, product_fn
+from .words import (E1, HARMONIC, SHUFFLE, NcPoly, Word, in_h1, index_of_word, product_fn,
+                    word_of_index)
 
 _T = ZetaPoly.tvar("T")
 
@@ -127,26 +127,18 @@ def _int_if_whole(q):
     return q.numerator if q.denominator == 1 else q
 
 
-def _shift_expansion(w: Word) -> tuple[tuple[Index, int], ...]:
-    """Z_T(w) as sum c * Z_T(index) over the returned (index, c) pairs.
-
-    Leading e0^n is stripped by the shift formula: w = e0^n e_k gives the
-    shifts k + n' of total size n, each weighted by b(k; n') and the sign
-    (-1)^(n + depth).  The pairs hold for both products and every T.
-    """
-    n = 0
-    while n < len(w) and w[n] == E0:
-        n += 1
-    k = index_of_word(w[n:])
-    sign = (-1) ** (n + k.depth)
-    return tuple((l, sign * b) for l, b in shifts(k, n))
-
-
 @cache
 def _z_reg_full_word(w: Word, product: str) -> ZetaPoly:
+    """Z_T(w) for w = e0^n e_k: (-1)^depth Z_T(k) at n = 0; above, Z_T(e0) = 0
+    gives the one-letter recursion n Z_T(e0^n e_k) = -sum_i k_i
+    Z_T(e0^(n-1) e_(k + delta_i)) over the shifts of k by 1, for both products."""
+    n = w.index(E1) if E1 in w else len(w)
+    k = index_of_word(w[n:])
+    if not n:
+        return zeta_reg(k, product) * (-1) ** k.depth
     out = ZetaPoly()
-    for k, c in _shift_expansion(w):
-        out.add_scaled(zeta_reg(k, product), c)
+    for l, c in shifts(k, 1):
+        out.add_scaled(_z_reg_full_word(w[1:n] + word_of_index(l), product), Fraction(-c, n))
     return out
 
 

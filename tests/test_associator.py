@@ -385,8 +385,8 @@ def test_split_sum_coefficients_equal_the_series_products():
 
 
 def test_per_word_phi_equals_the_symbolic_value():
-    # the product recursion summed by the shift formula against the symbolic
-    # zeta_reg summed the same way: two independent routes to each coefficient
+    # the numeric product and one-letter recursions against the symbolic ones
+    # (zeta_reg, Z_reg_full): the same expansions, independent arithmetic
     for product in (HARMONIC, SHUFFLE):
         for T in (0, Fraction(7, 10)):
             for w in _words(8):
@@ -464,6 +464,8 @@ def test_refined_duality():
     assert check_refined_duality(Index((2,)), (1, 1), 40) < TOL
     # past the toy orders: paddings up to weight 7, flanked words of length 12
     assert check_refined_duality(Index((1, 2)), (2, 2), 40) < TOL
+    # orders (3,3): paddings up to weight 7, flanked words of length 14
+    assert check_refined_duality(Index((1,)), (3, 3), 40) < TOL
     with pytest.raises(ValueError):
         check_refined_duality(Index(()), (0, 0), 40)
 

@@ -294,6 +294,11 @@ def _shifts_with_power_weights(k, n):
     return [(l, prod(a ** (b - a) for a, b in zip(k, l))) for l, _ in _shifts(k, n)]
 
 
+def _shifts_with_unit_weights(k, n):
+    """The shifts of k, each weighted by 1 in place of b(k; m)."""
+    return [(l, 1) for l, _ in _shifts(k, n)]
+
+
 def _zeta_reg_value_faulted(k, product, T, prec, *, t_term=True, divide=True):
     """The product recursion of ``associator._zeta_reg_value``, optionally
     without its T Z_T(head) term or without its division by the coefficient
@@ -387,11 +392,16 @@ def _star_values_at_tau_0(k, tau, product, orders):
 # value of T2 - T1 from one of T1 + T2.  A zeroing that keeps the T terms
 # reaches only the two checks at T = 0, explicit-reg and shuffle, as measured.
 # The shift weight prod k_i^m_i equals b(k; m) = prod C(k_i + m_i - 1, m_i)
-# wherever every m_i <= 1, so only a shift of total >= 2 sees it.  stadic and
-# regularization each bind ``shifts`` themselves, so it is planted in each:
-# in stadic it fails the checks listed for it, as measured; in regularization
-# it reaches only the phi coefficients (_shift_expansion), which the
-# associator checks listed for it read.  stadic, associator, regularization
+# wherever every m_i <= 1, so only a shift of total >= 2 sees it: planted in
+# stadic, whose shifted values read every total, it fails the checks listed
+# for it, as measured.  The phi coefficients read shifts of total 1 only, by
+# the one-letter recursion n Z_T(e0^n e_k) = -sum_i k_i Z_T(e0^(n-1)
+# e_(k + delta_i)), so the associator's ``shifts`` is planted with every
+# weight k_i set to 1.  It fails the checks listed for it, as measured;
+# t-part, gamma-factor and independence set one phi against another built by
+# the same faulted recursion, and pass.  regularization reads the same
+# recursion only in Z_reg_full, which no check reads, so its fault is planted
+# in tests/test_stadic.py.  stadic, associator, regularization
 # and finite each bind ``stuffle`` too, so a stuffle without its merged terms
 # is planted in each (finite in its own scan test below): in stadic it
 # reaches the two stuffle checks; in associator only the harmonic phi, which
@@ -466,10 +476,9 @@ MUTATIONS = {
     "stadic-shift-power-weights": ((stadic, "shifts", _shifts_with_power_weights),
                                    {"antipode", "csf-nonstar", "csf-shifted", "csf-star",
                                     "csf-tau", "harmonic", "shifted-harmonic", "shuffle"}),
-    "regularization-shift-power-weights": ((regularization, "shifts",
-                                            _shifts_with_power_weights),
-                                           {"duality", "duality-assoc", "three-cycle",
-                                            "two-cycle"}),
+    "associator-shift-unit-weights": ((associator, "shifts", _shifts_with_unit_weights),
+                                      {"duality", "duality-assoc", "rsmzv-routes", "smzv-assoc",
+                                       "three-cycle", "two-cycle"}),
     "stadic-stuffle-without-merged-terms": ((stadic, "stuffle", _stuffle_without_merged_terms),
                                             {"harmonic", "shifted-harmonic"}),
     "regularization-stuffle-without-merged-terms": ((regularization, "stuffle",

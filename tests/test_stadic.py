@@ -1,9 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from mzvkit import stadic
-from mzvkit.indices import EMPTY, Index, reverse, split
+from mzvkit import regularization, stadic
+from mzvkit.indices import EMPTY, Index, reverse, shifts, split
 from mzvkit.numeric import residual, tolerance
 from mzvkit.regularization import Z_reg_full
 from mzvkit.rings import BiSeries, ZetaPoly
@@ -14,7 +15,7 @@ from mzvkit.stadic import (
     shifted_mzv, shifted_mzv_star, stadic_smzv,
     stadic_smzv_star, stadic_smzv_tau,
 )
-from mzvkit.words import E0, HARMONIC, SHUFFLE, NcPoly, word_of_index
+from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, index_of_word
 
 Z = ZetaPoly.zeta
 T = ZetaPoly.tvar("T")
@@ -29,16 +30,40 @@ def test_shifted_examples():
     assert shifted_mzv(Index((1,)), HARMONIC, 1).coeffs == [T, -1 * Z((2,))]
 
 
+def _coefficient_form(max_length: int, products) -> tuple[int, list]:
+    """Def-by-binomials against (-1)^depth sum_n Z_reg_full(e0^n e_k) t^n on
+    every word e0^n e_k of length <= max_length, k non-empty: the number of
+    coefficients compared, and the (product, n, k) of those that differ."""
+    compared, wrong = 0, []
+    for product in products:
+        for length in range(1, max_length + 1):
+            for tail in itertools.product((E0, E1), repeat=length - 1):
+                w = (E1,) + tail
+                k = index_of_word(w)
+                ts = shifted_mzv(k, product, max_length - length)
+                for n, coeff in enumerate(ts.coeffs):
+                    rhs = Z_reg_full(NcPoly.from_word((E0,) * n + w), product)
+                    compared += 1
+                    if coeff != rhs * Fraction((-1) ** k.depth):
+                        wrong.append((product, n, k))
+    return compared, wrong
+
+
 def test_shifted_matches_coefficient_form():
-    # Def-by-binomials equals (-1)^depth sum_n Z_reg_full(e0^n e_k) t^n, exactly
-    for ktup in [(1,), (2,), (1, 1), (2, 1), (1, 2), (1, 1, 1), (3, 2)]:
-        k = Index(ktup)
-        w = word_of_index(k)
-        for product in (HARMONIC, SHUFFLE):
-            ts = shifted_mzv(k, product, 3)
-            for n in range(4):
-                rhs = Z_reg_full(NcPoly.from_word((E0,) * n + w), product)
-                assert ts.coeffs[n] == rhs * Fraction((-1) ** k.depth)
+    # exactly, for both products: shifted_mzv sums the binomial weights
+    # b(k; m), and Z_reg_full strips the e0s by the one-letter recursion
+    assert _coefficient_form(10, (HARMONIC, SHUFFLE)) == (4072, [])
+
+
+def test_coefficient_form_sees_unit_shift_weights(monkeypatch):
+    # the recursion with every weight k_i set to 1: the two routes disagree
+    monkeypatch.setattr(regularization, "shifts", lambda k, n: [(l, 1) for l, _ in shifts(k, n)])
+    regularization._z_reg_full_word.cache_clear()
+    try:
+        wrong = _coefficient_form(6, (SHUFFLE,))[1]
+    finally:
+        regularization._z_reg_full_word.cache_clear()
+    assert len(wrong) == 52
 
 
 def test_shifted_star():
