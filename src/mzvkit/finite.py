@@ -1,4 +1,4 @@
-"""Truncated multiple harmonic sums modulo prime powers, checked per prime.
+"""Truncated multiple harmonic sums modulo prime powers.
 
 For a prime p, a modulus exponent n and a window shift a, the basic value
 is the exact residue of
@@ -6,20 +6,26 @@ is the exact residue of
     sum over ap < n_1 < ... < n_r < (a+1)p of 1/(n_1^k_1 ... n_r^k_r)
 
 modulo p^n, a plain int in [0, p^n).  The window excludes multiples of p,
-so every summand is a unit.  A prefix-sum dynamic program evaluates the
-nested sum in O(depth*p) ring operations per prime; ``WindowSums`` keeps one
-prime's window inverses, inverse-power tables and prefix columns, so a
-scan's indices share them.
+so every summand is a unit.
 
-Scans verify exact congruences over prime ranges, one prime after another
-in a single process, and report per-prime verdicts; a failing prime is a 0
-in its CSV row, never an exception.
+``window_zero_sums`` gives the window-0 residues of a set of indices for
+every prime of a scan in one pass over N = 1, 2, ...: one accumulator per
+prefix of the indices, held as a trie, kept modulo the product of p^n over
+the primes still ahead.  ``WindowSums`` evaluates one (p, n, a) by a
+prefix-sum dynamic program in O(depth*p) ring operations; it is the oracle
+of the pass and the route for the shifted windows a >= 1, whose range moves
+with p.
+
+Scans verify exact congruences over prime ranges in a single process and
+report per-prime verdicts; a failing prime is a 0 in its CSV row, never an
+exception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from math import prod
 
 from .indices import Index, coarsenings, shifts, stuffle
 
@@ -141,6 +147,41 @@ def finite_mzv_bruteforce(k, p: int, n: int = 1, a: int = 0) -> int:
     return rec(0, a * p)
 
 
+def window_zero_sums(indices, p_max: int, n: int = 1) -> dict[int, dict[Index, int]]:
+    """prime -> {index: its window-0 residue mod p^n}, for every prime
+    5 <= p <= p_max with p > n, from one pass over N = 1, ..., p_max - 1.
+
+    With K the largest part, the prefix u = (v, k) of an index holds
+    A_u(N) = S_u(N) (N!)^K, S_u(N) being its nested sum over parts up to N:
+    A_u(N) = N^K A_u(N-1) + N^(K-k) A_v(N-1), each child updated before its
+    parent, and the root A_()(N) = (N!)^K.  The state is kept modulo the
+    product of p^n over the primes still ahead, and prime p reads
+    A_u(p-1) / A_()(p-1), whose denominator ((p-1)!)^K is a unit mod p^n.
+    """
+    keys = {Index(k) for k in indices}
+    primes = [p for p in sieve_primes(p_max) if p >= 5 and p > n]
+    trie = sorted({()} | {k[:i] for k in keys for i in range(1, len(k) + 1)},
+                  key=len, reverse=True)
+    slot = {u: i for i, u in enumerate(trie)}
+    top = max(map(max, filter(None, keys)), default=0)
+    steps = [(i, slot[u[:-1]], top - u[-1]) for i, u in enumerate(trie[:-1])]
+    root = len(trie) - 1
+    state = [0] * root + [1]
+    modulus = prod(p ** n for p in primes)
+    out, start = {}, 1
+    for p in primes:
+        for m in range(start, p):
+            powers = [m ** e for e in range(top + 1)]
+            for i, parent, e in steps:
+                state[i] = (powers[top] * state[i] + powers[e] * state[parent]) % modulus
+            state[root] = powers[top] * state[root] % modulus
+        start, pn = p, p ** n
+        inverse = pow(state[root], -1, pn)
+        out[p] = {k: state[slot[k]] * inverse % pn for k in keys}
+        modulus //= pn
+    return out
+
+
 # ---------------------------------------------------------------------------
 # scans
 # ---------------------------------------------------------------------------
@@ -169,23 +210,18 @@ class ScanReport:
         return "\n".join(lines) + "\n"
 
 
-def _check_stuffle_prime(p: int, n: int, pairs: list[tuple[Index, Index]]) -> bool:
-    val = WindowSums(p, n)
-    for k, l in pairs:
-        rhs = sum(val(idx) * c for idx, c in stuffle(k, l))
-        if (val(k) * val(l) - rhs) % val.modulus:
-            return False
-    return True
+def _stuffle_holds(val: dict[Index, int], modulus: int, pairs: list[tuple[Index, Index]]) -> bool:
+    return all((val[k] * val[l] - sum(val[m] * c for m, c in stuffle(k, l))) % modulus == 0
+               for k, l in pairs)
 
 
-def _check_shift_prime(p: int, n: int, k: Index, a: int) -> bool:
+def _shift_holds(val: dict[Index, int], p: int, n: int, k: Index, a: int) -> bool:
     modulus = p ** n
-    base = WindowSums(p, n)
     rhs = 0
     for total in range(n):
         step = pow(-a * p, total, modulus)
         for l, b in shifts(k, total):
-            rhs = (rhs + b * base(l) * step) % modulus
+            rhs = (rhs + b * val[l] * step) % modulus
     return WindowSums(p, n, a)(k) == rhs
 
 
@@ -195,26 +231,29 @@ def scan_stuffle(pairs: list[tuple[Index, Index]], p_max: int, n: int = 1) -> Sc
     params = " ".join(f"{k}x{l}" for k, l in pairs) or "none"
     if not pairs:
         return ScanReport("stuffle", params)
-    primes = [p for p in sieve_primes(p_max) if p >= 5 and p > n]
-    return ScanReport("stuffle", params, [(p, _check_stuffle_prime(p, n, pairs)) for p in primes])
+    needed = {m for k, l in pairs for m in (k, l, *(t for t, _ in stuffle(k, l)))}
+    values = window_zero_sums(needed, p_max, n)
+    return ScanReport("stuffle", params,
+                      [(p, _stuffle_holds(val, p ** n, pairs)) for p, val in values.items()])
 
 
 def scan_shift_expansion(k, a: int, p_max: int, n: int = 1) -> ScanReport:
     """Check the window shift against the truncated binomial expansion.
 
     Terms with total shift weight >= n carry p^n and vanish, so the
-    expansion is cut there exactly.
+    expansion is cut there exactly.  Its window-0 values come from one pass;
+    the shifted window is evaluated per prime by ``WindowSums``.
     """
     k = Index(k)
     if a < 1:
         raise ValueError("the shift a must be at least 1")
-    primes = [p for p in sieve_primes(p_max) if p >= 5 and p > n]
-    return ScanReport("shift", f"{k} a={a}", [(p, _check_shift_prime(p, n, k, a)) for p in primes])
+    values = window_zero_sums({l for total in range(n) for l, _ in shifts(k, total)}, p_max, n)
+    return ScanReport("shift", f"{k} a={a}",
+                      [(p, _shift_holds(val, p, n, k, a)) for p, val in values.items()])
 
 
 def scan_wolstenholme(p_max: int) -> ScanReport:
     """H_(p-1) vanishes mod p^2 for every prime p >= 5."""
-    primes = [p for p in sieve_primes(p_max) if p >= 5]
+    values = window_zero_sums([(1,)], p_max, 2)
     return ScanReport("wolstenholme", "(1) pow=2",
-                      [(p, WindowSums(p, 2)((1,)) == 0) for p in primes])
-
+                      [(p, val[(1,)] == 0) for p, val in values.items()])

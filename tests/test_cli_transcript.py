@@ -65,6 +65,7 @@ COMMANDS = [
     "check rsmzv-routes (2) --orders 1,1",
     "scan stuffle --pmax 60",
     "scan stuffle (1) (2) --pmax 40 --pow 2",
+    "scan stuffle (1,2) (2,1) --pmax 60 --pow 3",
     "scan shift (2) --shift 1 --pmax 60 --pow 2",
     "scan wolstenholme --pmax 60",
     "scan shift (2,1) --shift 1 --pmax 60 --pow 2",
@@ -578,27 +579,75 @@ def _window_inverses_wrong_sign(p, n, a):
     return inv[1:]
 
 
+def _window_zero_sums_faulted(ks, p_max, n=1, *, parents_first=False, parent_part=False,
+                              negated_inverse=False, root_short=False):
+    """The pass of ``finite.window_zero_sums``, optionally with every child
+    updated after its parent, the exponent K - k read from the parent's last
+    part (0 at the root), the inverse of the denominator negated, or the
+    root scaled by N^(K-1) in place of N^K."""
+    keys = {indices.Index(k) for k in ks}
+    primes = [p for p in finite.sieve_primes(p_max) if p >= 5 and p > n]
+    nodes = sorted({k[:i] for k in keys for i in range(1, len(k) + 1)},
+                   key=len, reverse=not parents_first)
+    top = max(map(max, filter(None, keys)), default=0)
+    state = dict.fromkeys(nodes, 0) | {(): 1}
+    modulus = prod(p ** n for p in primes)
+    out, start = {}, 1
+    for p in primes:
+        for m in range(start, p):
+            for u in nodes:
+                part = (u[-2] if len(u) > 1 else 0) if parent_part else u[-1]
+                state[u] = (m ** top * state[u] + m ** (top - part) * state[u[:-1]]) % modulus
+            state[()] = m ** (top - root_short) * state[()] % modulus
+        start, pn = p, p ** n
+        inverse = pow(state[()], -1, pn) * (-1 if negated_inverse else 1)
+        out[p] = {k: state[k] * inverse % pn for k in keys}
+        modulus //= pn
+    return out
+
+
 _SCANS = [c for c in COMMANDS if c.startswith("scan ")]
 _STUFFLE, _SHIFT, _WOLSTENHOLME = ({c for c in _SCANS if c.split()[1] == t}
                                    for t in ("stuffle", "shift", "wolstenholme"))
 _SHIFT_DEPTH_2 = {c for c in _SHIFT if "," in c.split()[2]}
 # planted DP fault -> the transcript scans that must FAIL under it; every
-# other scan must still PASS.  Stuffle holds for power sums of any values,
-# not only of inverses, so only the shift and Wolstenholme scans see a wrong
-# inverse.  A memo keyed without the index's last entry answers an index
-# with the column of an earlier one that differs only there: the shift scan
-# of (2,1) sees (2,2) answered as (2,1), but the scan of (2) cannot tell (3)
-# from (2), since its second term is p times a sum that vanishes mod p.  A
-# prefix sum that includes the current term turns every nested sum into its
-# star variant, for which the shift expansion holds just as well.
+# other scan must still PASS.  Every window-0 value of a scan comes from the
+# pass, so WindowSums only evaluates the shifted window of a shift scan, one
+# index per prime.  A prefix sum that includes the current term turns that
+# nested sum into its star variant, which the expansion of the plain values
+# does not match at depth 2; a depth-1 index takes no prefix sum.  A memo
+# keyed without the last entry answers the one index correctly, and the wrong
+# sign of the window-0 inverses reaches no scan; both still fail the DP
+# against its oracle (test_planted_dp_faults_fail_the_dp_against_the_oracle).
 SCAN_MUTATIONS = {
     "prefix-includes-current-term": ((finite.WindowSums, "_step",
-                                      _step_including_the_current_term), _STUFFLE),
+                                      _step_including_the_current_term), _SHIFT_DEPTH_2),
     "memo-keyed-without-last-entry": ((finite.WindowSums, "_column",
-                                       _column_keyed_without_the_last_entry),
-                                      _STUFFLE | _SHIFT_DEPTH_2),
+                                       _column_keyed_without_the_last_entry), set()),
     "window-0-inverse-wrong-sign": ((finite, "_window_inverses", _window_inverses_wrong_sign),
-                                    _SHIFT | _WOLSTENHOLME),
+                                    set()),
+}
+# planted fault in the pass, as finite.window_zero_sums -> the transcript
+# scans that must FAIL under it.  A child updated after its parent reads the
+# parent's new value, so only values of depth >= 2 change: the stuffle scans
+# and the depth-2 shift scans see it, and the scans of (1) and (2) do not.
+# An exponent read from the parent's part (0 at the root) and a root scaled
+# by N^(K-1) change the depth-1 values too, H_(p-1) among them.  A negated
+# inverse negates every value of a nonempty index, which keeps the product
+# side of a stuffle and flips its sum side: a relation whose product side
+# vanishes mod p^n holds for the negated values too, as every pair of the
+# default scan does mod p, (1) with (2) mod p^2 and H_(p-1) mod p^2; the
+# stuffle of (1,2) and (2,1) mod p^3 and every shift scan see it.
+PASS_MUTATIONS = {
+    "pass-children-after-parents": (functools.partial(_window_zero_sums_faulted,
+                                                      parents_first=True),
+                                    _STUFFLE | _SHIFT_DEPTH_2),
+    "pass-exponent-from-the-parent-part": (functools.partial(_window_zero_sums_faulted,
+                                                             parent_part=True), set(_SCANS)),
+    "pass-inverse-negated": (functools.partial(_window_zero_sums_faulted, negated_inverse=True),
+                             _SHIFT | {c for c in _STUFFLE if c.endswith("--pow 3")}),
+    "pass-root-scaled-by-N-to-K-1": (functools.partial(_window_zero_sums_faulted,
+                                                       root_short=True), set(_SCANS)),
 }
 
 
@@ -650,6 +699,37 @@ def test_planted_dp_faults_fail_the_dp_against_the_oracle(monkeypatch, mutation)
         sums = finite.WindowSums(p, n, a)
         mismatches += sum(sums(k) != finite.finite_mzv_bruteforce(k, p, n, a)
                           for k in _DP_INDICES)
+    assert mismatches > 0, mutation
+
+
+@pytest.mark.parametrize("mutation", sorted(PASS_MUTATIONS))
+def test_planted_pass_faults_fail_exactly_the_scans_that_see_them(monkeypatch, mutation):
+    fault, failing = PASS_MUTATIONS[mutation]
+    monkeypatch.setattr(finite, "window_zero_sums", fault)
+    verdicts = _scan_verdicts()
+    assert set(verdicts) == set(_SCANS)
+    for command, seen in verdicts.items():
+        assert seen == ("FAIL" if command in failing else "PASS"), (mutation, command, seen)
+
+
+def test_every_scan_fails_under_some_planted_pass_fault():
+    assert set().union(*(failing for _, failing in PASS_MUTATIONS.values())) == set(_SCANS)
+
+
+def test_the_unfaulted_copy_of_the_pass_is_the_pass():
+    for n in (1, 2, 3):
+        assert _window_zero_sums_faulted(_DP_INDICES, 100, n) == \
+            finite.window_zero_sums(_DP_INDICES, 100, n)
+
+
+@pytest.mark.parametrize("mutation", sorted(PASS_MUTATIONS))
+def test_planted_pass_faults_fail_the_pass_against_the_oracle(mutation):
+    fault, _ = PASS_MUTATIONS[mutation]
+    mismatches = 0
+    for n in (1, 2):
+        for p, val in fault(_DP_INDICES, 13, n).items():
+            sums = finite.WindowSums(p, n)
+            mismatches += sum(val[k] != sums(k) for k in _DP_INDICES)
     assert mismatches > 0, mutation
 
 

@@ -10,7 +10,7 @@ from mzvkit import finite
 from mzvkit.finite import (
     ScanReport, WindowSums, batch_inverses, finite_mzv, finite_mzv_bruteforce,
     finite_mzv_star, is_prime, scan_shift_expansion, scan_stuffle,
-    scan_wolstenholme, sieve_primes,
+    scan_wolstenholme, sieve_primes, window_zero_sums,
 )
 from mzvkit.indices import Index
 
@@ -132,6 +132,50 @@ def test_window_inverses_on_both_paths(p, n, a):
     modulus = p ** n
     want = [pow(a * p + j, -1, modulus) for j in range(1, p)]
     assert finite._window_inverses(p, n, a) == want
+
+
+def test_pass_matches_the_golden_residues():
+    # the window-0 lines of the golden file, each n from one pass to 397
+    want = [line for line in GOLDEN_RESIDUES.read_text(encoding="utf-8").splitlines()
+            if ";a=0;" in line]
+    passes = {n: window_zero_sums(indices_up_to(5), max(GOLDEN_PRIMES), n) for n in GOLDEN_POWERS}
+    got = [f"k={','.join(map(str, k))};p={p};n={n};a=0;value={passes[n][p][k]}"
+           for p in GOLDEN_PRIMES for n in GOLDEN_POWERS for k in indices_up_to(5)]
+    assert len(want) == 31 * 5 * 3
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pass_matches_window_sums(n):
+    ks = list(indices_up_to(5))
+    values = window_zero_sums(ks, 400, n)
+    assert list(values) == [p for p in sieve_primes(400) if p >= 5]
+    for p, val in values.items():
+        sums = WindowSums(p, n)
+        assert val == {k: sums(k) for k in ks}, p
+
+
+def test_pass_matches_bruteforce():
+    ks = list(indices_up_to(5))
+    for n in (1, 2, 3):
+        for p, val in window_zero_sums(ks, 13, n).items():
+            assert val == {k: finite_mzv_bruteforce(k, p, n) for k in ks}, (p, n)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=3).map(tuple),
+       st.lists(st.lists(st.integers(1, 5), max_size=3).map(tuple), max_size=4),
+       st.integers(0, 60), st.integers(1, 3))
+def test_pass_values_do_not_depend_on_the_other_indices(k, others, p_max, n):
+    # the largest part K and the trie come from every index of the pass, the
+    # empty index and repeated ones among them; a residue must not see them
+    alone = window_zero_sums([k], p_max, n)
+    shared = window_zero_sums(others + [k, (), k] + others, p_max, n)
+    assert list(alone) == list(shared) == [p for p in sieve_primes(p_max) if p >= 5 and p > n]
+    assert all(shared[p][k] == alone[p][k] and shared[p][()] == 1 for p in alone)
+    assert all(shared[p][l] == window_zero_sums([l], p_max, n)[p][l] for l in others for p in alone)
+    if p_max < 5:
+        assert alone == shared == {}
 
 
 def test_star():
