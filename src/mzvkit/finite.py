@@ -11,10 +11,10 @@ so every summand is a unit.
 ``window_zero_sums`` gives the window-0 residues of a set of indices for
 every prime of a scan in one pass over N = 1, 2, ...: one accumulator per
 prefix of the indices, held as a trie, kept modulo the product of p^n over
-the primes still ahead.  ``WindowSums`` evaluates one (p, n, a) by a
-prefix-sum dynamic program in O(depth*p) ring operations; it is the oracle
-of the pass and the route for the shifted windows a >= 1, whose range moves
-with p.
+the primes still ahead.  ``finite_mzv`` evaluates one index at one (p, n, a)
+by a prefix-sum dynamic program in O(depth*p) ring operations; it is the
+oracle of the pass and the route for the shifted windows a >= 1, whose range
+moves with p.
 
 Scans verify exact congruences over prime ranges in a single process and
 report per-prime verdicts; a failing prime is a 0 in its CSV row, never an
@@ -68,66 +68,41 @@ def batch_inverses(xs: list[int], modulus: int) -> list[int]:
 
 
 def _window_inverses(p: int, n: int, a: int) -> list[int]:
-    """Inverses of a p + 1, ..., a p + p - 1 mod m = p^n.  Window 0 uses
-    inv(i) = -(m // i) inv(m mod i), as m mod i is a unit below i; a shifted
-    window is inverted directly, never through the shift expansion a scan checks."""
+    """Inverses of a p + 1, ..., a p + p - 1 mod p^n.  A shifted window is
+    inverted directly, never through the shift expansion a scan checks."""
     modulus = p ** n
-    if a:
-        return batch_inverses([(a * p + j) % modulus for j in range(1, p)], modulus)
-    inv = [0, 1]
-    for i in range(2, p):
-        inv.append(-(modulus // i) * inv[modulus % i] % modulus)
-    return inv[1:]
-
-
-class WindowSums:
-    """Window harmonic sums mod p^n of one (p, n, a), called with an index.
-    Power tables inv^e and the DP column of every index prefix are kept."""
-
-    def __init__(self, p: int, n: int = 1, a: int = 0):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p <= n:
-            raise ValueError(f"need p > n for unit denominators, got p={p}, n={n}")
-        if n < 1 or a < 0:
-            raise ValueError("need modulus exponent n >= 1 and shift a >= 0")
-        self.p, self.n, self.modulus = p, n, p ** n
-        self._powers = [None, _window_inverses(p, n, a)]
-        self._columns: dict[tuple, list[int]] = {}
-
-    def __call__(self, k) -> int:
-        k = tuple(Index(k))
-        return sum(self._column(k)) % self.modulus if k else 1
-
-    def _power(self, e: int) -> list[int]:
-        powers, m = self._powers, self.modulus
-        while len(powers) <= e:
-            powers.append([x * y % m for x, y in zip(powers[-1], powers[1])])
-        return powers[e]
-
-    def _column(self, k: tuple) -> list[int]:
-        col = self._columns.get(k)
-        if col is None:
-            power = self._power(k[-1])
-            col = power if len(k) == 1 else self._step(self._column(k[:-1]), power)
-            self._columns[k] = col
-        return col
-
-    def _step(self, prev: list[int], power: list[int]) -> list[int]:
-        """Entry j is (sum of prev below j) * power[j]; the sums stay unreduced."""
-        m = self.modulus
-        return [0] + [s * x % m for s, x in zip(accumulate(prev), power[1:])]
+    return batch_inverses([(a * p + j) % modulus for j in range(1, p)], modulus)
 
 
 def finite_mzv(k, p: int, n: int = 1, a: int = 0) -> int:
-    """The window harmonic sum of an index mod p^n, by the prefix-sum DP."""
-    return WindowSums(p, n, a)(k)
+    """The window harmonic sum of an index mod p^n, by the prefix-sum DP.
+
+    Entry j of column i is the sum over the first i parts whose last variable
+    is the j-th unit m_j of the window.  The first column is m_j^-k_1, and
+    entry j of the next is the sum of the column below j, left unreduced,
+    times m_j^-k_(i+1).
+    """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p <= n:
+        raise ValueError(f"need p > n for unit denominators, got p={p}, n={n}")
+    if n < 1 or a < 0:
+        raise ValueError("need modulus exponent n >= 1 and shift a >= 0")
+    k, modulus = tuple(Index(k)), p ** n
+    if not k:
+        return 1
+    powers = [None, _window_inverses(p, n, a)]
+    while len(powers) <= max(k):
+        powers.append([x * y % modulus for x, y in zip(powers[-1], powers[1])])
+    col = powers[k[0]]
+    for e in k[1:]:
+        col = [s * x % modulus for s, x in zip(accumulate(col, initial=0), powers[e])]
+    return sum(col) % modulus
 
 
 def finite_mzv_star(k, p: int, n: int = 1, a: int = 0) -> int:
     """Coarsening sum of the window harmonic sums."""
-    sums = WindowSums(p, n, a)
-    return sum(map(sums, coarsenings(Index(k)))) % sums.modulus
+    return sum(finite_mzv(l, p, n, a) for l in coarsenings(Index(k))) % p ** n
 
 
 def finite_mzv_bruteforce(k, p: int, n: int = 1, a: int = 0) -> int:
@@ -222,7 +197,7 @@ def _shift_holds(val: dict[Index, int], p: int, n: int, k: Index, a: int) -> boo
         step = pow(-a * p, total, modulus)
         for l, b in shifts(k, total):
             rhs = (rhs + b * val[l] * step) % modulus
-    return WindowSums(p, n, a)(k) == rhs
+    return finite_mzv(k, p, n, a) == rhs
 
 
 def scan_stuffle(pairs: list[tuple[Index, Index]], p_max: int, n: int = 1) -> ScanReport:
@@ -242,7 +217,7 @@ def scan_shift_expansion(k, a: int, p_max: int, n: int = 1) -> ScanReport:
 
     Terms with total shift weight >= n carry p^n and vanish, so the
     expansion is cut there exactly.  Its window-0 values come from one pass;
-    the shifted window is evaluated per prime by ``WindowSums``.
+    the shifted window is evaluated per prime by ``finite_mzv``.
     """
     k = Index(k)
     if a < 1:

@@ -553,30 +553,25 @@ def _scan_verdicts() -> dict[str, str]:
     return verdicts
 
 
-def _step_including_the_current_term(self, prev, power):
-    m = self.modulus
-    return [s * x % m for s, x in zip(itertools.accumulate(prev), power)]
-
-
-def _column_keyed_without_the_last_entry(self, k):
-    col = self._columns.get(k[:-1])
-    if col is None:
-        power = self._power(k[-1])
-        col = power if len(k) == 1 else self._step(self._column(k[:-1]), power)
-        self._columns[k[:-1]] = col
-    return col
-
-
-_window_inverses = finite._window_inverses
-
-
-def _window_inverses_wrong_sign(p, n, a):
-    if a:
-        return _window_inverses(p, n, a)
-    m, inv = p ** n, [0, 1]
-    for i in range(2, p):
-        inv.append((m // i) * inv[m % i] % m)
-    return inv[1:]
+def _finite_mzv_faulted(k, p, n=1, a=0, *, current_term=False, power_short=False,
+                        window_back=False):
+    """The DP of ``finite.finite_mzv`` (without its argument checks),
+    optionally with each prefix sum including the current term, inv^(e-1)
+    read for inv^e at every e >= 2, or a shifted window a >= 1 inverted as
+    the window a - 1 before it."""
+    k, m = tuple(indices.Index(k)), p ** n
+    if not k:
+        return 1
+    powers = [None, finite._window_inverses(p, n, a - 1 if window_back and a else a)]
+    while len(powers) <= max(k):
+        powers.append([x * y % m for x, y in zip(powers[-1], powers[1])])
+    if power_short:
+        powers = powers[:2] + powers[1:-1]
+    col = powers[k[0]]
+    for e in k[1:]:
+        sums = itertools.accumulate(col, initial=None if current_term else 0)
+        col = [s * x % m for s, x in zip(sums, powers[e])]
+    return sum(col) % m
 
 
 def _window_zero_sums_faulted(ks, p_max, n=1, *, parents_first=False, parent_part=False,
@@ -610,22 +605,22 @@ _SCANS = [c for c in COMMANDS if c.startswith("scan ")]
 _STUFFLE, _SHIFT, _WOLSTENHOLME = ({c for c in _SCANS if c.split()[1] == t}
                                    for t in ("stuffle", "shift", "wolstenholme"))
 _SHIFT_DEPTH_2 = {c for c in _SHIFT if "," in c.split()[2]}
-# planted DP fault -> the transcript scans that must FAIL under it; every
-# other scan must still PASS.  Every window-0 value of a scan comes from the
-# pass, so WindowSums only evaluates the shifted window of a shift scan, one
-# index per prime.  A prefix sum that includes the current term turns that
-# nested sum into its star variant, which the expansion of the plain values
-# does not match at depth 2; a depth-1 index takes no prefix sum.  A memo
-# keyed without the last entry answers the one index correctly, and the wrong
-# sign of the window-0 inverses reaches no scan; both still fail the DP
-# against its oracle (test_planted_dp_faults_fail_the_dp_against_the_oracle).
+# planted DP fault, as finite.finite_mzv -> the transcript scans that must
+# FAIL under it; every other scan must still PASS.  Every window-0 value of a
+# scan comes from the pass, so the DP only evaluates the shifted window of a
+# shift scan, one index per prime.  A prefix sum that includes the current
+# term turns that nested sum into its star variant, which the expansion of
+# the plain values does not match at depth 2; a depth-1 index takes no prefix
+# sum.  A power one step short changes every part >= 2, and every shift scan
+# has one.  The window before a shifted window differs from it by terms that
+# carry p: at depth 1 the sum of j^-2 over a window moves by 2p times the sum
+# of j^-3, which vanishes mod p^2, so only the depth-2 scans see it.
 SCAN_MUTATIONS = {
-    "prefix-includes-current-term": ((finite.WindowSums, "_step",
-                                      _step_including_the_current_term), _SHIFT_DEPTH_2),
-    "memo-keyed-without-last-entry": ((finite.WindowSums, "_column",
-                                       _column_keyed_without_the_last_entry), set()),
-    "window-0-inverse-wrong-sign": ((finite, "_window_inverses", _window_inverses_wrong_sign),
-                                    set()),
+    "prefix-includes-current-term": (functools.partial(_finite_mzv_faulted, current_term=True),
+                                     _SHIFT_DEPTH_2),
+    "power-one-step-short": (functools.partial(_finite_mzv_faulted, power_short=True), _SHIFT),
+    "shifted-window-one-back": (functools.partial(_finite_mzv_faulted, window_back=True),
+                                _SHIFT_DEPTH_2),
 }
 # planted fault in the pass, as finite.window_zero_sums -> the transcript
 # scans that must FAIL under it.  A child updated after its parent reads the
@@ -653,8 +648,8 @@ PASS_MUTATIONS = {
 
 @pytest.mark.parametrize("mutation", sorted(SCAN_MUTATIONS))
 def test_planted_dp_faults_fail_exactly_the_scans_that_see_them(monkeypatch, mutation):
-    (owner, name, fault), failing = SCAN_MUTATIONS[mutation]
-    monkeypatch.setattr(owner, name, fault)
+    fault, failing = SCAN_MUTATIONS[mutation]
+    monkeypatch.setattr(finite, "finite_mzv", fault)
     verdicts = _scan_verdicts()
     assert set(verdicts) == set(_SCANS)
     for command, seen in verdicts.items():
@@ -688,17 +683,21 @@ _DP_INDICES = [(1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 2), (2, 1, 2), (5,)]
 _DP_WINDOWS = list(itertools.product((5, 7, 11, 13), (1, 2), (0, 1, 3)))
 
 
-@pytest.mark.parametrize("mutation", sorted(SCAN_MUTATIONS))
-def test_planted_dp_faults_fail_the_dp_against_the_oracle(monkeypatch, mutation):
-    # one evaluator per (p, n, a) answers the whole grid, as in a scan: a memo
-    # keyed without the last entry is only seen once a column is reused
-    (owner, name, fault), _ = SCAN_MUTATIONS[mutation]
-    monkeypatch.setattr(owner, name, fault)
-    mismatches = 0
+def test_every_shift_scan_fails_under_some_planted_dp_fault():
+    assert set().union(*(failing for _, failing in SCAN_MUTATIONS.values())) == _SHIFT
+
+
+def test_the_unfaulted_copy_of_the_dp_is_the_dp():
     for p, n, a in _DP_WINDOWS:
-        sums = finite.WindowSums(p, n, a)
-        mismatches += sum(sums(k) != finite.finite_mzv_bruteforce(k, p, n, a)
-                          for k in _DP_INDICES)
+        for k in [()] + _DP_INDICES:
+            assert _finite_mzv_faulted(k, p, n, a) == finite.finite_mzv(k, p, n, a), (k, p, n, a)
+
+
+@pytest.mark.parametrize("mutation", sorted(SCAN_MUTATIONS))
+def test_planted_dp_faults_fail_the_dp_against_the_oracle(mutation):
+    fault, _ = SCAN_MUTATIONS[mutation]
+    mismatches = sum(fault(k, p, n, a) != finite.finite_mzv_bruteforce(k, p, n, a)
+                     for p, n, a in _DP_WINDOWS for k in _DP_INDICES)
     assert mismatches > 0, mutation
 
 
@@ -728,8 +727,7 @@ def test_planted_pass_faults_fail_the_pass_against_the_oracle(mutation):
     mismatches = 0
     for n in (1, 2):
         for p, val in fault(_DP_INDICES, 13, n).items():
-            sums = finite.WindowSums(p, n)
-            mismatches += sum(val[k] != sums(k) for k in _DP_INDICES)
+            mismatches += sum(val[k] != finite.finite_mzv(k, p, n) for k in _DP_INDICES)
     assert mismatches > 0, mutation
 
 
