@@ -394,14 +394,13 @@ def _flanked_pairing(series, k: Index, orders: tuple[int, int]) -> BiSeries:
                               for j in range(mt + 1)] for i in range(ms + 1)])
 
 
-def smzv_via_assoc(k: Index, product: str, T1, T2, orders: tuple[int, int],
-                   prec: int) -> BiSeries:
-    """Symmetric value through the adjoint series pairing."""
+def smzv_via_assoc(k: Index, orders: tuple[int, int], prec: int) -> BiSeries:
+    """Harmonic symmetric value at T1 = T2 = 0 through the adjoint series pairing."""
     k = Index(k)
     if k.depth == 0:
         raise ValueError("the pairing route needs a non-empty index")
     with mp.workdps(prec + _GUARD):
-        val = _flanked_pairing(_ad_product(product, T1, T2, prec), k, orders)
+        val = _flanked_pairing(_ad_product(HARMONIC, 0, 0, prec), k, orders)
         return val.scale(mp.mpf((-1) ** (k.weight + k.depth)))
 
 
@@ -514,7 +513,7 @@ def check_smzv_routes(k: Index, orders: tuple[int, int], prec: int):
         tvals = {"T1": to_mp(0), "T2": to_mp(0)}
         direct = stadic_smzv(k, HARMONIC, orders).map(
             lambda p: eval_zeta_poly(p, tvals, prec))
-        paired = smzv_via_assoc(k, HARMONIC, 0, 0, orders, prec)
+        paired = smzv_via_assoc(k, orders, prec)
         return residual(direct, paired, prec)
 
 

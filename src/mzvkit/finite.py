@@ -133,6 +133,8 @@ def window_zero_sums(indices, p_max: int, n: int = 1) -> dict[int, dict[Index, i
     product of p^n over the primes still ahead, and prime p reads
     A_u(p-1) / A_()(p-1), whose denominator ((p-1)!)^K is a unit mod p^n.
     """
+    if n < 1:
+        raise ValueError("need modulus exponent n >= 1")
     keys = {Index(k) for k in indices}
     primes = [p for p in sieve_primes(p_max) if p >= 5 and p > n]
     trie = sorted({()} | {k[:i] for k in keys for i in range(1, len(k) + 1)},

@@ -4,9 +4,9 @@
   monomials, exponent pairs) to nonzero coefficients.  It is the one sparse
   core under all four dict algebras of the package (``ZetaPoly``,
   ``BiSeries``, ``words.NcPoly``, ``associator.NcSeries``): zero-dropping
-  construction, ``+``, ``-``, ``scale``, equality, and in-place
-  accumulation (``+=``, ``-=``, ``add_term``, ``add_scaled``) through a
-  single accumulate-and-drop-zeros loop.
+  construction, ``+``, ``-``, ``scale``, equality, a ``repr`` (type name
+  and terms), and in-place accumulation (``+=``, ``-=``, ``add_term``,
+  ``add_scaled``) through a single accumulate-and-drop-zeros loop.
 * ``ZetaPoly`` -- commutative polynomials in formal zeta symbols ``Z[k]``
   (k an admissible index) and named indeterminates (``T``, ``T1``, ``T2``)
   with exact rational coefficients.  Equality is structural; no relation
@@ -141,6 +141,9 @@ class LinearCombination:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.terms!r})"
 
 
 class ZetaPoly(LinearCombination):
@@ -356,11 +359,6 @@ class BiSeries(LinearCombination):
 
     def __eq__(self, other) -> bool:
         return super().__eq__(other) and (self.ms, self.mt) == (other.ms, other.mt)
-
-    def __repr__(self) -> str:
-        rows = ["[" + "; ".join(str(self.coeff(i, j)) for j in range(self.mt + 1)) + "]"
-                for i in range(self.ms + 1)]
-        return "BiSeries" + "".join("\n  " + r for r in rows)
 
 
 def exp_coeffs(c: Sequence) -> list:

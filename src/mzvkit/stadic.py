@@ -13,8 +13,10 @@ with values in ZetaPoly[T1,T2] coefficient grids truncated at (ms, mt).
 Shifted values are polynomials in T; the symmetric value renames T to T1
 in its head factor and to T2 in its tail factor, and a check at T = 0
 drops every monomial with a T-part.
-The tau-interpolated family weights each coarsening by tau^(drop in depth);
+Star and tau-interpolated values are those of the harmonic product.  The
+tau-interpolated family weights each coarsening by tau^(drop in depth);
 tau = 0 is the plain value and tau = 1 the star value, the coarsening sum.
+The classical cyclic sum formula is checked as the shifted one at order 0.
 
 The ``check_*`` functions build both sides of a proved relation and return
 ``numeric.residual`` of them: the largest absolute difference over the
@@ -57,11 +59,11 @@ def _t_renamed(series: BiSeries, name: str | None) -> BiSeries:
     return series.map(rewrite)
 
 
-def shifted_mzv_star(k: Index, product: str, order: int) -> BiSeries:
-    """Coarsening sum of shifted values; 1 for the empty index."""
+def shifted_mzv_star(k: Index, order: int) -> BiSeries:
+    """Coarsening sum of harmonic shifted values; 1 for the empty index."""
     out = BiSeries.constant(ZetaPoly(), 0, order)
     for l in coarsenings(Index(k)):
-        out += shifted_mzv(l, product, order)
+        out += shifted_mzv(l, HARMONIC, order)
     return out
 
 
@@ -80,27 +82,15 @@ def stadic_smzv(k: Index, product: str, orders: tuple[int, int]) -> BiSeries:
     return out
 
 
-def stadic_smzv_star(k: Index, product: str, orders: tuple[int, int]) -> BiSeries:
-    return stadic_smzv_tau(k, 1, product, orders)
-
-
-def stadic_smzv_tau(k: Index, tau: Fraction, product: str, orders: tuple[int, int]) -> BiSeries:
-    """Interpolation between the plain (tau=0) and star (tau=1) values."""
+def stadic_smzv_tau(k: Index, tau: Fraction, orders: tuple[int, int]) -> BiSeries:
+    """Interpolation between the plain (tau=0) and star (tau=1) harmonic values."""
     k = Index(k)
     tau = Fraction(tau)
     out = BiSeries.constant(ZetaPoly(), *orders)
     for l in coarsenings(k):
         weight = tau ** (k.depth - l.depth)
         if weight:
-            out += stadic_smzv(l, product, orders).scale(weight)
-    return out
-
-
-def stadic_of_combination(terms, product: str, orders: tuple[int, int]) -> BiSeries:
-    """The symmetric value of a combination given as (index, coefficient) pairs."""
-    out = BiSeries.constant(ZetaPoly(), *orders)
-    for idx, c in terms:
-        out += stadic_smzv(idx, product, orders).scale(c)
+            out += stadic_smzv(l, HARMONIC, orders).scale(weight)
     return out
 
 
@@ -110,10 +100,7 @@ def stadic_of_combination(terms, product: str, orders: tuple[int, int]) -> BiSer
 
 def _rotations_with_head(k: Index) -> list[tuple[int, Index]]:
     """Each cyclic rotation split as (first part, remaining index)."""
-    out = []
-    for rot in cyclic_class(k):
-        out.append((rot[0], Index(rot[1:])))
-    return out
+    return [(rot[0], Index(rot[1:])) for rot in cyclic_class(k)]
 
 
 def _require_weight_gt_depth(k: Index) -> None:
@@ -128,7 +115,9 @@ def _require_weight_gt_depth(k: Index) -> None:
 def check_harmonic(k: Index, l: Index, orders: tuple[int, int], prec: int):
     """Stuffle multiplicativity of the two-parameter symmetric values."""
     k, l = Index(k), Index(l)
-    lhs = stadic_of_combination(stuffle(k, l), HARMONIC, orders)
+    lhs = BiSeries.constant(ZetaPoly(), *orders)
+    for idx, c in stuffle(k, l):
+        lhs += stadic_smzv(idx, HARMONIC, orders).scale(c)
     rhs = stadic_smzv(k, HARMONIC, orders) * stadic_smzv(l, HARMONIC, orders)
     return residual(lhs, rhs, prec)
 
@@ -151,7 +140,7 @@ def check_antipode(k: Index, order: int, prec: int):
     for i in range(k.depth + 1):
         head, tail = split(k, i)
         term = (shifted_mzv(reverse(head), HARMONIC, order)
-                * shifted_mzv_star(tail, HARMONIC, order))
+                * shifted_mzv_star(tail, order))
         acc += term.scale((-1) ** i)
     target = BiSeries.constant(ZetaPoly.const(1 if k.depth == 0 else 0), 0, order)
     return residual(acc, target, prec)
@@ -193,21 +182,12 @@ def check_t_translation(k: Index, orders: tuple[int, int], prec: int):
     return residual(v, v.map(lambda p: p.subst_tvars({"T1": 0, "T2": T2 - T1})), prec)
 
 
-def _zeta_star(k: Index) -> ZetaPoly:
-    """The star value of an admissible index: Z[l] summed over its coarsenings l."""
-    return sum(map(ZetaPoly.zeta, coarsenings(k)), ZetaPoly())
-
-
 def check_classical_csf(k: Index, prec: int):
-    """Cyclic sum formula for star values of an index with weight > depth."""
-    k = Index(k)
-    _require_weight_gt_depth(k)
-    lhs = ZetaPoly()
-    for u, l in _rotations_with_head(k):
-        for j in range(u - 1):
-            lhs += _zeta_star(concat(Index((j + 1,)), l, Index((u - j,))))
-    rhs = _zeta_star(Index((k.weight + 1,))) * k.weight
-    return residual(lhs, rhs, prec)
+    """Cyclic sum formula for star values of an index with weight > depth: the
+    shifted formula at order 0, whose extra terms zeta*(u, l, 1) on the left
+    and zeta*(rot, 1) on the right run over the same rotations rot = (u, l) and
+    cancel exactly, leaving admissible star values and no T-monomial."""
+    return check_shifted_csf(k, 0, prec)
 
 
 def check_shifted_csf(k: Index, order: int, prec: int):
@@ -217,12 +197,12 @@ def check_shifted_csf(k: Index, order: int, prec: int):
     lhs = BiSeries.constant(ZetaPoly(), 0, order)
     for u, l in _rotations_with_head(k):
         for j in range(u):
-            lhs += shifted_mzv_star(concat(Index((j + 1,)), l, Index((u - j,))), HARMONIC, order)
+            lhs += shifted_mzv_star(concat(Index((j + 1,)), l, Index((u - j,))), order)
     rhs = BiSeries.constant(ZetaPoly(), 0, order)
     for rot in cyclic_class(k):
         for j in range(order + 1):
-            rhs += shifted_mzv_star(concat(rot, Index((j + 1,))), HARMONIC, order).shift(0, j)
-    rhs += shifted_mzv_star(Index((k.weight + 1,)), HARMONIC, order).scale(k.weight)
+            rhs += shifted_mzv_star(concat(rot, Index((j + 1,))), order).shift(0, j)
+    rhs += shifted_mzv_star(Index((k.weight + 1,)), order).scale(k.weight)
     return residual(lhs, rhs, prec)
 
 
@@ -250,7 +230,7 @@ def check_csf_tau(k: Index, tau: Fraction, orders: tuple[int, int], prec: int):
     one_minus = 1 - tau
 
     def val(idx):
-        return stadic_smzv_tau(idx, tau, HARMONIC, orders)
+        return stadic_smzv_tau(idx, tau, orders)
 
     def around(left, right):
         term = val(concat(left, right))
@@ -270,7 +250,8 @@ def check_csf_tau(k: Index, tau: Fraction, orders: tuple[int, int], prec: int):
             rhs += around(rot, Index((j + 1,))).shift(j, 0)
     correction = k.weight * tau ** k.depth
     if correction:
-        rhs += stadic_smzv_star(Index((k.weight + 1,)), HARMONIC, orders).scale(correction)
+        # the depth-1 index has one coarsening, itself: its star value is its value
+        rhs += stadic_smzv(Index((k.weight + 1,)), HARMONIC, orders).scale(correction)
     return residual(lhs, rhs, prec)
 
 

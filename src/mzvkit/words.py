@@ -14,15 +14,15 @@ the words of each length, read as the bits of an int, so words that agree
 after a letter is replaced are summed before the next letter expands.  The
 harmonic (quasi-shuffle) and shuffle products are the bilinear
 maps :func:`harmonic` and :func:`shuffle`, with integer structure constants
-computed once per word pair and cached.  The harmonic constants are those of
-``indices.stuffle``, where the stuffle recursion lives, carried through the
-signed embedding.
+computed once per word pair and cached.  The shuffle constants come from the
+recursion on last letters, ua sh vb = (u sh vb) a + (ua sh v) b, as the
+stuffle of ``indices.stuffle`` does on parts; the harmonic constants are
+those of ``indices.stuffle``, carried through the signed embedding.  An
+``NcPoly`` prints as the core's ``repr``: its type name and terms.
 """
 
 from __future__ import annotations
 
-import itertools
-from fractions import Fraction
 from functools import cache
 
 from .indices import Index, coarsenings, reverse, stuffle, trusted_index
@@ -64,11 +64,6 @@ def index_of_word(w: Word) -> Index:
         else:
             parts[-1] += 1
     return trusted_index(tuple(parts))
-
-
-def _word_sort_key(w: Word):
-    # length first, then lexicographic with E1 > E0
-    return (len(w), tuple(-a for a in w))
 
 
 class NcPoly(LinearCombination):
@@ -138,30 +133,6 @@ class NcPoly(LinearCombination):
     def support_in_h0(self) -> bool:
         return all(in_h0(w) for w in self.terms)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        out = ""
-        for w in sorted(self.terms, key=_word_sort_key):
-            body = "".join(f"y{a}" for a in w) or "1"
-            c = str(self.terms[w])
-            neg = c.startswith("-") and " " not in c
-            if neg:
-                c = c[1:]
-            if c == "1" and body != "1":
-                piece = body
-            elif " " in c or "+" in c:
-                piece = f"({c})*{body}"
-            else:
-                piece = f"{c}*{body}"
-            if not out:
-                out = ("-" if neg else "") + piece
-            else:
-                out += (" - " if neg else " + ") + piece
-        return out
-
-    __repr__ = __str__
-
 
 def embed(k: Index) -> NcPoly:
     """The signed word (-1)^depth e_k of an index."""
@@ -174,19 +145,14 @@ def embed(k: Index) -> NcPoly:
 
 @cache
 def _shuffle_words(w1: Word, w2: Word) -> tuple:
-    """Integer-weighted interleavings of two words."""
-    n1, n2 = len(w1), len(w2)
-    out: dict[Word, int] = {}
-    for positions in itertools.combinations(range(n1 + n2), n1):
-        merged = [None] * (n1 + n2)
-        for i, p in enumerate(positions):
-            merged[p] = w1[i]
-        it = iter(w2)
-        for p in range(n1 + n2):
-            if merged[p] is None:
-                merged[p] = next(it)
-        w = tuple(merged)
-        out[w] = out.get(w, 0) + 1
+    """Integer-weighted interleavings of two words, by the recursion on last
+    letters ua sh vb = (u sh vb) a + (ua sh v) b."""
+    if not w1 or not w2:
+        return ((w1 + w2, 1),)
+    out = {w + w1[-1:]: c for w, c in _shuffle_words(w1[:-1], w2)}
+    for w, c in _shuffle_words(w1, w2[:-1]):
+        w += w2[-1:]
+        out[w] = out.get(w, 0) + c
     return tuple(sorted(out.items()))
 
 
@@ -235,35 +201,22 @@ def product_fn(tag: str):
 # truncated geometric tails and the shifted shuffle
 # ---------------------------------------------------------------------------
 
-def _bs_mono(q: int | Fraction, var: str, power: int, orders: tuple[int, int]) -> BiSeries:
-    ms, mt = orders
-    i, j = (power, 0) if var == "s" else (0, power)
-    return BiSeries.monomial(q, i, j, ms, mt)
-
-
 def lift_biseries(u: NcPoly, orders: tuple[int, int]) -> NcPoly:
     """Reinterpret rational coefficients as constant (s,t)-series."""
     ms, mt = orders
     return u.map_coeffs(lambda c: BiSeries.constant(c, ms, mt))
 
 
-def geometric(sign: int, letter: int, var: str, orders: tuple[int, int]) -> NcPoly:
-    """(1 + sign * e_letter * var)^(-1) truncated: sum (-sign)^j e^j var^j."""
+def geometric(sign: int, var: str, orders: tuple[int, int]) -> NcPoly:
+    """(1 + sign * e0 * var)^(-1) truncated: sum (-sign)^j e0^j var^j."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     bound = orders[0] if var == "s" else orders[1]
     terms = {}
-    for j in range(bound + 1):
-        terms[(letter,) * j] = _bs_mono((-sign) ** j, var, j, orders)
+    for n in range(bound + 1):
+        i, j = (n, 0) if var == "s" else (0, n)
+        terms[(E0,) * n] = BiSeries.monomial((-sign) ** n, i, j, *orders)
     return NcPoly(terms)
-
-
-def linear_factor(sign: int, letter: int, var: str, orders: tuple[int, int]) -> NcPoly:
-    """(1 + sign * e_letter * var) as a word polynomial."""
-    return NcPoly({
-        (): _bs_mono(1, var, 0, orders),
-        (letter,): _bs_mono(sign, var, 1, orders),
-    })
 
 
 def shuffle_shifted(u: NcPoly, v: NcPoly, orders: tuple[int, int]) -> NcPoly:
@@ -271,9 +224,8 @@ def shuffle_shifted(u: NcPoly, v: NcPoly, orders: tuple[int, int]) -> NcPoly:
 
     Operands must carry BiSeries coefficients at the same orders.
     """
-    g = geometric(-1, E0, "s", orders)
-    pre = linear_factor(-1, E0, "s", orders)
-    return pre * shuffle(u, g * v)
+    pre = NcPoly({(): BiSeries.constant(1, *orders), (E0,): BiSeries.monomial(-1, 1, 0, *orders)})
+    return pre * shuffle(u, geometric(-1, "s", orders) * v)
 
 
 def telescope_sides(w: Word, orders: tuple[int, int]) -> tuple[NcPoly, NcPoly]:
@@ -292,10 +244,10 @@ def telescope_sides(w: Word, orders: tuple[int, int]) -> tuple[NcPoly, NcPoly]:
     """
     w = tuple(w)
     n = len(w)
-    gt_plus = geometric(1, E0, "t", orders)
-    gt_minus = geometric(-1, E0, "t", orders)
-    gs_plus = geometric(1, E0, "s", orders)
-    gs_minus = geometric(-1, E0, "s", orders)
+    gt_plus = geometric(1, "t", orders)
+    gt_minus = geometric(-1, "t", orders)
+    gs_plus = geometric(1, "s", orders)
+    gs_minus = geometric(-1, "s", orders)
     e1 = NcPoly.from_word((E1,))
 
     lhs = NcPoly()
@@ -318,7 +270,7 @@ def sigma_t(u: NcPoly, order: int) -> NcPoly:
     input must have rational coefficients.
     """
     orders = (0, order)
-    tail = geometric(1, E0, "t", orders)
+    tail = geometric(1, "t", orders)
     out = NcPoly()
     for w, c in lift_biseries(u, orders).terms.items():
         term = NcPoly.one(c)

@@ -345,7 +345,7 @@ def test_smzv_via_assoc_routes():
     assert check_smzv_routes(Index((2,)), (1, 1), 40) < TOL
     assert check_smzv_routes(Index((1, 2)), (1, 1), 40) < TOL
     with pytest.raises(ValueError):
-        smzv_via_assoc(Index(()), HARMONIC, 0, 0, (1, 1), 40)
+        smzv_via_assoc(Index(()), (1, 1), 40)
 
 
 def test_degree_budget_is_the_longest_flanked_word(monkeypatch):

@@ -255,8 +255,20 @@ def _zeta_reg_fault(owner, **fault):
     return functools.cache(functools.partial(_zeta_reg_faulted, owner, **fault))
 
 
-def _zeta_star_without_the_index_itself(k):
-    return sum(map(ZetaPoly.zeta, indices.coarsenings(k)[1:]), ZetaPoly())
+def _shifted_star_without_the_index_itself(k, order):
+    """The coarsening sum of shifted values without k itself."""
+    out = BiSeries.constant(ZetaPoly(), 0, order)
+    for l in indices.coarsenings(k)[1:]:
+        out += stadic.shifted_mzv(l, words.HARMONIC, order)
+    return out
+
+
+_shuffle_words = words._shuffle_words
+
+
+def _shuffle_words_counted_once(w1, w2):
+    """The interleavings of two words, each counted once: every coefficient 1."""
+    return tuple((w, 1) for w, _ in _shuffle_words(w1, w2))
 
 
 def _exp_coeffs_without_factor_k(c):
@@ -342,9 +354,9 @@ def _shuffle_one_without_the_prepended_part(head):
 _stadic_smzv_tau = stadic.stadic_smzv_tau
 
 
-def _star_values_at_tau_0(k, tau, product, orders):
+def _star_values_at_tau_0(k, tau, orders):
     """The tau-interpolated value with every coarsening weighted by 1 at tau = 0."""
-    return _stadic_smzv_tau(k, tau or 1, product, orders)
+    return _stadic_smzv_tau(k, tau or 1, orders)
 
 
 # planted fault -> the transcript checks that must FAIL under it; every other
@@ -370,9 +382,10 @@ def _star_values_at_tau_0(k, tau, product, orders):
 # trailing 1s of k: at the top of reg (2,1,1) both sides scale by 2, so only
 # the deeper reg commands, whose inner values scale too, see it.  Leaves
 # (-1)^depth Z[k] planted in stadic change its admissible values, the only
-# ones csf-shifted (2,1) can see: its non-admissible terms cancel between its
-# two sides.  shuffle still holds under them, because every term of a
-# shuffle of two indices has the same depth, and so does t-translation.
+# ones csf (2,1) and csf-shifted (2,1) can see: their non-admissible terms
+# cancel between their two sides.  shuffle still holds under them, because
+# every term of a shuffle of two indices has the same depth, and so does
+# t-translation.
 # In the associator, a recursion without its T Z_T(head) term computes Z_0
 # at every T, which only t-part sees, since it alone sets phi at T against an
 # explicit function of T.  One without its division changes every value with
@@ -388,10 +401,14 @@ def _star_values_at_tau_0(k, tau, product, orders):
 # pairings (duality, rsmzv-routes, smzv-assoc) read a product by splits of
 # each word and build no series, so eps, subst and the NcSeries product reach
 # them only through a fault in the split sum.  The classical cyclic sum
-# formula alone reads the star values of admissible indices, the coarsening
-# sums of zeta symbols in stadic._zeta_star, and t-translation alone tells a
-# value of T2 - T1 from one of T1 + T2.  A zeroing that keeps the T terms
-# reaches only the two checks at T = 0, explicit-reg and shuffle, as measured.
+# formula is the shifted one at order 0, so csf, csf-shifted and antipode
+# read the star values, the coarsening sums of stadic.shifted_mzv_star; a sum
+# without the index itself fails those three.  t-translation alone tells a
+# value of T2 - T1 from one of T1 + T2.  The shuffle kernel of words, the
+# recursion on last letters, is read only by the shifted shuffle of the
+# shuffle check, so a kernel that counts each interleaving once fails it
+# alone.  A zeroing that keeps the T terms reaches only the two checks at
+# T = 0, explicit-reg and shuffle, as measured.
 # The shift weight prod k_i^m_i equals b(k; m) = prod C(k_i + m_i - 1, m_i)
 # wherever every m_i <= 1, so only a shift of total >= 2 sees it: planted in
 # stadic, whose shifted values read every total, it fails the checks listed
@@ -455,9 +472,9 @@ MUTATIONS = {
                                   {"reg (2,1,1,1)", "reg (2,1,1,1,1)"}),
     "stadic-zeta-reg-with-signed-leaves": ((stadic, "zeta_reg",
                                             _zeta_reg_fault(stadic, signed_leaves=True)),
-                                           {"antipode", "csf-nonstar", "csf-shifted", "csf-star",
-                                            "csf-tau", "explicit-reg", "harmonic", "rsmzv-routes",
-                                            "shifted-harmonic", "smzv-assoc"}),
+                                           {"antipode", "csf", "csf-nonstar", "csf-shifted",
+                                            "csf-star", "csf-tau", "explicit-reg", "harmonic",
+                                            "rsmzv-routes", "shifted-harmonic", "smzv-assoc"}),
     "reg-value-without-T-term": ((associator, "_zeta_reg_value",
                                   functools.partial(_zeta_reg_value_faulted, t_term=False)),
                                  {"t-part"}),
@@ -468,8 +485,9 @@ MUTATIONS = {
     "merge-keeps-one-side": ((rings, "_merge_powers", lambda a, b: a or b),
                              {"antipode", "csf-nonstar", "csf-star", "csf-tau", "explicit-reg",
                               "gamma-factor", "harmonic", "reg", "shifted-harmonic", "shuffle"}),
-    "star-without-the-index-itself": ((stadic, "_zeta_star", _zeta_star_without_the_index_itself),
-                                      {"csf"}),
+    "star-without-the-index-itself": ((stadic, "shifted_mzv_star",
+                                       _shifted_star_without_the_index_itself),
+                                      {"antipode", "csf", "csf-shifted"}),
     "T2-with-wrong-sign": ((stadic, "_t_renamed", _t_renamed_negating_T2),
                            {"t-translation"}),
     "zeroing-keeps-T": ((stadic, "_t_renamed", _t_renamed_keeping_T_at_zero),
@@ -507,6 +525,9 @@ MUTATIONS = {
                                         {"independence"}),
     "exp-linear-without-factorial": ((associator, "exp_linear", _exp_linear_without_factorial),
                                      {"duality-assoc", "t-part", "three-cycle"}),
+    "shuffle-kernel-counts-each-interleaving-once": ((words, "_shuffle_words",
+                                                      _shuffle_words_counted_once),
+                                                     {"shuffle"}),
 }
 
 

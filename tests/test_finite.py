@@ -198,6 +198,15 @@ def test_stuffle_scan():
     assert not report.all_pass and report.results == []
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_a_modulus_exponent_below_one_is_refused(n):
+    # mod p^0 = 1 every residue is 0, so a stuffle scan would pass every prime
+    with pytest.raises(ValueError, match="n >= 1"):
+        window_zero_sums([(1,), (2,)], 60, n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        scan_stuffle([(Index((1,)), Index((2,)))], 60, n)
+
+
 def test_stuffle_identity_by_hand():
     # finite(1)^2 = 2 finite(1,1) + finite(2) mod 49
     p, n = 7, 2

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from mzvkit import regularization, stadic
-from mzvkit.indices import EMPTY, Index, reverse, shifts, split
+from mzvkit.indices import EMPTY, Index, coarsenings, concat, cyclic_class, reverse, shifts, split
 from mzvkit.numeric import residual, tolerance
 from mzvkit.regularization import Z_reg_full
 from mzvkit.rings import BiSeries, ZetaPoly
@@ -12,8 +12,7 @@ from mzvkit.stadic import (
     check_antipode, check_classical_csf, check_csf_nonstar,
     check_csf_star, check_csf_tau, check_explicit_reg, check_harmonic,
     check_shifted_csf, check_shifted_harmonic, check_shuffle, check_t_translation,
-    shifted_mzv, shifted_mzv_star, stadic_smzv,
-    stadic_smzv_star, stadic_smzv_tau,
+    shifted_mzv, shifted_mzv_star, stadic_smzv, stadic_smzv_tau,
 )
 from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, index_of_word
 
@@ -67,10 +66,10 @@ def test_coefficient_form_sees_unit_shift_weights(monkeypatch):
 
 
 def test_shifted_star():
-    assert shifted_mzv_star(Index((2,)), HARMONIC, 1) == shifted_mzv(Index((2,)), HARMONIC, 1)
-    got = shifted_mzv_star(Index((1, 1)), HARMONIC, 0)
+    assert shifted_mzv_star(Index((2,)), 1) == shifted_mzv(Index((2,)), HARMONIC, 1)
+    got = shifted_mzv_star(Index((1, 1)), 0)
     assert got.coeffs == [(T * T + Z((2,))) * Fraction(1, 2)]
-    assert shifted_mzv_star(EMPTY, HARMONIC, 1).coeffs == [ZetaPoly.const(1), ZetaPoly()]
+    assert shifted_mzv_star(EMPTY, 1).coeffs == [ZetaPoly.const(1), ZetaPoly()]
 
 
 def test_stadic_empty_and_single():
@@ -95,11 +94,13 @@ def test_stadic_single_one_full_pattern():
 def test_stadic_star_and_tau_consistency():
     k = Index((1, 2))
     orders = (1, 1)
-    star = stadic_smzv_star(k, HARMONIC, orders)
+    star = BiSeries.constant(ZetaPoly(), *orders)
+    for l in coarsenings(k):
+        star += stadic_smzv(l, HARMONIC, orders)
     plain = stadic_smzv(k, HARMONIC, orders)
-    assert stadic_smzv_tau(k, Fraction(0), HARMONIC, orders) == plain
-    assert stadic_smzv_tau(k, Fraction(1), HARMONIC, orders) == star
-    half = stadic_smzv_tau(Index((1, 1)), Fraction(1, 2), HARMONIC, orders)
+    assert stadic_smzv_tau(k, Fraction(0), orders) == plain
+    assert stadic_smzv_tau(k, Fraction(1), orders) == star
+    half = stadic_smzv_tau(Index((1, 1)), Fraction(1, 2), orders)
     expect = (stadic_smzv(Index((1, 1)), HARMONIC, orders)
               + stadic_smzv(Index((2,)), HARMONIC, orders).scale(Fraction(1, 2)))
     assert half == expect
@@ -135,13 +136,14 @@ def test_check_harmonic_fails_on_a_planted_term(monkeypatch):
     # must see it anyway
     T1, T2 = ZetaPoly.tvar("T1"), ZetaPoly.tvar("T2")
     planted = Z((2,)) * (1 + T2 - T1)
-    combination = stadic.stadic_of_combination
+    value = stadic.stadic_smzv
 
-    def wrong(combo, product, orders, *syms):
-        return combination(combo, product, orders, *syms) + BiSeries.monomial(
-            planted, 0, 0, *orders)
+    def wrong(k, product, orders):
+        # (3) is the merged term of (1) * (2), read on the left side only
+        out = value(k, product, orders)
+        return out + BiSeries.monomial(planted, 0, 0, *orders) if k == Index((3,)) else out
 
-    monkeypatch.setattr(stadic, "stadic_of_combination", wrong)
+    monkeypatch.setattr(stadic, "stadic_smzv", wrong)
     assert check_harmonic(Index((1,)), Index((2,)), (2, 2), 40) >= TOL
 
 
@@ -215,13 +217,15 @@ def test_terms_of_weight_zero_are_skipped(monkeypatch):
     # tau = 0: every proper coarsening carries tau^(drop in depth) = 0
     monkeypatch.setattr(stadic, "stadic_smzv",
                         lambda idx, *args: plain if idx == k else refuse())
-    assert stadic_smzv_tau(k, 0, HARMONIC, (1, 1)) == plain
+    assert stadic_smzv_tau(k, 0, (1, 1)) == plain
     monkeypatch.undo()
     # tau = 1: no glued variant (weight 1 - tau); tau = 0: no zeta(weight+1) term
     monkeypatch.setattr(stadic, "uplus", refuse)
     assert check_csf_tau(k, 1, (1, 1), 40) < TOL
     monkeypatch.undo()
-    monkeypatch.setattr(stadic, "stadic_smzv_star", refuse)
+    value = stadic.stadic_smzv
+    monkeypatch.setattr(stadic, "stadic_smzv", lambda idx, *args:
+                        refuse() if idx == Index((k.weight + 1,)) else value(idx, *args))
     assert check_csf_tau(k, 0, (1, 1), 40) < TOL
 
 
@@ -233,6 +237,30 @@ def test_all_csf_checkers_on_pinned_set():
         assert check_csf_star(k, (2, 2), 40) < TOL
         assert check_csf_nonstar(k, (2, 2), 40) < TOL
         assert check_csf_tau(k, Fraction(1, 2), (2, 2), 40) < TOL
+
+
+def _zeta_star(k):
+    return sum(map(Z, coarsenings(k)), ZetaPoly())
+
+
+def test_order_0_csf_is_the_classical_formula_with_no_t_monomial(monkeypatch):
+    # the terms zeta*(u, l, 1) and zeta*(rot, 1) of the shifted formula at
+    # order 0 cancel exactly: what is left is the classical difference, in
+    # admissible zeta symbols alone
+    sides = []
+    monkeypatch.setattr(stadic, "residual", lambda lhs, rhs, prec: sides.append(lhs - rhs) or 0)
+    ks = [k for k in all_nonempty_indices(6) if k.weight > max(k.depth, 1)]
+    assert len(ks) == 57
+    for k in ks:
+        sides.clear()
+        assert check_classical_csf(k, 40) == 0
+        (diff,) = sides
+        assert not [m for m in diff.coeff(0, 0).terms if m[1]], k
+        classical = _zeta_star(Index((k.weight + 1,))) * -k.weight
+        for rot in cyclic_class(k):
+            for j in range(rot[0] - 1):
+                classical += _zeta_star(concat(Index((j + 1,)), rot[1:], Index((rot[0] - j,))))
+        assert diff.coeff(0, 0) == classical, k
 
 
 def test_explicit_reg():

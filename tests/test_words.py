@@ -7,6 +7,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mzvkit import words
 from mzvkit.associator import NcSeries
 from mzvkit.indices import EMPTY, Index, shuffle_one, stuffle
 from mzvkit.rings import BiSeries
@@ -31,8 +32,20 @@ def words_up_to(n, h1_only=False):
 # independent oracles
 # ---------------------------------------------------------------------------
 
+def shuffle_by_interleavings(w1, w2):
+    """Every choice of the positions of w1's letters among len(w1) + len(w2),
+    counted once: independent of the recursion on last letters."""
+    n = len(w1) + len(w2)
+    out = {}
+    for positions in itertools.combinations(range(n), len(w1)):
+        first, second = iter(w1), iter(w2)
+        w = tuple(next(first) if p in positions else next(second) for p in range(n))
+        out[w] = out.get(w, 0) + 1
+    return out
+
+
 def shuffle_oracle(w1, w2):
-    """Two-term recursion, independent of the interleaving enumeration."""
+    """Two-term recursion, written on dicts apart from the kernel."""
     if not w1:
         return {w2: 1}
     if not w2:
@@ -201,6 +214,16 @@ def test_shuffle_against_recursive_oracle():
         assert got == want
 
 
+def test_shuffle_kernel_against_the_interleavings():
+    # every word pair of total length <= 8
+    pairs = 0
+    for w1 in words_up_to(8):
+        for w2 in words_up_to(8 - len(w1)):
+            pairs += 1
+            assert dict(words._shuffle_words(w1, w2)) == shuffle_by_interleavings(w1, w2), (w1, w2)
+    assert pairs == 4097
+
+
 def test_stuffle_against_index_oracle():
     # every pair of total weight <= 8, against the first-part recursion on
     # indices and the signed last-block recursion on words
@@ -275,13 +298,13 @@ def test_products_commutative_associative_random():
 
 def test_geometric():
     orders = (0, 2)
-    g = geometric(1, E0, "t", orders)
+    g = geometric(1, "t", orders)
     assert set(g.terms) == {(), (E0,), (E0, E0)}
     assert g.terms[(E0,)] == BiSeries.monomial(Fraction(-1), 0, 1, 0, 2)
     assert g.terms[(E0, E0)] == BiSeries.monomial(Fraction(1), 0, 2, 0, 2)
-    g0 = geometric(1, E0, "t", (0, 0))
+    g0 = geometric(1, "t", (0, 0))
     assert set(g0.terms) == {()}
-    gm = geometric(-1, E0, "s", (1, 0))
+    gm = geometric(-1, "s", (1, 0))
     assert gm.terms[(E0,)] == BiSeries.monomial(Fraction(1), 1, 0, 1, 0)
 
 
@@ -466,14 +489,6 @@ def test_endo_S_group_law():
         a, b = Fraction(1, 2), Fraction(1, 3)
         assert endo_S(endo_S(W(w), a), b) == endo_S(W(w), a + b)
         assert endo_S(endo_C(W(w)), a) == endo_C(endo_S(W(w), a))
-
-
-def test_text_form():
-    p = NcPoly({(E1, E1): Fraction(2), (E1, E0): Fraction(-1)})
-    assert str(p) == "2*y1y1 - y1y0"
-    assert str(NcPoly.one()) == "1*1"
-    assert str(NcPoly()) == "0"
-    assert str(W((E0,), Fraction(-1, 2))) == "-1/2*y0"
 
 
 # ---------------------------------------------------------------------------
