@@ -8,13 +8,13 @@ is the exact residue of
 modulo p^n, a plain int in [0, p^n).  The window excludes multiples of p,
 so every summand is a unit.
 
-``window_zero_sums`` gives the window-0 residues of a set of indices for
-every prime of a scan in one pass over N = 1, 2, ...: one accumulator per
+``window_sums`` gives the residues of a set of indices at one window a for
+every prime of a scan in one pass over m = 1, 2, ...: one accumulator per
 prefix of the indices, held as a trie, kept modulo the product of p^n over
-the primes still ahead.  ``finite_mzv`` evaluates one index at one (p, n, a)
-by a prefix-sum dynamic program in O(depth*p) ring operations; it is the
-oracle of the pass and the route for the shifted windows a >= 1, whose range
-moves with p.
+the primes whose window is open, each window reset as it opens and read as
+it closes.  Every value a scan checks comes from it.  ``finite_mzv``
+evaluates one index at one (p, n, a) by a prefix-sum dynamic program in
+O(depth*p) ring operations; it is the oracle of the pass only.
 
 Scans verify exact congruences over prime ranges in a single process and
 report per-prime verdicts; a failing prime is a 0 in its CSV row, never an
@@ -24,7 +24,7 @@ exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import prod
 
 from .indices import Index, coarsenings, shifts, stuffle
@@ -122,19 +122,25 @@ def finite_mzv_bruteforce(k, p: int, n: int = 1, a: int = 0) -> int:
     return rec(0, a * p)
 
 
-def window_zero_sums(indices, p_max: int, n: int = 1) -> dict[int, dict[Index, int]]:
-    """prime -> {index: its window-0 residue mod p^n}, for every prime
-    5 <= p <= p_max with p > n, from one pass over N = 1, ..., p_max - 1.
+def window_sums(indices, p_max: int, n: int = 1, a: int = 0) -> dict[int, dict[Index, int]]:
+    """prime -> {index: its window-a residue mod p^n}, for every prime
+    5 <= p <= p_max with p > n, from one pass over the m of the windows.
 
-    With K the largest part, the prefix u = (v, k) of an index holds
-    A_u(N) = S_u(N) (N!)^K, S_u(N) being its nested sum over parts up to N:
-    A_u(N) = N^K A_u(N-1) + N^(K-k) A_v(N-1), each child updated before its
-    parent, and the root A_()(N) = (N!)^K.  The state is kept modulo the
-    product of p^n over the primes still ahead, and prime p reads
-    A_u(p-1) / A_()(p-1), whose denominator ((p-1)!)^K is a unit mod p^n.
+    With K the largest part and P(m) the product of the window's integers up
+    to m, the prefix u = (v, k) of an index holds A_u(m) = S_u(m) P(m)^K,
+    S_u(m) being its nested sum over the window up to m:
+    A_u(m) = m^K A_u(m-1) + m^(K-k) A_v(m-1), each child updated before its
+    parent, and the root A_()(m) = P(m)^K.  The state is kept modulo the
+    product of p^n over the primes whose window ap < m < (a+1)p is open.
+    The windows that open at one m form a group q: with M the modulus so
+    far and c = M (M^-1 mod q), s -> s (1 - c) mod Mq clears their component
+    and keeps the others, and the root takes c.  When p's window closes it
+    reads A_u / A_() mod p^n, whose denominator is a unit, and p^n leaves
+    the modulus.  An m in no window is skipped; at a = 0 every window opens
+    at m = 1.
     """
-    if n < 1:
-        raise ValueError("need modulus exponent n >= 1")
+    if n < 1 or a < 0:
+        raise ValueError("need modulus exponent n >= 1 and shift a >= 0")
     keys = {Index(k) for k in indices}
     primes = [p for p in sieve_primes(p_max) if p >= 5 and p > n]
     trie = sorted({()} | {k[:i] for k in keys for i in range(1, len(k) + 1)},
@@ -143,19 +149,31 @@ def window_zero_sums(indices, p_max: int, n: int = 1) -> dict[int, dict[Index, i
     top = max(map(max, filter(None, keys)), default=0)
     steps = [(i, slot[u[:-1]], top - u[-1]) for i, u in enumerate(trie[:-1])]
     root = len(trie) - 1
-    state = [0] * root + [1]
-    modulus = prod(p ** n for p in primes)
-    out, start = {}, 1
-    for p in primes:
-        for m in range(start, p):
-            powers = [m ** e for e in range(top + 1)]
-            for i, parent, e in steps:
-                state[i] = (powers[top] * state[i] + powers[e] * state[parent]) % modulus
-            state[root] = powers[top] * state[root] % modulus
-        start, pn = p, p ** n
-        inverse = pow(state[root], -1, pn)
-        out[p] = {k: state[slot[k]] * inverse % pn for k in keys}
-        modulus //= pn
+    state = [0] * len(trie)
+    # (m, opens, p), acted on before the update at m: p's window opens at
+    # m = ap + 1 and is read at m = (a+1)p, a read coming before an opening
+    events = sorted([(a * p + 1, True, p) for p in primes]
+                    + [((a + 1) * p, False, p) for p in primes])
+    out, modulus, m = {}, 1, 0
+    for (at, opens), group in groupby(events, key=lambda e: e[:2]):
+        if modulus > 1:
+            for m in range(m, at):
+                powers = [m ** e for e in range(top + 1)]
+                for i, parent, e in steps:
+                    state[i] = (powers[top] * state[i] + powers[e] * state[parent]) % modulus
+                state[root] = powers[top] * state[root] % modulus
+        m, moduli = at, {p: p ** n for _, _, p in group}
+        if opens:
+            q = prod(moduli.values())
+            c = modulus * pow(modulus, -1, q)
+            modulus *= q
+            state = [s * (1 - c) % modulus for s in state]
+            state[root] += c
+        else:
+            for p, pn in moduli.items():
+                inverse = pow(state[root], -1, pn)
+                out[p] = {k: state[slot[k]] * inverse % pn for k in keys}
+                modulus //= pn
     return out
 
 
@@ -192,14 +210,11 @@ def _stuffle_holds(val: dict[Index, int], modulus: int, pairs: list[tuple[Index,
                for k, l in pairs)
 
 
-def _shift_holds(val: dict[Index, int], p: int, n: int, k: Index, a: int) -> bool:
+def _shift_holds(shifted: int, val: dict[Index, int], p: int, n: int, a: int,
+                 terms: list[tuple[Index, int, int]]) -> bool:
     modulus = p ** n
-    rhs = 0
-    for total in range(n):
-        step = pow(-a * p, total, modulus)
-        for l, b in shifts(k, total):
-            rhs = (rhs + b * val[l] * step) % modulus
-    return finite_mzv(k, p, n, a) == rhs
+    steps = [pow(-a * p, total, modulus) for total in range(n)]
+    return shifted == sum(b * val[l] * steps[total] for l, b, total in terms) % modulus
 
 
 def scan_stuffle(pairs: list[tuple[Index, Index]], p_max: int, n: int = 1) -> ScanReport:
@@ -209,7 +224,7 @@ def scan_stuffle(pairs: list[tuple[Index, Index]], p_max: int, n: int = 1) -> Sc
     if not pairs:
         return ScanReport("stuffle", params)
     needed = {m for k, l in pairs for m in (k, l, *(t for t, _ in stuffle(k, l)))}
-    values = window_zero_sums(needed, p_max, n)
+    values = window_sums(needed, p_max, n)
     return ScanReport("stuffle", params,
                       [(p, _stuffle_holds(val, p ** n, pairs)) for p, val in values.items()])
 
@@ -218,19 +233,23 @@ def scan_shift_expansion(k, a: int, p_max: int, n: int = 1) -> ScanReport:
     """Check the window shift against the truncated binomial expansion.
 
     Terms with total shift weight >= n carry p^n and vanish, so the
-    expansion is cut there exactly.  Its window-0 values come from one pass;
-    the shifted window is evaluated per prime by ``finite_mzv``.
+    expansion is cut there exactly.  Both sides sum over the integers of
+    their windows, each from one pass: the shifted window a and the window-0
+    values of the expansion.
     """
     k = Index(k)
     if a < 1:
         raise ValueError("the shift a must be at least 1")
-    values = window_zero_sums({l for total in range(n) for l, _ in shifts(k, total)}, p_max, n)
+    terms = [(l, b, total) for total in range(n) for l, b in shifts(k, total)]
+    shifted = window_sums([k], p_max, n, a)
+    values = window_sums({l for l, _, _ in terms}, p_max, n)
     return ScanReport("shift", f"{k} a={a}",
-                      [(p, _shift_holds(val, p, n, k, a)) for p, val in values.items()])
+                      [(p, _shift_holds(shifted[p][k], val, p, n, a, terms))
+                       for p, val in values.items()])
 
 
 def scan_wolstenholme(p_max: int) -> ScanReport:
     """H_(p-1) vanishes mod p^2 for every prime p >= 5."""
-    values = window_zero_sums([(1,)], p_max, 2)
+    values = window_sums([(1,)], p_max, 2)
     return ScanReport("wolstenholme", "(1) pow=2",
                       [(p, val[(1,)] == 0) for p, val in values.items()])

@@ -595,30 +595,43 @@ def _finite_mzv_faulted(k, p, n=1, a=0, *, current_term=False, power_short=False
     return sum(col) % m
 
 
-def _window_zero_sums_faulted(ks, p_max, n=1, *, parents_first=False, parent_part=False,
-                              negated_inverse=False, root_short=False):
-    """The pass of ``finite.window_zero_sums``, optionally with every child
+def _window_sums_faulted(ks, p_max, n=1, a=0, *, parents_first=False, parent_part=False,
+                         negated_inverse=False, root_short=False, root_reset_only=False,
+                         resets_every_window=False):
+    """The pass of ``finite.window_sums``, optionally with every child
     updated after its parent, the exponent K - k read from the parent's last
-    part (0 at the root), the inverse of the denominator negated, or the
-    root scaled by N^(K-1) in place of N^K."""
+    part (0 at the root), the inverse of the denominator negated, the root
+    scaled by m^(K-1) in place of m^K, a window opened with only its root
+    component reset, or opened by c = 1, which resets every open window."""
     keys = {indices.Index(k) for k in ks}
     primes = [p for p in finite.sieve_primes(p_max) if p >= 5 and p > n]
     nodes = sorted({k[:i] for k in keys for i in range(1, len(k) + 1)},
                    key=len, reverse=not parents_first)
     top = max(map(max, filter(None, keys)), default=0)
-    state = dict.fromkeys(nodes, 0) | {(): 1}
-    modulus = prod(p ** n for p in primes)
-    out, start = {}, 1
-    for p in primes:
-        for m in range(start, p):
-            for u in nodes:
-                part = (u[-2] if len(u) > 1 else 0) if parent_part else u[-1]
-                state[u] = (m ** top * state[u] + m ** (top - part) * state[u[:-1]]) % modulus
-            state[()] = m ** (top - root_short) * state[()] % modulus
-        start, pn = p, p ** n
-        inverse = pow(state[()], -1, pn) * (-1 if negated_inverse else 1)
-        out[p] = {k: state[k] * inverse % pn for k in keys}
-        modulus //= pn
+    state = dict.fromkeys(nodes, 0) | {(): 0}
+    events = sorted([(a * p + 1, True, p) for p in primes]
+                    + [((a + 1) * p, False, p) for p in primes])
+    out, modulus, m = {}, 1, 0
+    for (at, opens), group in itertools.groupby(events, key=lambda e: e[:2]):
+        if modulus > 1:
+            for m in range(m, at):
+                for u in nodes:
+                    part = (u[-2] if len(u) > 1 else 0) if parent_part else u[-1]
+                    state[u] = (m ** top * state[u] + m ** (top - part) * state[u[:-1]]) % modulus
+                state[()] = m ** (top - root_short) * state[()] % modulus
+        m, moduli = at, {p: p ** n for _, _, p in group}
+        if opens:
+            q = prod(moduli.values())
+            c = 1 if resets_every_window else modulus * pow(modulus, -1, q)
+            modulus *= q
+            state = {u: s if u and root_reset_only else s * (1 - c) % modulus
+                     for u, s in state.items()}
+            state[()] += c
+        else:
+            for p, pn in moduli.items():
+                inverse = pow(state[()], -1, pn) * (-1 if negated_inverse else 1)
+                out[p] = {k: state[k] * inverse % pn for k in keys}
+                modulus //= pn
     return out
 
 
@@ -626,55 +639,62 @@ _SCANS = [c for c in COMMANDS if c.startswith("scan ")]
 _STUFFLE, _SHIFT, _WOLSTENHOLME = ({c for c in _SCANS if c.split()[1] == t}
                                    for t in ("stuffle", "shift", "wolstenholme"))
 _SHIFT_DEPTH_2 = {c for c in _SHIFT if "," in c.split()[2]}
-# planted DP fault, as finite.finite_mzv -> the transcript scans that must
-# FAIL under it; every other scan must still PASS.  Every window-0 value of a
-# scan comes from the pass, so the DP only evaluates the shifted window of a
-# shift scan, one index per prime.  A prefix sum that includes the current
-# term turns that nested sum into its star variant, which the expansion of
-# the plain values does not match at depth 2; a depth-1 index takes no prefix
-# sum.  A power one step short changes every part >= 2, and every shift scan
-# has one.  The window before a shifted window differs from it by terms that
-# carry p: at depth 1 the sum of j^-2 over a window moves by 2p times the sum
-# of j^-3, which vanishes mod p^2, so only the depth-2 scans see it.
-SCAN_MUTATIONS = {
-    "prefix-includes-current-term": (functools.partial(_finite_mzv_faulted, current_term=True),
-                                     _SHIFT_DEPTH_2),
-    "power-one-step-short": (functools.partial(_finite_mzv_faulted, power_short=True), _SHIFT),
-    "shifted-window-one-back": (functools.partial(_finite_mzv_faulted, window_back=True),
-                                _SHIFT_DEPTH_2),
+# planted DP fault, as finite.finite_mzv.  The DP is the oracle of the pass
+# only: every value a scan checks comes from the pass, so no scan sees these
+# faults, and the oracle test below is what catches them.
+DP_MUTATIONS = {
+    "prefix-includes-current-term": functools.partial(_finite_mzv_faulted, current_term=True),
+    "power-one-step-short": functools.partial(_finite_mzv_faulted, power_short=True),
+    "shifted-window-one-back": functools.partial(_finite_mzv_faulted, window_back=True),
 }
-# planted fault in the pass, as finite.window_zero_sums -> the transcript
-# scans that must FAIL under it.  A child updated after its parent reads the
-# parent's new value, so only values of depth >= 2 change: the stuffle scans
-# and the depth-2 shift scans see it, and the scans of (1) and (2) do not.
-# An exponent read from the parent's part (0 at the root) and a root scaled
-# by N^(K-1) change the depth-1 values too, H_(p-1) among them.  A negated
-# inverse negates every value of a nonempty index, which keeps the product
-# side of a stuffle and flips its sum side: a relation whose product side
-# vanishes mod p^n holds for the negated values too, as every pair of the
-# default scan does mod p, (1) with (2) mod p^2 and H_(p-1) mod p^2; the
-# stuffle of (1,2) and (2,1) mod p^3 and every shift scan see it.
+# planted fault in the pass, as finite.window_sums -> the transcript scans
+# that must FAIL under it.  Both sides of a shift scan come from the pass,
+# and its expansion holds for any values that sum over the integers of each
+# window: a negated inverse negates every value of a nonempty index and
+# passes every shift scan, as star values do
+# (test_star_values_fail_only_the_stuffle_scans).  It keeps the product side
+# of a stuffle and flips its sum side, so only a stuffle whose product side
+# does not vanish mod p^n sees it: (1,2) with (2,1) mod p^3.  A child updated
+# after its parent reads the parent's value at m in place of m - 1, so only
+# values of depth >= 2 change: the stuffle scans and the depth-2 shift scans
+# see it.  An exponent read from the parent's part (0 at the root) and a
+# root scaled by m^(K-1) change the depth-1 values too, H_(p-1) among them;
+# the first one leaves the shift scan of (2,1) mod p^2 passing, as measured.
+# A window opened with only its root reset keeps the other prefixes' stale
+# residues, and c = 1 in place of M (M^-1 mod q) resets the windows already
+# open as well; at a = 0 the one opening finds the state 0 and M = 1, so
+# these two see only the shifted windows, and every shift scan fails.
 PASS_MUTATIONS = {
-    "pass-children-after-parents": (functools.partial(_window_zero_sums_faulted,
-                                                      parents_first=True),
+    "pass-children-after-parents": (functools.partial(_window_sums_faulted, parents_first=True),
                                     _STUFFLE | _SHIFT_DEPTH_2),
-    "pass-exponent-from-the-parent-part": (functools.partial(_window_zero_sums_faulted,
-                                                             parent_part=True), set(_SCANS)),
-    "pass-inverse-negated": (functools.partial(_window_zero_sums_faulted, negated_inverse=True),
-                             _SHIFT | {c for c in _STUFFLE if c.endswith("--pow 3")}),
-    "pass-root-scaled-by-N-to-K-1": (functools.partial(_window_zero_sums_faulted,
-                                                       root_short=True), set(_SCANS)),
+    "pass-exponent-from-the-parent-part": (
+        functools.partial(_window_sums_faulted, parent_part=True),
+        set(_SCANS) - {"scan shift (2,1) --shift 1 --pmax 60 --pow 2"}),
+    "pass-inverse-negated": (functools.partial(_window_sums_faulted, negated_inverse=True),
+                             {c for c in _STUFFLE if c.endswith("--pow 3")}),
+    "pass-root-scaled-by-N-to-K-1": (functools.partial(_window_sums_faulted, root_short=True),
+                                     set(_SCANS)),
+    "pass-window-opened-with-only-its-root-reset": (
+        functools.partial(_window_sums_faulted, root_reset_only=True), _SHIFT),
+    "pass-window-opening-resets-every-window": (
+        functools.partial(_window_sums_faulted, resets_every_window=True), _SHIFT),
 }
+_SHIFTED_WINDOW_FAULTS = ("pass-window-opened-with-only-its-root-reset",
+                          "pass-window-opening-resets-every-window")
 
 
-@pytest.mark.parametrize("mutation", sorted(SCAN_MUTATIONS))
-def test_planted_dp_faults_fail_exactly_the_scans_that_see_them(monkeypatch, mutation):
-    fault, failing = SCAN_MUTATIONS[mutation]
-    monkeypatch.setattr(finite, "finite_mzv", fault)
+def _assert_failing_scans(failing, label) -> None:
+    """Exactly the transcript scans in ``failing`` FAIL; every other one PASSes."""
     verdicts = _scan_verdicts()
     assert set(verdicts) == set(_SCANS)
     for command, seen in verdicts.items():
-        assert seen == ("FAIL" if command in failing else "PASS"), (mutation, command, seen)
+        assert seen == ("FAIL" if command in failing else "PASS"), (label, command, seen)
+
+
+@pytest.mark.parametrize("mutation", sorted(DP_MUTATIONS))
+def test_planted_dp_faults_fail_exactly_the_scans_that_see_them(monkeypatch, mutation):
+    monkeypatch.setattr(finite, "finite_mzv", DP_MUTATIONS[mutation])
+    _assert_failing_scans(set(), mutation)
 
 
 def test_a_wrong_shift_weight_fails_only_the_pow_3_shift_scan(monkeypatch):
@@ -683,20 +703,28 @@ def test_a_wrong_shift_weight_fails_only_the_pow_3_shift_scan(monkeypatch):
     failing = {c for c in _SHIFT if c.endswith("--pow 3")}
     assert failing
     monkeypatch.setattr(finite, "shifts", _shifts_with_power_weights)
-    verdicts = _scan_verdicts()
-    assert set(verdicts) == set(_SCANS)
-    for command, seen in verdicts.items():
-        assert seen == ("FAIL" if command in failing else "PASS"), (command, seen)
+    _assert_failing_scans(failing, "power weights")
 
 
 def test_a_stuffle_without_merged_terms_fails_only_the_stuffle_scans(monkeypatch):
-    # the DP still agrees with the oracle under this fault, so it cannot be a
-    # SCAN_MUTATIONS entry (test_planted_dp_faults_fail_the_dp_against_the_oracle)
+    # the pass still agrees with the oracle under this fault, so it cannot be
+    # a PASS_MUTATIONS entry (test_planted_pass_faults_fail_the_pass_against_the_oracle)
     monkeypatch.setattr(finite, "stuffle", _stuffle_without_merged_terms)
-    verdicts = _scan_verdicts()
-    assert set(verdicts) == set(_SCANS)
-    for command, seen in verdicts.items():
-        assert seen == ("FAIL" if command in _STUFFLE else "PASS"), (command, seen)
+    _assert_failing_scans(_STUFFLE, "no merged terms")
+
+
+def _star_sums(ks, p_max, n=1, a=0):
+    """``finite.window_sums`` with every value replaced by its star value."""
+    return {p: {k: finite.finite_mzv_star(k, p, n, a) for k in map(indices.Index, ks)}
+            for p in finite.sieve_primes(p_max) if p >= 5 and p > n}
+
+
+def test_star_values_fail_only_the_stuffle_scans(monkeypatch):
+    # the shift expansion holds for the star sums too, so with both of its
+    # sides from one function a shift scan cannot tell them from the plain
+    # sums; the oracle tests of the pass are the gate for such a fault
+    monkeypatch.setattr(finite, "window_sums", _star_sums)
+    _assert_failing_scans(_STUFFLE, "star values")
 
 
 # the index grid of test_finite.test_dp_matches_bruteforce
@@ -704,8 +732,13 @@ _DP_INDICES = [(1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 2), (2, 1, 2), (5,)]
 _DP_WINDOWS = list(itertools.product((5, 7, 11, 13), (1, 2), (0, 1, 3)))
 
 
-def test_every_shift_scan_fails_under_some_planted_dp_fault():
-    assert set().union(*(failing for _, failing in SCAN_MUTATIONS.values())) == _SHIFT
+def test_every_shift_scan_fails_under_the_planted_shifted_window_faults():
+    for mutation in _SHIFTED_WINDOW_FAULTS:
+        fault, failing = PASS_MUTATIONS[mutation]
+        assert failing == _SHIFT, mutation
+        for n in (1, 2, 3):
+            want = finite.window_sums(_DP_INDICES, 100, n)
+            assert fault(_DP_INDICES, 100, n) == want, (mutation, n)
 
 
 def test_the_unfaulted_copy_of_the_dp_is_the_dp():
@@ -714,9 +747,9 @@ def test_the_unfaulted_copy_of_the_dp_is_the_dp():
             assert _finite_mzv_faulted(k, p, n, a) == finite.finite_mzv(k, p, n, a), (k, p, n, a)
 
 
-@pytest.mark.parametrize("mutation", sorted(SCAN_MUTATIONS))
+@pytest.mark.parametrize("mutation", sorted(DP_MUTATIONS))
 def test_planted_dp_faults_fail_the_dp_against_the_oracle(mutation):
-    fault, _ = SCAN_MUTATIONS[mutation]
+    fault = DP_MUTATIONS[mutation]
     mismatches = sum(fault(k, p, n, a) != finite.finite_mzv_bruteforce(k, p, n, a)
                      for p, n, a in _DP_WINDOWS for k in _DP_INDICES)
     assert mismatches > 0, mutation
@@ -725,11 +758,8 @@ def test_planted_dp_faults_fail_the_dp_against_the_oracle(mutation):
 @pytest.mark.parametrize("mutation", sorted(PASS_MUTATIONS))
 def test_planted_pass_faults_fail_exactly_the_scans_that_see_them(monkeypatch, mutation):
     fault, failing = PASS_MUTATIONS[mutation]
-    monkeypatch.setattr(finite, "window_zero_sums", fault)
-    verdicts = _scan_verdicts()
-    assert set(verdicts) == set(_SCANS)
-    for command, seen in verdicts.items():
-        assert seen == ("FAIL" if command in failing else "PASS"), (mutation, command, seen)
+    monkeypatch.setattr(finite, "window_sums", fault)
+    _assert_failing_scans(failing, mutation)
 
 
 def test_every_scan_fails_under_some_planted_pass_fault():
@@ -738,8 +768,9 @@ def test_every_scan_fails_under_some_planted_pass_fault():
 
 def test_the_unfaulted_copy_of_the_pass_is_the_pass():
     for n in (1, 2, 3):
-        assert _window_zero_sums_faulted(_DP_INDICES, 100, n) == \
-            finite.window_zero_sums(_DP_INDICES, 100, n)
+        for a in (0, 1, 2, 3):
+            assert _window_sums_faulted(_DP_INDICES, 100, n, a) == \
+                finite.window_sums(_DP_INDICES, 100, n, a), (n, a)
 
 
 @pytest.mark.parametrize("mutation", sorted(PASS_MUTATIONS))
@@ -747,8 +778,9 @@ def test_planted_pass_faults_fail_the_pass_against_the_oracle(mutation):
     fault, _ = PASS_MUTATIONS[mutation]
     mismatches = 0
     for n in (1, 2):
-        for p, val in fault(_DP_INDICES, 13, n).items():
-            mismatches += sum(val[k] != finite.finite_mzv(k, p, n) for k in _DP_INDICES)
+        for a in (0, 1, 2):
+            for p, val in fault(_DP_INDICES, 13, n, a).items():
+                mismatches += sum(val[k] != finite.finite_mzv(k, p, n, a) for k in _DP_INDICES)
     assert mismatches > 0, mutation
 
 

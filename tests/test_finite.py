@@ -10,7 +10,7 @@ from mzvkit import finite
 from mzvkit.finite import (
     ScanReport, batch_inverses, finite_mzv, finite_mzv_bruteforce,
     finite_mzv_star, is_prime, scan_shift_expansion, scan_stuffle,
-    scan_wolstenholme, sieve_primes, window_zero_sums,
+    scan_wolstenholme, sieve_primes, window_sums,
 )
 from mzvkit.indices import Index
 
@@ -132,44 +132,57 @@ def test_window_inverses_on_both_paths(p, n, a):
 
 
 def test_pass_matches_the_golden_residues():
-    # the window-0 lines of the golden file, each n from one pass to 397
-    want = [line for line in GOLDEN_RESIDUES.read_text(encoding="utf-8").splitlines()
-            if ";a=0;" in line]
-    passes = {n: window_zero_sums(indices_up_to(5), max(GOLDEN_PRIMES), n) for n in GOLDEN_POWERS}
-    got = [f"k={','.join(map(str, k))};p={p};n={n};a=0;value={passes[n][p][k]}"
-           for p in GOLDEN_PRIMES for n in GOLDEN_POWERS for k in indices_up_to(5)]
-    assert len(want) == 31 * 5 * 3
+    # every line of the golden file, each (n, a) from one pass to 397
+    want = GOLDEN_RESIDUES.read_text(encoding="utf-8").splitlines()
+    passes = {(n, a): window_sums(indices_up_to(5), max(GOLDEN_PRIMES), n, a)
+              for n in GOLDEN_POWERS for a in GOLDEN_WINDOWS}
+    got = [f"k={','.join(map(str, k))};p={p};n={n};a={a};value={passes[n, a][p][k]}"
+           for p in GOLDEN_PRIMES for n in GOLDEN_POWERS for a in GOLDEN_WINDOWS
+           for k in indices_up_to(5)]
+    assert len(want) == 31 * 5 * 3 * 3
     assert got == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pass_matches_window_sums(n):
     ks = list(indices_up_to(5))
-    values = window_zero_sums(ks, 400, n)
-    assert list(values) == [p for p in sieve_primes(400) if p >= 5]
-    for p, val in values.items():
-        assert val == {k: finite_mzv(k, p, n) for k in ks}, p
+    for a in (0, 1, 2, 3):
+        values = window_sums(ks, 400, n, a)
+        assert list(values) == [p for p in sieve_primes(400) if p >= 5]
+        for p, val in values.items():
+            assert val == {k: finite_mzv(k, p, n, a) for k in ks}, (p, a)
 
 
 def test_pass_matches_bruteforce():
     ks = list(indices_up_to(5))
     for n in (1, 2, 3):
-        for p, val in window_zero_sums(ks, 13, n).items():
-            assert val == {k: finite_mzv_bruteforce(k, p, n) for k in ks}, (p, n)
+        for a in (0, 1, 3):
+            for p, val in window_sums(ks, 13, n, a).items():
+                assert val == {k: finite_mzv_bruteforce(k, p, n, a) for k in ks}, (p, n, a)
+
+
+def test_pass_where_the_windows_hardly_overlap():
+    # at a = 50 the window of p opens at 50p + 1, past the end 51q of the
+    # windows of most smaller primes q: the modulus empties and fills again
+    ks = [(1,), (2,), (1, 2), (2, 1, 3)]
+    values = window_sums(ks, 450, 2, 50)
+    assert list(values) == [p for p in sieve_primes(450) if p >= 5]
+    for p, val in values.items():
+        assert val == {k: finite_mzv(k, p, 2, 50) for k in ks}, p
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, 4), max_size=3).map(tuple),
        st.lists(st.lists(st.integers(1, 5), max_size=3).map(tuple), max_size=4),
-       st.integers(0, 60), st.integers(1, 3))
-def test_pass_values_do_not_depend_on_the_other_indices(k, others, p_max, n):
+       st.integers(0, 60), st.integers(1, 3), st.integers(0, 3))
+def test_pass_values_do_not_depend_on_the_other_indices(k, others, p_max, n, a):
     # the largest part K and the trie come from every index of the pass, the
     # empty index and repeated ones among them; a residue must not see them
-    alone = window_zero_sums([k], p_max, n)
-    shared = window_zero_sums(others + [k, (), k] + others, p_max, n)
+    alone = window_sums([k], p_max, n, a)
+    shared = window_sums(others + [k, (), k] + others, p_max, n, a)
     assert list(alone) == list(shared) == [p for p in sieve_primes(p_max) if p >= 5 and p > n]
     assert all(shared[p][k] == alone[p][k] and shared[p][()] == 1 for p in alone)
-    assert all(shared[p][l] == window_zero_sums([l], p_max, n)[p][l] for l in others for p in alone)
+    assert all(shared[p][l] == window_sums([l], p_max, n, a)[p][l] for l in others for p in alone)
     if p_max < 5:
         assert alone == shared == {}
 
@@ -202,9 +215,14 @@ def test_stuffle_scan():
 def test_a_modulus_exponent_below_one_is_refused(n):
     # mod p^0 = 1 every residue is 0, so a stuffle scan would pass every prime
     with pytest.raises(ValueError, match="n >= 1"):
-        window_zero_sums([(1,), (2,)], 60, n)
+        window_sums([(1,), (2,)], 60, n)
     with pytest.raises(ValueError, match="n >= 1"):
         scan_stuffle([(Index((1,)), Index((2,)))], 60, n)
+
+
+def test_a_negative_window_is_refused():
+    with pytest.raises(ValueError, match="a >= 0"):
+        window_sums([(1,), (2,)], 60, 1, -1)
 
 
 def test_stuffle_identity_by_hand():
