@@ -242,8 +242,6 @@ def _value_of(text: str, prec: int) -> mpmath.mpf:
 def mzv_star(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:
     """Star value: the sum of zeta over all coarsenings of the index."""
     k = Index(k)
-    if not k.admissible:
-        raise ValueError(f"index {k} is not admissible")
     with mp.workdps(prec + _GUARD):
         return mp.fsum(mzv(l, prec) for l in coarsenings(k))
 

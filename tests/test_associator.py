@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from mpmath import mp
 
-from mzvkit import associator, numeric, regularization, stadic, words
+from mzvkit import associator, regularization
 from mzvkit.associator import (
     IMG_SWAP, NcSeries, check_duality_assoc,
     check_gamma_factor, check_independence_factor, check_refined_duality,
@@ -19,6 +19,7 @@ from mzvkit.numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp, toleran
 from mzvkit.regularization import Z_reg_full, _z_reg_full_word
 from mzvkit.rings import BiSeries, exp_coeffs
 from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, word_of_index
+from support import clear_caches, indices_up_to, words_up_to
 
 TOL = tolerance(40)
 
@@ -84,6 +85,10 @@ def test_ncseries_ops():
         assert d.conj().coeff((E0, E1)) == mp.mpc(0, -1)
         assert b.eps().coeff((E1,)) == -3
         assert b.reverse().coeff((E1,)) == 3
+        # the text form decodes the fixed-point ints, real and complex
+        e = NcSeries(2, {(): mp.mpf(1) / 3, (E0, E1): mp.mpc(0.5, -2)})
+        assert repr(e) == str(e) == "(0.33333333)*1 + ((0.5 - 2.0j))*X0X1"
+        assert repr(NcSeries(2)) == "0"
 
 
 def _random_terms(rng: random.Random, D: int, complex_values: bool) -> dict:
@@ -93,7 +98,7 @@ def _random_terms(rng: random.Random, D: int, complex_values: bool) -> dict:
         return mp.mpf(rng.randrange(-2 ** 200, 2 ** 200)) / 2 ** 199
 
     return {w: mp.mpc(part(), part()) if complex_values else part()
-            for w in _words(D) if rng.random() < 0.8}
+            for w in words_up_to(D) if rng.random() < 0.8}
 
 
 def _mpmath_product(a: dict, b: dict, D: int) -> dict:
@@ -263,20 +268,9 @@ def test_pair():
 
 
 def test_pair_convention():
-    def small_indices():
-        for wt in range(1, 5):
-            for mask in range(2 ** (wt - 1)):
-                parts = [1]
-                for b in range(wt - 1):
-                    if mask >> b & 1:
-                        parts[-1] += 1
-                    else:
-                        parts.append(1)
-                yield Index(parts)
-
     for product in (HARMONIC, SHUFFLE):
         for n in range(3):
-            for k in small_indices():
+            for k in indices_up_to(4, 1):
                 assert check_pair_convention(n, k, product, Fraction(7, 10), 40) < TOL
 
 
@@ -365,10 +359,6 @@ def test_degree_budget_is_the_longest_flanked_word(monkeypatch):
     assert max(lengths) == 7
 
 
-def _words(D):
-    return [w for n in range(D + 1) for w in itertools.product((E0, E1), repeat=n)]
-
-
 def test_split_sum_coefficients_equal_the_series_products():
     # reading a product by splits gives its coefficient at every word the
     # truncated NcSeries product keeps
@@ -379,7 +369,7 @@ def test_split_sum_coefficients_equal_the_series_products():
             # fresh products, so no word is read from what a longer one kept
             rs_splits = associator._SplitProduct(associator._rs_product(40).factors)
             ad_splits = associator._SplitProduct(associator._ad_product(HARMONIC, T1, T2, 40).factors)
-            for w in _words(D):
+            for w in words_up_to(D):
                 assert abs(rs_splits.coeff(w) - rs.coeff(w)) < 1e-45, w
                 assert abs(ad_splits.coeff(w) - ad.coeff(w)) < 1e-45, w
 
@@ -389,22 +379,13 @@ def test_per_word_phi_equals_the_symbolic_value():
     # (zeta_reg, Z_reg_full): the same expansions, independent arithmetic
     for product in (HARMONIC, SHUFFLE):
         for T in (0, Fraction(7, 10)):
-            for w in _words(8):
+            for w in words_up_to(8):
                 symbolic = eval_zeta_poly(_z_reg_full_word(w[::-1], product), {"T": T}, 40)
                 assert abs(associator._phi_coeff(w, product, T, 40) - symbolic) < 1e-45, w
 
 
-def _clear_caches():
-    associator._PHI_CACHE.clear()
-    associator._PHI_RS_CACHE.clear()
-    for module in (associator, stadic, regularization, numeric, words):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-
-
 def test_the_associator_builds_no_symbolic_regularization():
-    _clear_caches()
+    clear_caches()
     with mp.workdps(60):
         phi_kz(7, 40)
         rsmzv(Index((1, 2)), (1, 1), 40)

@@ -12,24 +12,13 @@ from fractions import Fraction
 from mzvkit import associator, regularization, stadic, words
 from mzvkit.indices import Index
 from mzvkit.words import E0, E1, HARMONIC, NcPoly
+from support import clear_caches
 
 PREC = 40
 MODULES = (words, regularization, stadic, associator)
 # the caches whose entries are checked: the symbolic values and the series
 WATCHED = (stadic.stadic_smzv, stadic.shifted_mzv, regularization.zeta_reg,
            regularization._z_reg_full_word, associator.phi, associator.phi_rs)
-
-
-# every functools cache, found before the test replaces the watched ones
-CACHES = [obj for mod in MODULES for obj in vars(mod).values()
-          if hasattr(obj, "cache_clear") and obj.__module__ == mod.__name__]
-
-
-def _clear_caches() -> None:
-    for obj in CACHES:
-        obj.cache_clear()
-    associator._PHI_CACHE.clear()
-    associator._PHI_RS_CACHE.clear()
 
 
 def _batch() -> None:
@@ -77,12 +66,12 @@ def test_cached_values_survive_their_readers(monkeypatch):
             if id(obj) in watched:
                 monkeypatch.setattr(mod, attr, recorder(obj))
 
-    _clear_caches()
+    clear_caches()
     _batch()
     served = [(key, key[0](*key[1], **dict(key[2]))) for key in calls]
     assert {key[0] for key, _ in served} == set(WATCHED)
     for (fn, args, kwargs), value in served:
-        _clear_caches()
+        clear_caches()
         fresh = fn(*args, **dict(kwargs))
         assert fresh is not value
         assert _same(value, fresh), (fn.__name__, args, kwargs)

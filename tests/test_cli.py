@@ -266,9 +266,12 @@ def test_nan_value_in_the_store_fails_the_check(tmp_path, capsys):
 
 
 def test_a_config_may_name_only_the_one_worker_every_scan_uses(tmp_path, capsys):
-    cfg = tmp_path / "config.txt"
+    # the config that the benchmark (perfbench/run.py) writes for each operation
+    cfg, store = tmp_path / "config.txt", str(tmp_path / "store.txt")
+    cfg.write_text(f"prec=40\norders=2,2\nworkers=1\ncache_path={store}\n")
+    assert load_config(str(cfg)) == Config(prec=40, orders=(2, 2), cache_path=store)
     cfg.write_text("cache_path=\n")
-    assert vars(load_config(str(cfg))) == vars(Config(cache_path=""))
+    assert load_config(str(cfg)) == Config(cache_path="")
     assert main(["scan", "stuffle", "(1)", "(2)", "--pmax", "40", "--config", str(cfg)]) == 0
     out, err = capsys.readouterr()
     assert out.endswith("total,10,passed,10,failed,0\n") and err == ""

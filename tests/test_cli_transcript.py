@@ -31,6 +31,7 @@ from mpmath import mp
 from mzvkit import associator, cli, finite, indices, numeric, regularization, rings, stadic, words
 from mzvkit.rings import BiSeries, ZetaPoly
 from mzvkit.words import NcPoly
+from support import CACHES, MODULES, clear_caches, stuffle_without_merged_terms
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_transcript.txt"
 
@@ -142,16 +143,43 @@ def test_every_check_returns_the_value_of_numeric_residual(monkeypatch):
     monkeypatch.setattr(cli, "_report_line", record_report)
     checks = [c for c in COMMANDS if c.startswith("check ")]
     assert {c.split()[1] for c in checks} == set(cli.CHECKS)
-    with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "config.txt")
-        with open(config, "w", encoding="utf-8") as fh:
-            fh.write("cache_path=\n")
-        for command in checks:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(command.split() + ["--config", config]) == 0, command
+    assert transcript().count("exit=0") == len(COMMANDS)
     assert len(reported) == len(checks) + 1     # t-part reports two lines
     for name, value in reported:
         assert any(value is r for r in produced), name
+
+
+def _container_sizes() -> dict[str, int]:
+    """The size of every dict, list and set that a module of mzvkit holds, or
+    that a class, function or object defined there holds."""
+    holders = [(mod.__name__, mod) for mod in MODULES]
+    holders += [(f"{mod.__name__}.{attr}", obj) for mod in MODULES for attr, obj in vars(mod).items()
+                if mod.__name__ in (getattr(obj, "__module__", None), type(obj).__module__)]
+    return {f"{name}.{attr}": len(value) for name, obj in holders
+            for attr, value in getattr(obj, "__dict__", {}).items()
+            if isinstance(value, (dict, list, set)) and not attr.startswith("__")}
+
+
+def test_every_memo_is_a_functools_cache_or_a_named_one():
+    # the transcript from cold caches and an empty store: a memo other than a
+    # functools cache and the three below would stay warm across clear_caches
+    # and the benchmark's reset, which empty only those
+    store = dict(numeric.CACHE.records)
+    numeric.CACHE.clear()
+    clear_caches()
+    before = _container_sizes()
+    try:
+        transcript()
+        grown = {name for name, size in _container_sizes().items() if size > before.get(name, 0)}
+    finally:
+        numeric.CACHE.records.clear()
+        numeric.CACHE.records.update(store)
+    assert {"mzvkit.associator._PHI_CACHE"} <= grown <= {
+        "mzvkit.associator._PHI_CACHE", "mzvkit.associator._PHI_RS_CACHE",
+        "mzvkit.numeric.CACHE.records"}, grown
+    clear_caches()
+    assert [c.__name__ for c in CACHES if c.cache_info().currsize] == []
+    assert not associator._PHI_CACHE and not associator._PHI_RS_CACHE
 
 
 def _check_verdicts() -> dict[str, dict[str, str]]:
@@ -330,15 +358,6 @@ def _zeta_reg_value_faulted(k, product, T, prec, *, t_term=True, divide=True):
         return top / terms[k] if divide else top
 
 
-_stuffle = indices.stuffle
-
-
-def _stuffle_without_merged_terms(k, l):
-    """The stuffle without its merged terms (k * l, a + b): only the terms
-    that keep every part of k and l."""
-    return tuple((m, c) for m, c in _stuffle(k, l) if len(m) == len(k) + len(l))
-
-
 _shuffle_one = indices.shuffle_one
 
 
@@ -498,15 +517,15 @@ MUTATIONS = {
     "associator-shift-unit-weights": ((associator, "shifts", _shifts_with_unit_weights),
                                       {"duality", "duality-assoc", "rsmzv-routes", "smzv-assoc",
                                        "three-cycle", "two-cycle"}),
-    "stadic-stuffle-without-merged-terms": ((stadic, "stuffle", _stuffle_without_merged_terms),
+    "stadic-stuffle-without-merged-terms": ((stadic, "stuffle", stuffle_without_merged_terms),
                                             {"harmonic", "shifted-harmonic"}),
     "regularization-stuffle-without-merged-terms": ((regularization, "stuffle",
-                                                     _stuffle_without_merged_terms),
+                                                     stuffle_without_merged_terms),
                                                     {"antipode", "csf-nonstar", "csf-star",
                                                      "csf-tau", "explicit-reg", "harmonic", "reg",
                                                      "shifted-harmonic"}),
     "associator-stuffle-without-merged-terms": ((associator, "stuffle",
-                                                 _stuffle_without_merged_terms),
+                                                 stuffle_without_merged_terms),
                                                 {"gamma-factor", "independence"}),
     "shuffle-one-without-the-prepended-part": ((associator, "shuffle_one",
                                                 _shuffle_one_without_the_prepended_part),
@@ -531,27 +550,16 @@ MUTATIONS = {
 }
 
 
-def _clear_series_caches():
-    # every cached value that a fault could have entered, or that was built
-    # before the fault and would hide it
-    associator._PHI_CACHE.clear()
-    associator._PHI_RS_CACHE.clear()
-    for module in (associator, stadic, regularization, numeric, words):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
-
-
 @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
 def test_planted_faults_fail_exactly_the_checks_that_see_them(monkeypatch, mutation):
     (owner, name, fault), failing = MUTATIONS[mutation]
-    _clear_series_caches()
+    clear_caches()
     monkeypatch.setattr(owner, name, fault)
     try:
         verdicts = _check_verdicts()
     finally:
         monkeypatch.undo()
-        _clear_series_caches()
+        clear_caches()
     targets = {command.split()[0] for command in verdicts}
     assert targets == set(cli.CHECKS)
     names = targets | set(verdicts) | {line for lines in verdicts.values() for line in lines}
@@ -709,7 +717,7 @@ def test_a_wrong_shift_weight_fails_only_the_pow_3_shift_scan(monkeypatch):
 def test_a_stuffle_without_merged_terms_fails_only_the_stuffle_scans(monkeypatch):
     # the pass still agrees with the oracle under this fault, so it cannot be
     # a PASS_MUTATIONS entry (test_planted_pass_faults_fail_the_pass_against_the_oracle)
-    monkeypatch.setattr(finite, "stuffle", _stuffle_without_merged_terms)
+    monkeypatch.setattr(finite, "stuffle", stuffle_without_merged_terms)
     _assert_failing_scans(_STUFFLE, "no merged terms")
 
 

@@ -1,4 +1,3 @@
-import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -13,30 +12,17 @@ from mzvkit.finite import (
     scan_wolstenholme, sieve_primes, window_sums,
 )
 from mzvkit.indices import Index
+from support import indices_up_to
 
 GOLDEN_RESIDUES = Path(__file__).resolve().parent / "data" / "finite_values.txt"
 # the (prime, n, window) grid of the golden residues, over every index of weight <= 5
 GOLDEN_PRIMES, GOLDEN_POWERS, GOLDEN_WINDOWS = (5, 7, 11, 101, 397), (1, 2, 3), (0, 1, 2)
 
 
-def indices_up_to(weight):
-    """Every index (positive entries) of weight 1..``weight``, by weight."""
-    for w in range(1, weight + 1):
-        for cuts in itertools.product((False, True), repeat=w - 1):
-            k, run = [], 1
-            for cut in cuts:
-                if cut:
-                    k.append(run)
-                    run = 1
-                else:
-                    run += 1
-            yield Index(tuple(k) + (run,))
-
-
 def golden_residues() -> list[str]:
     return [f"k={','.join(map(str, k))};p={p};n={n};a={a};value={finite_mzv(k, p, n, a)}"
             for p in GOLDEN_PRIMES for n in GOLDEN_POWERS for a in GOLDEN_WINDOWS
-            for k in indices_up_to(5)]
+            for k in indices_up_to(5, 1)]
 
 
 def test_primes():
@@ -134,18 +120,18 @@ def test_window_inverses_on_both_paths(p, n, a):
 def test_pass_matches_the_golden_residues():
     # every line of the golden file, each (n, a) from one pass to 397
     want = GOLDEN_RESIDUES.read_text(encoding="utf-8").splitlines()
-    passes = {(n, a): window_sums(indices_up_to(5), max(GOLDEN_PRIMES), n, a)
+    passes = {(n, a): window_sums(indices_up_to(5, 1), max(GOLDEN_PRIMES), n, a)
               for n in GOLDEN_POWERS for a in GOLDEN_WINDOWS}
     got = [f"k={','.join(map(str, k))};p={p};n={n};a={a};value={passes[n, a][p][k]}"
            for p in GOLDEN_PRIMES for n in GOLDEN_POWERS for a in GOLDEN_WINDOWS
-           for k in indices_up_to(5)]
+           for k in indices_up_to(5, 1)]
     assert len(want) == 31 * 5 * 3 * 3
     assert got == want
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pass_matches_window_sums(n):
-    ks = list(indices_up_to(5))
+    ks = list(indices_up_to(5, 1))
     for a in (0, 1, 2, 3):
         values = window_sums(ks, 400, n, a)
         assert list(values) == [p for p in sieve_primes(400) if p >= 5]
@@ -154,7 +140,7 @@ def test_pass_matches_window_sums(n):
 
 
 def test_pass_matches_bruteforce():
-    ks = list(indices_up_to(5))
+    ks = list(indices_up_to(5, 1))
     for n in (1, 2, 3):
         for a in (0, 1, 3):
             for p, val in window_sums(ks, 13, n, a).items():

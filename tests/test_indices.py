@@ -10,20 +10,7 @@ from mzvkit.indices import (
     EMPTY, Index, coarsenings, concat, cyclic_class, hoffman_dual,
     parse_index, reverse, shifts, split, uplus,
 )
-
-
-def all_indices(maxwt, minwt=0):
-    if minwt == 0:
-        yield EMPTY
-    for wt in range(max(1, minwt), maxwt + 1):
-        for mask in range(2 ** (wt - 1)):
-            parts = [1]
-            for b in range(wt - 1):
-                if mask >> b & 1:
-                    parts[-1] += 1
-                else:
-                    parts.append(1)
-            yield Index(parts)
+from support import indices_up_to
 
 
 def test_basic_attributes():
@@ -44,7 +31,7 @@ def test_reverse():
     assert reverse(EMPTY) == EMPTY
     assert reverse(Index((1, 2))) == Index((2, 1))
     assert reverse(Index((3, 1, 2))) == Index((2, 1, 3))
-    for k in all_indices(6):
+    for k in indices_up_to(6):
         assert reverse(reverse(k)) == k
 
 
@@ -54,7 +41,7 @@ def test_split():
     assert split(Index((5,)), 1) == (Index((5,)), EMPTY)
     with pytest.raises(IndexError):
         split(Index((1, 2)), 3)
-    for k in all_indices(5):
+    for k in indices_up_to(5):
         for i in range(k.depth + 1):
             head, tail = split(k, i)
             assert concat(head, tail) == k
@@ -65,7 +52,7 @@ def test_shifts():
     assert shifts(Index((1, 2)), 3)[1] == (Index((2, 4)), 3)    # C(1,1)*C(3,2)
     assert shifts(EMPTY, 0) == [(EMPTY, 1)]
     assert all(shifts(EMPTY, n) == [] for n in range(1, 6))
-    for k in all_indices(6, 1):
+    for k in indices_up_to(6, 1):
         if k.depth > 4:
             continue
         d = k.depth
@@ -97,7 +84,7 @@ def test_oplus_and_b_coeff():
     assert (Index((1, 5)), 4) in shifts(Index((1, 2)), 3)   # C(0,0)*C(4,3)
     assert shifts(Index((2,)), 1) == [(Index((3,)), 2)]
     assert (Index((3, 3)), 2) in shifts(Index((1, 2)), 3)   # C(2,2)*C(2,1)
-    for k in all_indices(5, 1):
+    for k in indices_up_to(5, 1):
         assert shifts(k, 0) == [(k, 1)]
 
 
@@ -107,7 +94,7 @@ def test_hoffman_dual():
     assert hoffman_dual(Index((1, 2))) == Index((2, 1))
     with pytest.raises(ValueError):
         hoffman_dual(EMPTY)
-    for k in all_indices(7, 1):
+    for k in indices_up_to(7, 1):
         d = hoffman_dual(k)
         assert hoffman_dual(d) == k
         assert d.weight == k.weight
@@ -120,7 +107,7 @@ def test_coarsenings():
     assert coarsenings(Index((1, 1, 1))) == [
         Index((1, 1, 1)), Index((2, 1)), Index((1, 2)), Index((3,))]
     assert coarsenings(EMPTY) == [EMPTY]
-    for k in all_indices(6, 1):
+    for k in indices_up_to(6, 1):
         cs = coarsenings(k)
         assert len(cs) == 2 ** (k.depth - 1)
         assert all(c.weight == k.weight for c in cs)
@@ -130,7 +117,7 @@ def test_cyclic_class():
     assert cyclic_class(Index((2,))) == [Index((2,))]
     assert cyclic_class(Index((1, 2))) == [Index((2, 1)), Index((1, 2))]
     assert cyclic_class(Index((1, 1))) == [Index((1, 1)), Index((1, 1))]
-    for k in all_indices(6, 1):
+    for k in indices_up_to(6, 1):
         rots = cyclic_class(k)
         assert len(rots) == k.depth
         assert all(r.weight == k.weight and r.depth == k.depth for r in rots)
@@ -153,7 +140,7 @@ def test_parse_and_render():
     for bad in ["(0,2)", "(1,", "1,2", "(a)", "(1,-2)"]:
         with pytest.raises(ValueError):
             parse_index(bad)
-    for k in all_indices(5):
+    for k in indices_up_to(5):
         assert parse_index(str(k)) == k
 
 

@@ -14,13 +14,13 @@ from mpmath import mp
 
 from mzvkit import numeric
 from mzvkit.associator import NcSeries
-from mzvkit.indices import Index, shifts
 from mzvkit.numeric import (
     _GUARD, CACHE, MIN_PREC, CacheFormatError, ValueCache, _bits, _li_half, eval_zeta_poly,
     mzv, mzv_star, pi_val, residual, to_mp, tolerance,
 )
 from mzvkit.rings import BiSeries, ZetaPoly
 from mzvkit.words import E0, E1, index_of_word, word_of_index
+from support import clear_caches, indices_up_to
 
 GOLDEN_VALUES = Path(__file__).resolve().parent / "data" / "mzv_values.txt"
 # (largest weight, prec) of the golden value store
@@ -288,10 +288,14 @@ def test_residual_is_nan_when_a_series_coefficient_is_nan():
     assert mp.isnan(residual(series, NcSeries.const(2), 40))
 
 
-def test_cache_save_failing_midway_keeps_the_previous_store(tmp_path):
+def test_cache_save_failing_midway_keeps_the_previous_store(tmp_path, monkeypatch):
     class Unwritable:
         def __format__(self, spec):
             raise OSError("device full")
+
+    def refuse_rename(src, dst):
+        assert Path(src).read_text().count("\n") == 2    # both records are written
+        raise OSError("device full")
 
     path = tmp_path / "store.txt"
     previous = ValueCache()
@@ -301,12 +305,17 @@ def test_cache_save_failing_midway_keeps_the_previous_store(tmp_path):
     before = path.read_text()
     failing = ValueCache()
     failing.put((2,), 40, "1.644934066848226436472415166646025189219")
-    failing.put((3,), 40, Unwritable())
-    with pytest.raises(OSError, match="device full"):
-        failing.save(str(path))
-    assert path.read_text() == before
-    assert ValueCache().load(str(path)) == 2
-    assert [p.name for p in tmp_path.iterdir()] == ["store.txt"]
+    # a value that cannot be written fails the save before its temp file
+    # exists; a refused rename fails it after the temp file is written in full
+    for value, replace in ((Unwritable(), os.replace),
+                           ("1.202056903159594285399738161511449990765", refuse_rename)):
+        failing.put((3,), 40, value)
+        monkeypatch.setattr(numeric.os, "replace", replace)
+        with pytest.raises(OSError, match="device full"):
+            failing.save(str(path))
+        assert path.read_text() == before
+        assert ValueCache().load(str(path)) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["store.txt"]
 
 
 def test_cache_racing_savers_leave_one_complete_store(tmp_path):
@@ -360,6 +369,9 @@ def test_mzv_star():
         # zeta*(1,2) = zeta(1,2) + zeta(3) = 2 zeta(3)
         assert abs(mzv_star((1, 2), 40) - 2 * mzv((3,), 40)) < mp.mpf(10) ** -30
         assert abs(mzv_star((2, 2), 40) - (mzv((2, 2), 40) + mzv((4,), 40))) == 0
+    for k in [(2, 1), (1,)]:
+        with pytest.raises(ValueError, match="not admissible"):
+            mzv_star(k, 40)
 
 
 def euler_residual(n: int, prec: int):
@@ -409,24 +421,14 @@ def test_weight_twelve_depth_four_range():
     assert time.time() - t0 < 30
 
 
-def admissible_indices(max_weight):
-    """Every admissible index of weight 2 .. max_weight."""
-    for weight in range(2, max_weight + 1):
-        for depth in range(1, weight):
-            for k, _ in shifts(Index((1,) * depth), weight - depth):
-                if k.admissible:
-                    yield k
-
-
 def golden_store(path) -> None:
     """Compute every golden value from empty caches and save the store to ``path``."""
-    for fn in vars(numeric).values():
-        if hasattr(fn, "cache_clear"):
-            fn.cache_clear()
+    clear_caches()
     CACHE.clear()
     for max_weight, prec in GOLDEN_GRID:
-        for k in admissible_indices(max_weight):
-            mzv(k, prec)
+        for k in indices_up_to(max_weight, 2):
+            if k.admissible:
+                mzv(k, prec)
     CACHE.save(str(path))
 
 
@@ -488,7 +490,8 @@ def test_li_half_levels_match_the_nested_loop():
     # and derives them again; and one composition deeper than Python's
     # recursion limit
     cases = sorted({(comp, prec) for max_weight, prec in ((8, 40), (5, 100))
-                    for k in admissible_indices(max_weight) for comp in split_compositions(k)}
+                    for k in indices_up_to(max_weight, 2) if k.admissible
+                    for comp in split_compositions(k)}
                    | {((1,) * 1200 + (2,), MIN_PREC)})
     want = {case: _li_half_reference(*case) for case in cases}
     misses = []

@@ -1,12 +1,11 @@
-import itertools
 import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from mzvkit import regularization, stadic, words
-from mzvkit.indices import EMPTY, Index, shifts
+from mzvkit import regularization, words
+from mzvkit.indices import EMPTY, Index
 from mzvkit.numeric import residual, tolerance
 from mzvkit.regularization import (
     R_poly, RegDecomposition, Z_reg_full, check_reg_theorem,
@@ -16,6 +15,7 @@ from mzvkit.regularization import (
 from mzvkit.rings import BiSeries, ZetaPoly
 from mzvkit.stadic import check_csf_tau, check_harmonic
 from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, index_of_word, word_of_index
+from support import clear_caches, indices_up_to, stuffle_without_merged_terms, words_up_to
 
 W = NcPoly.from_word
 Z = ZetaPoly.zeta
@@ -43,14 +43,11 @@ def test_regularize_e1e1_harmonic():
 
 
 def test_reconstruction_all_h1_words():
-    for n in range(7):
-        for w in itertools.product((E0, E1), repeat=n):
-            if w and w[0] == E0:
-                continue
-            for product in (HARMONIC, SHUFFLE):
-                d = regularize(W(w), product)
-                assert isinstance(d, RegDecomposition)
-                assert d.reconstruct() == W(w), (w, product)
+    for w in words_up_to(6, h1_only=True):
+        for product in (HARMONIC, SHUFFLE):
+            d = regularize(W(w), product)
+            assert isinstance(d, RegDecomposition)
+            assert d.reconstruct() == W(w), (w, product)
 
 
 def test_regularize_rejects_non_h1():
@@ -80,8 +77,7 @@ def test_zeta_reg_keeps_whole_coefficients_as_ints():
     def whole(p):
         return [c for c in p.terms.values() if isinstance(c, Fraction) and c.denominator == 1]
 
-    indices = [k for weight in range(1, 7) for depth in range(1, weight + 1)
-               for k, _ in shifts(Index((1,) * depth), weight - depth)]
+    indices = list(indices_up_to(6, 1))
     assert len(indices) == 63
     for k in indices:
         for product in (HARMONIC, SHUFFLE):
@@ -90,12 +86,6 @@ def test_zeta_reg_keeps_whole_coefficients_as_ints():
             assert not [c for part in parts for c in whole(part)], (k, product)
     for n in range(7):
         assert not whole(rho_of_T_power(n)), n
-
-
-def _indices_of_weight_up_to(n):
-    """Every non-empty index of weight <= n."""
-    return [k for weight in range(1, n + 1) for depth in range(1, weight + 1)
-            for k, _ in shifts(Index((1,) * depth), weight - depth)]
 
 
 def _zeta_symbols(u):
@@ -117,7 +107,7 @@ def _zeta_reg_by_words(k, product):
 
 
 def test_zeta_reg_equals_the_word_route():
-    indices = [EMPTY] + _indices_of_weight_up_to(9)
+    indices = list(indices_up_to(9))
     assert len(indices) == 512
     for k in indices:
         for product in (HARMONIC, SHUFFLE):
@@ -132,12 +122,7 @@ def _zeta_symbols_without_sign(u):
     return sum((ZetaPoly.zeta(index_of_word(w)) * c for w, c in u.terms.items()), ZetaPoly())
 
 
-def _stuffle_without_merged_terms(k, l):
-    return tuple((m, c) for m, c in _stuffle(k, l) if len(m) == len(k) + len(l))
-
-
 _decompose_word = regularization._decompose_word
-_stuffle = words.stuffle
 
 # planted faults on the word route, which no check reads: each must make the
 # word route disagree with zeta_reg
@@ -146,34 +131,27 @@ WORD_ROUTE_FAULTS = {
                                     _decompose_word_without_factorial),
     "h0-symbol-without-sign": (sys.modules[__name__], "_zeta_symbols",
                                _zeta_symbols_without_sign),
-    "words-stuffle-without-merged-terms": (words, "stuffle", _stuffle_without_merged_terms),
+    "words-stuffle-without-merged-terms": (words, "stuffle", stuffle_without_merged_terms),
 }
-
-
-def _clear_caches(*modules):
-    for module in modules or (regularization, words):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
 
 
 @pytest.mark.parametrize("fault", sorted(WORD_ROUTE_FAULTS))
 def test_oracle_sees_word_route_fault(monkeypatch, fault):
     owner, name, planted = WORD_ROUTE_FAULTS[fault]
-    indices = _indices_of_weight_up_to(5)
+    indices = indices_up_to(5, 1)
     expected = {(k, p): zeta_reg(k, p) for k in indices for p in (HARMONIC, SHUFFLE)}
-    _clear_caches()
+    clear_caches()
     monkeypatch.setattr(owner, name, planted)
     try:
         wrong = [key for key, value in expected.items() if _zeta_reg_by_words(*key) != value]
     finally:
         monkeypatch.undo()
-        _clear_caches()
+        clear_caches()
     assert wrong, fault
 
 
 def test_the_symbolic_checks_build_no_word_products():
-    _clear_caches(regularization, words, stadic)
+    clear_caches()
     prec = 40
     tol = tolerance(prec)
     assert check_harmonic(Index((1, 1)), Index((2, 1)), (2, 2), prec) < tol

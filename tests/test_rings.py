@@ -113,6 +113,8 @@ def test_biseries():
     assert not a.shift(1, 1)  # falls off the grid
     assert a.scale(Fraction(3)).coeff(0, 1) == 3
     assert (a * Fraction(3)).coeff(0, 1) == 3
+    # the text form of every LinearCombination but ZetaPoly
+    assert repr(a.scale(Fraction(1, 2))) == "BiSeries({(0, 1): Fraction(1, 2)})"
 
 
 def test_biseries_outer_product():

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,8 @@ from mzvkit.stadic import (
     check_shifted_csf, check_shifted_harmonic, check_shuffle, check_t_translation,
     shifted_mzv, shifted_mzv_star, stadic_smzv, stadic_smzv_tau,
 )
-from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, index_of_word
+from mzvkit.words import E0, HARMONIC, SHUFFLE, NcPoly, word_of_index
+from support import indices_up_to
 
 Z = ZetaPoly.zeta
 T = ZetaPoly.tvar("T")
@@ -35,16 +35,13 @@ def _coefficient_form(max_length: int, products) -> tuple[int, list]:
     coefficients compared, and the (product, n, k) of those that differ."""
     compared, wrong = 0, []
     for product in products:
-        for length in range(1, max_length + 1):
-            for tail in itertools.product((E0, E1), repeat=length - 1):
-                w = (E1,) + tail
-                k = index_of_word(w)
-                ts = shifted_mzv(k, product, max_length - length)
-                for n, coeff in enumerate(ts.coeffs):
-                    rhs = Z_reg_full(NcPoly.from_word((E0,) * n + w), product)
-                    compared += 1
-                    if coeff != rhs * Fraction((-1) ** k.depth):
-                        wrong.append((product, n, k))
+        for k in indices_up_to(max_length, 1):
+            ts = shifted_mzv(k, product, max_length - k.weight)
+            for n, coeff in enumerate(ts.coeffs):
+                rhs = Z_reg_full(NcPoly.from_word((E0,) * n + word_of_index(k)), product)
+                compared += 1
+                if coeff != rhs * Fraction((-1) ** k.depth):
+                    wrong.append((product, n, k))
     return compared, wrong
 
 
@@ -106,20 +103,8 @@ def test_stadic_star_and_tau_consistency():
     assert half == expect
 
 
-def all_nonempty_indices(maxwt):
-    for wt in range(1, maxwt + 1):
-        for mask in range(2 ** (wt - 1)):
-            parts = [1]
-            for b in range(wt - 1):
-                if mask >> b & 1:
-                    parts[-1] += 1
-                else:
-                    parts.append(1)
-            yield Index(parts)
-
-
 def test_t_translation():
-    for k in all_nonempty_indices(5):
+    for k in indices_up_to(5, 1):
         assert check_t_translation(k, (2, 2), 40) == 0
 
 
@@ -249,7 +234,7 @@ def test_order_0_csf_is_the_classical_formula_with_no_t_monomial(monkeypatch):
     # admissible zeta symbols alone
     sides = []
     monkeypatch.setattr(stadic, "residual", lambda lhs, rhs, prec: sides.append(lhs - rhs) or 0)
-    ks = [k for k in all_nonempty_indices(6) if k.weight > max(k.depth, 1)]
+    ks = [k for k in indices_up_to(6, 1) if k.weight > max(k.depth, 1)]
     assert len(ks) == 57
     for k in ks:
         sides.clear()
@@ -264,7 +249,7 @@ def test_order_0_csf_is_the_classical_formula_with_no_t_monomial(monkeypatch):
 
 
 def test_explicit_reg():
-    for k in all_nonempty_indices(5):
+    for k in indices_up_to(5, 1):
         assert check_explicit_reg(k, 2, 40) < TOL
 
 
@@ -273,7 +258,7 @@ def test_symbols_are_renamed_and_zeroed_as_by_substitution():
     # its tail factor in T2; a check at T = 0 drops every monomial with a T-part
     T1, T2 = ZetaPoly.tvar("T1"), ZetaPoly.tvar("T2")
     orders = (2, 2)
-    for k in [EMPTY, *all_nonempty_indices(5)]:
+    for k in indices_up_to(5):
         for product in (HARMONIC, SHUFFLE):
             shifted_mzv.cache_clear()
             shifted = shifted_mzv(k, product, 2)

@@ -16,16 +16,9 @@ from mzvkit.words import (
     in_h0, in_h1, index_of_word, lift_biseries, shuffle, shuffle_shifted,
     sigma_t, telescope_sides, word_of_index,
 )
+from support import indices_up_to, words_up_to
 
 W = NcPoly.from_word
-
-
-def words_up_to(n, h1_only=False):
-    for length in range(n + 1):
-        for w in itertools.product((E0, E1), repeat=length):
-            if h1_only and w and w[0] == E0:
-                continue
-            yield w
 
 
 # ---------------------------------------------------------------------------
@@ -115,19 +108,6 @@ def harmonic_words_by_blocks(w1, w2):
         for w, c in terms.items():
             out[w + suffix] = out.get(w + suffix, 0) + sign * c
     return {w: c for w, c in out.items() if c}
-
-
-def indices_up_to(weight):
-    """Every index of weight <= ``weight``, the empty one included."""
-    return [Index(p) for n in range(weight + 1) for p in _compositions(n)]
-
-
-def _compositions(n):
-    if n == 0:
-        yield ()
-    for first in range(1, n + 1):
-        for rest in _compositions(n - first):
-            yield (first,) + rest
 
 
 def subst_reference(u, images):
@@ -227,7 +207,7 @@ def test_shuffle_kernel_against_the_interleavings():
 def test_stuffle_against_index_oracle():
     # every pair of total weight <= 8, against the first-part recursion on
     # indices and the signed last-block recursion on words
-    ks = indices_up_to(8)
+    ks = list(indices_up_to(8))
     pairs = 0
     for k in ks:
         for l in ks:
@@ -246,7 +226,7 @@ def test_stuffle_against_index_oracle():
 
 def test_shuffle_one_against_the_word_route():
     # (1) sh head of the product recursion, for every head of weight <= 10
-    heads = indices_up_to(10)
+    heads = list(indices_up_to(10))
     assert len(heads) == 1024
     for head in heads:
         assert shuffle_one(head) == index_terms(shuffle(embed(Index((1,))), embed(head))), head
@@ -390,10 +370,9 @@ def test_sigma_t_harmonic_homomorphism_small():
 
 
 def test_telescoping_lemma_small():
-    for n in range(4):
-        for w in itertools.product((E0, E1), repeat=n):
-            lhs, rhs = telescope_sides(w, (1, 1))
-            assert lhs == rhs
+    for w in words_up_to(3):
+        lhs, rhs = telescope_sides(w, (1, 1))
+        assert lhs == rhs
 
 
 # ---------------------------------------------------------------------------
