@@ -179,9 +179,6 @@ class ZetaPoly(LinearCombination):
 
     __radd__ = LinearCombination.__add__
 
-    def __rsub__(self, other) -> "ZetaPoly":
-        return _as_zp(other) - self
-
     def __mul__(self, other) -> "ZetaPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)

@@ -1,8 +1,12 @@
 """What the test modules share: the index and word enumerators, the reset to
-cold caches, and one planted fault.  Not a test module: pytest puts this
-directory on ``sys.path``, and the tests import it as ``support``."""
+cold caches, the planting of a fault as an edit of the source, and one
+planted fault.  Not a test module: pytest puts this directory on
+``sys.path``, and the tests import it as ``support``."""
 
+import __future__
+import inspect
 import itertools
+import textwrap
 
 from mzvkit import associator, cli, finite, indices, numeric, regularization, rings, stadic, words
 from mzvkit.indices import Index
@@ -41,6 +45,23 @@ def clear_caches() -> None:
         obj.cache_clear()
     associator._PHI_CACHE.clear()
     associator._PHI_RS_CACHE.clear()
+
+
+def planted(function, old: str, new: str):
+    """``function`` with the one occurrence of ``old`` in its source replaced
+    by ``new``, compiled under its own file name and line numbers in a copy of
+    its module's namespace: it recurses through itself, a functools cache
+    gives it a memo of its own, and no module is written to."""
+    function = inspect.unwrap(function)
+    lines, first = inspect.getsourcelines(function)
+    source = textwrap.dedent("".join(lines))
+    if source.count(old) != 1:
+        raise ValueError(f"{function.__qualname__}: {old!r} occurs {source.count(old)} times")
+    code = compile("\n" * (first - 1) + source.replace(old, new), function.__code__.co_filename,
+                   "exec", flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    namespace = dict(function.__globals__)
+    exec(code, namespace)
+    return namespace[function.__name__]
 
 
 _stuffle = indices.stuffle

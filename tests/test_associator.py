@@ -17,7 +17,7 @@ from mzvkit.associator import (
 from mzvkit.indices import Index, coarsenings, stuffle
 from mzvkit.numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp, tolerance
 from mzvkit.regularization import Z_reg_full, _z_reg_full_word
-from mzvkit.rings import BiSeries, exp_coeffs
+from mzvkit.rings import BiSeries, ZetaPoly, exp_coeffs
 from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, word_of_index
 from support import clear_caches, indices_up_to, words_up_to
 
@@ -89,6 +89,12 @@ def test_ncseries_ops():
         e = NcSeries(2, {(): mp.mpf(1) / 3, (E0, E1): mp.mpc(0.5, -2)})
         assert repr(e) == str(e) == "(0.33333333)*1 + ((0.5 - 2.0j))*X0X1"
         assert repr(NcSeries(2)) == "0"
+        # a series over an exact ring keeps its coefficients as given
+        z2 = ZetaPoly.zeta(Index((2,)))
+        f = NcSeries(2, {(): ZetaPoly.const(1), (E0, E1): z2})
+        assert f.bits == 0 and f.coeff((E0, E1)) == z2 and f.coeff((E1,)) == 0
+        assert f.scale(2).coeff((E0, E1)) == z2 * 2
+        assert abs(residual(f.scale(2), f, 40) - mp.zeta(2)) < mp.mpf(10) ** -40
 
 
 def _random_terms(rng: random.Random, D: int, complex_values: bool) -> dict:

@@ -14,7 +14,6 @@ Re-record the golden file (only when an output change is intended) with::
 from __future__ import annotations
 
 import contextlib
-import functools
 import io
 import itertools
 import os
@@ -26,12 +25,13 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from mpmath import mp
 
 from mzvkit import associator, cli, finite, indices, numeric, regularization, rings, stadic, words
 from mzvkit.rings import BiSeries, ZetaPoly
-from mzvkit.words import NcPoly
-from support import CACHES, MODULES, clear_caches, stuffle_without_merged_terms
+from mzvkit.words import HARMONIC, SHUFFLE, NcPoly
+from support import (
+    CACHES, MODULES, clear_caches, indices_up_to, planted, stuffle_without_merged_terms,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_transcript.txt"
 
@@ -208,14 +208,6 @@ def _subst_unit_coefficients(self, images):
     return _subst(self, {a: tuple((b, 1) for b, _ in img) for a, img in images.items()})
 
 
-def _subst_keeping_the_last_letter(self, images):
-    out = self._new({})
-    for w, c in self.terms.items():
-        head = _subst(self._new({w[:-1]: c}), images)
-        out._accumulate((v + w[-1:], d) for v, d in head.terms.items())
-    return out
-
-
 def _mul_dropping_the_top_degree(self, other):
     out = _nc_mul(self, other)
     out.terms = {w: c for w, c in out.terms.items() if len(w) < self.deg}
@@ -259,58 +251,12 @@ def _zeta_reg_plus_T(k, product):
     return _zeta_reg(k, product).subst_tvars({"T": -1 * ZetaPoly.tvar("T")})
 
 
-def _zeta_reg_faulted(owner, k, product, *, t_term=True, divide=True, signed_leaves=False):
-    """The product recursion of ``regularization.zeta_reg``, optionally
-    without its T Z_T(head) term, without its division by the coefficient of
-    k, or with (-1)^depth Z[k] at its admissible leaves; it recurses through
-    the name planted in ``owner``."""
-    if k.admissible:
-        return ZetaPoly.zeta(k) * ((-1) ** k.depth if signed_leaves else 1)
-    head = indices.Index(k[:-1])
-    if product == words.SHUFFLE:
-        terms = indices.shuffle_one(head)
-    else:
-        terms = dict(indices.stuffle((1,), head))
-    value = owner.zeta_reg
-    out = value(head, product) * ZetaPoly.tvar("T") if t_term else ZetaPoly()
-    for l, c in terms.items():
-        if l != k:
-            out.add_scaled(value(l, product), -c)
-    return out / terms[k] if divide else out
-
-
-def _zeta_reg_fault(owner, **fault):
-    return functools.cache(functools.partial(_zeta_reg_faulted, owner, **fault))
-
-
-def _shifted_star_without_the_index_itself(k, order):
-    """The coarsening sum of shifted values without k itself."""
-    out = BiSeries.constant(ZetaPoly(), 0, order)
-    for l in indices.coarsenings(k)[1:]:
-        out += stadic.shifted_mzv(l, words.HARMONIC, order)
-    return out
-
-
 _shuffle_words = words._shuffle_words
 
 
 def _shuffle_words_counted_once(w1, w2):
     """The interleavings of two words, each counted once: every coefficient 1."""
     return tuple((w, 1) for w, _ in _shuffle_words(w1, w2))
-
-
-def _exp_coeffs_without_factor_k(c):
-    """The recurrence n e_n = sum c_k e_(n-k), without the factor k."""
-    e = [c[0] + 1]
-    for n in range(1, len(c)):
-        e.append(sum((c[k] * e[n - k] for k in range(1, n + 1) if c[k] and e[n - k]), c[0]) / n)
-    return e
-
-
-def _exp_linear_without_factorial(deg, c, letters):
-    """exp(c x) in closed form with c^n on every word of length n, no 1/n!."""
-    return associator.NcSeries(deg, {w: c ** n if n else mp.mpf(1) for n in range(deg + 1)
-                                     for w in itertools.product(letters, repeat=n)})
 
 
 _t_renamed = stadic._t_renamed
@@ -340,24 +286,6 @@ def _shifts_with_unit_weights(k, n):
     return [(l, 1) for l, _ in _shifts(k, n)]
 
 
-def _zeta_reg_value_faulted(k, product, T, prec, *, t_term=True, divide=True):
-    """The product recursion of ``associator._zeta_reg_value``, optionally
-    without its T Z_T(head) term or without its division by the coefficient
-    of k; it recurses through the planted name."""
-    if k.admissible:
-        return numeric.mzv(k, prec)
-    head = indices.Index(k[:-1])
-    if product == words.SHUFFLE:
-        terms = indices.shuffle_one(head)
-    else:
-        terms = dict(indices.stuffle((1,), head))
-    value = associator._zeta_reg_value
-    with mp.workdps(prec + numeric._GUARD):
-        rest = sum(c * value(l, product, T, prec) for l, c in terms.items() if l != k)
-        top = (numeric.to_mp(T) * value(head, product, T, prec) if t_term else 0) - rest
-        return top / terms[k] if divide else top
-
-
 _shuffle_one = indices.shuffle_one
 
 
@@ -381,15 +309,18 @@ def _star_values_at_tau_0(k, tau, orders):
 # planted fault -> the transcript checks that must FAIL under it; every other
 # check of the transcript must still PASS.  An entry names a check target
 # (every command of it FAILs), one command, such as "reg (2,1,1,1)", or one
-# line of t-part, such as "t-part shuffle".  The
+# line of t-part, such as "t-part shuffle".  A fault that changes a body is
+# support.planted, an edit of one site of the live source, bound where the
+# fault belongs; every other fault wraps the unmodified function.  The
 # associator builds no symbolic regularization: its values Z_T(index) come
 # from its own numeric product recursion, so a fault in zeta_reg reaches the
 # stadic and regularization checks, and the associator only through the
 # routes that set it against them (rsmzv-routes, smzv-assoc).  zeta_reg
-# solves the same recursion over the zeta symbols and recurses through the
-# name in regularization; stadic binds the unfaulted function under its own
-# name, so a fault planted in regularization reaches the stadic checks only
-# through the inner values of that function.  No check reads the word route
+# solves the same recursion over the zeta symbols, and a planted zeta_reg
+# recurses through itself; stadic binds the unfaulted function under its own
+# name, which recurses through the name in regularization, so a fault bound
+# in regularization reaches the stadic checks only through the inner values
+# of that function.  No check reads the word route
 # (_decompose_word and the word products), so its faults are planted in
 # tests/test_regularization.py, where the word route is the oracle of
 # zeta_reg.  A sign error in T, applied again at each level of the
@@ -463,7 +394,8 @@ MUTATIONS = {
                                 {"three-cycle", "duality-assoc"}),
     "subst-identity": ((NcPoly, "subst", lambda self, images: self),
                        {"two-cycle", "three-cycle", "duality-assoc"}),
-    "subst-keeps-last-letter": ((NcPoly, "subst", _subst_keeping_the_last_letter),
+    "subst-keeps-last-letter": ((NcPoly, "subst", planted(NcPoly.subst, "for p in range(n):",
+                                                          "for p in range(n - 1):")),
                                 {"duality-assoc", "three-cycle", "two-cycle"}),
     "mul-drops-top-degree": ((associator.NcSeries, "__mul__", _mul_dropping_the_top_degree),
                              {"gamma-factor", "t-part"}),
@@ -484,28 +416,35 @@ MUTATIONS = {
                               {"harmonic", "rsmzv-routes", "shuffle"}),
     "zeta-reg-plus-T": ((regularization, "zeta_reg", _zeta_reg_plus_T), {"explicit-reg", "reg"}),
     "zeta-reg-without-T-term": ((regularization, "zeta_reg",
-                                 _zeta_reg_fault(regularization, t_term=False)),
+                                 planted(regularization.zeta_reg,
+                                         "out = zeta_reg(head, product) * _T", "out = ZetaPoly()")),
                                 {"explicit-reg", "reg"}),
     "zeta-reg-without-division": ((regularization, "zeta_reg",
-                                   _zeta_reg_fault(regularization, divide=False)),
+                                   planted(regularization.zeta_reg, "if ck == 1:", "if True:")),
                                   {"reg (2,1,1,1)", "reg (2,1,1,1,1)"}),
     "stadic-zeta-reg-with-signed-leaves": ((stadic, "zeta_reg",
-                                            _zeta_reg_fault(stadic, signed_leaves=True)),
+                                            planted(regularization.zeta_reg,
+                                                    "return ZetaPoly.zeta(k)\n",
+                                                    "return ZetaPoly.zeta(k) * (-1) ** k.depth\n")),
                                            {"antipode", "csf", "csf-nonstar", "csf-shifted",
                                             "csf-star", "csf-tau", "explicit-reg", "harmonic",
                                             "rsmzv-routes", "shifted-harmonic", "smzv-assoc"}),
     "reg-value-without-T-term": ((associator, "_zeta_reg_value",
-                                  functools.partial(_zeta_reg_value_faulted, t_term=False)),
+                                  planted(associator._zeta_reg_value,
+                                          "(to_mp(T) * _zeta_reg_value(head, product, T, prec) "
+                                          "- rest)", "(0 - rest)")),
                                  {"t-part"}),
     "reg-value-without-division": ((associator, "_zeta_reg_value",
-                                    functools.partial(_zeta_reg_value_faulted, divide=False)),
+                                    planted(associator._zeta_reg_value, "- rest) / terms[k]",
+                                            "- rest)")),
                                    {"duality", "duality-assoc", "gamma-factor", "independence",
                                     "t-part", "three-cycle", "two-cycle"}),
     "merge-keeps-one-side": ((rings, "_merge_powers", lambda a, b: a or b),
                              {"antipode", "csf-nonstar", "csf-star", "csf-tau", "explicit-reg",
                               "gamma-factor", "harmonic", "reg", "shifted-harmonic", "shuffle"}),
     "star-without-the-index-itself": ((stadic, "shifted_mzv_star",
-                                       _shifted_star_without_the_index_itself),
+                                       planted(stadic.shifted_mzv_star, "coarsenings(Index(k))",
+                                               "coarsenings(Index(k))[1:]")),
                                       {"antipode", "csf", "csf-shifted"}),
     "T2-with-wrong-sign": ((stadic, "_t_renamed", _t_renamed_negating_T2),
                            {"t-translation"}),
@@ -538,11 +477,16 @@ MUTATIONS = {
     "tau-0-reads-star-values": ((stadic, "stadic_smzv_tau", _star_values_at_tau_0),
                                 {"csf-nonstar", "csf-tau (2,1) --tau 0 --orders 2,2"}),
     "regularization-exp-without-factor-k": ((regularization, "exp_coeffs",
-                                             _exp_coeffs_without_factor_k),
+                                             planted(rings.exp_coeffs, "k * c[k] * e[n - k]",
+                                                     "c[k] * e[n - k]")),
                                             {"explicit-reg", "gamma-factor", "reg"}),
-    "associator-exp-without-factor-k": ((associator, "exp_coeffs", _exp_coeffs_without_factor_k),
+    "associator-exp-without-factor-k": ((associator, "exp_coeffs",
+                                         planted(rings.exp_coeffs, "k * c[k] * e[n - k]",
+                                                 "c[k] * e[n - k]")),
                                         {"independence"}),
-    "exp-linear-without-factorial": ((associator, "exp_linear", _exp_linear_without_factorial),
+    "exp-linear-without-factorial": ((associator, "exp_linear",
+                                      planted(associator.exp_linear, "c ** n / factorial(n)",
+                                              "c ** n")),
                                      {"duality-assoc", "t-part", "three-cycle"}),
     "shuffle-kernel-counts-each-interleaving-once": ((words, "_shuffle_words",
                                                       _shuffle_words_counted_once),
@@ -582,81 +526,26 @@ def _scan_verdicts() -> dict[str, str]:
     return verdicts
 
 
-def _finite_mzv_faulted(k, p, n=1, a=0, *, current_term=False, power_short=False,
-                        window_back=False):
-    """The DP of ``finite.finite_mzv`` (without its argument checks),
-    optionally with each prefix sum including the current term, inv^(e-1)
-    read for inv^e at every e >= 2, or a shifted window a >= 1 inverted as
-    the window a - 1 before it."""
-    k, m = tuple(indices.Index(k)), p ** n
-    if not k:
-        return 1
-    powers = [None, finite._window_inverses(p, n, a - 1 if window_back and a else a)]
-    while len(powers) <= max(k):
-        powers.append([x * y % m for x, y in zip(powers[-1], powers[1])])
-    if power_short:
-        powers = powers[:2] + powers[1:-1]
-    col = powers[k[0]]
-    for e in k[1:]:
-        sums = itertools.accumulate(col, initial=None if current_term else 0)
-        col = [s * x % m for s, x in zip(sums, powers[e])]
-    return sum(col) % m
-
-
-def _window_sums_faulted(ks, p_max, n=1, a=0, *, parents_first=False, parent_part=False,
-                         negated_inverse=False, root_short=False, root_reset_only=False,
-                         resets_every_window=False):
-    """The pass of ``finite.window_sums``, optionally with every child
-    updated after its parent, the exponent K - k read from the parent's last
-    part (0 at the root), the inverse of the denominator negated, the root
-    scaled by m^(K-1) in place of m^K, a window opened with only its root
-    component reset, or opened by c = 1, which resets every open window."""
-    keys = {indices.Index(k) for k in ks}
-    primes = [p for p in finite.sieve_primes(p_max) if p >= 5 and p > n]
-    nodes = sorted({k[:i] for k in keys for i in range(1, len(k) + 1)},
-                   key=len, reverse=not parents_first)
-    top = max(map(max, filter(None, keys)), default=0)
-    state = dict.fromkeys(nodes, 0) | {(): 0}
-    events = sorted([(a * p + 1, True, p) for p in primes]
-                    + [((a + 1) * p, False, p) for p in primes])
-    out, modulus, m = {}, 1, 0
-    for (at, opens), group in itertools.groupby(events, key=lambda e: e[:2]):
-        if modulus > 1:
-            for m in range(m, at):
-                for u in nodes:
-                    part = (u[-2] if len(u) > 1 else 0) if parent_part else u[-1]
-                    state[u] = (m ** top * state[u] + m ** (top - part) * state[u[:-1]]) % modulus
-                state[()] = m ** (top - root_short) * state[()] % modulus
-        m, moduli = at, {p: p ** n for _, _, p in group}
-        if opens:
-            q = prod(moduli.values())
-            c = 1 if resets_every_window else modulus * pow(modulus, -1, q)
-            modulus *= q
-            state = {u: s if u and root_reset_only else s * (1 - c) % modulus
-                     for u, s in state.items()}
-            state[()] += c
-        else:
-            for p, pn in moduli.items():
-                inverse = pow(state[()], -1, pn) * (-1 if negated_inverse else 1)
-                out[p] = {k: state[k] * inverse % pn for k in keys}
-                modulus //= pn
-    return out
-
-
 _SCANS = [c for c in COMMANDS if c.startswith("scan ")]
 _STUFFLE, _SHIFT, _WOLSTENHOLME = ({c for c in _SCANS if c.split()[1] == t}
                                    for t in ("stuffle", "shift", "wolstenholme"))
 _SHIFT_DEPTH_2 = {c for c in _SHIFT if "," in c.split()[2]}
-# planted DP fault, as finite.finite_mzv.  The DP is the oracle of the pass
-# only: every value a scan checks comes from the pass, so no scan sees these
-# faults, and the oracle test below is what catches them.
+# planted DP fault, an edit of finite.finite_mzv: each prefix sum includes
+# its current term, inv^(e-1) is read for inv^e at every e >= 2, or a
+# shifted window a >= 1 is inverted as the window a - 1 before it.  The DP
+# is the oracle of the pass only: every value a scan checks comes from the
+# pass, so no scan sees these faults, and the oracle test below is what
+# catches them.
 DP_MUTATIONS = {
-    "prefix-includes-current-term": functools.partial(_finite_mzv_faulted, current_term=True),
-    "power-one-step-short": functools.partial(_finite_mzv_faulted, power_short=True),
-    "shifted-window-one-back": functools.partial(_finite_mzv_faulted, window_back=True),
+    "prefix-includes-current-term": planted(finite.finite_mzv, "accumulate(col, initial=0)",
+                                            "accumulate(col)"),
+    "power-one-step-short": planted(finite.finite_mzv, "powers = [None, _window_inverses(p, n, a)]",
+                                    "powers = [None, *[_window_inverses(p, n, a)] * 2]"),
+    "shifted-window-one-back": planted(finite.finite_mzv, "_window_inverses(p, n, a)]",
+                                       "_window_inverses(p, n, a - 1 if a else a)]"),
 }
-# planted fault in the pass, as finite.window_sums -> the transcript scans
-# that must FAIL under it.  Both sides of a shift scan come from the pass,
+# planted fault in the pass, an edit of finite.window_sums -> the transcript
+# scans that must FAIL under it.  Both sides of a shift scan come from the pass,
 # and its expansion holds for any values that sum over the integers of each
 # window: a negated inverse negates every value of a nonempty index and
 # passes every shift scan, as star values do
@@ -673,19 +562,24 @@ DP_MUTATIONS = {
 # open as well; at a = 0 the one opening finds the state 0 and M = 1, so
 # these two see only the shifted windows, and every shift scan fails.
 PASS_MUTATIONS = {
-    "pass-children-after-parents": (functools.partial(_window_sums_faulted, parents_first=True),
-                                    _STUFFLE | _SHIFT_DEPTH_2),
+    "pass-children-after-parents": (
+        planted(finite.window_sums, "for i, parent, e in steps:",
+                "for i, parent, e in reversed(steps):"),
+        _STUFFLE | _SHIFT_DEPTH_2),
     "pass-exponent-from-the-parent-part": (
-        functools.partial(_window_sums_faulted, parent_part=True),
+        planted(finite.window_sums, "top - u[-1])", "top - (u[-2] if len(u) > 1 else 0))"),
         set(_SCANS) - {"scan shift (2,1) --shift 1 --pmax 60 --pow 2"}),
-    "pass-inverse-negated": (functools.partial(_window_sums_faulted, negated_inverse=True),
+    "pass-inverse-negated": (planted(finite.window_sums, "inverse = pow(", "inverse = -pow("),
                              {c for c in _STUFFLE if c.endswith("--pow 3")}),
-    "pass-root-scaled-by-N-to-K-1": (functools.partial(_window_sums_faulted, root_short=True),
-                                     set(_SCANS)),
+    "pass-root-scaled-by-N-to-K-1": (
+        planted(finite.window_sums, "powers[top] * state[root]", "powers[top - 1] * state[root]"),
+        set(_SCANS)),
     "pass-window-opened-with-only-its-root-reset": (
-        functools.partial(_window_sums_faulted, root_reset_only=True), _SHIFT),
+        planted(finite.window_sums, "state = [s * (1 - c) % modulus for s in state]",
+                "state[root] = state[root] * (1 - c) % modulus"),
+        _SHIFT),
     "pass-window-opening-resets-every-window": (
-        functools.partial(_window_sums_faulted, resets_every_window=True), _SHIFT),
+        planted(finite.window_sums, "c = modulus * pow(modulus, -1, q)", "c = 1"), _SHIFT),
 }
 _SHIFTED_WINDOW_FAULTS = ("pass-window-opened-with-only-its-root-reset",
                           "pass-window-opening-resets-every-window")
@@ -749,10 +643,32 @@ def test_every_shift_scan_fails_under_the_planted_shifted_window_faults():
             assert fault(_DP_INDICES, 100, n) == want, (mutation, n)
 
 
-def test_the_unfaulted_copy_of_the_dp_is_the_dp():
-    for p, n, a in _DP_WINDOWS:
-        for k in [()] + _DP_INDICES:
-            assert _finite_mzv_faulted(k, p, n, a) == finite.finite_mzv(k, p, n, a), (k, p, n, a)
+def test_a_planted_fault_edits_exactly_one_site():
+    for old in ("no such text", "% modulus"):
+        with pytest.raises(ValueError, match="window_sums"):
+            planted(finite.window_sums, old, "0")
+
+
+# function, a site of it, and the values it is compared on
+_IDENTITY_EDITS = {
+    "dp": (finite.finite_mzv, "accumulate(col, initial=0)",
+           lambda f: [f(k, p, n, a) for p, n, a in _DP_WINDOWS for k in [()] + _DP_INDICES]),
+    "pass": (finite.window_sums, "inverse = pow(",
+             lambda f: [f(_DP_INDICES, 100, n, a) for n in (1, 2) for a in (0, 1, 3)]),
+    "zeta_reg": (regularization.zeta_reg, "if ck == 1:",
+                 lambda f: [f(k, product) for k in indices_up_to(6)
+                            for product in (HARMONIC, SHUFFLE)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_IDENTITY_EDITS))
+def test_an_identity_edit_plants_the_function_itself_and_writes_no_module(name):
+    function, site, values = _IDENTITY_EDITS[name]
+    module = vars(sys.modules[function.__module__])
+    before = dict(module)
+    edited = planted(function, site, site)
+    assert module == before
+    assert edited is not function and values(edited) == values(function)
 
 
 @pytest.mark.parametrize("mutation", sorted(DP_MUTATIONS))
@@ -772,13 +688,6 @@ def test_planted_pass_faults_fail_exactly_the_scans_that_see_them(monkeypatch, m
 
 def test_every_scan_fails_under_some_planted_pass_fault():
     assert set().union(*(failing for _, failing in PASS_MUTATIONS.values())) == set(_SCANS)
-
-
-def test_the_unfaulted_copy_of_the_pass_is_the_pass():
-    for n in (1, 2, 3):
-        for a in (0, 1, 2, 3):
-            assert _window_sums_faulted(_DP_INDICES, 100, n, a) == \
-                finite.window_sums(_DP_INDICES, 100, n, a), (n, a)
 
 
 @pytest.mark.parametrize("mutation", sorted(PASS_MUTATIONS))

@@ -136,6 +136,7 @@ def test_parse_and_render():
     assert parse_index("()") == EMPTY
     assert parse_index("(1,2)") == Index((1, 2))
     assert str(Index((1, 2))) == "(1,2)"
+    assert repr(Index((1, 2))) == "Index((1, 2))"
     assert str(EMPTY) == "()"
     for bad in ["(0,2)", "(1,", "1,2", "(a)", "(1,-2)"]:
         with pytest.raises(ValueError):

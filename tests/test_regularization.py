@@ -15,7 +15,9 @@ from mzvkit.regularization import (
 from mzvkit.rings import BiSeries, ZetaPoly
 from mzvkit.stadic import check_csf_tau, check_harmonic
 from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, index_of_word, word_of_index
-from support import clear_caches, indices_up_to, stuffle_without_merged_terms, words_up_to
+from support import (
+    clear_caches, indices_up_to, planted, stuffle_without_merged_terms, words_up_to,
+)
 
 W = NcPoly.from_word
 Z = ZetaPoly.zeta
@@ -48,6 +50,9 @@ def test_reconstruction_all_h1_words():
             d = regularize(W(w), product)
             assert isinstance(d, RegDecomposition)
             assert d.reconstruct() == W(w), (w, product)
+    for product in (HARMONIC, SHUFFLE):
+        d = regularize(NcPoly(), product)
+        assert d.coefficients == (NcPoly(),) and d.reconstruct() == NcPoly()
 
 
 def test_regularize_rejects_non_h1():
@@ -118,10 +123,6 @@ def _decompose_word_without_factorial(w, product):
     return tuple(wi.scale(factorial(i)) for i, wi in enumerate(_decompose_word(w, product)))
 
 
-def _zeta_symbols_without_sign(u):
-    return sum((ZetaPoly.zeta(index_of_word(w)) * c for w, c in u.terms.items()), ZetaPoly())
-
-
 _decompose_word = regularization._decompose_word
 
 # planted faults on the word route, which no check reads: each must make the
@@ -130,18 +131,18 @@ WORD_ROUTE_FAULTS = {
     "decompose-without-factorial": (regularization, "_decompose_word",
                                     _decompose_word_without_factorial),
     "h0-symbol-without-sign": (sys.modules[__name__], "_zeta_symbols",
-                               _zeta_symbols_without_sign),
+                               planted(_zeta_symbols, "c * (-1) ** k.depth", "c")),
     "words-stuffle-without-merged-terms": (words, "stuffle", stuffle_without_merged_terms),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(WORD_ROUTE_FAULTS))
 def test_oracle_sees_word_route_fault(monkeypatch, fault):
-    owner, name, planted = WORD_ROUTE_FAULTS[fault]
+    owner, name, faulty = WORD_ROUTE_FAULTS[fault]
     indices = indices_up_to(5, 1)
     expected = {(k, p): zeta_reg(k, p) for k in indices for p in (HARMONIC, SHUFFLE)}
     clear_caches()
-    monkeypatch.setattr(owner, name, planted)
+    monkeypatch.setattr(owner, name, faulty)
     try:
         wrong = [key for key, value in expected.items() if _zeta_reg_by_words(*key) != value]
     finally:

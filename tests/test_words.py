@@ -161,6 +161,7 @@ def test_membership_predicates():
 
 def test_embed_signs():
     assert embed(EMPTY) == NcPoly.one()
+    assert embed(Index((1, 2))).coeff([E1, E1, E0]) == 1 and embed(EMPTY).coeff((E1,)) == 0
     assert embed(Index((2,))) == W((E1, E0), Fraction(-1))
     assert embed(Index((1, 2))) == W((E1, E1, E0))
 
