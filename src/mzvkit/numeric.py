@@ -15,11 +15,13 @@ their record, ``k=2,1,3;prec=40``; a ``ValueCache`` can persist them as one
 sorted record per line.  A loaded record is kept as it is read: one pattern
 accepts only the canonical form that ``save`` writes, and one multiline
 match of it reads a whole store, so loading parses no number.  ``mzv``
-looks its string up in the store on every call but parses each string to an
-mpf only once.
+looks its string up in the store on every call but parses each string only
+once, into an int scaled by 2^bits (``_fixed``), and builds its mpf from it.
 
 ``residual`` is the one measure of every relation checker: the largest
-|lhs - rhs| over the entries of the difference.
+|lhs - rhs| over the entries of the difference.  The zeta part of each
+T-coefficient of a ``ZetaPoly`` is summed exactly over those ints and
+becomes an mpf once; ``eval_zeta_poly`` reads the same coefficients.
 """
 
 from __future__ import annotations
@@ -213,30 +215,51 @@ def _mzv_compute(k: Index, prec: int) -> mpmath.mpf:
         return mp.mpf((total, -2 * _bits(prec)))
 
 
-def mzv(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:
-    """zeta(k) for an admissible index, rounded to prec significant digits,
-    so |error| <= 10^(1-prec) |zeta(k)| (no guard digits are kept)."""
+def _fixed_mzv(k, prec: int) -> int | None:
+    """zeta(k) as its store string reads, an int scaled by 2^bits, bits =
+    ``_bits(prec)``; None when the store holds no finite decimal for it.  A
+    value missing from the store is computed and stored first."""
     k = Index(k)
     if not k.admissible:
         raise ValueError(f"index {k} is not admissible; the series diverges")
     if prec < MIN_PREC:
         raise ValueError(f"prec must be at least {MIN_PREC}")
     if k.depth == 0:
-        return mp.mpf(1)
-    cached = CACHE.get(k, prec)
-    if cached is None:
+        return 1 << _bits(prec)
+    text = CACHE.get(k, prec)
+    if text is None:
         with mp.workdps(prec + _GUARD):
-            value = _mzv_compute(k, prec)
-            cached = mp.nstr(value, prec, strip_zeros=False)
-        CACHE.put(k, prec, cached)
-    return _value_of(cached, prec)
+            text = mp.nstr(_mzv_compute(k, prec), prec, strip_zeros=False)
+        CACHE.put(k, prec, text)
+    return _fixed(text, prec)
 
 
 @cache
-def _value_of(text: str, prec: int) -> mpmath.mpf:
-    """A store string as an mpf at the working precision, parsed once."""
+def _fixed(text: str, prec: int) -> int | None:
+    """A decimal string times 2^bits, bits = ``_bits(prec)``, rounded to the
+    nearest int; None when the string is not a finite decimal."""
+    if re.fullmatch(_DECIMAL, text) is None:
+        return None
+    mantissa, _, exponent = text.partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    n, e = int(whole + fraction), int(exponent or 0) - len(fraction)
+    if e >= 0:
+        return n * 10 ** e << _bits(prec)
+    return ((n << (_bits(prec) + 1)) // 10 ** -e + 1) >> 1
+
+
+def _as_mpf(fixed: int | None, bits: int) -> mpmath.mpf:
+    """A fixed-point int scaled by 2^bits as an mpf at the working precision,
+    rounded once; None is NaN."""
+    return mp.nan if fixed is None else mp.mpf((fixed, -bits))
+
+
+def mzv(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:
+    """zeta(k) for an admissible index, rounded to prec significant digits,
+    so |error| <= 10^(1-prec) |zeta(k)| (no guard digits are kept)."""
+    fixed = _fixed_mzv(k, prec)
     with mp.workdps(prec + _GUARD):
-        return mp.mpf(text)
+        return _as_mpf(fixed, _bits(prec))
 
 
 def mzv_star(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:
@@ -247,21 +270,19 @@ def mzv_star(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:
 
 
 def eval_zeta_poly(p: ZetaPoly, t_values: dict, prec: int = DEFAULT_PREC):
-    """Evaluate a ZetaPoly, sending Z[k] to mzv(k) and T-symbols to values.
+    """Evaluate a ZetaPoly, sending Z[k] to mzv(k) and T-symbols to values:
+    each T-coefficient as ``_t_coefficients`` gives it, times its T-monomial.
 
     Every T-symbol occurring in ``p`` must have an assigned value.
     """
     with mp.workdps(prec + _GUARD):
         total = mp.mpf(0)
-        for (zpart, tpart), c in p.terms.items():
-            term = to_mp(c)
-            for idx, e in zpart:
-                term *= mzv(idx, prec) ** e
+        for tpart, value in _t_coefficients(p, prec, {}).items():
             for name, e in tpart:
                 if name not in t_values:
                     raise ValueError(f"no value bound for symbol {name}")
-                term *= to_mp(t_values[name]) ** e
-            total += term
+                value *= to_mp(t_values[name]) ** e
+            total += value
         return total
 
 
@@ -273,11 +294,12 @@ def residual(lhs, rhs, prec: int) -> mpmath.mpf:
     compared coefficient by coefficient through its ``largest``; an absent
     term is 0 and cannot raise the maximum).  ``ZetaPoly``s are
     subtracted exactly and compared coefficient by coefficient in the
-    T-symbols: the zeta part of each T-monomial is evaluated on its own, so
-    an identity between polynomials in T, T1, T2 holds for every value of
-    them, not at one point.  The subtraction and the comparison run at
-    prec + _GUARD digits.  A NaN entry anywhere makes the residual NaN,
-    which passes no tolerance.
+    T-symbols: the zeta part of each T-monomial is an exact int sum over the
+    stored values, rounded once (``_t_coefficients``), so an identity between
+    polynomials in T, T1, T2 holds for every value of them, not at one point.
+    Each zeta symbol is read from the store once per call.  Exact numbers are
+    converted exactly, and the comparison runs at prec + _GUARD digits.  A
+    NaN entry anywhere makes the residual NaN, which passes no tolerance.
     """
     with mp.workdps(prec + _GUARD):
         diff = lhs - rhs
@@ -285,9 +307,13 @@ def residual(lhs, rhs, prec: int) -> mpmath.mpf:
             entries = diff.largest()
         else:
             entries = (diff,)
+        read: dict = {}
         worst = mp.mpf(0)
         for entry in entries:
-            values = _t_coefficients(entry, prec) if isinstance(entry, ZetaPoly) else (entry,)
+            if isinstance(entry, ZetaPoly):
+                values = _t_coefficients(entry, prec, read).values()
+            else:
+                values = (to_mp(entry),)
             for value in values:
                 size = abs(value)
                 if mp.isnan(size):
@@ -296,12 +322,32 @@ def residual(lhs, rhs, prec: int) -> mpmath.mpf:
         return worst
 
 
-def _t_coefficients(p: ZetaPoly, prec: int):
-    """The value of the zeta part of each T-monomial of ``p``."""
-    parts: dict[tuple, dict] = {}
+def _t_coefficients(p: ZetaPoly, prec: int, read: dict) -> dict:
+    """The zeta part of each T-monomial of ``p`` (keyed by it), as an mpf at
+    the working precision.
+
+    Each is summed exactly in ints scaled by 2^bits, bits = ``_bits(prec)``:
+    a symbol's fixed-point value is one ``_fixed_mzv`` per index, kept in
+    ``read``; each factor of a product is one multiply and one shift, and a
+    coefficient one multiply and one floor division.  The floors lose a few
+    units of 2^-bits per term, and the sum becomes an mpf once.  A symbol
+    whose stored value is not a finite decimal makes its coefficient NaN.
+    """
+    bits = _bits(prec)
+    sums: dict = {}
     for (zpart, tpart), c in p.terms.items():
-        parts.setdefault(tpart, {})[(zpart, ())] = c
-    return (eval_zeta_poly(ZetaPoly(part), {}, prec) for part in parts.values())
+        term = 1 << bits
+        for k, e in zpart:
+            if k not in read:
+                read[k] = _fixed_mzv(k, prec)
+            if read[k] is None:
+                term = None
+                break
+            for _ in range(e):
+                term = term * read[k] >> bits
+        s = sums.get(tpart, 0)
+        sums[tpart] = None if term is None or s is None else s + term * c.numerator // c.denominator
+    return {tpart: _as_mpf(s, bits) for tpart, s in sums.items()}
 
 
 def pi_val(prec: int = DEFAULT_PREC) -> mpmath.mpf:

@@ -19,7 +19,8 @@ from mzvkit.numeric import (
     mzv, mzv_star, pi_val, residual, to_mp, tolerance,
 )
 from mzvkit.rings import BiSeries, ZetaPoly
-from mzvkit.words import E0, E1, index_of_word, word_of_index
+from mzvkit.stadic import stadic_smzv
+from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, index_of_word, word_of_index
 from support import clear_caches, indices_up_to
 
 GOLDEN_VALUES = Path(__file__).resolve().parent / "data" / "mzv_values.txt"
@@ -168,6 +169,22 @@ def test_cache_round_trips_any_records(tmp_path_factory, records):
         assert loaded.get(k, prec) == value
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(decimals, st.integers(MIN_PREC, 120))
+@example("2", 40)
+@example("3.", 15)
+@example("-6.02e+23", 40)
+@example("1.644934066848226436472415166646025189219", 40)
+def test_a_stored_decimal_is_read_as_the_nearest_fixed_point_int(text, prec):
+    exact = Fraction(text) * 2 ** _bits(prec)
+    assert abs(numeric._fixed(text, prec) - exact) <= Fraction(1, 2)
+
+
+def test_a_stored_string_that_is_not_a_finite_decimal_has_no_fixed_point_value():
+    for text in ["nan", "inf", "-inf", "1_0", "", "1.5 ", "0x10", "1e"]:
+        assert numeric._fixed(text, 40) is None, text
+
+
 def test_cache_skips_blank_lines_and_reads_crlf_line_ends(tmp_path):
     path = tmp_path / "store.txt"
     path.write_bytes(b"\r\nk=2;prec=40;value=1.6\r\n\n  \nk=3;prec=40;value=1.2\r\n")
@@ -258,6 +275,13 @@ def test_residual_of_each_kind():
         series = NcSeries(2, {(E0,): mp.mpc(0, 4), (E1,): mp.mpf(1)})
         assert residual(series, NcSeries(2, {(E1,): mp.mpf(1)}), 40) == 4
         assert residual(series, series, 40) == 0
+        # exact numbers, and a series of them, are converted exactly
+        small = mp.mpf(10) ** -54
+        assert abs(residual(Fraction(1, 3), 0, 40) - mp.mpf(1) / 3) < small
+        exact = NcSeries(2, {(E0,): Fraction(-2, 3), (E1,): Fraction(1, 7), (E0, E1): 1})
+        assert exact.bits == 0
+        assert residual(exact, NcSeries(2), 40) == 1
+        assert abs(residual(exact, NcSeries(2, {(E0, E1): 1}), 40) - mp.mpf(2) / 3) < small
 
 
 def test_residual_is_nan_wherever_a_grid_entry_is_nan():
@@ -286,6 +310,100 @@ def test_residual_sees_a_factor_that_vanishes_at_one_point_of_t():
 def test_residual_is_nan_when_a_series_coefficient_is_nan():
     series = NcSeries(2, {(): mp.mpf(1), (E0,): mp.mpf(5), (E0, E1): mp.mpf("nan")})
     assert mp.isnan(residual(series, NcSeries.const(2), 40))
+
+
+def t_coefficients_reference(p: ZetaPoly, prec: int) -> dict:
+    """Each T-coefficient of ``p`` in mpf at twice the working precision, from
+    the stored decimal strings parsed by mpmath: the sum the fixed-point path
+    must reproduce."""
+    out: dict = {}
+    with mp.workdps(2 * (prec + _GUARD)):
+        for (zpart, tpart), c in p.terms.items():
+            term = to_mp(c)
+            for k, e in zpart:
+                mzv(k, prec)    # computes and stores a missing value
+                term *= mp.mpf(CACHE.get(k, prec)) ** e
+            out[tpart] = out.get(tpart, 0) + term
+    return out
+
+
+def assert_t_coefficients_match(p: ZetaPoly, prec: int = 40) -> None:
+    with mp.workdps(prec + _GUARD):
+        got = numeric._t_coefficients(p, prec, {})
+    want = t_coefficients_reference(p, prec)
+    assert got.keys() == want.keys()
+    with mp.workdps(2 * (prec + _GUARD)):
+        for tpart, value in got.items():
+            assert abs(value - want[tpart]) < mp.mpf(10) ** -50, (p, tpart)
+
+
+def test_fixed_point_t_coefficients_of_seed_drawn_grids():
+    rng = random.Random(33)
+    choices = list(indices_up_to(4, 1))
+    entries = [entry for product in (HARMONIC, SHUFFLE) for k in rng.sample(choices, 4)
+               for entry in stadic_smzv(k, product, (2, 2)).terms.values()]
+    monomials = [(zpart, tpart, c) for entry in entries for (zpart, tpart), c in entry.terms.items()]
+    # the draws reach T-monomials, products of symbols and Fraction coefficients
+    assert any(tpart for _, tpart, _ in monomials)
+    assert any(sum(e for _, e in zpart) >= 2 for zpart, _, _ in monomials)
+    assert any(isinstance(c, Fraction) for _, _, c in monomials)
+    for entry in entries:
+        assert_t_coefficients_match(entry)
+
+
+def test_fixed_point_t_coefficients_of_hand_built_polynomials():
+    z2, z3, z12 = ZetaPoly.zeta((2,)), ZetaPoly.zeta((3,)), ZetaPoly.zeta((1, 2))
+    T, T1, T2 = ZetaPoly.tvar("T"), ZetaPoly.tvar("T1"), ZetaPoly.tvar("T2")
+    for p in [ZetaPoly.const(Fraction(-7, 3)),
+              z2 * z2 * Fraction(-5, 11) + z3 * 4 - ZetaPoly.const(Fraction(1, 9)),
+              z3 * z3 * z3 * T * T + z12 * z2 * Fraction(13, 17) * T - z2 * 2,
+              (z2 - z12 * Fraction(1, 3)) * (T1 - T2 * Fraction(3, 2)) * (z3 * z3 + 1),
+              # Euler's zeta(4) = 2/5 zeta(2)^2: a near cancellation, scaled up
+              (ZetaPoly.zeta((4,)) - z2 * z2 * Fraction(2, 5)) * 10**12]:
+        assert_t_coefficients_match(p)
+
+
+def test_a_difference_below_a_value_stays_visible_and_one_above_tol_fails():
+    z2 = ZetaPoly.zeta((2,))
+    got = residual(z2 * Fraction(1, 10**35), ZetaPoly(), 40)
+    with mp.workdps(60):
+        # fixed point: a few units of 2^-bits, about 2e-65, absolute
+        assert abs(got - mzv((2,), 40) / 10**35) < mp.mpf(10) ** -60
+    assert mp.nstr(got, 3) == "1.64e-35"
+    T = ZetaPoly.tvar("T")
+    for lhs, rhs in [(ZetaPoly.const(Fraction(1, 10**29)), ZetaPoly()),
+                     (z2 * T + Fraction(1, 10**29) * T, z2 * T),
+                     (z2 * (1 + Fraction(1, 10**29)), z2)]:
+        assert residual(lhs, rhs, 40) >= tolerance(40), lhs - rhs
+
+
+def test_residual_reads_each_distinct_symbol_once(monkeypatch):
+    gets = []
+    get = ValueCache.get
+
+    def counting_get(self, k, prec):
+        gets.append(tuple(k))
+        return get(self, k, prec)
+
+    grid = stadic_smzv((1, 2), HARMONIC, (2, 2)) * stadic_smzv((2,), HARMONIC, (2, 2))
+    symbols = [k for entry in grid.terms.values() for zpart, _ in entry.terms for k, _ in zpart]
+    assert len(symbols) > 3 * len(set(symbols))
+    monkeypatch.setattr(ValueCache, "get", counting_get)
+    assert residual(grid, BiSeries.constant(ZetaPoly(), 2, 2), 40) > 1
+    assert sorted(gets) == sorted(set(symbols))
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_a_stored_value_that_is_not_finite_is_never_read_as_a_number(monkeypatch, text):
+    monkeypatch.setitem(CACHE.records, "k=2;prec=40", text)
+    z2, T = ZetaPoly.zeta((2,)), ZetaPoly.tvar("T")
+    assert mp.isnan(mzv((2,), 40))
+    assert not mp.isfinite(residual(z2 * T + 1, ZetaPoly(), 40))
+    for p in (z2, z2 * z2 * Fraction(1, 3) + 1, z2 * T + T * T):
+        for t in (0, mp.mpf(1) / 2, mp.mpc(0, 1)):
+            assert not mp.isfinite(eval_zeta_poly(p, {"T": t}, 40)), (p, t)
+    assert not mp.isfinite(residual(BiSeries(0, 1, [[ZetaPoly.const(1), z2 * T]]),
+                                    BiSeries.constant(ZetaPoly(), 0, 1), 40))
 
 
 def test_cache_save_failing_midway_keeps_the_previous_store(tmp_path, monkeypatch):
