@@ -7,11 +7,10 @@ int products and rounds each coefficient once, and conjugation.  Numbers
 are converted to ints once when a series is built and back to mpf or mpc
 only when a coefficient or a residual is read.  Letter substitution, eps and
 reversal are the ``NcPoly`` operations of ``words``; they keep the bound and
-stay exact on the ints.  The generating
-series of regularized values places Z_T(e_{a1}...e_{an}) on the reversed
-word X_{an}...X_{a1}; consequently the pairing (plain coefficient
-extraction, same letter order on both sides) satisfies
-<Phi, w> = Z_T(reverse w).  That reversal is the most error-prone
+stay exact on the ints.  The generating series of regularized values places
+Z_T(e_{a1}...e_{an}) on the reversed word X_{an}...X_{a1}; consequently the
+pairing (plain coefficient extraction, same letter order on both sides)
+satisfies <Phi, w> = Z_T(reverse w).  That reversal is the most error-prone
 convention here and is pinned by dedicated tests.
 
 The module builds the shuffle associator (regularized at T = 0), its
@@ -19,15 +18,17 @@ letter-substituted and conjugated variants, the five-factor dressed series
 used for refined symmetric values, and the residual checkers for the cycle
 relations, the factorization identities and refined duality.  Each
 coefficient of phi, the value of a word e0^n e_k, strips one e0 at a time
-by the one-letter recursion from Z_T(e0) = 0, down to values Z_T(index),
-each index evaluated once.  A non-admissible index takes its number from
-admissible values by the product recursion T Z_T(head) = Z_T((1) * head),
-for the shuffle or the harmonic product, so no symbolic regularization is
-built here.  ``regularization`` solves both recursions over the zeta
-symbols: the checks that compare phi with ``zeta_reg`` or ``stadic`` share
-the index expansions (``indices.shifts``, ``indices.shuffle_one`` and
-``indices.stuffle``) but not the arithmetic, and the word route of the
-regularization tests is the independent check of both.
+by the one-letter recursion from Z_T(e0) = 0, down to values Z_T(index).  A
+non-admissible index takes its number from admissible values by the product
+recursion T Z_T(head) = Z_T((1) * head), for the shuffle or the harmonic
+product, so no symbolic regularization is built here.  Both recursions run
+on the store's fixed-point ints at a rational T, once per word or index, and
+phi is built from those ints; only the split products read phi as mpfs.
+``regularization`` solves both recursions over the zeta symbols: the checks
+that compare phi with ``zeta_reg`` or ``stadic`` share the index expansions
+(``indices.shifts``, ``indices.shuffle_one`` and ``indices.stuffle``) but
+not the arithmetic, and the word route of the regularization tests is the
+independent check of both.
 
 Symmetric values read the flanked coefficients e0^i e_k e1 e0^j as an (s,t)
 grid.  The pairings (``rsmzv``, ``smzv_via_assoc`` and the duality built on
@@ -42,13 +43,13 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial
 
 from mpmath import mp
 
 from .indices import Index, coarsenings, hoffman_dual, shifts, shuffle_one, stuffle
-from .numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp
+from .numeric import _GUARD, _as_mpf, _bits, _fixed_mzv, eval_zeta_poly, mzv, residual, to_mp
 from .regularization import gamma0_coeffs
 from .rings import BiSeries, exp_coeffs
 from .stadic import stadic_smzv
@@ -129,20 +130,20 @@ class NcSeries(NcPoly):
         x = mp.mpf((re, -self.bits))
         return mp.mpc(x, mp.mpf((im, -self.bits))) if im else x
 
-    def _rounded(self, sums: dict) -> dict:
-        """Product sums, exact at scale 2^(2 bits), rounded to scale 2^bits;
-        the zeros dropped."""
-        bits, k = self.bits, self._k
-        half, top = 1 << (bits - 1), 1 << (k - 1)
+    def _rounded(self, sums: dict, shift: int | None = None) -> dict:
+        """Sums at scale 2^(bits + shift) rounded to scale 2^bits, the zeros
+        dropped; by default product sums, exact at scale 2^(2 bits)."""
+        shift, k = self.bits if shift is None else shift, self._k
+        half, top = 1 << (shift - 1), 1 << (k - 1)
         out = {}
         for w, s in sums.items():
             if type(s) is int:
                 if -top < s < top:                   # real
-                    s = (s + half) >> bits
+                    s = (s + half) >> shift
                 else:
                     a, rest = _digits(s, k)
                     b, c = _digits(rest, k)
-                    s = ((a - c + half) >> bits) + (((b + half) >> bits) << k)
+                    s = ((a - c + half) >> shift) + (((b + half) >> shift) << k)
             if s:
                 out[w] = s
         return out
@@ -234,10 +235,11 @@ def _scaled(x, bits: int):
 
 def exp_linear(deg: int, c, letters: tuple[int, ...]) -> NcSeries:
     """exp(c x), x the sum of ``letters``, in closed form: c^n/n! on every word
-    of length n over them, and the real constant term 1."""
-    terms = [mp.mpf(1)] + [c ** n / factorial(n) for n in range(1, deg + 1)]
-    return NcSeries(deg, {w: terms[n] for n in range(deg + 1)
-                          for w in itertools.product(letters, repeat=n)})
+    of length n over them, converted once per length; the constant term 1."""
+    one = NcSeries.const(deg)
+    terms = [one.terms[()]] + [one._fixed(c ** n / factorial(n)) for n in range(1, deg + 1)]
+    return one._new({w: terms[n] for n in range(deg + 1) if terms[n]
+                     for w in itertools.product(letters, repeat=n)})
 
 
 # substitution images
@@ -251,58 +253,71 @@ _PHI_CACHE: dict[tuple, NcSeries] = {}
 _PHI_RS_CACHE: dict[tuple[int, int], NcSeries] = {}
 
 
-@cache
+def _div(x, d: int):
+    """round(x / d) for a fixed-point x and an int d > 0; NaN stays NaN."""
+    return (2 * x + d) // (2 * d) if type(x) is int else x
+
+
+# T x is a multiply by T's numerator, so T is an int or a Fraction; the caches
+# of the recursions are typed, so an mpf equal to a cached T is refused too
+@lru_cache(maxsize=None, typed=True)
 def _zeta_reg_value(k: Index, product: str, T, prec: int):
-    """The number Z_T(k), once per index, by the product recursion.
+    """The number Z_T(k) as an int scaled by 2^bits, bits = ``numeric._bits(prec)``
+    (NaN if a stored value is not a finite decimal), by the product recursion.
 
     Z_T is an algebra homomorphism for either product with Z_T((1)) = T, so
     T Z_T(head) = sum c_l Z_T(l) over the expansion of (1) * head, where
     head = k[:-1], taken on indices (``shuffle_one`` or ``stuffle``).  k
     appears there with its number of trailing 1s as coefficient, and every
-    other l has fewer, so the recursion ends at admissible indices, whose
-    values are ``mzv``.
+    other l has fewer, so the recursion ends at admissible indices, read
+    from the store (``_fixed_mzv``).  At T = a/b it is one rounded division.
     """
+    if not isinstance(T, (int, Fraction)):
+        raise TypeError(f"T must be an int or a Fraction, not {type(T).__name__}")
     if k.admissible:
-        return mzv(k, prec)
+        return mp.nan if (value := _fixed_mzv(k, prec)) is None else value
     head = Index(k[:-1])
     terms = shuffle_one(head) if product == SHUFFLE else dict(stuffle((1,), head))
-    with mp.workdps(prec + _GUARD):
-        rest = sum(c * _zeta_reg_value(l, product, T, prec) for l, c in terms.items() if l != k)
-        return (to_mp(T) * _zeta_reg_value(head, product, T, prec) - rest) / terms[k]
+    rest = sum(c * _zeta_reg_value(l, product, T, prec) for l, c in terms.items() if l != k)
+    return _div(T.numerator * _zeta_reg_value(head, product, T, prec) - T.denominator * rest,
+                T.denominator * terms[k])
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def _phi_coeff(w: Word, product: str, T, prec: int):
-    """<phi(T), w> = Z_T(reverse w) = Z_T(e0^n e_k): (-1)^depth Z_T(k) at n = 0,
-    and otherwise n Z_T(e0^n e_k) = -sum_i k_i Z_T(e0^(n-1) e_(k + delta_i)),
-    the one-letter recursion from Z_T(e0) = 0, over the shifts of k by 1."""
+    """<phi(T), w> = Z_T(reverse w) = Z_T(e0^n e_k), an int: (-1)^depth Z_T(k) at
+    n = 0, and otherwise n Z_T(e0^n e_k) = -sum_i k_i Z_T(e0^(n-1) e_(k + delta_i))
+    with one rounded division, the one-letter recursion from Z_T(e0) = 0."""
     u = w[::-1]
     n = u.index(E1) if E1 in u else len(u)
     k = index_of_word(u[n:])
+    if not n:
+        return (-1) ** k.depth * _zeta_reg_value(k, product, T, prec)
+    return _div(-sum(c * _phi_coeff(word_of_index(l)[::-1] + (E0,) * (n - 1), product, T, prec)
+                     for l, c in shifts(k, 1)), n)
+
+
+@cache
+def _phi_value(w: Word, product: str, T, prec: int):
+    """<phi(T), w> as an mpf, once per word: how the split products read phi."""
     with mp.workdps(prec + _GUARD):
-        if not n:
-            return mp.mpf((-1) ** k.depth * _zeta_reg_value(k, product, T, prec))
-        total = mp.mpf(0)
-        for l, c in shifts(k, 1):
-            total -= c * _phi_coeff(word_of_index(l)[::-1] + (E0,) * (n - 1), product, T, prec)
-        return total / n
+        return _as_mpf(_phi_coeff(w, product, T, prec), _bits(prec))
 
 
 def phi(product: str, T, D: int, prec: int) -> NcSeries:
-    """Generating series of regularized values at parameter T.
+    """Generating series of regularized values at T, an int or a Fraction.
 
     The coefficient of the word X_{b1}...X_{bn} is Z_T of the reversed
-    letter word e_{bn}...e_{b1}.
+    letter word e_{bn}...e_{b1}, ``_phi_coeff`` shifted to the series' scale.
     """
     key = (product, repr(T), D, prec)
-    cached = _PHI_CACHE.get(key)
-    if cached is not None:
-        return cached
-    with mp.workdps(prec + _GUARD):
-        series = NcSeries(D, {w: _phi_coeff(w, product, T, prec)
-                              for n in range(D + 1) for w in itertools.product((E0, E1), repeat=n)})
-    _PHI_CACHE[key] = series
-    return series
+    if key not in _PHI_CACHE:
+        with mp.workdps(prec + _GUARD):
+            one = NcSeries.const(D)
+        coeffs = {w: _phi_coeff(w, product, T, prec)
+                  for n in range(D + 1) for w in itertools.product((E0, E1), repeat=n)}
+        _PHI_CACHE[key] = one._new(one._rounded(coeffs, _bits(prec) - one.bits))
+    return _PHI_CACHE[key]
 
 
 def phi_kz(D: int, prec: int) -> NcSeries:
@@ -365,9 +380,9 @@ def _exp_letter(a: int, c):
 @cache
 def _ad_product(product: str, T1, T2, prec: int) -> _SplitProduct:
     """phi_ad(T1, T2) = eps(phi(T1)) X1 phi(T2), read by splits."""
-    return _SplitProduct([lambda u: (-1) ** len(u) * _phi_coeff(u[::-1], product, T1, prec),
+    return _SplitProduct([lambda u: (-1) ** len(u) * _phi_value(u[::-1], product, T1, prec),
                           lambda u: 1 if u == (E1,) else 0,
-                          lambda u: _phi_coeff(u, product, T2, prec)])
+                          lambda u: _phi_value(u, product, T2, prec)])
 
 
 @cache
@@ -376,8 +391,8 @@ def _rs_product(prec: int) -> _SplitProduct:
     with mp.workdps(prec + _GUARD):
         half = _exp_letter(E0, mp.pi * mp.mpc(0, 1) / 2)
         mid = _exp_letter(E1, 2 * mp.pi * mp.mpc(0, 1))
-    return _SplitProduct([half, lambda u: _phi_coeff(tuple(1 - a for a in u), SHUFFLE, 0, prec),
-                          mid, lambda u: _phi_coeff(u, SHUFFLE, 0, prec), half])
+    return _SplitProduct([half, lambda u: _phi_value(tuple(1 - a for a in u), SHUFFLE, 0, prec),
+                          mid, lambda u: _phi_value(u, SHUFFLE, 0, prec), half])
 
 
 def _flanked_pairing(series, k: Index, orders: tuple[int, int]) -> BiSeries:

@@ -248,10 +248,10 @@ def _fixed(text: str, prec: int) -> int | None:
     return ((n << (_bits(prec) + 1)) // 10 ** -e + 1) >> 1
 
 
-def _as_mpf(fixed: int | None, bits: int) -> mpmath.mpf:
+def _as_mpf(fixed, bits: int) -> mpmath.mpf:
     """A fixed-point int scaled by 2^bits as an mpf at the working precision,
-    rounded once; None is NaN."""
-    return mp.nan if fixed is None else mp.mpf((fixed, -bits))
+    rounded once; anything else (None, NaN) is NaN."""
+    return mp.mpf((fixed, -bits)) if type(fixed) is int else mp.nan
 
 
 def mzv(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:

@@ -15,7 +15,7 @@ from mzvkit.associator import (
     phi_rs, rsmzv, smzv_via_assoc, _flanked_pairing,
 )
 from mzvkit.indices import Index, coarsenings, stuffle
-from mzvkit.numeric import _GUARD, eval_zeta_poly, mzv, residual, to_mp, tolerance
+from mzvkit.numeric import _GUARD, _bits, eval_zeta_poly, mzv, residual, to_mp, tolerance
 from mzvkit.regularization import Z_reg_full, _z_reg_full_word
 from mzvkit.rings import BiSeries, ZetaPoly, exp_coeffs
 from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, word_of_index
@@ -65,7 +65,7 @@ def check_phi_ad_translation(T1, T2, D: int, prec: int):
     """phi_ad(T1, T2) = phi_ad(0, T2 - T1) for the harmonic product."""
     with mp.workdps(prec + _GUARD):
         lhs = phi_ad(HARMONIC, T1, T2, D, prec)
-        rhs = phi_ad(HARMONIC, 0, to_mp(T2) - to_mp(T1), D, prec)
+        rhs = phi_ad(HARMONIC, 0, T2 - T1, D, prec)
         return residual(lhs, rhs, prec)
 
 
@@ -152,12 +152,14 @@ def test_series_of_different_scales_do_not_combine():
 @pytest.mark.parametrize("check", [check_three_cycle, check_duality_assoc],
                          ids=["three-cycle", "duality-assoc"])
 def test_a_phi_coefficient_off_by_1e_25_fails(monkeypatch, check):
-    exact = associator._phi_coeff
+    # phi reads the fixed-point ints of _phi_coeff, so the bump is 1e-25 in
+    # their units, 2^-bits
+    exact, bump = associator._phi_coeff, round(Fraction(1, 10 ** 25) * 2 ** _bits(40))
     monkeypatch.setattr(associator, "_PHI_CACHE", {})
     monkeypatch.setattr(associator, "_PHI_RS_CACHE", {})
     assert check(5, 40) < TOL
     monkeypatch.setattr(associator, "_phi_coeff", lambda w, *args: exact(w, *args)
-                        + (mp.mpf("1e-25") if w == (E0, E0, E1) else 0))
+                        + (bump if w == (E0, E0, E1) else 0))
     associator._PHI_CACHE.clear()
     associator._PHI_RS_CACHE.clear()
     assert not check(5, 40) < TOL
@@ -387,7 +389,7 @@ def test_per_word_phi_equals_the_symbolic_value():
         for T in (0, Fraction(7, 10)):
             for w in words_up_to(8):
                 symbolic = eval_zeta_poly(_z_reg_full_word(w[::-1], product), {"T": T}, 40)
-                assert abs(associator._phi_coeff(w, product, T, 40) - symbolic) < 1e-45, w
+                assert abs(associator._phi_value(w, product, T, 40) - symbolic) < 1e-45, w
 
 
 def test_the_associator_builds_no_symbolic_regularization():
@@ -404,8 +406,10 @@ def test_the_associator_builds_no_symbolic_regularization():
 
 
 def test_the_product_recursion_at_T():
+    def value(k, product, T, prec):     # the fixed-point int, scaled back
+        return mp.mpf((associator._zeta_reg_value(k, product, T, prec), -_bits(prec)))
+
     T = Fraction(7, 10)
-    value = associator._zeta_reg_value
     with mp.workdps(60):
         t = to_mp(T)
         for product in (HARMONIC, SHUFFLE):
@@ -416,6 +420,19 @@ def test_the_product_recursion_at_T():
         for product in (HARMONIC, SHUFFLE):
             symbolic = eval_zeta_poly(regularization.zeta_reg(k, product), {"T": T}, 40)
             assert abs(value(k, product, T, 40) - symbolic) < 1e-45, product
+
+
+def test_the_recursions_take_only_a_rational_T():
+    # T x is a multiply by T's numerator in fixed point; an mpf T is refused,
+    # not rounded, also where it equals a T whose values are cached
+    with mp.workdps(60):
+        phi(SHUFFLE, 0, 3, 40)
+        phi_ad(HARMONIC, 0, 0, 3, 40)
+        for t in (mp.mpf(7) / 10, mp.mpf(0)):
+            for call in (lambda: phi(SHUFFLE, t, 3, 40), lambda: phi_ad(HARMONIC, 0, t, 3, 40),
+                         lambda: associator._zeta_reg_value(Index((2, 1)), HARMONIC, t, 40)):
+                with pytest.raises(TypeError, match="T must be an int or a Fraction, not mpf"):
+                    call()
 
 
 def test_rsmzv():

@@ -9,6 +9,7 @@ from mzvkit.cli import (
     COMMANDS, OPTIONS, CommandAst, Config, UsageError, load_config, main, parse_command, run,
 )
 from mzvkit.indices import Index
+from support import clear_caches
 
 CFG = Config(prec=40, orders=(1, 1), cache_path="")
 
@@ -261,6 +262,28 @@ def test_nan_value_in_the_store_fails_the_check(tmp_path, capsys):
     finally:
         numeric.CACHE.records.clear()
         numeric.CACHE.records.update(saved)
+    assert code == 1
+    assert re.search(r"residual=nan tol=\S+ FAIL$", out.strip())
+
+
+@pytest.mark.parametrize("command", [["three-cycle", "--deg", "4"],
+                                     ["duality", "(1,2)", "--orders", "1,0"]],
+                         ids=["whole-series", "pairing"])
+def test_nan_value_in_the_store_fails_an_associator_check(tmp_path, capsys, command):
+    # the associator reads the store's ints: a value that is not a finite
+    # decimal is NaN through the recursions, the series and the split product
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"cache_path={tmp_path / 'absent.txt'}\n")
+    saved = dict(numeric.CACHE.records)
+    clear_caches()
+    try:
+        numeric.CACHE.put((2,), 40, "nan")
+        code = main(["check", *command, "--config", str(cfg)])
+        out = capsys.readouterr().out
+    finally:
+        numeric.CACHE.records.clear()
+        numeric.CACHE.records.update(saved)
+        clear_caches()
     assert code == 1
     assert re.search(r"residual=nan tol=\S+ FAIL$", out.strip())
 

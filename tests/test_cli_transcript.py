@@ -431,12 +431,12 @@ MUTATIONS = {
                                             "rsmzv-routes", "shifted-harmonic", "smzv-assoc"}),
     "reg-value-without-T-term": ((associator, "_zeta_reg_value",
                                   planted(associator._zeta_reg_value,
-                                          "(to_mp(T) * _zeta_reg_value(head, product, T, prec) "
-                                          "- rest)", "(0 - rest)")),
+                                          "T.numerator * _zeta_reg_value(head, product, T, prec)",
+                                          "0")),
                                  {"t-part"}),
     "reg-value-without-division": ((associator, "_zeta_reg_value",
-                                    planted(associator._zeta_reg_value, "- rest) / terms[k]",
-                                            "- rest)")),
+                                    planted(associator._zeta_reg_value,
+                                            "T.denominator * terms[k])", "T.denominator)")),
                                    {"duality", "duality-assoc", "gamma-factor", "independence",
                                     "t-part", "three-cycle", "two-cycle"}),
     "merge-keeps-one-side": ((rings, "_merge_powers", lambda a, b: a or b),
