@@ -283,25 +283,27 @@ def _zeta_reg_value(k: Index, product: str, T, prec: int):
                 T.denominator * terms[k])
 
 
-@lru_cache(maxsize=None, typed=True)
 def _phi_coeff(w: Word, product: str, T, prec: int):
-    """<phi(T), w> = Z_T(reverse w) = Z_T(e0^n e_k), an int: (-1)^depth Z_T(k) at
-    n = 0, and otherwise n Z_T(e0^n e_k) = -sum_i k_i Z_T(e0^(n-1) e_(k + delta_i))
-    with one rounded division, the one-letter recursion from Z_T(e0) = 0."""
+    """<phi(T), w> = Z_T(reverse w) = Z_T(e0^n e_k), an int (``_phi_index``)."""
     u = w[::-1]
     n = u.index(E1) if E1 in u else len(u)
-    k = index_of_word(u[n:])
+    return _phi_index(n, index_of_word(u[n:]), product, T, prec)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _phi_index(n: int, k: Index, product: str, T, prec: int):
+    """Z_T(e0^n e_k), an int: (-1)^depth Z_T(k) at n = 0, and otherwise
+    n Z_T(e0^n e_k) = -sum_i k_i Z_T(e0^(n-1) e_(k + delta_i)) with one rounded
+    division, the one-letter recursion from Z_T(e0) = 0."""
     if not n:
         return (-1) ** k.depth * _zeta_reg_value(k, product, T, prec)
-    return _div(-sum(c * _phi_coeff(word_of_index(l)[::-1] + (E0,) * (n - 1), product, T, prec)
-                     for l, c in shifts(k, 1)), n)
+    return _div(-sum(c * _phi_index(n - 1, l, product, T, prec) for l, c in shifts(k, 1)), n)
 
 
 @cache
 def _phi_value(w: Word, product: str, T, prec: int):
     """<phi(T), w> as an mpf, once per word: how the split products read phi."""
-    with mp.workdps(prec + _GUARD):
-        return _as_mpf(_phi_coeff(w, product, T, prec), _bits(prec))
+    return _as_mpf(_phi_coeff(w, product, T, prec), _bits(prec), prec)
 
 
 def phi(product: str, T, D: int, prec: int) -> NcSeries:

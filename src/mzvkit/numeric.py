@@ -5,10 +5,12 @@ index at the midpoint 1/2.  Each piece is a multiple polylogarithm at 1/2,
 a geometrically convergent nested series (ratio 1/2), so ``prec`` digits
 need about 3.33*prec terms.  The reflected upper piece swaps the two
 letters and reverses, which keeps every piece convergent exactly when the
-index is admissible.  Each piece is summed in Python-int fixed point, and
-the exact sum of their products becomes an mpf once, at the end.  Each
-nesting level is one pass over the level of the parent composition, held
-in a bounded memo, so pieces that share a prefix share its sums.
+index is admissible.  Each piece is summed in Python-int fixed point.  The
+level of each prefix of a piece's word is one C-level ``map`` of floor
+divisions by n over the level of the prefix one letter shorter, held in a
+bounded memo of 128 levels, so pieces that share a prefix share its sums
+and no level runs a Python frame per term.  The exact sum of the products
+of the pieces is rounded once, by ``mpmath.libmp``, into the store string.
 
 Computed values are memoised as decimal strings keyed by the key text of
 their record, ``k=2,1,3;prec=40``; a ``ValueCache`` can persist them as one
@@ -16,7 +18,9 @@ sorted record per line.  A loaded record is kept as it is read: one pattern
 accepts only the canonical form that ``save`` writes, and one multiline
 match of it reads a whole store, so loading parses no number.  ``mzv``
 looks its string up in the store on every call but parses each string only
-once, into an int scaled by 2^bits (``_fixed``), and builds its mpf from it.
+once, into an int scaled by 2^bits (``_fixed``), and rounds its mpf from
+that int by ``mpmath.libmp`` at prec + _GUARD digits, so neither a cold
+value nor a stored one builds an intermediate mpf or switches the context.
 
 ``residual`` is the one measure of every relation checker: the largest
 |lhs - rhs| over the entries of the difference.  The zeta part of each
@@ -33,9 +37,11 @@ import tempfile
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, repeat
+from operator import floordiv, rshift
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_str
 
 from .indices import Index, coarsenings
 from .rings import LinearCombination, ZetaPoly
@@ -158,12 +164,30 @@ def _bits(prec: int) -> int:
     return math.ceil(math.log2(10) * (prec + _GUARD)) + 32
 
 
-@lru_cache(maxsize=32)
+def _terms(prec: int) -> range:
+    """n = 1 .. N, the terms of every polylogarithm at 1/2 at ``prec``."""
+    return range(1, int(3.322 * (prec + 12)) + 17)
+
+
+def _prefixes(k: tuple) -> list[tuple]:
+    """The index of each prefix of k's word, shortest first: (), then
+    k[:j] + (m,) for each part k[j] and 1 <= m <= k[j]."""
+    return [()] + [k[:j] + (m,) for j, p in enumerate(k) for m in range(1, p + 1)]
+
+
+@lru_cache(maxsize=128)
 def _level(comp: tuple, prec: int) -> list[int]:
-    """The innermost nesting level of ``comp`` at n = 1 .. N, in fixed point."""
+    """The innermost nesting level of ``comp`` at n = 1 .. N, in fixed point:
+    the level of its sibling with last part c - 1 floor-divided by n when
+    c > 1, else the running sums of its parent's level floor-divided by n."""
     parent, c = comp[:-1], comp[-1]
-    sums = accumulate(_level(parent, prec), initial=0) if parent else repeat(1 << _bits(prec))
-    return [s // n ** c for s, n in zip(sums, range(1, int(3.322 * (prec + 12)) + 17))]
+    if c > 1:
+        above = _level(parent + (c - 1,), prec)
+    elif parent:
+        above = accumulate(_level(parent, prec), initial=0)
+    else:
+        above = repeat(1 << _bits(prec))
+    return list(map(floordiv, above, _terms(prec)))
 
 
 @cache
@@ -175,24 +199,21 @@ def _li_half(comp: tuple, prec: int) -> int:
     N = ceil(3.33 (prec+12)) + 16 terms; the tail is below (N+2) 2^(1-N).
 
     Level j at n (``_level``) is the floor quotient by n^(c_j) of level j-1's
-    sum over m < n, and level j-1 is the memoised level of the parent
-    composition; 2^(-n) is a right shift.  The floors lose at most N (q+1)
-    units of 2^-bits, which 32 guard bits beyond prec + _GUARD digits absorb.
-    The level memo keeps 32 lists, enough for the pieces of one index to
-    reach their parents; an unbounded memo is faster on a long cold table but
-    holds megabytes.  As a functools cache it is emptied with the others.
+    sum over m < n, taken as c_j floor divisions by n, one per letter of the
+    word; floor(floor(S/n^(c-1))/n) = floor(S/n^c), so every int is the one
+    a single division gives.  2^(-n) is a right shift.  The floors lose at
+    most N (q+1) units of 2^-bits, which 32 guard bits beyond prec + _GUARD
+    digits absorb.  The level memo keeps 128 lists, so the two chains of one
+    value, the prefixes of its word and of its dual's, stay in it up to
+    weight 64; a long table still evicts levels that later pieces need again,
+    but an unbounded memo would hold some 300 MB at weight 16.  As a
+    functools cache it is emptied with the others.
     """
     if not comp:
         return 1 << _bits(prec)
-    for j in range(1, len(comp)):   # parents first, so no level recurses deeply
-        _level(comp[:j], prec)
-    return sum(term >> n for n, term in enumerate(_level(comp, prec), start=1))
-
-
-def _prefixes(k: tuple) -> list[tuple]:
-    """The index of each prefix of k's word, shortest first: (), then
-    k[:j] + (m,) for each part k[j] and 1 <= m <= k[j]."""
-    return [()] + [k[:j] + (m,) for j, p in enumerate(k) for m in range(1, p + 1)]
+    for head in _prefixes(comp)[1:]:   # shortest first, so no level recurses deeply
+        level = _level(head, prec)
+    return sum(map(rshift, level, _terms(prec)))
 
 
 def _dual(k: tuple) -> tuple:
@@ -205,14 +226,26 @@ def _dual(k: tuple) -> tuple:
     return tuple(parts)
 
 
-def _mzv_compute(k: Index, prec: int) -> mpmath.mpf:
+def _mzv_compute(k: Index, prec: int) -> int:
+    """zeta(k) as an int scaled by 2^(2 bits), bits = ``_bits(prec)``: the
+    exact sum of the products of the pieces of each split."""
     # the split of k's word w after i letters: the index of w[:i] and the
     # index of the reflected w[i:], which is the dual's prefix of n - i letters
     lower, upper = _prefixes(k), _prefixes(_dual(k))
-    total = sum(_li_half(head, prec) * _li_half(tail, prec)
-                for head, tail in zip(lower, reversed(upper)))
-    with mp.workdps(prec + _GUARD):
-        return mp.mpf((total, -2 * _bits(prec)))
+    return sum(_li_half(head, prec) * _li_half(tail, prec)
+               for head, tail in zip(lower, reversed(upper)))
+
+
+def _rounded(fixed: int, bits: int, prec: int) -> tuple:
+    """A fixed-point int scaled by 2^bits as a raw mpf rounded to nearest at
+    prec + _GUARD digits, as ``mp.mpf((fixed, -bits))`` makes it there."""
+    return from_man_exp(fixed, -bits, dps_to_prec(prec + _GUARD), round_nearest)
+
+
+def _as_mpf(fixed, bits: int, prec: int) -> mpmath.mpf:
+    """``_rounded`` as an mpf, whatever the working precision; anything but
+    an int (None, NaN) is NaN."""
+    return mp.make_mpf(_rounded(fixed, bits, prec)) if type(fixed) is int else mp.nan
 
 
 def _fixed_mzv(k, prec: int) -> int | None:
@@ -228,8 +261,8 @@ def _fixed_mzv(k, prec: int) -> int | None:
         return 1 << _bits(prec)
     text = CACHE.get(k, prec)
     if text is None:
-        with mp.workdps(prec + _GUARD):
-            text = mp.nstr(_mzv_compute(k, prec), prec, strip_zeros=False)
+        text = to_str(_rounded(_mzv_compute(k, prec), 2 * _bits(prec), prec), prec,
+                      strip_zeros=False)
         CACHE.put(k, prec, text)
     return _fixed(text, prec)
 
@@ -248,18 +281,10 @@ def _fixed(text: str, prec: int) -> int | None:
     return ((n << (_bits(prec) + 1)) // 10 ** -e + 1) >> 1
 
 
-def _as_mpf(fixed, bits: int) -> mpmath.mpf:
-    """A fixed-point int scaled by 2^bits as an mpf at the working precision,
-    rounded once; anything else (None, NaN) is NaN."""
-    return mp.mpf((fixed, -bits)) if type(fixed) is int else mp.nan
-
-
 def mzv(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:
     """zeta(k) for an admissible index, rounded to prec significant digits,
     so |error| <= 10^(1-prec) |zeta(k)| (no guard digits are kept)."""
-    fixed = _fixed_mzv(k, prec)
-    with mp.workdps(prec + _GUARD):
-        return _as_mpf(fixed, _bits(prec))
+    return _as_mpf(_fixed_mzv(k, prec), _bits(prec), prec)
 
 
 def mzv_star(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:
@@ -324,7 +349,7 @@ def residual(lhs, rhs, prec: int) -> mpmath.mpf:
 
 def _t_coefficients(p: ZetaPoly, prec: int, read: dict) -> dict:
     """The zeta part of each T-monomial of ``p`` (keyed by it), as an mpf at
-    the working precision.
+    prec + _GUARD digits.
 
     Each is summed exactly in ints scaled by 2^bits, bits = ``_bits(prec)``:
     a symbol's fixed-point value is one ``_fixed_mzv`` per index, kept in
@@ -347,7 +372,7 @@ def _t_coefficients(p: ZetaPoly, prec: int, read: dict) -> dict:
                 term = term * read[k] >> bits
         s = sums.get(tpart, 0)
         sums[tpart] = None if term is None or s is None else s + term * c.numerator // c.denominator
-    return {tpart: _as_mpf(s, bits) for tpart, s in sums.items()}
+    return {tpart: _as_mpf(s, bits, prec) for tpart, s in sums.items()}
 
 
 def pi_val(prec: int = DEFAULT_PREC) -> mpmath.mpf:

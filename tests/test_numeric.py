@@ -622,6 +622,42 @@ def test_li_half_levels_match_the_nested_loop():
     assert misses[1] > misses[0]
 
 
+def test_li_half_long_sibling_chains_match_the_nested_loop():
+    # a level with last part c is c floor divisions by n down a chain of
+    # siblings: chains of 12 letters on either side of a split, at four
+    # scales, and one chain deeper than Python's recursion limit
+    cases = [(comp, prec) for comp in ((12,), (1, 12), (2, 11, 3), (12, 1, 1))
+             for prec in (15, 40, 100, 200)] + [((1,) * 1200 + (12,), MIN_PREC)]
+    for comp, prec in cases:
+        _li_half.cache_clear()
+        numeric._level.cache_clear()
+        assert _li_half(comp, prec) == _li_half_reference(comp, prec), (comp, prec)
+    assert isinstance(numeric._level.cache_info().maxsize, int)
+
+
+@pytest.mark.parametrize("prec", [15, 40, 100, 200])
+def test_a_cold_value_is_stored_and_read_as_through_an_mpf(prec):
+    # the store string and the mzv of a cold value, formatted and rounded from
+    # the exact int, are those an mpf at prec + _GUARD digits gives
+    bits = _bits(prec)
+    clear_caches()
+    CACHE.clear()
+    for k in indices_up_to(6, 2):
+        if not k.admissible:
+            continue
+        pieces = iter(split_compositions(k))
+        total = sum(_li_half(head, prec) * _li_half(tail, prec) for head, tail in zip(pieces, pieces))
+        got = mzv(k, prec)
+        text = CACHE.get(k, prec)
+        with mp.workdps(prec + _GUARD):
+            assert text == mp.nstr(mp.mpf((total, -2 * bits)), prec, strip_zeros=False), k
+            assert got == mp.mpf((numeric._fixed(text, prec), -bits)), k
+    before = mp.prec
+    CACHE.clear()
+    mzv((13,), 200)
+    assert mp.prec == before
+
+
 if __name__ == "__main__":
     # re-record the golden value store (only when a value change is intended)
     GOLDEN_VALUES.parent.mkdir(exist_ok=True)
