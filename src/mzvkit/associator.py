@@ -1,13 +1,12 @@
 """Degree-truncated noncommutative series over X0, X1 and the KZ machinery.
 
-``NcSeries`` is a degree-bounded ``NcPoly`` that holds numeric coefficients
-as ints at a fixed binary scale, real and imaginary part in one int where
-pi i enters: it adds the bound, a product truncated beyond it that sums exact
-int products and rounds each coefficient once, and conjugation.  Numbers
-are converted to ints once when a series is built and back to mpf or mpc
-only when a coefficient or a residual is read.  Letter substitution, eps and
-reversal are the ``NcPoly`` operations of ``words``; they keep the bound and
-stay exact on the ints.  The generating series of regularized values places
+``NcSeries`` is a degree-bounded series over word codes (``words``) that
+holds numeric coefficients as ints at a fixed binary scale, real and
+imaginary part in one int where pi i enters: its product truncates beyond
+the bound, sums exact int products and rounds each coefficient once.
+Numbers become mpf or mpc again only when a coefficient or a residual is
+read; letter substitution, eps, reversal and conjugation stay exact on the
+ints.  The generating series of regularized values places
 Z_T(e_{a1}...e_{an}) on the reversed word X_{an}...X_{a1}; consequently the
 pairing (plain coefficient extraction, same letter order on both sides)
 satisfies <Phi, w> = Z_T(reverse w).  That reversal is the most error-prone
@@ -23,7 +22,7 @@ non-admissible index takes its number from admissible values by the product
 recursion T Z_T(head) = Z_T((1) * head), for the shuffle or the harmonic
 product, so no symbolic regularization is built here.  Both recursions run
 on the store's fixed-point ints at a rational T, once per word or index, and
-phi is built from those ints; only the split products read phi as mpfs.
+phi and the split products are built from those ints.
 ``regularization`` solves both recursions over the zeta symbols: the checks
 that compare phi with ``zeta_reg`` or ``stadic`` share the index expansions
 (``indices.shifts``, ``indices.shuffle_one`` and ``indices.stuffle``) but
@@ -34,7 +33,7 @@ Symmetric values read the flanked coefficients e0^i e_k e1 e0^j as an (s,t)
 grid.  The pairings (``rsmzv``, ``smzv_via_assoc`` and the duality built on
 them) read a product without building it: the coefficient of F1...Fr at a
 word is the sum over the splits of the word into r consecutive pieces, and
-each factor is a word -> coefficient function (``_SplitProduct``).  The
+each factor is read on the pieces (``numeric._SplitProduct``).  The
 whole-series checks (cycles, factorizations, ``duality-assoc``) multiply
 ``NcSeries``.
 """
@@ -49,67 +48,60 @@ from math import factorial
 from mpmath import mp
 
 from .indices import Index, coarsenings, hoffman_dual, shifts, shuffle_one, stuffle
-from .numeric import _GUARD, _as_mpf, _bits, _fixed_mzv, eval_zeta_poly, mzv, residual, to_mp
+from .numeric import (_GUARD, _SplitProduct, _bits, _div, _fixed_mzv, _i_pi_power, _number,
+                      _scaled, eval_zeta_poly, mzv, residual, to_mp)
 from .regularization import gamma0_coeffs
-from .rings import BiSeries, exp_coeffs
+from .rings import BiSeries, LinearCombination, exp_coeffs
 from .stadic import stadic_smzv
-from .words import E0, E1, HARMONIC, SHUFFLE, SWAP, NcPoly, Word, index_of_word, word_of_index
+from .words import (E0, E1, HARMONIC, SHUFFLE, SWAP, Word, _subst_codes, code_of_word,
+                    index_of_word, reversed_code, word_of_code, word_of_index)
 
 
 # The real parameter at which the numeric series checks compare phi(T).
 SAMPLE_T = Fraction(7, 10)
 
 
-class NcSeries(NcPoly):
+class NcSeries:
     """Truncated series over words in two letters.
 
-    A series of numbers (some coefficient an mpf or mpc) holds each value v
-    in fixed point, as the int round(v 2^bits), with bits = mp.prec when it
-    is built.  A complex value a + bi is the one int a + b 2^k (``_k``, more
-    than twice ``bits``), so sums, negation and the int images of ``subst``
-    and ``eps`` act on both parts at once and exactly.  A product of two such
-    ints has the base-2^k digits a1 a2, a1 b2 + b1 a2 and b1 b2; ``_rounded``
-    reads the real part a1 a2 - b1 b2 and the imaginary part from them and
-    rounds each with one shift.  Values come back as mpf or mpc only through
-    ``coeff`` and ``largest``.  A NaN or infinite value stays an mpmath
-    number, so every sum and product it enters is NaN or infinite too.  A
-    series over an exact ring (no mpmath coefficient) keeps its coefficients
-    as given (bits = 0), and its product is exact.  The operands of ``*``,
-    ``+`` and ``-`` share their degree and their bits: series built at
-    different precisions, or an exact one and a fixed-point one, raise
-    ``ValueError``.
+    ``codes`` maps each word's code (``words.code_of_word``) to its
+    coefficient; words are tuples only in the constructor, ``coeff``,
+    ``terms`` (built when read) and the text form.  A series of numbers holds
+    each value v as the int round(v 2^bits), bits = mp.prec when it is built,
+    and a + bi as the one int a + b 2^k (``_k``, more than twice ``bits``), so
+    sums, negation, ``subst`` and ``eps`` act on both parts at once.  A
+    product of two such ints has the base-2^k digits a1 a2, a1 b2 + b1 a2 and
+    b1 b2, from which ``_rounded`` reads and rounds both parts.  A NaN or
+    infinite value stays an mpmath number, and so does every sum and product
+    it enters.  A series over an exact ring keeps its coefficients as given
+    (bits = 0).  The operands of ``*``, ``+`` and ``-`` share their degree
+    and their bits, or raise ``ValueError``.
     """
 
-    __slots__ = ("deg", "bits")
+    __slots__ = ("deg", "bits", "codes")
 
     def __init__(self, deg: int, terms: dict[Word, object] | None = None):
         terms = terms or {}
         self.deg = deg
         self.bits = mp.prec if any(isinstance(c, (mp.mpf, mp.mpc)) for c in terms.values()) else 0
-        self.terms = {w: f for w, c in terms.items() if len(w) <= deg and (f := self._fixed(c))}
+        self.codes = {code_of_word(w): f for w, c in terms.items()
+                      if len(w) <= deg and (f := self._fixed(c))}
 
-    def _new(self, terms: dict) -> "NcSeries":
-        out = super()._new(terms)
-        out.deg, out.bits = self.deg, self.bits
+    def _new(self, codes: dict) -> "NcSeries":
+        out = object.__new__(type(self))
+        out.deg, out.bits, out.codes = self.deg, self.bits, codes
         return out
 
-    def _coerce(self, other: "NcSeries") -> "NcSeries":
-        self._check(other)
-        return other
+    terms = property(lambda self: {word_of_code(w): c for w, c in self.codes.items()})
 
     @classmethod
     def const(cls, deg: int) -> "NcSeries":
         return cls(deg, {(): mp.mpf(1)})
 
-    @classmethod
-    def letter(cls, deg: int, a: int) -> "NcSeries":
-        return cls(deg, {(a,): mp.mpf(1)})
-
     @property
     def _k(self) -> int:
-        """The bit offset of imaginary parts: 2 deg + 64 bits above the scale
-        2^(2 bits) of a product sum, whose digits reach about 2^(2 bits + deg)
-        in the associator checks (measured up to deg 14)."""
+        """The bit offset of imaginary parts: 2 deg + 64 bits above 2^(2 bits), as
+        product sums reach about 2^(2 bits + deg) (measured up to deg 14)."""
         return 2 * (self.bits + self.deg) + 64
 
     def _fixed(self, c):
@@ -121,14 +113,6 @@ class NcSeries(NcPoly):
         re, im = (v.real, v.imag) if isinstance(v, mp.mpc) else (v, mp.zero)
         re, im = _scaled(re, self.bits), _scaled(im, self.bits)
         return v if re is None or im is None else re + (im << self._k)
-
-    def _value(self, c):
-        """A coefficient as an mpf, or an mpc when its imaginary part is not 0."""
-        if not self.bits or type(c) is not int:
-            return c
-        re, im = _digits(c, self._k)
-        x = mp.mpf((re, -self.bits))
-        return mp.mpc(x, mp.mpf((im, -self.bits))) if im else x
 
     def _rounded(self, sums: dict, shift: int | None = None) -> dict:
         """Sums at scale 2^(bits + shift) rounded to scale 2^bits, the zeros
@@ -149,55 +133,70 @@ class NcSeries(NcPoly):
         return out
 
     def coeff(self, w: Word):
-        """The coefficient of ``w`` as a number; 0 when the word is absent."""
-        c = self.terms.get(tuple(w))
-        return 0 if c is None else self._value(c)
+        """The coefficient of ``w`` as an mpf or mpc; 0 when the word is absent."""
+        c = self.codes.get(code_of_word(w), 0)
+        return _number(*_digits(c, self._k), self.bits) if self.bits and type(c) is int and c else c
 
     def largest(self):
         """The coefficients that are not finite, and the fixed-point one of
         largest modulus, found on the ints: only these can be largest."""
         if not self.bits:
-            return self.terms.values()
-        k = self._k
-        out = [c for c in self.terms.values() if type(c) is not int]
-        fixed = [_digits(c, k) for c in self.terms.values() if type(c) is int]
+            return self.codes.values()
+        out = [c for c in self.codes.values() if type(c) is not int]
+        fixed = [_digits(c, self._k) for c in self.codes.values() if type(c) is int]
         if fixed:
-            re, im = max(fixed, key=lambda d: d[0] * d[0] + d[1] * d[1])
-            out.append(self._value(re + (im << k)))
+            out.append(_number(*max(fixed, key=lambda d: d[0] * d[0] + d[1] * d[1]), self.bits))
         return out
 
     def __mul__(self, other: "NcSeries") -> "NcSeries":
-        """Truncated product.  ``fits[m]`` holds the right factor's terms of length
-        <= m in their own order, so each left word meets only the partners it
-        keeps, in the order of the full double loop.  Fixed-point coefficients
-        are summed exactly and rounded once each."""
+        """Truncated product.  ``fits[m]`` holds (length, code less its top bit,
+        coefficient) of the right factor's words of length <= m in their order,
+        so each left word meets only the partners it keeps (none past deg)."""
         self._check(other)
         deg = self.deg
         fits = [[] for _ in range(deg + 1)]
-        for w, c in other.terms.items():
-            for m in range(len(w), deg + 1):
-                fits[m].append((w, c))
-        out = self._new({})
-        out._accumulate((w1 + w2, c1 * c2)
-                        for w1, c1 in self.terms.items() if len(w1) <= deg
-                        for w2, c2 in fits[deg - len(w1)])
-        if self.bits:
-            out.terms = out._rounded(out.terms)
-        return out
+        for w, c in other.codes.items():
+            n = w.bit_length() - 1
+            for m in range(n, deg + 1):
+                fits[m].append((n, w ^ 1 << n, c))
+        sums = LinearCombination()._accumulate(
+            (w1 << n2 | low2, c1 * c2) for w1, c1 in self.codes.items()
+            if (n1 := w1.bit_length() - 1) <= deg for n2, low2, c2 in fits[deg - n1]).terms
+        return self._new(self._rounded(sums) if self.bits else sums)
+
+    def __add__(self, other: "NcSeries") -> "NcSeries":
+        self._check(other)
+        return self._new(LinearCombination(self.codes)._accumulate(other.codes.items()).terms)
+
+    def __sub__(self, other: "NcSeries") -> "NcSeries":
+        return self + other.scale(-1)
 
     def scale(self, c) -> "NcSeries":
         """Every coefficient times c; a number that is not an int multiplies a
         fixed-point series as a constant series."""
-        if not self.bits or isinstance(c, int):
-            return super().scale(c)
-        return self * self._new({(): self._fixed(c)})
+        if self.bits and not isinstance(c, int):
+            return self * self._new({1: self._fixed(c)})
+        return self._new({w: v for w, x in self.codes.items() if (v := c * x)})
 
     __rmul__ = scale
+
+    def subst(self, images: dict) -> "NcSeries":
+        """The algebra endomorphism of ``words.NcPoly.subst``, on the codes."""
+        return self._new(_subst_codes(self.codes, images))
+
+    def reverse(self) -> "NcSeries":
+        """Word-by-word reversal, no signs."""
+        return self._new({reversed_code(w): c for w, c in self.codes.items()})
+
+    def eps(self) -> "NcSeries":
+        """Anti-automorphism e_i -> -e_i: reverse words, sign by length."""
+        return self._new({reversed_code(w): -c if w.bit_length() % 2 == 0 else c  # odd length
+                          for w, c in self.codes.items()})
 
     def conj(self) -> "NcSeries":
         """Complex conjugation; a fixed-point a + b 2^k becomes 2a - (a + b 2^k)."""
         return self._new({w: 2 * _digits(c, self._k)[0] - c if self.bits and type(c) is int
-                          else mp.conj(c) for w, c in self.terms.items()})
+                          else mp.conj(c) for w, c in self.codes.items()})
 
     def _check(self, other):
         if self.deg != other.deg:
@@ -205,11 +204,17 @@ class NcSeries(NcPoly):
         if self.bits != other.bits:
             raise ValueError("fixed-point scales do not match")
 
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.codes == other.codes
+
+    def __bool__(self) -> bool:
+        return bool(self.codes)
+
     def __repr__(self) -> str:
         pieces = []
-        for w in sorted(self.terms, key=lambda w: (len(w), w)):
-            body = "".join(f"X{a}" for a in w) or "1"
-            pieces.append(f"({mp.nstr(self.coeff(w), 8)})*{body}")
+        for word in map(word_of_code, sorted(self.codes)):   # by length, then as words
+            body = "".join(f"X{a}" for a in word) or "1"
+            pieces.append(f"({mp.nstr(self.coeff(word), 8)})*{body}")
         return " + ".join(pieces) or "0"
 
     __str__ = __repr__
@@ -222,23 +227,12 @@ def _digits(c: int, k: int) -> tuple[int, int]:
     return low, (c - low) >> k
 
 
-def _scaled(x, bits: int):
-    """round(x 2^bits) for a finite mpf x, from its mantissa and exponent; None
-    when x is NaN or infinite."""
-    sign, man, exp, _ = x._mpf_
-    if not man:
-        return None if exp else 0
-    shift = exp + bits
-    man = -man if sign else man
-    return man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
-
-
 def exp_linear(deg: int, c, letters: tuple[int, ...]) -> NcSeries:
     """exp(c x), x the sum of ``letters``, in closed form: c^n/n! on every word
     of length n over them, converted once per length; the constant term 1."""
     one = NcSeries.const(deg)
-    terms = [one.terms[()]] + [one._fixed(c ** n / factorial(n)) for n in range(1, deg + 1)]
-    return one._new({w: terms[n] for n in range(deg + 1) if terms[n]
+    terms = [one.codes[1]] + [one._fixed(c ** n / factorial(n)) for n in range(1, deg + 1)]
+    return one._new({code_of_word(w): terms[n] for n in range(deg + 1) if terms[n]
                      for w in itertools.product(letters, repeat=n)})
 
 
@@ -251,11 +245,6 @@ IMG_1_INF = {E0: ((E1, 1),), E1: ((E0, -1), (E1, -1))}   # (X1, X_inf)
 
 _PHI_CACHE: dict[tuple, NcSeries] = {}
 _PHI_RS_CACHE: dict[tuple[int, int], NcSeries] = {}
-
-
-def _div(x, d: int):
-    """round(x / d) for a fixed-point x and an int d > 0; NaN stays NaN."""
-    return (2 * x + d) // (2 * d) if type(x) is int else x
 
 
 # T x is a multiply by T's numerator, so T is an int or a Fraction; the caches
@@ -300,12 +289,6 @@ def _phi_index(n: int, k: Index, product: str, T, prec: int):
     return _div(-sum(c * _phi_index(n - 1, l, product, T, prec) for l, c in shifts(k, 1)), n)
 
 
-@cache
-def _phi_value(w: Word, product: str, T, prec: int):
-    """<phi(T), w> as an mpf, once per word: how the split products read phi."""
-    return _as_mpf(_phi_coeff(w, product, T, prec), _bits(prec), prec)
-
-
 def phi(product: str, T, D: int, prec: int) -> NcSeries:
     """Generating series of regularized values at T, an int or a Fraction.
 
@@ -316,8 +299,7 @@ def phi(product: str, T, D: int, prec: int) -> NcSeries:
     if key not in _PHI_CACHE:
         with mp.workdps(prec + _GUARD):
             one = NcSeries.const(D)
-        coeffs = {w: _phi_coeff(w, product, T, prec)
-                  for n in range(D + 1) for w in itertools.product((E0, E1), repeat=n)}
+        coeffs = {w: _phi_coeff(word_of_code(w), product, T, prec) for w in range(1, 2 << D)}
         _PHI_CACHE[key] = one._new(one._rounded(coeffs, _bits(prec) - one.bits))
     return _PHI_CACHE[key]
 
@@ -330,7 +312,7 @@ def phi_kz(D: int, prec: int) -> NcSeries:
 def phi_ad(product: str, T1, T2, D: int, prec: int) -> NcSeries:
     """eps(phi(T1)) X1 phi(T2)."""
     with mp.workdps(prec + _GUARD):
-        x1 = NcSeries.letter(D, E1)
+        x1 = NcSeries(D, {(E1,): mp.mpf(1)})
         return phi(product, T1, D, prec).eps() * x1 * phi(product, T2, D, prec)
 
 
@@ -346,55 +328,25 @@ def phi_rs(D: int, prec: int) -> NcSeries:
     return _PHI_RS_CACHE[key]
 
 
-class _SplitProduct:
-    """A product F1...Fr of word -> coefficient functions, read one word at a
-    time without building it.
-
-    Every split of a word into r consecutive pieces, empty ones included,
-    adds F1(piece 1)...Fr(piece r); a truncated product has that coefficient
-    at every word it keeps.  ``_known[i]`` maps each prefix read so far to
-    the coefficient of F1...F(i+1) at it, so words that share a prefix share
-    its work.
-    """
-
-    __slots__ = ("factors", "_known")
-
-    def __init__(self, factors):
-        self.factors = factors
-        self._known = [{} for _ in factors]
-
-    def coeff(self, w: Word):
-        row = [1] + [0] * len(w)         # the empty product at each prefix
-        for f, known in zip(self.factors, self._known):
-            for j in range(len(w), -1, -1):  # row[m <= j] still holds the previous factor
-                c = known.get(w[:j])
-                if c is None:
-                    c = known[w[:j]] = sum(row[m] * f(w[m:j]) for m in range(j + 1) if row[m])
-                row[j] = c
-        return row[-1]
-
-
-def _exp_letter(a: int, c):
-    """exp(c X_a) as a factor: c^n/n! on a^n, 0 elsewhere."""
-    return lambda u: c ** len(u) / factorial(len(u)) if u.count(a) == len(u) else 0
-
-
 @cache
 def _ad_product(product: str, T1, T2, prec: int) -> _SplitProduct:
     """phi_ad(T1, T2) = eps(phi(T1)) X1 phi(T2), read by splits."""
-    return _SplitProduct([lambda u: (-1) ** len(u) * _phi_value(u[::-1], product, T1, prec),
-                          lambda u: 1 if u == (E1,) else 0,
-                          lambda u: _phi_value(u, product, T2, prec)])
+    bits = _bits(prec)
+    eps_phi = (None, lambda u: ((-1) ** len(u) * _phi_coeff(u[::-1], product, T1, prec), 0))
+    x1 = (E1, lambda u: (1 << bits, 0) if len(u) == 1 else (0, 0))
+    phi_t2 = (None, lambda u: (_phi_coeff(u, product, T2, prec), 0))
+    return _SplitProduct([eps_phi, x1, phi_t2], bits)
 
 
 @cache
 def _rs_product(prec: int) -> _SplitProduct:
-    """phi_rs, read by splits at prec + _GUARD; KZ(X1,X0) reads the swapped word."""
-    with mp.workdps(prec + _GUARD):
-        half = _exp_letter(E0, mp.pi * mp.mpc(0, 1) / 2)
-        mid = _exp_letter(E1, 2 * mp.pi * mp.mpc(0, 1))
-    return _SplitProduct([half, lambda u: _phi_value(tuple(1 - a for a in u), SHUFFLE, 0, prec),
-                          mid, lambda u: _phi_value(u, SHUFFLE, 0, prec), half])
+    """phi_rs, read by splits; KZ(X1,X0) reads the swapped word."""
+    bits = _bits(prec)
+    half = (E0, lambda u: _i_pi_power(Fraction(1, 2), len(u), bits))
+    swapped = (None, lambda u: (_phi_coeff(tuple(1 - a for a in u), SHUFFLE, 0, prec), 0))
+    mid = (E1, lambda u: _i_pi_power(2, len(u), bits))
+    kz = (None, lambda u: (_phi_coeff(u, SHUFFLE, 0, prec), 0))
+    return _SplitProduct([half, swapped, mid, kz, half], bits)
 
 
 def _flanked_pairing(series, k: Index, orders: tuple[int, int]) -> BiSeries:
@@ -467,12 +419,8 @@ def check_three_cycle(D: int, prec: int):
     with mp.workdps(prec + _GUARD):
         kz = phi_kz(D, prec)
         pij = mp.pi * mp.mpc(0, 1)
-        prod = (kz
-                * exp_linear(D, pij, (E0,))
-                * kz.subst(IMG_INF_0)
-                * exp_linear(D, -pij, (E0, E1))
-                * kz.subst(IMG_1_INF)
-                * exp_linear(D, pij, (E1,)))
+        prod = (kz * exp_linear(D, pij, (E0,)) * kz.subst(IMG_INF_0)
+                * exp_linear(D, -pij, (E0, E1)) * kz.subst(IMG_1_INF) * exp_linear(D, pij, (E1,)))
         return residual(prod, NcSeries.const(D), prec)
 
 
@@ -501,7 +449,7 @@ def check_independence_factor(T, D: int, prec: int):
         gamma = exp_coeffs([mzv((n,), prec) / (n // 2) if n % 2 == 0 < n else mp.mpf(0)
                             for n in range(D + 1)])
         mid = NcSeries(D, {(E1,) * n: e for n, e in enumerate(gamma)})
-        x1 = NcSeries.letter(D, E1)
+        x1 = NcSeries(D, {(E1,): mp.mpf(1)})
         rhs = phi(HARMONIC, 0, D, prec).eps() * x1 * mid * phi(HARMONIC, T, D, prec)
         return residual(lhs, rhs, prec)
 

@@ -26,6 +26,7 @@ value nor a stored one builds an intermediate mpf or switches the context.
 |lhs - rhs| over the entries of the difference.  The zeta part of each
 T-coefficient of a ``ZetaPoly`` is summed exactly over those ints and
 becomes an mpf once; ``eval_zeta_poly`` reads the same coefficients.
+The associator's pairings read their products in Gaussian ints at 2^bits (``_SplitProduct``).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from mpmath import mp
 from mpmath.libmp import dps_to_prec, from_man_exp, round_nearest, to_str
 
 from .indices import Index, coarsenings
-from .rings import LinearCombination, ZetaPoly
+from .rings import ZetaPoly
 
 DEFAULT_PREC = 40
 MIN_PREC = 15
@@ -248,6 +249,27 @@ def _as_mpf(fixed, bits: int, prec: int) -> mpmath.mpf:
     return mp.make_mpf(_rounded(fixed, bits, prec)) if type(fixed) is int else mp.nan
 
 
+def _scaled(x, bits: int):
+    """round(x 2^bits) for an mpf x, from its mantissa and exponent; None if not finite."""
+    sign, man, exp, _ = x._mpf_
+    if not man:
+        return None if exp else 0
+    shift = exp + bits
+    man = -man if sign else man
+    return man << shift if shift >= 0 else (man + (1 << (-shift - 1))) >> -shift
+
+
+def _div(x, d: int):
+    """round(x / d) for a fixed-point x and an int d > 0; NaN stays NaN."""
+    return (2 * x + d) // (2 * d) if type(x) is int else x
+
+
+def _number(re: int, im: int, bits: int):
+    """(re + i im) 2^-bits: an mpf, or an mpc when im is not 0."""
+    x = mp.mpf((re, -bits))
+    return mp.mpc(x, mp.mpf((im, -bits))) if im else x
+
+
 def _fixed_mzv(k, prec: int) -> int | None:
     """zeta(k) as its store string reads, an int scaled by 2^bits, bits =
     ``_bits(prec)``; None when the store holds no finite decimal for it.  A
@@ -314,9 +336,9 @@ def eval_zeta_poly(p: ZetaPoly, t_values: dict, prec: int = DEFAULT_PREC):
 def residual(lhs, rhs, prec: int) -> mpmath.mpf:
     """The largest |lhs - rhs| over the entries of the difference.
 
-    The sides are numbers, ``ZetaPoly``s, or sparse series of either (a
-    ``LinearCombination`` that is not a ``ZetaPoly``, such as a ``BiSeries``,
-    compared coefficient by coefficient through its ``largest``; an absent
+    The sides are numbers, ``ZetaPoly``s, or sparse series of either (any
+    other object with a ``largest``, such as a ``BiSeries`` or an
+    ``NcSeries``, compared coefficient by coefficient through it; an absent
     term is 0 and cannot raise the maximum).  ``ZetaPoly``s are
     subtracted exactly and compared coefficient by coefficient in the
     T-symbols: the zeta part of each T-monomial is an exact int sum over the
@@ -328,7 +350,7 @@ def residual(lhs, rhs, prec: int) -> mpmath.mpf:
     """
     with mp.workdps(prec + _GUARD):
         diff = lhs - rhs
-        if isinstance(diff, LinearCombination) and not isinstance(diff, ZetaPoly):
+        if hasattr(diff, "largest") and not isinstance(diff, ZetaPoly):
             entries = diff.largest()
         else:
             entries = (diff,)
@@ -378,3 +400,63 @@ def _t_coefficients(p: ZetaPoly, prec: int, read: dict) -> dict:
 def pi_val(prec: int = DEFAULT_PREC) -> mpmath.mpf:
     with mp.workdps(prec + _GUARD):
         return +mp.pi
+
+
+@cache
+def _pi(bits: int) -> int:
+    """round(pi 2^bits), within one unit: mpmath's pi at bits + 8 bits, read once."""
+    with mp.workprec(bits + 8):
+        return _scaled(+mp.pi, bits)
+
+
+@cache
+def _i_pi_power(r, n: int, bits: int) -> tuple[int, int]:
+    """(r pi i)^n / n!, r rational, as a Gaussian int at 2^bits rounded from pi at 2^(bits+16)."""
+    a, b, g = r.numerator ** n, r.denominator ** n * math.factorial(n), bits + 16
+    v = _div(a * _pi(g) ** n << bits, b << g * n)
+    return ((v, 0), (0, v), (-v, 0), (0, -v))[n % 4]
+
+
+class _SplitProduct:
+    """A product F1...Fr of factors, read one word at a time without building it.
+
+    Every split of a word into r pieces, empty ones included, adds
+    F1(piece 1)...Fr(piece r).  A factor is (letter, f), f(piece) a Gaussian
+    int (re, im) at scale 2^bits; one with a letter a is 0 off the words a^n.
+    Each prefix coefficient is summed exactly and rounded once per factor,
+    None (NaN) once a value that is not an int enters.  ``_known[i]`` maps
+    each prefix read so far to F1...F(i+1) at it, reused by words sharing it.
+    """
+
+    __slots__ = ("factors", "bits", "_known")
+
+    def __init__(self, factors, bits: int):
+        self.factors, self.bits = factors, bits
+        self._known = [{} for _ in factors]
+
+    def coeff(self, w: tuple):
+        row = [(1 << self.bits, 0)] + [(0, 0)] * len(w)   # the empty product at each prefix
+        for factor, known in zip(self.factors, self._known):
+            for j in range(len(w), -1, -1):  # row[m <= j] still holds the previous factor
+                c = known.get(w[:j])
+                if c is None:
+                    c = known[w[:j]] = self._split(factor, w, j, row)
+                row[j] = c
+        return mp.nan if row[-1] is None else _number(*row[-1], self.bits)
+
+    def _split(self, factor, w: tuple, j: int, row: list):
+        """Sum of row[m] times the factor at w[m:j] over m <= j, or the run of its letter."""
+        letter, f = factor
+        re = im = 0
+        for m in range(j, -1, -1):
+            if row[m] is None:
+                return None
+            if row[m] != (0, 0):
+                (a, b), (x, y) = row[m], f(w[m:j])
+                if type(x) is not int:
+                    return None
+                re, im = re + a * x - b * y, im + a * y + b * x
+            if letter is not None and m and w[m - 1] != letter:
+                break
+        half = 1 << (self.bits - 1)
+        return (re + half) >> self.bits, (im + half) >> self.bits

@@ -9,11 +9,11 @@ carries the sign (-1)^depth.
 ``NcPoly`` is a finitely supported map from words to coefficients in a
 pluggable scalar ring (anything with +, -, *, bool), on the sparse core
 ``rings.LinearCombination``.  Its ``*`` is concatenation; ``subst``, ``eps``
-and ``reverse`` are its letter maps.  ``subst`` runs position by position on
-the words of each length, read as the bits of an int, so words that agree
-after a letter is replaced are summed before the next letter expands.  The
-harmonic (quasi-shuffle) and shuffle products are the bilinear
-maps :func:`harmonic` and :func:`shuffle`, with integer structure constants
+and ``reverse`` are its letter maps.  ``subst`` runs letter by letter on
+word codes 2^len(w) + bits(w) (``_subst_codes``, also under ``NcSeries``),
+so words that agree after a letter is replaced are summed before the next
+letter expands.  The harmonic (quasi-shuffle) and shuffle products are the
+bilinear maps :func:`harmonic` and :func:`shuffle`, with integer structure constants
 computed once per word pair and cached.  The shuffle constants come from the
 recursion on last letters, ua sh vb = (u sh vb) a + (ua sh v) b, as the
 stuffle of ``indices.stuffle`` does on parts; the harmonic constants are
@@ -51,6 +51,37 @@ def word_of_index(k: Index) -> Word:
         out.append(E1)
         out.extend([E0] * (p - 1))
     return tuple(out)
+
+
+def code_of_word(w: Word) -> int:
+    """The code 2^len(w) + bits(w) of a word, its first letter highest."""
+    return int("".join(map(str, (1, *w))), 2)
+
+
+def word_of_code(code: int) -> Word:
+    return tuple(map(int, bin(code)[3:]))
+
+
+def reversed_code(code: int) -> int:
+    """The code of the reversed word."""
+    return int("1" + bin(code)[:2:-1], 2)
+
+
+def _subst_codes(terms: dict, images: dict) -> dict:
+    """``NcPoly.subst`` on a map code -> coefficient.  The images keep lengths,
+    so pass q replaces bit q (the q-th letter from the end) of every word
+    longer than q, and the words that then agree are summed."""
+    flips = {a: tuple((b != a, m) for b, m in img) for a, img in images.items()}
+
+    def expand(terms, bit):
+        for code, c in terms.items():       # a word of at most q letters is kept
+            for flip, m in flips[1 if code & bit else 0] if code >= bit << 1 else ((False, 1),):
+                yield code ^ bit if flip else code, c if m == 1 else c * m
+
+    terms = dict(terms)
+    for q in range(max(terms, default=1).bit_length() - 1):
+        terms = LinearCombination()._accumulate(expand(terms, 1 << q)).terms
+    return terms
 
 
 def index_of_word(w: Word) -> Index:
@@ -94,30 +125,9 @@ class NcPoly(LinearCombination):
         return self.terms.get(tuple(w), 0)
 
     def subst(self, images: dict[int, tuple[tuple[int, object], ...]]) -> "NcPoly":
-        """Algebra endomorphism: each letter a becomes sum m * b over ``images[a]``.
-
-        The images are linear and keep lengths, so the words of each length n
-        are substituted on their own, as n-bit ints with the first letter
-        highest: pass p replaces bit p of every word, and the words that then
-        agree are summed before bit p + 1 expands."""
-
-        flips = {a: tuple((b != a, m) for b, m in img) for a, img in images.items()}
-
-        def expand(terms, bit):
-            for code, c in terms.items():
-                for flip, m in flips[1 if code & bit else 0]:
-                    yield code ^ bit if flip else code, c if m == 1 else c * m
-
-        by_length: dict[int, dict[int, object]] = {}
-        for w, c in self.terms.items():
-            by_length.setdefault(len(w), {})[int("".join(map(str, w)), 2) if w else 0] = c
-        out = self._new({})
-        for n, terms in by_length.items():
-            for p in range(n):
-                terms = LinearCombination()._accumulate(expand(terms, 1 << (n - 1 - p))).terms
-            out._accumulate((tuple(code >> i & 1 for i in range(n - 1, -1, -1)), c)
-                            for code, c in terms.items())
-        return out
+        """Algebra endomorphism: each letter a becomes sum m * b over ``images[a]``."""
+        terms = _subst_codes({code_of_word(w): c for w, c in self.terms.items()}, images)
+        return self._new({word_of_code(code): c for code, c in terms.items()})
 
     def reverse(self) -> "NcPoly":
         """Word-by-word reversal, no signs."""

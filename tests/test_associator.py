@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from mpmath import mp
 
-from mzvkit import associator, regularization
+from mzvkit import associator, numeric, regularization
 from mzvkit.associator import (
     IMG_SWAP, NcSeries, check_duality_assoc,
     check_gamma_factor, check_independence_factor, check_refined_duality,
@@ -15,7 +15,7 @@ from mzvkit.associator import (
     phi_rs, rsmzv, smzv_via_assoc, _flanked_pairing,
 )
 from mzvkit.indices import Index, coarsenings, stuffle
-from mzvkit.numeric import _GUARD, _bits, eval_zeta_poly, mzv, residual, to_mp, tolerance
+from mzvkit.numeric import _GUARD, _as_mpf, _bits, eval_zeta_poly, mzv, residual, to_mp, tolerance
 from mzvkit.regularization import Z_reg_full, _z_reg_full_word
 from mzvkit.rings import BiSeries, ZetaPoly, exp_coeffs
 from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, word_of_index
@@ -375,11 +375,26 @@ def test_split_sum_coefficients_equal_the_series_products():
         for D in range(7):
             rs, ad = phi_rs(D, 40), phi_ad(HARMONIC, T1, T2, D, 40)
             # fresh products, so no word is read from what a longer one kept
-            rs_splits = associator._SplitProduct(associator._rs_product(40).factors)
-            ad_splits = associator._SplitProduct(associator._ad_product(HARMONIC, T1, T2, 40).factors)
+            rs_splits = associator._SplitProduct(associator._rs_product(40).factors, _bits(40))
+            ad_splits = associator._SplitProduct(
+                associator._ad_product(HARMONIC, T1, T2, 40).factors, _bits(40))
             for w in words_up_to(D):
                 assert abs(rs_splits.coeff(w) - rs.coeff(w)) < 1e-45, w
                 assert abs(ad_splits.coeff(w) - ad.coeff(w)) < 1e-45, w
+
+
+@pytest.mark.parametrize("prec", [15, 40, 100])
+def test_the_split_products_pi_ints_are_within_a_few_units(prec):
+    # pi and the exp factors' coefficients (pi i/2)^n/n! and (2 pi i)^n/n! as
+    # ints at the split product's scale 2^-bits, against mpmath at twice the bits
+    bits = _bits(prec)
+    with mp.workprec(2 * bits):
+        unit = mp.mpf(2) ** -bits
+        assert abs(numeric._pi(bits) * unit - mp.pi) <= unit
+        for r, c in ((Fraction(1, 2), mp.pi * mp.mpc(0, 1) / 2), (2, 2 * mp.pi * mp.mpc(0, 1))):
+            for n in range(17):
+                re, im = numeric._i_pi_power(r, n, bits)
+                assert abs(mp.mpc(re, im) * unit - c ** n / mp.factorial(n)) <= (n + 1) * unit, n
 
 
 def test_per_word_phi_equals_the_symbolic_value():
@@ -389,7 +404,8 @@ def test_per_word_phi_equals_the_symbolic_value():
         for T in (0, Fraction(7, 10)):
             for w in words_up_to(8):
                 symbolic = eval_zeta_poly(_z_reg_full_word(w[::-1], product), {"T": T}, 40)
-                assert abs(associator._phi_value(w, product, T, 40) - symbolic) < 1e-45, w
+                value = _as_mpf(associator._phi_coeff(w, product, T, 40), _bits(40), 40)
+                assert abs(value - symbolic) < 1e-45, w
 
 
 def test_the_associator_builds_no_symbolic_regularization():

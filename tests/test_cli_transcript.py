@@ -28,7 +28,7 @@ import pytest
 
 from mzvkit import associator, cli, finite, indices, numeric, regularization, rings, stadic, words
 from mzvkit.rings import BiSeries, ZetaPoly
-from mzvkit.words import HARMONIC, SHUFFLE, NcPoly
+from mzvkit.words import HARMONIC, SHUFFLE
 from support import (
     CACHES, MODULES, clear_caches, indices_up_to, planted, stuffle_without_merged_terms,
 )
@@ -199,7 +199,7 @@ def _check_verdicts() -> dict[str, dict[str, str]]:
             for command, lines in printed.items()}
 
 
-_subst = NcPoly.subst
+_subst = associator.NcSeries.subst
 _flanked_pairing = associator._flanked_pairing
 _nc_mul = associator.NcSeries.__mul__
 
@@ -210,7 +210,7 @@ def _subst_unit_coefficients(self, images):
 
 def _mul_dropping_the_top_degree(self, other):
     out = _nc_mul(self, other)
-    out.terms = {w: c for w, c in out.terms.items() if len(w) < self.deg}
+    out.codes = {w: c for w, c in out.codes.items() if w < 1 << self.deg}   # len(w) < deg
     return out
 
 
@@ -225,12 +225,13 @@ _split_coeff = _SplitProduct.coeff
 
 
 def _split_without_an_empty_first_piece(self, w):
-    first = self.factors[0]
-    return _split_coeff(_SplitProduct([lambda u: first(u) if u else 0, *self.factors[1:]]), w)
+    (letter, first), *rest = self.factors
+    first_factor = (letter, lambda piece: first(piece) if piece else (0, 0))
+    return _split_coeff(_SplitProduct([first_factor, *rest], self.bits), w)
 
 
 def _split_skipping_the_last_factor(self, w):
-    return _split_coeff(_SplitProduct(self.factors[:-1]), w)
+    return _split_coeff(_SplitProduct(self.factors[:-1], self.bits), w)
 
 
 _shift = BiSeries.shift
@@ -350,7 +351,9 @@ def _star_values_at_tau_0(k, tau, orders):
 # checks multiply NcSeries over numbers and never build such a product.  The
 # pairings (duality, rsmzv-routes, smzv-assoc) read a product by splits of
 # each word and build no series, so eps, subst and the NcSeries product reach
-# them only through a fault in the split sum.  The classical cyclic sum
+# them only through a fault in the split sum.  The substitution of NcSeries
+# is the pass of words._subst_codes, which associator binds, so its edit is
+# bound there.  The classical cyclic sum
 # formula is the shifted one at order 0, so csf, csf-shifted and antipode
 # read the star values, the coarsening sums of stadic.shifted_mzv_star; a sum
 # without the index itself fails those three.  t-translation alone tells a
@@ -389,13 +392,15 @@ def _star_values_at_tau_0(k, tau, orders):
 # checks that multiply by exp(c X_a): three-cycle, t-part, and duality-assoc
 # through phi_rs.
 MUTATIONS = {
-    "eps-without-sign": ((NcPoly, "eps", NcPoly.reverse), {"independence"}),
-    "subst-unit-coefficients": ((NcPoly, "subst", _subst_unit_coefficients),
+    "eps-without-sign": ((associator.NcSeries, "eps", associator.NcSeries.reverse),
+                         {"independence"}),
+    "subst-unit-coefficients": ((associator.NcSeries, "subst", _subst_unit_coefficients),
                                 {"three-cycle", "duality-assoc"}),
-    "subst-identity": ((NcPoly, "subst", lambda self, images: self),
+    "subst-identity": ((associator.NcSeries, "subst", lambda self, images: self),
                        {"two-cycle", "three-cycle", "duality-assoc"}),
-    "subst-keeps-last-letter": ((NcPoly, "subst", planted(NcPoly.subst, "for p in range(n):",
-                                                          "for p in range(n - 1):")),
+    "subst-keeps-last-letter": ((associator, "_subst_codes",
+                                 planted(words._subst_codes, "for q in range(",
+                                         "for q in range(1, ")),
                                 {"duality-assoc", "three-cycle", "two-cycle"}),
     "mul-drops-top-degree": ((associator.NcSeries, "__mul__", _mul_dropping_the_top_degree),
                              {"gamma-factor", "t-part"}),

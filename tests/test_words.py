@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mzvkit import words
-from mzvkit.associator import NcSeries
+from mzvkit.associator import IMG_1_INF, IMG_INF_0, IMG_INF_1, IMG_SWAP, NcSeries
 from mzvkit.indices import EMPTY, Index, shuffle_one, stuffle
 from mzvkit.rings import BiSeries
 from mzvkit.words import (
-    E0, E1, SWAP, NcPoly, antipode, coproduct, embed, geometric, harmonic,
-    in_h0, in_h1, index_of_word, lift_biseries, shuffle, shuffle_shifted,
-    sigma_t, telescope_sides, word_of_index,
+    E0, E1, SWAP, NcPoly, antipode, code_of_word, coproduct, embed, geometric, harmonic,
+    in_h0, in_h1, index_of_word, lift_biseries, reversed_code, shuffle, shuffle_shifted,
+    sigma_t, telescope_sides, word_of_code, word_of_index,
 )
 from support import indices_up_to, words_up_to
 
@@ -538,7 +538,29 @@ def test_truncated_product_matches_the_full_product_truncated(data, deg):
 
 
 def test_truncated_product_drops_a_left_word_beyond_the_degree():
-    # NcSeries never builds one, but _new does not check lengths
-    u = NcSeries(2)._new({(E0, E0, E0): Fraction(1), (E1,): Fraction(2)})
+    # NcSeries never builds one, but _new takes codes and does not check lengths
+    u = NcSeries(2)._new({code_of_word((E0, E0, E0)): Fraction(1),
+                          code_of_word((E1,)): Fraction(2)})
     v = NcSeries(2, {(): Fraction(1), (E0,): Fraction(5)})
     assert u * v == NcSeries(2, {(E1,): Fraction(2), (E1, E0): Fraction(10)})
+
+
+def test_word_codes_read_back_through_the_series_operations():
+    # every word of length <= 10, the empty word included, with its own
+    # coefficient: the code keys of NcSeries against the tuple words of NcPoly
+    words_ = list(words_up_to(10))
+    terms = {w: Fraction(i + 1, 7) for i, w in enumerate(words_)}
+    series, poly = NcSeries(10, terms), NcPoly(terms)
+    assert sorted(series.codes) == list(range(1, 2 ** 11))
+    for w in words_:
+        code = code_of_word(w)
+        assert word_of_code(code) == w and reversed_code(code) == code_of_word(w[::-1])
+        assert series.coeff(w) == terms[w]
+    assert series.terms == terms
+    assert series.reverse().terms == poly.reverse().terms
+    assert series.eps().terms == poly.eps().terms
+    short = NcPoly({w: c for w, c in terms.items() if len(w) <= 7})
+    for img in (IMG_SWAP, IMG_INF_0, IMG_INF_1, IMG_1_INF):
+        assert series.subst(img).terms == poly.subst(img).terms
+        # the word-by-word expansion, as an independent reference, on the shorter words
+        assert NcSeries(7, short.terms).subst(img).terms == subst_reference(short, img).terms
