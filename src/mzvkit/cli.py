@@ -11,7 +11,7 @@ Grammar (a verb's rule lists its targets)::
     scan    := stuffle | shift | wolstenholme
     cache   := show | save | load | clear
     index   := "(" [int ("," int)*] ")"
-    option  := --orders M,N | --prec P | --tau p/q | --pmax P | --pow N
+    option  := --orders M,N | --prec P | --tau p/q in [-1,1] | --pmax P | --pow N
              | --shift A | --deg D | --config PATH
 
 Checks print one machine-parseable line each::
@@ -111,9 +111,13 @@ def _orders(text: str) -> tuple[int, int]:
 
 def _tau(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        tau = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError("expects a rational p/q") from exc
+    if abs(tau) > 1:
+        # rounding grows as |tau|^depth, and the tolerance is absolute
+        raise ValueError("must lie in [-1, 1]")
+    return tau
 
 
 # option -> (parser, default).  A parser raises ValueError with the reason it

@@ -18,6 +18,14 @@ tau-interpolated family weights each coarsening by tau^(drop in depth);
 tau = 0 is the plain value and tau = 1 the star value, the coarsening sum.
 The classical cyclic sum formula is checked as the shifted one at order 0.
 
+A symmetric value is kept as its split sum: a ``LinearCombination`` of
+pairs (s-side key, t-side key), each the sorted tuple of its factors' keys
+(index, product, order, shift, T-name).  Sums, products and shifts act on
+keys alone, so equal terms of two sides cancel before any ZetaPoly is
+formed; ``_expand`` groups the pairs by s-side and makes one outer product
+per group.  The harmonic, shuffle and tau cyclic-sum checks expand only
+their difference; ``stadic_smzv`` is the expanded grid of one value.
+
 The ``check_*`` functions build both sides of a proved relation and return
 ``numeric.residual`` of them: the largest absolute difference over the
 truncated grid, compared coefficient by coefficient in T, T1 and T2.
@@ -33,7 +41,7 @@ from .indices import (
 )
 from .numeric import residual
 from .regularization import R_poly, zeta_reg
-from .rings import BiSeries, ZetaPoly
+from .rings import BiSeries, LinearCombination, ZetaPoly
 from .words import HARMONIC, SHUFFLE, embed, index_of_word, lift_biseries, shuffle_shifted
 
 @cache
@@ -67,31 +75,79 @@ def shifted_mzv_star(k: Index, order: int) -> BiSeries:
     return out
 
 
+def _splits(k: Index, product: str, orders: tuple[int, int],
+            names: tuple = ("T1", "T2")) -> LinearCombination:
+    """The symmetric value of k as a split sum, T named by ``names`` (None: 0)."""
+    ms, mt = orders
+    out = LinearCombination()
+    for i in range(k.depth + 1):
+        head, tail = split(k, i)
+        out.add_term((((head, product, ms, 0, names[0]),),
+                      ((reverse(tail), product, mt, 0, names[1]),)), (-1) ** tail.weight)
+    return out
+
+
+def _splits_tau(k: Index, tau: Fraction, orders: tuple[int, int]) -> LinearCombination:
+    """The split sum of the tau-interpolated value of k."""
+    out = LinearCombination()
+    for l in coarsenings(k):
+        weight = tau ** (k.depth - l.depth)
+        if weight:
+            out.add_scaled(_splits(l, HARMONIC, orders), weight)
+    return out
+
+
+def _shifted(pairs: LinearCombination, ds: int, dt: int) -> LinearCombination:
+    """A split sum times s^ds t^dt, the power put on the first factor of each side."""
+    def up(keys, d):
+        (index, product, order, shift, name), *rest = keys
+        return ((index, product, order, shift + d, name), *rest)
+    return LinearCombination({(up(s, ds), up(t, dt)): c for (s, t), c in pairs.terms.items()})
+
+
+@cache
+def _factor(keys: tuple, t_side: bool) -> BiSeries:
+    """The one-variable series of a side's key: the product of its factors,
+    each a shifted value with T renamed, read at -t on the t side, and
+    multiplied by its variable to the shift."""
+    out = None
+    for index, product, order, shift, name in keys:
+        series = _t_renamed(shifted_mzv(index, product, order), name)
+        series = (series.negate_t() if t_side else series).shift(0, shift)
+        out = series if out is None else out * series
+    return out
+
+
+def _expand(pairs: LinearCombination, orders: tuple[int, int]) -> BiSeries:
+    """The ZetaPoly grid of a split sum: each s-side against the sum of the
+    t-sides it pairs with, one outer product per s-side.  An integral
+    coefficient is applied as an int."""
+    groups: dict = {}
+    for (s, t), c in pairs.terms.items():
+        if s not in groups:
+            groups[s] = BiSeries.constant(ZetaPoly(), 0, orders[1])
+        groups[s].add_scaled(_factor(t, True), c.numerator if c.denominator == 1 else c)
+    out = BiSeries.constant(ZetaPoly(), *orders)
+    for s, b in groups.items():
+        if b:
+            out += BiSeries.from_outer(_factor(s, False), b)
+    return out
+
+
+def _residual(diff: LinearCombination, orders: tuple[int, int], prec: int):
+    """``numeric.residual`` of a check whose difference of sides is ``diff``."""
+    return residual(_expand(diff, orders), BiSeries.constant(ZetaPoly(), *orders), prec)
+
+
 @cache
 def stadic_smzv(k: Index, product: str, orders: tuple[int, int]) -> BiSeries:
     """Two-parameter symmetric value as a ZetaPoly grid over (s, t)."""
-    k = Index(k)
-    ms, mt = orders
-    out = BiSeries.constant(ZetaPoly(), ms, mt)
-    for i in range(k.depth + 1):
-        head, tail = split(k, i)
-        sign = (-1) ** tail.weight
-        a = _t_renamed(shifted_mzv(head, product, ms), "T1")
-        b = _t_renamed(shifted_mzv(reverse(tail), product, mt), "T2").negate_t()
-        out.add_scaled(BiSeries.from_outer(a, b), sign)
-    return out
+    return _expand(_splits(Index(k), product, orders), orders)
 
 
 def stadic_smzv_tau(k: Index, tau: Fraction, orders: tuple[int, int]) -> BiSeries:
     """Interpolation between the plain (tau=0) and star (tau=1) harmonic values."""
-    k = Index(k)
-    tau = Fraction(tau)
-    out = BiSeries.constant(ZetaPoly(), *orders)
-    for l in coarsenings(k):
-        weight = tau ** (k.depth - l.depth)
-        if weight:
-            out += stadic_smzv(l, HARMONIC, orders).scale(weight)
-    return out
+    return _expand(_splits_tau(Index(k), Fraction(tau), orders), orders)
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +171,20 @@ def _require_weight_gt_depth(k: Index) -> None:
 def check_harmonic(k: Index, l: Index, orders: tuple[int, int], prec: int):
     """Stuffle multiplicativity of the two-parameter symmetric values."""
     k, l = Index(k), Index(l)
-    lhs = BiSeries.constant(ZetaPoly(), *orders)
+    lhs = LinearCombination()
     for idx, c in stuffle(k, l):
-        lhs += stadic_smzv(idx, HARMONIC, orders).scale(c)
-    rhs = stadic_smzv(k, HARMONIC, orders) * stadic_smzv(l, HARMONIC, orders)
-    return residual(lhs, rhs, prec)
+        lhs.add_scaled(_splits(idx, HARMONIC, orders), c)
+    def times(a, b):
+        # the empty unshifted factor is 1: a product drops it, so that the
+        # rhs terms of a concatenation cancel against the lhs
+        return tuple(sorted(f for f in a + b if f[0] or f[3])) or a
+
+    right = _splits(l, HARMONIC, orders).terms.items()
+    rhs = LinearCombination()
+    for (s1, t1), c1 in _splits(k, HARMONIC, orders).terms.items():
+        for (s2, t2), c2 in right:
+            rhs.add_term((times(s1, s2), times(t1, t2)), c1 * c2)
+    return _residual(lhs - rhs, orders, prec)
 
 
 def check_shifted_harmonic(k: Index, l: Index, order: int, prec: int):
@@ -154,22 +219,21 @@ def check_shuffle(l: Index, k: Index, orders: tuple[int, int], prec: int):
     the right side is the binomially shifted concatenation sum.
     """
     l, k = Index(l), Index(k)
-    ms, mt = orders
     word = shuffle_shifted(lift_biseries(embed(l), orders),
                            lift_biseries(embed(k), orders), orders)
-    lhs = BiSeries.constant(ZetaPoly(), ms, mt)
+    lhs = LinearCombination()
     for w, series in word.terms.items():
         idx = index_of_word(w)
-        value = _t_renamed(stadic_smzv(idx, SHUFFLE, orders), None)
-        lhs += (series * value).scale((-1) ** idx.depth)
+        value = _splits(idx, SHUFFLE, orders, (None, None))
+        for (i, j), c in series.terms.items():
+            lhs.add_scaled(_shifted(value, i, j), c * (-1) ** idx.depth)
 
-    rhs = BiSeries.constant(ZetaPoly(), ms, mt)
-    for n in range(mt + 1):
+    rhs = LinearCombination()
+    for n in range(orders[1] + 1):
         for m, b in shifts(l, n):
-            term = _t_renamed(stadic_smzv(concat(k, reverse(m)), SHUFFLE, orders), None)
-            rhs += term.shift(0, n).scale(b)
-    rhs = rhs.scale((-1) ** l.weight)
-    return residual(lhs, rhs, prec)
+            term = _splits(concat(k, reverse(m)), SHUFFLE, orders, (None, None))
+            rhs.add_scaled(_shifted(term, 0, n), b * (-1) ** l.weight)
+    return _residual(lhs - rhs, orders, prec)
 
 
 def check_t_translation(k: Index, orders: tuple[int, int], prec: int):
@@ -230,29 +294,29 @@ def check_csf_tau(k: Index, tau: Fraction, orders: tuple[int, int], prec: int):
     one_minus = 1 - tau
 
     def val(idx):
-        return stadic_smzv_tau(idx, tau, orders)
+        return _splits_tau(idx, tau, orders)
 
     def around(left, right):
         term = val(concat(left, right))
         if one_minus:
-            term += val(uplus(left, right)).scale(one_minus)
+            term.add_scaled(val(uplus(left, right)), one_minus)
         return term
 
-    lhs = BiSeries.constant(ZetaPoly(), ms, mt)
+    lhs = LinearCombination()
     for u, l in _rotations_with_head(k):
         for j in range(u):
             lhs += val(concat(Index((j + 1,)), l, Index((u - j,))))
-    rhs = BiSeries.constant(ZetaPoly(), ms, mt)
+    rhs = LinearCombination()
     for rot in cyclic_class(k):
         for j in range(mt + 1):
-            rhs += around(Index((j + 1,)), rot).shift(0, j)
+            rhs += _shifted(around(Index((j + 1,)), rot), 0, j)
         for j in range(ms + 1):
-            rhs += around(rot, Index((j + 1,))).shift(j, 0)
+            rhs += _shifted(around(rot, Index((j + 1,))), j, 0)
     correction = k.weight * tau ** k.depth
     if correction:
         # the depth-1 index has one coarsening, itself: its star value is its value
-        rhs += stadic_smzv(Index((k.weight + 1,)), HARMONIC, orders).scale(correction)
-    return residual(lhs, rhs, prec)
+        rhs.add_scaled(_splits(Index((k.weight + 1,)), HARMONIC, orders), correction)
+    return _residual(lhs - rhs, orders, prec)
 
 
 def check_explicit_reg(k: Index, order: int, prec: int):

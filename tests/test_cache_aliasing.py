@@ -17,7 +17,7 @@ from support import clear_caches
 PREC = 40
 MODULES = (words, regularization, stadic, associator)
 # the caches whose entries are checked: the symbolic values and the series
-WATCHED = (stadic.stadic_smzv, stadic.shifted_mzv, regularization.zeta_reg,
+WATCHED = (stadic.stadic_smzv, stadic.shifted_mzv, stadic._factor, regularization.zeta_reg,
            regularization._z_reg_full_word, associator.phi, associator.phi_rs)
 
 

@@ -228,6 +228,17 @@ def test_degree_below_one_is_a_usage_error(capsys):
             assert f"{command[-1]} must be at least 1" in capsys.readouterr().err
 
 
+def test_a_tau_outside_minus_one_to_one_is_a_usage_error(capsys):
+    # the rounding of a tau value grows as |tau|^depth against an absolute
+    # tolerance: at --tau 10^10 a true identity read 3.5e-29 and FAILed
+    for value in ("2", "-3/2"):
+        assert main(["check", "csf-tau", "(1,2)", "--tau", value]) == 2, value
+        assert "--tau must lie in [-1, 1]" in capsys.readouterr().err
+    for value in ("1", "-1", "1/3"):
+        ast = parse_command(["check", "csf-tau", "(1,2)", "--tau", value])
+        assert ast.options["tau"] == Fraction(value)
+
+
 def test_scan_that_checked_no_prime_fails():
     for argv in (["scan", "wolstenholme", "--pmax", "-5"],
                  ["scan", "stuffle", "--pmax", "3"],

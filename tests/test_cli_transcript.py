@@ -245,6 +245,20 @@ def _mul_without_mixed_terms(self, other):
     return out
 
 
+def _positive_part(series):
+    return BiSeries._sparse(series.ms, series.mt, {(i, j): c for (i, j), c in series.terms.items()
+                                                   if i or j})
+
+
+def _mul_without_mixed_terms_in_one_variable(self, other):
+    """The product, without the terms to which two series in one variable
+    both give a positive power."""
+    out = _mul(self, other)
+    if isinstance(other, BiSeries) and not (self.ms or other.ms):
+        out -= _mul(_positive_part(self), _positive_part(other))
+    return out
+
+
 _zeta_reg = regularization.zeta_reg
 
 
@@ -299,12 +313,21 @@ def _shuffle_one_without_the_prepended_part(head):
     return out
 
 
-_stadic_smzv_tau = stadic.stadic_smzv_tau
+_splits_tau = stadic._splits_tau
 
 
 def _star_values_at_tau_0(k, tau, orders):
-    """The tau-interpolated value with every coarsening weighted by 1 at tau = 0."""
-    return _stadic_smzv_tau(k, tau or 1, orders)
+    """The tau-interpolated split sum with every coarsening weighted by 1 at tau = 0."""
+    return _splits_tau(k, tau or 1, orders)
+
+
+_factor = stadic._factor
+
+
+def _factor_keeping_T_at_zero(keys, t_side):
+    """A side read at T = 0 keeps its T-symbols, named as its side names them."""
+    name = "T2" if t_side else "T1"
+    return _factor(tuple(key[:4] + (key[4] or name,) for key in keys), t_side)
 
 
 # planted fault -> the transcript checks that must FAIL under it; every other
@@ -391,6 +414,22 @@ def _star_values_at_tau_0(k, tau, orders):
 # factor of independence.  A closed form exp(c x) without its 1/n! fails the
 # checks that multiply by exp(c X_a): three-cycle, t-part, and duality-assoc
 # through phi_rs.
+# harmonic, shuffle and the tau cyclic sums build split sums (stadic._splits)
+# and expand only the difference of their sides, linearly, so a fault in the
+# expansion shows only if it is not linear, as a group that keeps only its
+# last t-side.  A grid product without its mixed terms reaches only
+# rsmzv-routes, through the associator's grids; the fault of that kind in the
+# split code is a product of two series in one variable without the terms to
+# which both give a positive power, which harmonic sees through its two-factor
+# sides, and antipode and shifted-harmonic through their shifted values.
+# shuffle multiplies by its rational (s, t) weights as shifts of keys, so a
+# shift of keys that ignores t is what it sees there.  At T = 0 a factor is
+# zeroed in stadic._factor: a zeroing there that keeps T1 and T2 fails
+# shuffle, while one in _t_renamed keeps a single T, under which the shuffle
+# relation still holds, so only explicit-reg sees it.  The tau cyclic sums
+# read stadic._splits_tau, where star values at tau = 0 are planted.  A split
+# sign by depth in place of weight and a product that pairs the first
+# factor's t-side twice fail the checks listed for them, as measured.
 MUTATIONS = {
     "eps-without-sign": ((associator.NcSeries, "eps", associator.NcSeries.reverse),
                          {"independence"}),
@@ -418,7 +457,7 @@ MUTATIONS = {
                          {"csf-nonstar", "csf-shifted", "csf-star", "csf-tau", "duality",
                           "shuffle"}),
     "mul-drops-mixed-terms": ((BiSeries, "__mul__", _mul_without_mixed_terms),
-                              {"harmonic", "rsmzv-routes", "shuffle"}),
+                              {"rsmzv-routes"}),
     "zeta-reg-plus-T": ((regularization, "zeta_reg", _zeta_reg_plus_T), {"explicit-reg", "reg"}),
     "zeta-reg-without-T-term": ((regularization, "zeta_reg",
                                  planted(regularization.zeta_reg,
@@ -454,7 +493,26 @@ MUTATIONS = {
     "T2-with-wrong-sign": ((stadic, "_t_renamed", _t_renamed_negating_T2),
                            {"t-translation"}),
     "zeroing-keeps-T": ((stadic, "_t_renamed", _t_renamed_keeping_T_at_zero),
-                        {"explicit-reg", "shuffle"}),
+                        {"explicit-reg"}),
+    "factor-zeroing-keeps-T": ((stadic, "_factor", _factor_keeping_T_at_zero), {"shuffle"}),
+    "one-variable-mul-drops-mixed-terms": ((BiSeries, "__mul__",
+                                            _mul_without_mixed_terms_in_one_variable),
+                                           {"antipode", "harmonic", "shifted-harmonic"}),
+    "weight-shift-ignores-dt": ((stadic, "_shifted",
+                                 planted(stadic._shifted, "up(t, dt)", "t")),
+                                {"csf-nonstar", "csf-star", "csf-tau", "shuffle"}),
+    "split-sign-by-depth": ((stadic, "_splits", planted(stadic._splits, "(-1) ** tail.weight",
+                                                        "(-1) ** tail.depth")),
+                            {"csf-nonstar", "csf-star", "csf-tau", "harmonic", "rsmzv-routes",
+                             "shuffle", "smzv-assoc"}),
+    "product-pairs-the-first-t-side-twice": ((stadic, "check_harmonic",
+                                              planted(stadic.check_harmonic, "times(t1, t2)",
+                                                      "times(t1, t1)")),
+                                             {"harmonic"}),
+    "group-keeps-its-last-t-side": ((stadic, "_expand",
+                                     planted(stadic._expand, "].add_scaled(_factor(t, True), ",
+                                             "] = _factor(t, True).scale(")),
+                                    {"csf-nonstar", "csf-star", "csf-tau", "harmonic", "shuffle"}),
     "stadic-shift-power-weights": ((stadic, "shifts", _shifts_with_power_weights),
                                    {"antipode", "csf-nonstar", "csf-shifted", "csf-star",
                                     "csf-tau", "harmonic", "shifted-harmonic", "shuffle"}),
@@ -479,7 +537,7 @@ MUTATIONS = {
     "regularization-shuffle-one-without-the-prepended-part": (
         (regularization, "shuffle_one", _shuffle_one_without_the_prepended_part),
         {"explicit-reg", "reg", "shuffle"}),
-    "tau-0-reads-star-values": ((stadic, "stadic_smzv_tau", _star_values_at_tau_0),
+    "tau-0-reads-star-values": ((stadic, "_splits_tau", _star_values_at_tau_0),
                                 {"csf-nonstar", "csf-tau (2,1) --tau 0 --orders 2,2"}),
     "regularization-exp-without-factor-k": ((regularization, "exp_coeffs",
                                              planted(rings.exp_coeffs, "k * c[k] * e[n - k]",

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 
 from mzvkit import regularization, stadic
-from mzvkit.indices import EMPTY, Index, coarsenings, concat, cyclic_class, reverse, shifts, split
+from mzvkit.indices import (
+    EMPTY, Index, coarsenings, concat, cyclic_class, reverse, shifts, split, stuffle, uplus,
+)
 from mzvkit.numeric import residual, tolerance
 from mzvkit.regularization import Z_reg_full
 from mzvkit.rings import BiSeries, ZetaPoly
@@ -13,7 +15,10 @@ from mzvkit.stadic import (
     check_shifted_csf, check_shifted_harmonic, check_shuffle, check_t_translation,
     shifted_mzv, shifted_mzv_star, stadic_smzv, stadic_smzv_tau,
 )
-from mzvkit.words import E0, HARMONIC, SHUFFLE, NcPoly, word_of_index
+from mzvkit.words import (
+    E0, HARMONIC, SHUFFLE, NcPoly, embed, index_of_word, lift_biseries, shuffle_shifted,
+    word_of_index,
+)
 from support import indices_up_to
 
 Z = ZetaPoly.zeta
@@ -121,14 +126,17 @@ def test_check_harmonic_fails_on_a_planted_term(monkeypatch):
     # must see it anyway
     T1, T2 = ZetaPoly.tvar("T1"), ZetaPoly.tvar("T2")
     planted = Z((2,)) * (1 + T2 - T1)
-    value = stadic.stadic_smzv
+    factor = stadic._factor
 
-    def wrong(k, product, orders):
-        # (3) is the merged term of (1) * (2), read on the left side only
-        out = value(k, product, orders)
-        return out + BiSeries.monomial(planted, 0, 0, *orders) if k == Index((3,)) else out
+    def wrong(keys, t_side):
+        # (3) is the merged term of (1) * (2), read on the left side only; as
+        # the s-side of its split against the empty tail it lands at s^0 t^0
+        out = factor(keys, t_side)
+        if [key[0] for key in keys] == [Index((3,))] and not t_side:
+            return out + BiSeries.monomial(planted, 0, 0, 0, out.mt)
+        return out
 
-    monkeypatch.setattr(stadic, "stadic_smzv", wrong)
+    monkeypatch.setattr(stadic, "_factor", wrong)
     assert check_harmonic(Index((1,)), Index((2,)), (2, 2), 40) >= TOL
 
 
@@ -185,8 +193,8 @@ def test_csf_nonstar_reads_the_plain_values_and_csf_star_the_star_values(monkeyp
                                                                        failing):
     # both formulas are theorems, so only values of the wrong kind tell the two
     # checks apart: served at the other tau, they fail the check that reads them
-    values = stadic.stadic_smzv_tau
-    monkeypatch.setattr(stadic, "stadic_smzv_tau", lambda k, tau, *args:
+    values = stadic._splits_tau
+    monkeypatch.setattr(stadic, "_splits_tau", lambda k, tau, *args:
                         values(k, served if tau == 1 - served else tau, *args))
     k = Index((2, 1))
     for check in (check_csf_nonstar, check_csf_star):
@@ -200,17 +208,17 @@ def test_terms_of_weight_zero_are_skipped(monkeypatch):
     k = Index((2, 1))
     plain = stadic_smzv(k, HARMONIC, (1, 1))
     # tau = 0: every proper coarsening carries tau^(drop in depth) = 0
-    monkeypatch.setattr(stadic, "stadic_smzv",
-                        lambda idx, *args: plain if idx == k else refuse())
+    splits = stadic._splits
+    monkeypatch.setattr(stadic, "_splits",
+                        lambda idx, *args: splits(idx, *args) if idx == k else refuse())
     assert stadic_smzv_tau(k, 0, (1, 1)) == plain
     monkeypatch.undo()
     # tau = 1: no glued variant (weight 1 - tau); tau = 0: no zeta(weight+1) term
     monkeypatch.setattr(stadic, "uplus", refuse)
     assert check_csf_tau(k, 1, (1, 1), 40) < TOL
     monkeypatch.undo()
-    value = stadic.stadic_smzv
-    monkeypatch.setattr(stadic, "stadic_smzv", lambda idx, *args:
-                        refuse() if idx == Index((k.weight + 1,)) else value(idx, *args))
+    monkeypatch.setattr(stadic, "_splits", lambda idx, *args:
+                        refuse() if idx == Index((k.weight + 1,)) else splits(idx, *args))
     assert check_csf_tau(k, 0, (1, 1), 40) < TOL
 
 
@@ -279,3 +287,110 @@ def test_symbols_are_renamed_and_zeroed_as_by_substitution():
                 b = shifted_mzv(reverse(tail), product, 2).map(lambda p: p.subst_tvars({"T": T2}))
                 expected += BiSeries.from_outer(a, b.negate_t()).scale((-1) ** tail.weight)
             assert value == expected
+
+
+# the route before split sums, kept as the oracle of the split one: every value
+# a grid sum_i +- from_outer(a_i, b_i), and every check in grid arithmetic
+
+def _grid_value(k, product, orders):
+    out = BiSeries.constant(ZetaPoly(), *orders)
+    for i in range(k.depth + 1):
+        head, tail = split(k, i)
+        a = stadic._t_renamed(shifted_mzv(head, product, orders[0]), "T1")
+        b = stadic._t_renamed(shifted_mzv(reverse(tail), product, orders[1]), "T2").negate_t()
+        out.add_scaled(BiSeries.from_outer(a, b), (-1) ** tail.weight)
+    return out
+
+
+def _grid_value_tau(k, tau, orders):
+    out = BiSeries.constant(ZetaPoly(), *orders)
+    for l in coarsenings(k):
+        weight = tau ** (k.depth - l.depth)
+        if weight:
+            out += _grid_value(l, HARMONIC, orders).scale(weight)
+    return out
+
+
+def _grid_harmonic(k, l, orders):
+    lhs = BiSeries.constant(ZetaPoly(), *orders)
+    for idx, c in stuffle(k, l):
+        lhs += _grid_value(idx, HARMONIC, orders).scale(c)
+    return lhs - _grid_value(k, HARMONIC, orders) * _grid_value(l, HARMONIC, orders)
+
+
+def _grid_shuffle(l, k, orders):
+    def value(idx):
+        return stadic._t_renamed(_grid_value(idx, SHUFFLE, orders), None)
+
+    word = shuffle_shifted(lift_biseries(embed(l), orders), lift_biseries(embed(k), orders),
+                           orders)
+    lhs = BiSeries.constant(ZetaPoly(), *orders)
+    for w, series in word.terms.items():
+        idx = index_of_word(w)
+        lhs += (series * value(idx)).scale((-1) ** idx.depth)
+    rhs = BiSeries.constant(ZetaPoly(), *orders)
+    for n in range(orders[1] + 1):
+        for m, b in shifts(l, n):
+            rhs += value(concat(k, reverse(m))).shift(0, n).scale(b)
+    return lhs - rhs.scale((-1) ** l.weight)
+
+
+def _grid_csf_tau(k, tau, orders):
+    ms, mt = orders
+
+    def around(left, right):
+        term = _grid_value_tau(concat(left, right), tau, orders)
+        if 1 - tau:
+            term += _grid_value_tau(uplus(left, right), tau, orders).scale(1 - tau)
+        return term
+
+    lhs = BiSeries.constant(ZetaPoly(), ms, mt)
+    for rot in cyclic_class(k):
+        u, l = rot[0], Index(rot[1:])
+        for j in range(u):
+            lhs += _grid_value_tau(concat(Index((j + 1,)), l, Index((u - j,))), tau, orders)
+    rhs = BiSeries.constant(ZetaPoly(), ms, mt)
+    for rot in cyclic_class(k):
+        for j in range(mt + 1):
+            rhs += around(Index((j + 1,)), rot).shift(0, j)
+        for j in range(ms + 1):
+            rhs += around(rot, Index((j + 1,))).shift(j, 0)
+    rhs += _grid_value(Index((k.weight + 1,)), HARMONIC, orders).scale(k.weight * tau ** k.depth)
+    return lhs - rhs
+
+
+def test_split_values_equal_the_grid_route():
+    for orders in ((0, 0), (2, 2), (1, 3), (3, 1)):
+        for k in indices_up_to(5):
+            for product in (HARMONIC, SHUFFLE):
+                assert stadic_smzv(k, product, orders) == _grid_value(k, product, orders), (
+                    k, product, orders)
+        for k in indices_up_to(4):
+            tau = Fraction(1, 3)
+            assert stadic_smzv_tau(k, tau, orders) == _grid_value_tau(k, tau, orders), (k, orders)
+
+
+def _difference(monkeypatch, check, *args):
+    """The lhs - rhs that ``check`` hands to numeric.residual."""
+    sides = []
+    monkeypatch.setattr(stadic, "residual", lambda lhs, rhs, prec: sides.append(lhs - rhs) or 0)
+    assert check(*args, 40) == 0
+    (diff,) = sides
+    return diff
+
+
+@pytest.mark.parametrize("orders", [(2, 2), (1, 3), (3, 1)])
+def test_split_checks_hand_over_the_grid_difference(monkeypatch, orders):
+    pairs = [((1,), (2,)), ((2,), (1,)), ((), (1, 2)), ((1, 2), (2,)), ((1, 1), (1,)),
+             ((2, 1), (1, 2))]
+    for kt, lt in pairs:
+        k, l = Index(kt), Index(lt)
+        assert _difference(monkeypatch, check_harmonic, k, l, orders) == _grid_harmonic(
+            k, l, orders), (k, l)
+        assert _difference(monkeypatch, check_shuffle, k, l, orders) == _grid_shuffle(
+            k, l, orders), (k, l)
+    for kt in [(2,), (1, 2), (2, 1), (1, 1, 2)]:
+        for tau in (Fraction(0), Fraction(1, 3), Fraction(1)):
+            k = Index(kt)
+            assert _difference(monkeypatch, check_csf_tau, k, tau, orders) == _grid_csf_tau(
+                k, tau, orders), (k, tau)
