@@ -1,15 +1,16 @@
 """Degree-truncated noncommutative series over X0, X1 and the KZ machinery.
 
 ``NcSeries`` is a degree-bounded series over word codes (``words``) that
-holds numeric coefficients as ints at a fixed binary scale, real and
-imaginary part in one int where pi i enters: its product truncates beyond
-the bound, sums exact int products and rounds each coefficient once.
-Numbers become mpf or mpc again only when a coefficient or a residual is
-read; letter substitution, eps, reversal and conjugation stay exact on the
-ints.  The generating series of regularized values places
-Z_T(e_{a1}...e_{an}) on the reversed word X_{an}...X_{a1}; consequently the
-pairing (plain coefficient extraction, same letter order on both sides)
-satisfies <Phi, w> = Z_T(reverse w).  That reversal is the most error-prone
+holds numeric coefficients as ints at the binary scale of its ``prec``,
+``numeric._bits(prec)``, the scale of the store's ints, not at the working
+precision; real and imaginary part share one int where pi i enters.  Its
+product truncates beyond the bound, sums exact int products and rounds each
+coefficient once.  Numbers become mpf or mpc again, exactly, only when a
+coefficient or a residual is read; letter substitution, eps, reversal and
+conjugation stay exact on the ints.  The generating series of regularized
+values places Z_T(e_{a1}...e_{an}) on the reversed word X_{an}...X_{a1};
+consequently the pairing (plain coefficient extraction, same letter order on
+both sides) satisfies <Phi, w> = Z_T(reverse w).  That reversal is the most error-prone
 convention here and is pinned by dedicated tests.
 
 The module builds the shuffle associator (regularized at T = 0), its
@@ -21,8 +22,9 @@ by the one-letter recursion from Z_T(e0) = 0, down to values Z_T(index).  A
 non-admissible index takes its number from admissible values by the product
 recursion T Z_T(head) = Z_T((1) * head), for the shuffle or the harmonic
 product, so no symbolic regularization is built here.  Both recursions run
-on the store's fixed-point ints at a rational T, once per word or index, and
-phi and the split products are built from those ints.
+on the store's fixed-point ints at a rational T, once per word or index;
+phi and the split products are built from those ints, and the powers of
+pi i in both are the Gaussian ints of ``numeric._i_pi_power``.
 ``regularization`` solves both recursions over the zeta symbols: the checks
 that compare phi with ``zeta_reg`` or ``stadic`` share the index expansions
 (``indices.shifts``, ``indices.shuffle_one`` and ``indices.stuffle``) but
@@ -49,9 +51,9 @@ from mpmath import mp
 
 from .indices import Index, coarsenings, hoffman_dual, shifts, shuffle_one, stuffle
 from .numeric import (_GUARD, _SplitProduct, _bits, _div, _fixed_mzv, _i_pi_power, _number,
-                      _scaled, eval_zeta_poly, mzv, residual, to_mp)
+                      _scaled, eval_zeta_poly, residual)
 from .regularization import gamma0_coeffs
-from .rings import BiSeries, LinearCombination, exp_coeffs
+from .rings import BiSeries, LinearCombination, ZetaPoly, exp_coeffs
 from .stadic import stadic_smzv
 from .words import (E0, E1, HARMONIC, SHUFFLE, SWAP, Word, _subst_codes, code_of_word,
                     index_of_word, reversed_code, word_of_code, word_of_index)
@@ -66,25 +68,27 @@ class NcSeries:
 
     ``codes`` maps each word's code (``words.code_of_word``) to its
     coefficient; words are tuples only in the constructor, ``coeff``,
-    ``terms`` (built when read) and the text form.  A series of numbers holds
-    each value v as the int round(v 2^bits), bits = mp.prec when it is built,
-    and a + bi as the one int a + b 2^k (``_k``, more than twice ``bits``), so
-    sums, negation, ``subst`` and ``eps`` act on both parts at once.  A
+    ``terms`` (built when read) and the text form.  A series built with a
+    ``prec`` holds each value v as the int round(v 2^bits) at the store's
+    scale, bits = ``numeric._bits(prec)``: ints and Fractions are converted
+    exactly, mpmath numbers through ``numeric._scaled``.  It holds a + bi as
+    the one int a + b 2^k (``_k``, more than twice ``bits``), so sums,
+    negation, ``subst`` and ``eps`` act on both parts at once.  A
     product of two such ints has the base-2^k digits a1 a2, a1 b2 + b1 a2 and
     b1 b2, from which ``_rounded`` reads and rounds both parts.  A NaN or
     infinite value stays an mpmath number, and so does every sum and product
-    it enters.  A series over an exact ring keeps its coefficients as given
-    (bits = 0).  The operands of ``*``, ``+`` and ``-`` share their degree
-    and their bits, or raise ``ValueError``.
+    it enters.  A series built without ``prec`` is exact (bits = 0): it keeps
+    its coefficients as given and refuses mpmath numbers.  The operands of
+    ``*``, ``+`` and ``-`` share their degree and their bits, or raise
+    ``ValueError``.
     """
 
     __slots__ = ("deg", "bits", "codes")
 
-    def __init__(self, deg: int, terms: dict[Word, object] | None = None):
-        terms = terms or {}
+    def __init__(self, deg: int, terms: dict[Word, object] | None = None, prec: int | None = None):
         self.deg = deg
-        self.bits = mp.prec if any(isinstance(c, (mp.mpf, mp.mpc)) for c in terms.values()) else 0
-        self.codes = {code_of_word(w): f for w, c in terms.items()
+        self.bits = 0 if prec is None else _bits(prec)
+        self.codes = {code_of_word(w): f for w, c in (terms or {}).items()
                       if len(w) <= deg and (f := self._fixed(c))}
 
     def _new(self, codes: dict) -> "NcSeries":
@@ -95,8 +99,8 @@ class NcSeries:
     terms = property(lambda self: {word_of_code(w): c for w, c in self.codes.items()})
 
     @classmethod
-    def const(cls, deg: int) -> "NcSeries":
-        return cls(deg, {(): mp.mpf(1)})
+    def const(cls, deg: int, prec: int | None = None) -> "NcSeries":
+        return cls(deg, {(): 1}, prec)
 
     @property
     def _k(self) -> int:
@@ -106,18 +110,18 @@ class NcSeries:
 
     def _fixed(self, c):
         """A number held at this series' bits: an int, or c itself when it is
-        not finite or the series is exact."""
-        if not self.bits:
-            return c
-        v = to_mp(c)
-        re, im = (v.real, v.imag) if isinstance(v, mp.mpc) else (v, mp.zero)
-        re, im = _scaled(re, self.bits), _scaled(im, self.bits)
-        return v if re is None or im is None else re + (im << self._k)
+        an mpmath number that is not finite or the series is exact."""
+        if isinstance(c, (mp.mpf, mp.mpc)):
+            if not self.bits:
+                raise TypeError("an exact series takes no mpmath number; build it with a prec")
+            re, im = _scaled(c.real, self.bits), _scaled(c.imag, self.bits)
+            return c if re is None or im is None else re + (im << self._k)
+        return _div(c.numerator << self.bits, c.denominator) if self.bits else c
 
-    def _rounded(self, sums: dict, shift: int | None = None) -> dict:
-        """Sums at scale 2^(bits + shift) rounded to scale 2^bits, the zeros
-        dropped; by default product sums, exact at scale 2^(2 bits)."""
-        shift, k = self.bits if shift is None else shift, self._k
+    def _rounded(self, sums: dict) -> dict:
+        """Product sums, exact at scale 2^(2 bits), rounded to scale 2^bits, the
+        zeros dropped."""
+        shift, k = self.bits, self._k
         half, top = 1 << (shift - 1), 1 << (k - 1)
         out = {}
         for w, s in sums.items():
@@ -133,7 +137,7 @@ class NcSeries:
         return out
 
     def coeff(self, w: Word):
-        """The coefficient of ``w`` as an mpf or mpc; 0 when the word is absent."""
+        """The coefficient of ``w`` as an exact mpf or mpc; 0 when the word is absent."""
         c = self.codes.get(code_of_word(w), 0)
         return _number(*_digits(c, self._k), self.bits) if self.bits and type(c) is int and c else c
 
@@ -227,12 +231,14 @@ def _digits(c: int, k: int) -> tuple[int, int]:
     return low, (c - low) >> k
 
 
-def exp_linear(deg: int, c, letters: tuple[int, ...]) -> NcSeries:
-    """exp(c x), x the sum of ``letters``, in closed form: c^n/n! on every word
-    of length n over them, converted once per length; the constant term 1."""
-    one = NcSeries.const(deg)
-    terms = [one.codes[1]] + [one._fixed(c ** n / factorial(n)) for n in range(1, deg + 1)]
-    return one._new({code_of_word(w): terms[n] for n in range(deg + 1) if terms[n]
+def exp_linear(deg: int, r, letters: tuple[int, ...], prec: int) -> NcSeries:
+    """exp(r pi i x), r rational and x the sum of ``letters``, in closed form:
+    (r pi i)^n/n! on every word of length n over them, the Gaussian int that
+    ``numeric._i_pi_power`` gives the split products too."""
+    out = NcSeries(deg, prec=prec)
+    powers = (_i_pi_power(r, n, out.bits) for n in range(deg + 1))
+    terms = [re + (im << out._k) for re, im in powers]
+    return out._new({code_of_word(w): terms[n] for n in range(deg + 1) if terms[n]
                      for w in itertools.product(letters, repeat=n)})
 
 
@@ -293,14 +299,12 @@ def phi(product: str, T, D: int, prec: int) -> NcSeries:
     """Generating series of regularized values at T, an int or a Fraction.
 
     The coefficient of the word X_{b1}...X_{bn} is Z_T of the reversed
-    letter word e_{bn}...e_{b1}, ``_phi_coeff`` shifted to the series' scale.
+    letter word e_{bn}...e_{b1}, the int ``_phi_coeff`` at the series' scale.
     """
     key = (product, repr(T), D, prec)
     if key not in _PHI_CACHE:
-        with mp.workdps(prec + _GUARD):
-            one = NcSeries.const(D)
-        coeffs = {w: _phi_coeff(word_of_code(w), product, T, prec) for w in range(1, 2 << D)}
-        _PHI_CACHE[key] = one._new(one._rounded(coeffs, _bits(prec) - one.bits))
+        coeffs = (_phi_coeff(word_of_code(w), product, T, prec) for w in range(1, 2 << D))
+        _PHI_CACHE[key] = NcSeries(D, prec=prec)._new({w: c for w, c in enumerate(coeffs, 1) if c})
     return _PHI_CACHE[key]
 
 
@@ -311,20 +315,18 @@ def phi_kz(D: int, prec: int) -> NcSeries:
 
 def phi_ad(product: str, T1, T2, D: int, prec: int) -> NcSeries:
     """eps(phi(T1)) X1 phi(T2)."""
-    with mp.workdps(prec + _GUARD):
-        x1 = NcSeries(D, {(E1,): mp.mpf(1)})
-        return phi(product, T1, D, prec).eps() * x1 * phi(product, T2, D, prec)
+    x1 = NcSeries(D, {(E1,): 1}, prec)
+    return phi(product, T1, D, prec).eps() * x1 * phi(product, T2, D, prec)
 
 
 def phi_rs(D: int, prec: int) -> NcSeries:
     """exp(pi i X0/2) KZ(X1,X0) exp(2 pi i X1) KZ(X0,X1) exp(pi i X0/2)."""
     key = (D, prec)
     if key not in _PHI_RS_CACHE:
-        with mp.workdps(prec + _GUARD):
-            kz = phi_kz(D, prec)
-            half = exp_linear(D, mp.pi * mp.mpc(0, 1) / 2, (E0,))
-            mid = exp_linear(D, 2 * mp.pi * mp.mpc(0, 1), (E1,))
-            _PHI_RS_CACHE[key] = half * kz.subst(IMG_SWAP) * mid * kz * half
+        kz = phi_kz(D, prec)
+        half = exp_linear(D, Fraction(1, 2), (E0,), prec)
+        mid = exp_linear(D, 2, (E1,), prec)
+        _PHI_RS_CACHE[key] = half * kz.subst(IMG_SWAP) * mid * kz * half
     return _PHI_RS_CACHE[key]
 
 
@@ -409,56 +411,50 @@ def rsmzv_remark_route(k: Index, orders: tuple[int, int], prec: int) -> BiSeries
 # residual checkers
 # ---------------------------------------------------------------------------
 
+def _one_letter_series(coeffs, D: int, prec: int) -> NcSeries:
+    """sum c_n X1^n over ``ZetaPoly`` coefficients, each evaluated once."""
+    return NcSeries(D, {(E1,) * n: eval_zeta_poly(c, {}, prec) for n, c in enumerate(coeffs) if c},
+                    prec)
+
+
 def check_two_cycle(D: int, prec: int):
-    with mp.workdps(prec + _GUARD):
-        kz = phi_kz(D, prec)
-        return residual(kz * kz.subst(IMG_SWAP), NcSeries.const(D), prec)
+    kz = phi_kz(D, prec)
+    return residual(kz * kz.subst(IMG_SWAP), NcSeries.const(D, prec), prec)
 
 
 def check_three_cycle(D: int, prec: int):
-    with mp.workdps(prec + _GUARD):
-        kz = phi_kz(D, prec)
-        pij = mp.pi * mp.mpc(0, 1)
-        prod = (kz * exp_linear(D, pij, (E0,)) * kz.subst(IMG_INF_0)
-                * exp_linear(D, -pij, (E0, E1)) * kz.subst(IMG_1_INF) * exp_linear(D, pij, (E1,)))
-        return residual(prod, NcSeries.const(D), prec)
+    kz = phi_kz(D, prec)
+    prod = (kz * exp_linear(D, 1, (E0,), prec)
+            * kz.subst(IMG_INF_0) * exp_linear(D, -1, (E0, E1), prec)
+            * kz.subst(IMG_1_INF) * exp_linear(D, 1, (E1,), prec))
+    return residual(prod, NcSeries.const(D, prec), prec)
 
 
 def check_t_part(product: str, T, D: int, prec: int):
-    """phi(T) = exp(-T X1) phi(0)."""
-    with mp.workdps(prec + _GUARD):
-        lhs = phi(product, T, D, prec)
-        rhs = exp_linear(D, -to_mp(T), (E1,)) * phi(product, 0, D, prec)
-        return residual(lhs, rhs, prec)
+    """phi(T) = exp(-T X1) phi(0), the exponential from the exact (-T)^n/n!."""
+    exp = NcSeries(D, {(E1,) * n: Fraction(-T) ** n / factorial(n) for n in range(D + 1)}, prec)
+    return residual(phi(product, T, D, prec), exp * phi(product, 0, D, prec), prec)
 
 
 def check_gamma_factor(T, D: int, prec: int):
     """phi_shuffle(T) = Gamma0(X1) phi_harmonic(T)."""
-    with mp.workdps(prec + _GUARD):
-        lhs = phi(SHUFFLE, T, D, prec)
-        gamma0 = NcSeries(D, {(E1,) * b: eval_zeta_poly(g, {}, prec)
-                              for b, g in enumerate(gamma0_coeffs(D)) if g})
-        rhs = gamma0 * phi(HARMONIC, T, D, prec)
-        return residual(lhs, rhs, prec)
+    gamma0 = _one_letter_series(gamma0_coeffs(D), D, prec)
+    return residual(phi(SHUFFLE, T, D, prec), gamma0 * phi(HARMONIC, T, D, prec), prec)
 
 
 def check_independence_factor(T, D: int, prec: int):
     """The adjoint shuffle series factors through exp(sum zeta(2k)/k X1^2k)."""
-    with mp.workdps(prec + _GUARD):
-        lhs = phi_ad(SHUFFLE, 0, T, D, prec)
-        gamma = exp_coeffs([mzv((n,), prec) / (n // 2) if n % 2 == 0 < n else mp.mpf(0)
-                            for n in range(D + 1)])
-        mid = NcSeries(D, {(E1,) * n: e for n, e in enumerate(gamma)})
-        x1 = NcSeries(D, {(E1,): mp.mpf(1)})
-        rhs = phi(HARMONIC, 0, D, prec).eps() * x1 * mid * phi(HARMONIC, T, D, prec)
-        return residual(lhs, rhs, prec)
+    mid = _one_letter_series(exp_coeffs([ZetaPoly.zeta((n,)) / (n // 2) if n % 2 == 0 < n
+                                         else ZetaPoly() for n in range(D + 1)]), D, prec)
+    x1 = NcSeries(D, {(E1,): 1}, prec)
+    rhs = phi(HARMONIC, 0, D, prec).eps() * x1 * mid * phi(HARMONIC, T, D, prec)
+    return residual(phi_ad(SHUFFLE, 0, T, D, prec), rhs, prec)
 
 
 def check_duality_assoc(D: int, prec: int):
     """The dressed series at (X_inf, X0) is the conjugate of it at (X_inf, X1)."""
-    with mp.workdps(prec + _GUARD):
-        rs = phi_rs(D, prec)
-        return residual(rs.subst(IMG_INF_0), rs.subst(IMG_INF_1).conj(), prec)
+    rs = phi_rs(D, prec)
+    return residual(rs.subst(IMG_INF_0), rs.subst(IMG_INF_1).conj(), prec)
 
 
 def check_rsmzv_routes(k: Index, orders: tuple[int, int], prec: int):
@@ -475,9 +471,8 @@ def check_smzv_routes(k: Index, orders: tuple[int, int], prec: int):
     the independent check of that expansion."""
     k = Index(k)
     with mp.workdps(prec + _GUARD):
-        tvals = {"T1": to_mp(0), "T2": to_mp(0)}
         direct = stadic_smzv(k, HARMONIC, orders).map(
-            lambda p: eval_zeta_poly(p, tvals, prec))
+            lambda p: eval_zeta_poly(p, {"T1": 0, "T2": 0}, prec))
         paired = smzv_via_assoc(k, orders, prec)
         return residual(direct, paired, prec)
 

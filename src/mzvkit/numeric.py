@@ -265,9 +265,9 @@ def _div(x, d: int):
 
 
 def _number(re: int, im: int, bits: int):
-    """(re + i im) 2^-bits: an mpf, or an mpc when im is not 0."""
-    x = mp.mpf((re, -bits))
-    return mp.mpc(x, mp.mpf((im, -bits))) if im else x
+    """(re + i im) 2^-bits, exact at any working precision: an mpf, or an mpc if im != 0."""
+    x = from_man_exp(re, -bits)
+    return mp.make_mpc((x, from_man_exp(im, -bits))) if im else mp.make_mpf(x)
 
 
 def _fixed_mzv(k, prec: int) -> int | None:

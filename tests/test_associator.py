@@ -71,22 +71,22 @@ def check_phi_ad_translation(T1, T2, D: int, prec: int):
 
 def test_ncseries_ops():
     with mp.workdps(50):
-        a = NcSeries(2, {(): mp.mpf(1), (E0,): mp.mpf(2)})
-        b = NcSeries(2, {(E1,): mp.mpf(3)})
+        a = NcSeries(2, {(): mp.mpf(1), (E0,): mp.mpf(2)}, 40)
+        b = NcSeries(2, {(E1,): mp.mpf(3)}, 40)
         assert (a * b).coeff((E0, E1)) == 6
         assert (a * b).coeff((E1,)) == 3
         # truncation beyond the degree bound
-        c = NcSeries(1, {(E0,): mp.mpf(1)})
+        c = NcSeries(1, {(E0,): mp.mpf(1)}, 40)
         assert not (c * c).terms
         # eps reverses and signs by length; reverse keeps signs
-        d = NcSeries(2, {(E0, E1): mp.mpc(0, 1)})
+        d = NcSeries(2, {(E0, E1): mp.mpc(0, 1)}, 40)
         assert d.eps().coeff((E1, E0)) == mp.mpc(0, 1)
         assert d.reverse().coeff((E1, E0)) == mp.mpc(0, 1)
         assert d.conj().coeff((E0, E1)) == mp.mpc(0, -1)
         assert b.eps().coeff((E1,)) == -3
         assert b.reverse().coeff((E1,)) == 3
         # the text form decodes the fixed-point ints, real and complex
-        e = NcSeries(2, {(): mp.mpf(1) / 3, (E0, E1): mp.mpc(0.5, -2)})
+        e = NcSeries(2, {(): mp.mpf(1) / 3, (E0, E1): mp.mpc(0.5, -2)}, 40)
         assert repr(e) == str(e) == "(0.33333333)*1 + ((0.5 - 2.0j))*X0X1"
         assert repr(NcSeries(2)) == "0"
         # a series over an exact ring keeps its coefficients as given
@@ -123,7 +123,7 @@ def test_fixed_point_products_agree_with_mpmath_products():
         with mp.workdps(prec + _GUARD):
             a = _random_terms(rng, D, left_complex)
             b = _random_terms(rng, D, right_complex)
-            got = NcSeries(D, a) * NcSeries(D, b)
+            got = NcSeries(D, a, prec) * NcSeries(D, b, prec)
         with mp.workdps(prec + 40):
             want = _mpmath_product(a, b, D)
             assert set(got.terms) == set(want)
@@ -137,10 +137,8 @@ def test_series_of_different_scales_do_not_combine():
     # a whole-series check builds every factor at one precision; a factor
     # built at another, or exact against fixed point, is an error, not a
     # silent conversion
-    with mp.workdps(40 + _GUARD):
-        coarse = exp_linear(4, mp.mpf(1) / 3, (E0, E1))
-    with mp.workdps(60 + _GUARD):
-        fine = exp_linear(4, mp.mpf(1) / 3, (E0, E1))
+    coarse = exp_linear(4, Fraction(1, 3), (E0, E1), 40)
+    fine = exp_linear(4, Fraction(1, 3), (E0, E1), 60)
     exact = NcSeries(4, {(): 1, (E0,): Fraction(1, 3)})
     assert exact.bits == 0 and 0 < coarse.bits < fine.bits
     for a, b in [(coarse, fine), (fine, coarse), (exact, fine), (coarse, exact)]:
@@ -169,7 +167,7 @@ def test_a_non_finite_coefficient_in_a_product_never_passes():
     with mp.workdps(40 + _GUARD):
         kz = phi_kz(3, 40)
         for bad in (mp.nan, mp.inf, -mp.inf, mp.mpc(mp.nan, 0), mp.mpc(1, mp.inf)):
-            series = NcSeries(3, {(): mp.mpf(1), (E0,): bad})
+            series = NcSeries(3, {(): mp.mpf(1), (E0,): bad}, 40)
             for product in (series * kz, kz * series, kz * series.conj()):
                 try:
                     r = residual(product, kz, 40)
@@ -180,45 +178,46 @@ def test_a_non_finite_coefficient_in_a_product_never_passes():
 
 def test_reversed_t_factorization():
     # the reversed series factors on the right: rev(phi(T)) = rev(phi(0)) exp(-T X1)
-    with mp.workdps(40 + _GUARD):
-        T = Fraction(7, 10)
-        lhs = phi(SHUFFLE, T, 4, 40).reverse()
-        rhs = phi(SHUFFLE, 0, 4, 40).reverse() * exp_linear(4, -mp.mpf(7) / 10, (E1,))
-        assert residual(lhs, rhs, 40) < TOL
+    T = Fraction(7, 10)
+    lhs = phi(SHUFFLE, T, 4, 40).reverse()
+    exp = NcSeries(4, {(E1,) * n: (-T) ** n / factorial(n) for n in range(5)}, 40)
+    rhs = phi(SHUFFLE, 0, 4, 40).reverse() * exp
+    assert residual(lhs, rhs, 40) < TOL
 
 
-def _exp_by_products(x: NcSeries) -> NcSeries:
+def _exp_by_products(x: NcSeries, prec: int) -> NcSeries:
     """exp of a series with no constant term as sum x^n/n!, by truncated products."""
-    out = power = NcSeries.const(x.deg)
+    out = power = NcSeries.const(x.deg, prec)
     for n in range(1, x.deg + 1):
         power = power * x
-        out = out + power.scale(mp.mpf(1) / factorial(n))
+        out = out + power.scale(Fraction(1, factorial(n)))
     return out
 
 
 def test_exp_letter_linear():
-    with mp.workdps(50):
-        e = exp_linear(3, mp.mpf(2), (E0,))
+    with mp.workdps(60):
+        i_pi = mp.pi * mp.mpc(0, 1)
+        e = exp_linear(3, 2, (E0,), 40)
         assert e.coeff(()) == 1
-        assert e.coeff((E0,)) == 2
-        assert e.coeff((E0, E0)) == 2
-        assert abs(e.coeff((E0, E0, E0)) - mp.mpf(8) / 6) < mp.mpf(10) ** -45
-        mixed = exp_linear(2, mp.mpf(1), (E0, E1))
-        assert mixed.coeff((E0, E1)) == mp.mpf(1) / 2
+        assert abs(e.coeff((E0,)) - 2 * i_pi) < mp.mpf(10) ** -45
+        assert abs(e.coeff((E0, E0)) + 2 * mp.pi ** 2) < mp.mpf(10) ** -45
+        assert abs(e.coeff((E0, E0, E0)) - (2 * i_pi) ** 3 / 6) < mp.mpf(10) ** -45
+        mixed = exp_linear(2, Fraction(1, 2), (E0, E1), 40)
+        assert abs(mixed.coeff((E0, E1)) - i_pi ** 2 / 8) < mp.mpf(10) ** -45
         # the closed form is the sum of the truncated powers, with a real 1
-        c = mp.mpc(mp.mpf(3) / 10, -mp.mpf(7) / 10)
-        for letters in ((E0,), (E1,), (E0, E1)):
-            closed = exp_linear(6, c, letters)
-            assert type(closed.coeff(())) is mp.mpf
-            x = NcSeries(6, {(a,): c for a in letters})
-            assert residual(closed, _exp_by_products(x), 40) < mp.mpf(10) ** -45
+        for r in (Fraction(1, 2), 2, -1):
+            for letters in ((E0,), (E1,), (E0, E1)):
+                closed = exp_linear(6, r, letters, 40)
+                assert type(closed.coeff(())) is mp.mpf
+                x = NcSeries(6, {(a,): to_mp(r) * i_pi for a in letters}, 40)
+                assert residual(closed, _exp_by_products(x, 40), 40) < mp.mpf(10) ** -45, r
 
 
 def test_exp_single_letter_series():
     with mp.workdps(50):
         # exp(x^2) = 1 + x^2 + x^4/2 on one letter
         coeffs = exp_coeffs([mp.mpf(0), 0, mp.mpf(1), 0, 0])
-        e = NcSeries(4, {(E1,) * n: c for n, c in enumerate(coeffs)})
+        e = NcSeries(4, {(E1,) * n: c for n, c in enumerate(coeffs)}, 40)
         assert e.coeff(()) == 1 and type(e.coeff(())) is mp.mpf
         assert e.coeff((E1, E1)) == 1
         assert abs(e.coeff((E1,) * 4) - mp.mpf(1) / 2) < mp.mpf(10) ** -45
@@ -229,7 +228,7 @@ def test_exp_single_letter_series():
 
 def test_subst():
     with mp.workdps(50):
-        a = NcSeries(2, {(E0, E1): mp.mpf(1)})
+        a = NcSeries(2, {(E0, E1): mp.mpf(1)}, 40)
         swapped = a.subst(IMG_SWAP)
         assert swapped.coeff((E1, E0)) == 1
         inf = a.subst({E0: ((E0, -1), (E1, -1)), E1: ((E1, 1),)})
@@ -340,6 +339,52 @@ def test_whole_series_checks_at_every_precision(name):
     for prec in (15, 60, 40):
         for D in (5, 6):
             assert WHOLE_SERIES_CHECKS[name](D, prec) < tolerance(prec), (D, prec)
+
+
+@pytest.mark.parametrize("name", list(WHOLE_SERIES_CHECKS))
+def test_whole_series_checks_ignore_the_working_precision(name):
+    # the scale of every factor is numeric._bits(prec), not the caller's mp.prec
+    got = []
+    for dps in (15, 100):
+        clear_caches()
+        with mp.workdps(dps):
+            before = mp.prec
+            got.append(WHOLE_SERIES_CHECKS[name](5, 40))
+            assert mp.prec == before
+    assert got[0] == got[1]
+
+
+def test_series_are_built_at_the_scale_of_their_prec():
+    for prec in (15, 40, 100):
+        built = []
+        for dps in (15, 100):
+            clear_caches()
+            with mp.workdps(dps):
+                built.append([phi_kz(5, prec), phi_rs(5, prec),
+                              exp_linear(5, Fraction(1, 2), (E0, E1), prec)])
+        for a, b in zip(*built):
+            assert a.codes == b.codes and a.bits == b.bits == _bits(prec)
+
+
+def test_an_exact_series_refuses_mpmath_numbers():
+    with pytest.raises(TypeError, match="exact series"):
+        NcSeries(2, {(): mp.mpf(1)})
+    with pytest.raises(TypeError, match="exact series"):
+        NcSeries(2, {(E0,): mp.mpc(0, 1)})
+
+
+def test_a_coefficient_reads_the_same_under_any_working_precision():
+    # the coefficient, the largest one and a split product's coefficient are
+    # the series' ints read exactly, not rounded to the caller's mp.prec
+    kz = phi_kz(5, 40)
+    reads = []
+    for dps in (15, 100):
+        with mp.workdps(dps):
+            reads.append((kz.coeff((E0, E1)), list(kz.largest()),
+                          associator._rs_product(40).coeff((E0, E1))))
+    assert reads[0] == reads[1]
+    with mp.workdps(100):
+        assert abs(reads[0][0] + mp.zeta(2)) < mp.mpf(10) ** -39
 
 
 def test_smzv_via_assoc_routes():

@@ -64,6 +64,7 @@ COMMANDS = [
     "check duality-assoc --deg 4",
     "check smzv-assoc (2) --orders 1,1",
     "check rsmzv-routes (2) --orders 1,1",
+    "check rsmzv-routes (1,2) --orders 1,1",
     "scan stuffle --pmax 60",
     "scan stuffle (1) (2) --pmax 40 --pow 2",
     "scan stuffle (1,2) (2,1) --pmax 60 --pow 3",
@@ -411,9 +412,14 @@ def _factor_keeping_T_at_zero(keys, t_side):
 # n e_n = sum k c_k e_(n-k), so a recurrence without the factor k is planted
 # in each: in regularization it changes Gamma0 from X^2 on, and so rho and R,
 # which every check listed for it reads; in associator only the zeta(2k)/k
-# factor of independence.  A closed form exp(c x) without its 1/n! fails the
-# checks that multiply by exp(c X_a): three-cycle, t-part, and duality-assoc
-# through phi_rs.
+# factor of independence, which since it runs over ZetaPoly also fails under
+# a ZetaPoly product that keeps one factor's powers.  The powers (r pi i)^n/n!
+# of exp(r pi i x) are numeric._i_pi_power, which associator binds for both
+# exp_linear and the split products, so that is where a fault without the 1/n!
+# is planted: it fails three-cycle and duality-assoc, which multiply by the
+# closed forms, and the pairings of the dressed series, duality and the
+# depth-2 rsmzv-routes, as measured.  t-part's exp(-T X1) is the exact series
+# of (-T)^n/n!, built in check_t_part, so its 1/n! is planted there.
 # harmonic, shuffle and the tau cyclic sums build split sums (stadic._splits)
 # and expand only the difference of their sides, linearly, so a fault in the
 # expansion shows only if it is not linear, as a group that keeps only its
@@ -422,6 +428,11 @@ def _factor_keeping_T_at_zero(keys, t_side):
 # split code is a product of two series in one variable without the terms to
 # which both give a positive power, which harmonic sees through its two-factor
 # sides, and antipode and shifted-harmonic through their shifted values.
+# The transcript expands a whole symmetric grid only where an associator
+# route reads it: at (2) that grid has no mixed terms, so an outer product
+# a(s) b(t) without its terms s^i t^j, i, j > 0, fails only rsmzv-routes at
+# (1,2).  That command, the one depth-2 pairing, reads values with a trailing
+# 1 and T2 terms, so it fails under each fault that names it, as measured.
 # shuffle multiplies by its rational (s, t) weights as shifts of keys, so a
 # shift of keys that ignores t is what it sees there.  At T = 0 a factor is
 # zeroed in stadic._factor: a zeroing there that keeps T1 and T2 fails
@@ -482,16 +493,18 @@ MUTATIONS = {
                                     planted(associator._zeta_reg_value,
                                             "T.denominator * terms[k])", "T.denominator)")),
                                    {"duality", "duality-assoc", "gamma-factor", "independence",
-                                    "t-part", "three-cycle", "two-cycle"}),
+                                    "rsmzv-routes (1,2) --orders 1,1", "t-part", "three-cycle",
+                                    "two-cycle"}),
     "merge-keeps-one-side": ((rings, "_merge_powers", lambda a, b: a or b),
                              {"antipode", "csf-nonstar", "csf-star", "csf-tau", "explicit-reg",
-                              "gamma-factor", "harmonic", "reg", "shifted-harmonic", "shuffle"}),
+                              "gamma-factor", "harmonic", "independence", "reg",
+                              "rsmzv-routes (1,2) --orders 1,1", "shifted-harmonic", "shuffle"}),
     "star-without-the-index-itself": ((stadic, "shifted_mzv_star",
                                        planted(stadic.shifted_mzv_star, "coarsenings(Index(k))",
                                                "coarsenings(Index(k))[1:]")),
                                       {"antipode", "csf", "csf-shifted"}),
     "T2-with-wrong-sign": ((stadic, "_t_renamed", _t_renamed_negating_T2),
-                           {"t-translation"}),
+                           {"rsmzv-routes (1,2) --orders 1,1", "t-translation"}),
     "zeroing-keeps-T": ((stadic, "_t_renamed", _t_renamed_keeping_T_at_zero),
                         {"explicit-reg"}),
     "factor-zeroing-keeps-T": ((stadic, "_factor", _factor_keeping_T_at_zero), {"shuffle"}),
@@ -525,6 +538,7 @@ MUTATIONS = {
                                                      stuffle_without_merged_terms),
                                                     {"antipode", "csf-nonstar", "csf-star",
                                                      "csf-tau", "explicit-reg", "harmonic", "reg",
+                                                     "rsmzv-routes (1,2) --orders 1,1",
                                                      "shifted-harmonic"}),
     "associator-stuffle-without-merged-terms": ((associator, "stuffle",
                                                  stuffle_without_merged_terms),
@@ -547,10 +561,17 @@ MUTATIONS = {
                                          planted(rings.exp_coeffs, "k * c[k] * e[n - k]",
                                                  "c[k] * e[n - k]")),
                                         {"independence"}),
-    "exp-linear-without-factorial": ((associator, "exp_linear",
-                                      planted(associator.exp_linear, "c ** n / factorial(n)",
-                                              "c ** n")),
-                                     {"duality-assoc", "t-part", "three-cycle"}),
+    "i-pi-power-without-factorial": ((associator, "_i_pi_power",
+                                      planted(numeric._i_pi_power, " * math.factorial(n)", "")),
+                                     {"duality", "duality-assoc", "rsmzv-routes (1,2) --orders 1,1",
+                                      "three-cycle"}),
+    "t-part-exp-without-factorial": ((associator, "check_t_part",
+                                      planted(associator.check_t_part, " / factorial(n)", "")),
+                                     {"t-part"}),
+    "outer-product-drops-mixed-terms": ((BiSeries, "from_outer",
+                                         planted(BiSeries.from_outer, "if (xy := x * y)",
+                                                 "if not (i and j) and (xy := x * y)")),
+                                        {"rsmzv-routes (1,2) --orders 1,1"}),
     "shuffle-kernel-counts-each-interleaving-once": ((words, "_shuffle_words",
                                                       _shuffle_words_counted_once),
                                                      {"shuffle"}),

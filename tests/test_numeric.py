@@ -272,8 +272,8 @@ def test_residual_of_each_kind():
         assert residual(T * 3, ZetaPoly.const(1), 40) == 3
         grid = BiSeries(0, 2, [[mp.mpf(1), mp.mpf(-5), mp.mpf(2)]])
         assert residual(grid, BiSeries.constant(mp.mpf(0), 0, 2), 40) == 5
-        series = NcSeries(2, {(E0,): mp.mpc(0, 4), (E1,): mp.mpf(1)})
-        assert residual(series, NcSeries(2, {(E1,): mp.mpf(1)}), 40) == 4
+        series = NcSeries(2, {(E0,): mp.mpc(0, 4), (E1,): mp.mpf(1)}, 40)
+        assert residual(series, NcSeries(2, {(E1,): mp.mpf(1)}, 40), 40) == 4
         assert residual(series, series, 40) == 0
         # exact numbers, and a series of them, are converted exactly
         small = mp.mpf(10) ** -54
@@ -308,8 +308,8 @@ def test_residual_sees_a_factor_that_vanishes_at_one_point_of_t():
 
 
 def test_residual_is_nan_when_a_series_coefficient_is_nan():
-    series = NcSeries(2, {(): mp.mpf(1), (E0,): mp.mpf(5), (E0, E1): mp.mpf("nan")})
-    assert mp.isnan(residual(series, NcSeries.const(2), 40))
+    series = NcSeries(2, {(): mp.mpf(1), (E0,): mp.mpf(5), (E0, E1): mp.mpf("nan")}, 40)
+    assert mp.isnan(residual(series, NcSeries.const(2, 40), 40))
 
 
 def t_coefficients_reference(p: ZetaPoly, prec: int) -> dict:
