@@ -35,9 +35,10 @@ Symmetric values read the flanked coefficients e0^i e_k e1 e0^j as an (s,t)
 grid.  The pairings (``rsmzv``, ``smzv_via_assoc`` and the duality built on
 them) read a product without building it: the coefficient of F1...Fr at a
 word is the sum over the splits of the word into r consecutive pieces, and
-each factor is read on the pieces (``numeric._SplitProduct``).  The
-whole-series checks (cycles, factorizations, ``duality-assoc``) multiply
-``NcSeries``.
+each factor is read on the pieces (``numeric._SplitProduct``).  Their grids
+hold ``numeric.Gaussian`` ints up to the residual, so no function here opens
+an mpmath context.  The whole-series checks (cycles, factorizations,
+``duality-assoc``) multiply ``NcSeries``.
 """
 
 from __future__ import annotations
@@ -46,12 +47,13 @@ import itertools
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import factorial
+from numbers import Complex, Rational
 
 from mpmath import mp
 
 from .indices import Index, coarsenings, hoffman_dual, shifts, shuffle_one, stuffle
-from .numeric import (_GUARD, _SplitProduct, _bits, _div, _fixed_mzv, _i_pi_power, _number,
-                      _scaled, eval_zeta_poly, residual)
+from .numeric import (Gaussian, _SplitProduct, _bits, _div, _fixed_mzv, _i_pi_power, _number,
+                      _pi, _scaled, eval_zeta_poly, residual)
 from .regularization import gamma0_coeffs
 from .rings import BiSeries, LinearCombination, ZetaPoly, exp_coeffs
 from .stadic import stadic_smzv
@@ -111,7 +113,7 @@ class NcSeries:
     def _fixed(self, c):
         """A number held at this series' bits: an int, or c itself when it is
         an mpmath number that is not finite or the series is exact."""
-        if isinstance(c, (mp.mpf, mp.mpc)):
+        if isinstance(c, Complex) and not isinstance(c, Rational):     # an mpf or mpc
             if not self.bits:
                 raise TypeError("an exact series takes no mpmath number; build it with a prec")
             re, im = _scaled(c.real, self.bits), _scaled(c.imag, self.bits)
@@ -370,41 +372,31 @@ def smzv_via_assoc(k: Index, orders: tuple[int, int], prec: int) -> BiSeries:
     k = Index(k)
     if k.depth == 0:
         raise ValueError("the pairing route needs a non-empty index")
-    with mp.workdps(prec + _GUARD):
-        val = _flanked_pairing(_ad_product(HARMONIC, 0, 0, prec), k, orders)
-        return val.scale(mp.mpf((-1) ** (k.weight + k.depth)))
-
-
-def _exp_st_grid(orders: tuple[int, int], prec: int) -> BiSeries:
-    """exp(-(s+t) pi i / 2) as a complex coefficient grid."""
-    ms, mt = orders
-    with mp.workdps(prec + _GUARD):
-        base = -mp.pi * mp.mpc(0, 1) / 2
-        grid = [[base ** (m + n) / (factorial(m) * factorial(n))
-                 for n in range(mt + 1)] for m in range(ms + 1)]
-        return BiSeries(ms, mt, grid)
+    return _flanked_pairing(_ad_product(HARMONIC, 0, 0, prec), k, orders).scale(
+        (-1) ** (k.weight + k.depth))
 
 
 def rsmzv(k: Index, orders: tuple[int, int], prec: int) -> BiSeries:
-    """Refined symmetric value via the dressed associator pairing."""
+    """Refined symmetric value via the dressed associator pairing, divided by
+    2 pi i with one rounded division per part by 2 pi at 2^(bits + 16); at the
+    empty index it is exp(-(s+t) pi i/2)."""
     k = Index(k)
-    if k.depth == 0:
-        return _exp_st_grid(orders, prec)
-    with mp.workdps(prec + _GUARD):
-        val = _flanked_pairing(_rs_product(prec), k, orders)
-        scale = mp.mpf((-1) ** (k.weight + k.depth)) / (2 * mp.pi * mp.mpc(0, 1))
-        return val.scale(scale)
+    g = _bits(prec) + 16
+    two_pi, unit = 2 * _pi(g), (-1) ** (k.weight + k.depth) << g
+    return _flanked_pairing(_rs_product(prec), k, orders).map(
+        lambda c: Gaussian(_div(unit * c.im, two_pi), _div(-unit * c.re, two_pi)))
 
 
 def rsmzv_remark_route(k: Index, orders: tuple[int, int], prec: int) -> BiSeries:
-    """The same value as exp(-(s+t) pi i/2) times the harmonic-product
-    symmetric value at (T1, T2) = (pi i/2, -pi i/2)."""
-    k = Index(k)
-    with mp.workdps(prec + _GUARD):
-        halfpi = mp.pi * mp.mpc(0, 1) / 2
-        sym = stadic_smzv(k, HARMONIC, orders)
-        num = sym.map(lambda p: eval_zeta_poly(p, {"T1": halfpi, "T2": -halfpi}, prec))
-        return _exp_st_grid(orders, prec) * num
+    """The same value as exp(-(s+t) T1) times the harmonic-product symmetric
+    value, an exact ``ZetaPoly`` grid evaluated once at (T1, T2) = (pi i/2, -pi i/2)."""
+    ms, mt = orders
+    T1 = ZetaPoly.tvar("T1")
+    exp = BiSeries(ms, mt, [[T1 ** (m + n) * Fraction((-1) ** (m + n), factorial(m) * factorial(n))
+                             for n in range(mt + 1)] for m in range(ms + 1)])
+    half_pi_i = Gaussian(*_i_pi_power(Fraction(1, 2), 1, _bits(prec)))
+    return (exp * stadic_smzv(Index(k), HARMONIC, orders)).map(
+        lambda p: eval_zeta_poly(p, {"T1": half_pi_i, "T2": -half_pi_i}, prec))
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +404,10 @@ def rsmzv_remark_route(k: Index, orders: tuple[int, int], prec: int) -> BiSeries
 # ---------------------------------------------------------------------------
 
 def _one_letter_series(coeffs, D: int, prec: int) -> NcSeries:
-    """sum c_n X1^n over ``ZetaPoly`` coefficients, each evaluated once."""
-    return NcSeries(D, {(E1,) * n: eval_zeta_poly(c, {}, prec) for n, c in enumerate(coeffs) if c},
-                    prec)
+    """sum c_n X1^n over ``ZetaPoly`` coefficients, each evaluated once: the
+    real parts of ``eval_zeta_poly`` are the series' ints."""
+    values = enumerate(eval_zeta_poly(c, {}, prec).re for c in coeffs)
+    return NcSeries(D, prec=prec)._new({code_of_word((E1,) * n): v for n, v in values if v})
 
 
 def check_two_cycle(D: int, prec: int):
@@ -458,9 +451,12 @@ def check_duality_assoc(D: int, prec: int):
 
 
 def check_rsmzv_routes(k: Index, orders: tuple[int, int], prec: int):
-    """Pairing route against the adjoint-series route for the same value."""
-    with mp.workdps(prec + _GUARD):
-        return residual(rsmzv(k, orders, prec), rsmzv_remark_route(k, orders, prec), prec)
+    """Pairing route against the adjoint-series route for the same value.  The
+    empty index is refused: its value is the factor exp(-(s+t) pi i/2) alone,
+    with no symmetric value for the two routes to compare."""
+    if Index(k).depth == 0:
+        raise ValueError("the pairing route needs a non-empty index")
+    return residual(rsmzv(k, orders, prec), rsmzv_remark_route(k, orders, prec), prec)
 
 
 def check_smzv_routes(k: Index, orders: tuple[int, int], prec: int):
@@ -469,12 +465,9 @@ def check_smzv_routes(k: Index, orders: tuple[int, int], prec: int):
     numeric product recursion.  Both expand (1) * head by ``indices.stuffle``,
     so a fault there can pass here; the word-route test of ``zeta_reg`` is
     the independent check of that expansion."""
-    k = Index(k)
-    with mp.workdps(prec + _GUARD):
-        direct = stadic_smzv(k, HARMONIC, orders).map(
-            lambda p: eval_zeta_poly(p, {"T1": 0, "T2": 0}, prec))
-        paired = smzv_via_assoc(k, orders, prec)
-        return residual(direct, paired, prec)
+    direct = stadic_smzv(Index(k), HARMONIC, orders).map(
+        lambda p: eval_zeta_poly(p, {"T1": 0, "T2": 0}, prec))
+    return residual(direct, smzv_via_assoc(k, orders, prec), prec)
 
 
 def check_refined_duality(k: Index, orders: tuple[int, int], prec: int):
@@ -492,16 +485,10 @@ def check_refined_duality(k: Index, orders: tuple[int, int], prec: int):
     value = cache(lambda l: rsmzv(l, orders, prec))
 
     def side(idx: Index) -> BiSeries:
-        acc = BiSeries.constant(mp.mpf(0), ms, mt)
-        for m in range(ms + 1):
-            for n in range(mt + 1):
-                star = BiSeries.constant(mp.mpf(0), ms, mt)
-                for l in coarsenings(Index((1,) * m + tuple(idx) + (1,) * n)):
-                    star += value(l)
-                acc += star.shift(m, n)
+        acc = BiSeries.constant(0, ms, mt)
+        for m, n in itertools.product(range(ms + 1), range(mt + 1)):
+            for l in coarsenings(Index((1,) * m + tuple(idx) + (1,) * n)):
+                acc += value(l).shift(m, n)
         return acc
 
-    with mp.workdps(prec + _GUARD):
-        lhs = side(k)
-        rhs = side(hoffman_dual(k)).map(lambda c: -mp.conj(c))
-        return residual(lhs, rhs, prec)
+    return residual(side(k), side(hoffman_dual(k)).map(lambda c: -c.conj()), prec)

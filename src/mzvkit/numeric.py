@@ -25,8 +25,9 @@ value nor a stored one builds an intermediate mpf or switches the context.
 ``residual`` is the one measure of every relation checker: the largest
 |lhs - rhs| over the entries of the difference.  The zeta part of each
 T-coefficient of a ``ZetaPoly`` is summed exactly over those ints and
-becomes an mpf once; ``eval_zeta_poly`` reads the same coefficients.
-The associator's pairings read their products in Gaussian ints at 2^bits (``_SplitProduct``).
+becomes an mpf once.  ``eval_zeta_poly`` reads the same ints and returns a
+``Gaussian``, the fixed-point number of the associator's pairing grids from
+the split products (``_SplitProduct``) to the residual.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import accumulate, repeat
 from operator import floordiv, rshift
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mp
@@ -265,7 +267,9 @@ def _div(x, d: int):
 
 
 def _number(re: int, im: int, bits: int):
-    """(re + i im) 2^-bits, exact at any working precision: an mpf, or an mpc if im != 0."""
+    """(re + i im) 2^-bits, exact at any working precision: an mpf, an mpc if im != 0, or NaN."""
+    if type(re) is not int:
+        return mp.nan
     x = from_man_exp(re, -bits)
     return mp.make_mpc((x, from_man_exp(im, -bits))) if im else mp.make_mpf(x)
 
@@ -316,21 +320,50 @@ def mzv_star(k, prec: int = DEFAULT_PREC) -> mpmath.mpf:
         return mp.fsum(mzv(l, prec) for l in coarsenings(k))
 
 
-def eval_zeta_poly(p: ZetaPoly, t_values: dict, prec: int = DEFAULT_PREC):
-    """Evaluate a ZetaPoly, sending Z[k] to mzv(k) and T-symbols to values:
-    each T-coefficient as ``_t_coefficients`` gives it, times its T-monomial.
+class Gaussian(NamedTuple):
+    """(re + i im) 2^-bits, re and im ints at the scale bits = ``_bits(prec)`` of
+    the prec that reads it, with what a ``BiSeries`` grid asks of a coefficient:
+    sums, negation, int multiples, ``conj`` and a zero test.  A NaN holds
+    ``mp.nan`` in both parts, and every sum it enters is NaN."""
+    re: object
+    im: object = 0
 
-    Every T-symbol occurring in ``p`` must have an assigned value.
-    """
-    with mp.workdps(prec + _GUARD):
-        total = mp.mpf(0)
-        for tpart, value in _t_coefficients(p, prec, {}).items():
-            for name, e in tpart:
-                if name not in t_values:
-                    raise ValueError(f"no value bound for symbol {name}")
-                value *= to_mp(t_values[name]) ** e
-            total += value
-        return total
+    def __add__(self, other: "Gaussian") -> "Gaussian":
+        return Gaussian(self.re + other.re, self.im + other.im)
+
+    def __neg__(self) -> "Gaussian":
+        return Gaussian(-self.re, -self.im)
+
+    def __mul__(self, n: int) -> "Gaussian":
+        return Gaussian(n * self.re, n * self.im)
+
+    __rmul__ = __mul__
+
+    def conj(self) -> "Gaussian":
+        return Gaussian(self.re, -self.im)
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+
+def eval_zeta_poly(p: ZetaPoly, t_values: dict, prec: int = DEFAULT_PREC) -> Gaussian:
+    """A ZetaPoly at Z[k] = zeta(k) and its T-symbols at ``t_values`` (each must
+    be bound), a ``Gaussian`` at 2^bits: each T-coefficient of ``_t_coefficients``
+    times its T-monomial.  A T-value (a + b i)/d is an int or a Fraction, or a
+    ``Gaussian`` over d = 2^bits; each factor is one rounded multiply by it."""
+    one = 1 << _bits(prec)
+    total = Gaussian(0)
+    for tpart, c in _t_coefficients(p, prec, {}).items():
+        x, y = (mp.nan, mp.nan) if c is None else (c, 0)
+        for name, e in tpart:
+            if name not in t_values:
+                raise ValueError(f"no value bound for symbol {name}")
+            t = t_values[name]
+            a, b, d = (*t, one) if isinstance(t, Gaussian) else (t.numerator, 0, t.denominator)
+            for _ in range(e):
+                x, y = _div(x * a - y * b, d), _div(x * b + y * a, d)
+        total += Gaussian(x, y)
+    return total
 
 
 def residual(lhs, rhs, prec: int) -> mpmath.mpf:
@@ -344,10 +377,11 @@ def residual(lhs, rhs, prec: int) -> mpmath.mpf:
     T-symbols: the zeta part of each T-monomial is an exact int sum over the
     stored values, rounded once (``_t_coefficients``), so an identity between
     polynomials in T, T1, T2 holds for every value of them, not at one point.
-    Each zeta symbol is read from the store once per call.  Exact numbers are
-    converted exactly, and the comparison runs at prec + _GUARD digits.  A
-    NaN entry anywhere makes the residual NaN, which passes no tolerance.
+    Each zeta symbol is read from the store once per call.  Exact numbers and
+    ``Gaussian``s (at bits = ``_bits(prec)``) convert exactly, the comparison
+    runs at prec + _GUARD digits, and a NaN entry makes the residual NaN.
     """
+    bits = _bits(prec)
     with mp.workdps(prec + _GUARD):
         diff = lhs - rhs
         if hasattr(diff, "largest") and not isinstance(diff, ZetaPoly):
@@ -358,11 +392,11 @@ def residual(lhs, rhs, prec: int) -> mpmath.mpf:
         worst = mp.mpf(0)
         for entry in entries:
             if isinstance(entry, ZetaPoly):
-                values = _t_coefficients(entry, prec, read).values()
+                values = map(Gaussian, _t_coefficients(entry, prec, read).values())
             else:
-                values = (to_mp(entry),)
+                values = (entry,)
             for value in values:
-                size = abs(value)
+                size = abs(_number(*value, bits) if isinstance(value, Gaussian) else to_mp(value))
                 if mp.isnan(size):
                     return size
                 worst = max(worst, size)
@@ -370,15 +404,14 @@ def residual(lhs, rhs, prec: int) -> mpmath.mpf:
 
 
 def _t_coefficients(p: ZetaPoly, prec: int, read: dict) -> dict:
-    """The zeta part of each T-monomial of ``p`` (keyed by it), as an mpf at
-    prec + _GUARD digits.
+    """The zeta part of each T-monomial of ``p`` (keyed by it), as an int
+    scaled by 2^bits, bits = ``_bits(prec)``, or None for NaN.
 
-    Each is summed exactly in ints scaled by 2^bits, bits = ``_bits(prec)``:
-    a symbol's fixed-point value is one ``_fixed_mzv`` per index, kept in
-    ``read``; each factor of a product is one multiply and one shift, and a
-    coefficient one multiply and one floor division.  The floors lose a few
-    units of 2^-bits per term, and the sum becomes an mpf once.  A symbol
-    whose stored value is not a finite decimal makes its coefficient NaN.
+    Each is summed exactly in ints: a symbol's fixed-point value is one
+    ``_fixed_mzv`` per index, kept in ``read``; each factor of a product is
+    one multiply and one shift, and a coefficient one multiply and one floor
+    division.  The floors lose a few units of 2^-bits per term.  A symbol
+    whose stored value is not a finite decimal makes its coefficient None.
     """
     bits = _bits(prec)
     sums: dict = {}
@@ -394,7 +427,7 @@ def _t_coefficients(p: ZetaPoly, prec: int, read: dict) -> dict:
                 term = term * read[k] >> bits
         s = sums.get(tpart, 0)
         sums[tpart] = None if term is None or s is None else s + term * c.numerator // c.denominator
-    return {tpart: _as_mpf(s, bits, prec) for tpart, s in sums.items()}
+    return sums
 
 
 def pi_val(prec: int = DEFAULT_PREC) -> mpmath.mpf:
@@ -434,7 +467,7 @@ class _SplitProduct:
         self.factors, self.bits = factors, bits
         self._known = [{} for _ in factors]
 
-    def coeff(self, w: tuple):
+    def coeff(self, w: tuple) -> Gaussian:
         row = [(1 << self.bits, 0)] + [(0, 0)] * len(w)   # the empty product at each prefix
         for factor, known in zip(self.factors, self._known):
             for j in range(len(w), -1, -1):  # row[m <= j] still holds the previous factor
@@ -442,7 +475,7 @@ class _SplitProduct:
                 if c is None:
                     c = known[w[:j]] = self._split(factor, w, j, row)
                 row[j] = c
-        return mp.nan if row[-1] is None else _number(*row[-1], self.bits)
+        return Gaussian(mp.nan, mp.nan) if row[-1] is None else Gaussian(*row[-1])
 
     def _split(self, factor, w: tuple, j: int, row: list):
         """Sum of row[m] times the factor at w[m:j] over m <= j, or the run of its letter."""

@@ -20,13 +20,13 @@
   over any coefficient ring, by one recurrence.
 
 Zero tests go through ``bool(x)``, which works for ``Fraction``, mpmath
-numbers and the classes below.  Exact coefficients are ``int`` where the
-arithmetic gives one and ``Fraction`` otherwise (the two compare, hash and
-print alike); ``ZetaPoly.const`` keeps an ``int`` and converts only other
-outside values to ``Fraction``, so that products stay in ``int`` arithmetic
-where they can.  A constant ``ZetaPoly`` equals and hashes as its value.
-The ZetaPoly product merges the exponents of two monomials only when both
-have some in that part; an empty part leaves the other as it is.
+numbers, ``numeric.Gaussian`` and the classes below.  Exact coefficients are
+``int`` where the arithmetic gives one and ``Fraction`` otherwise (the two
+compare, hash and print alike); ``ZetaPoly.const`` keeps an ``int`` and
+converts only other outside values to ``Fraction``, so that products stay in
+``int`` arithmetic where they can.  A constant ``ZetaPoly`` equals and hashes
+as its value.  The ZetaPoly product merges the exponents of two monomials
+only when both have some in that part; an empty part leaves the other as it is.
 
 In-place operations change only the container they are applied to, never a
 coefficient object: coefficients may be shared between combinations.  An

@@ -15,7 +15,9 @@ from mzvkit.associator import (
     phi_rs, rsmzv, smzv_via_assoc, _flanked_pairing,
 )
 from mzvkit.indices import Index, coarsenings, stuffle
-from mzvkit.numeric import _GUARD, _as_mpf, _bits, eval_zeta_poly, mzv, residual, to_mp, tolerance
+from mzvkit.numeric import (
+    _GUARD, _as_mpf, _bits, _number, eval_zeta_poly, mzv, residual, to_mp, tolerance,
+)
 from mzvkit.regularization import Z_reg_full, _z_reg_full_word
 from mzvkit.rings import BiSeries, ZetaPoly, exp_coeffs
 from mzvkit.words import E0, E1, HARMONIC, SHUFFLE, NcPoly, word_of_index
@@ -45,7 +47,7 @@ def rsmzv_star(k: Index, orders: tuple[int, int], prec: int) -> BiSeries:
     if k.depth == 0:
         raise ValueError("star values need a non-empty index")
     with mp.workdps(prec + _GUARD):
-        out = BiSeries.constant(mp.mpf(0), *orders)
+        out = BiSeries.constant(0, *orders)
         for l in coarsenings(k):
             out += rsmzv(l, orders, prec)
         return out
@@ -56,8 +58,8 @@ def check_pair_convention(n: int, k: Index, product: str, T, prec: int):
     w = (E0,) * n + word_of_index(Index(k))
     with mp.workdps(prec + _GUARD):
         lhs = pair(phi(product, T, len(w), prec), NcPoly.from_word(w))
-        rhs = eval_zeta_poly(Z_reg_full(NcPoly.from_word(w[::-1]), product),
-                             {"T": to_mp(T)}, prec)
+        rhs = _number(*eval_zeta_poly(Z_reg_full(NcPoly.from_word(w[::-1]), product),
+                                      {"T": T}, prec), _bits(prec))
         return residual(lhs, rhs, prec)
 
 
@@ -354,6 +356,37 @@ def test_whole_series_checks_ignore_the_working_precision(name):
     assert got[0] == got[1]
 
 
+PAIRING_CHECKS = {
+    "duality": check_refined_duality,
+    "rsmzv-routes": check_rsmzv_routes,
+    "smzv-routes": check_smzv_routes,
+}
+
+
+@pytest.mark.parametrize("name", list(PAIRING_CHECKS))
+def test_pairing_checks_ignore_the_working_precision(name):
+    # the pairing grids are Gaussian ints at numeric._bits(prec) up to the
+    # residual, whatever the caller's mp.prec
+    got = []
+    for dps in (15, 100):
+        clear_caches()
+        with mp.workdps(dps):
+            before = mp.prec
+            got.append(PAIRING_CHECKS[name](Index((1, 2)), (1, 1), 40))
+            assert mp.prec == before
+    assert got[0] == got[1]
+
+
+def test_an_rsmzv_grid_has_the_same_ints_under_any_working_precision():
+    grids = []
+    for dps in (15, 100):
+        clear_caches()
+        with mp.workdps(dps):
+            grids.append(rsmzv(Index((1, 2)), (1, 1), 40))
+    assert grids[0] == grids[1]
+    assert all(type(c.re) is int and type(c.im) is int for c in grids[0].terms.values())
+
+
 def test_series_are_built_at_the_scale_of_their_prec():
     for prec in (15, 40, 100):
         built = []
@@ -424,8 +457,8 @@ def test_split_sum_coefficients_equal_the_series_products():
             ad_splits = associator._SplitProduct(
                 associator._ad_product(HARMONIC, T1, T2, 40).factors, _bits(40))
             for w in words_up_to(D):
-                assert abs(rs_splits.coeff(w) - rs.coeff(w)) < 1e-45, w
-                assert abs(ad_splits.coeff(w) - ad.coeff(w)) < 1e-45, w
+                assert abs(_number(*rs_splits.coeff(w), _bits(40)) - rs.coeff(w)) < 1e-45, w
+                assert abs(_number(*ad_splits.coeff(w), _bits(40)) - ad.coeff(w)) < 1e-45, w
 
 
 @pytest.mark.parametrize("prec", [15, 40, 100])
@@ -449,6 +482,7 @@ def test_per_word_phi_equals_the_symbolic_value():
         for T in (0, Fraction(7, 10)):
             for w in words_up_to(8):
                 symbolic = eval_zeta_poly(_z_reg_full_word(w[::-1], product), {"T": T}, 40)
+                symbolic = _number(*symbolic, _bits(40))
                 value = _as_mpf(associator._phi_coeff(w, product, T, 40), _bits(40), 40)
                 assert abs(value - symbolic) < 1e-45, w
 
@@ -480,6 +514,7 @@ def test_the_product_recursion_at_T():
         k = Index((2, 1, 1, 1, 1, 1, 1))        # six trailing 1s: divides by 6
         for product in (HARMONIC, SHUFFLE):
             symbolic = eval_zeta_poly(regularization.zeta_reg(k, product), {"T": T}, 40)
+            symbolic = _number(*symbolic, _bits(40))
             assert abs(value(k, product, T, 40) - symbolic) < 1e-45, product
 
 
@@ -498,7 +533,7 @@ def test_the_recursions_take_only_a_rational_T():
 
 def test_rsmzv():
     with mp.workdps(60):
-        empty = rsmzv(Index(()), (1, 1), 40)
+        empty = rsmzv(Index(()), (1, 1), 40).map(lambda c: _number(*c, _bits(40)))
         base = -mp.pi * mp.mpc(0, 1) / 2
         assert abs(empty.coeff(0, 0) - 1) < TOL
         assert abs(empty.coeff(1, 0) - base) < TOL
@@ -510,16 +545,19 @@ def test_rsmzv():
 
 
 def test_rsmzv_harmonic_relation():
-    # exp(-(s+t) pi i/2) rsmzv((1)*(1)) = rsmzv((1))^2 at orders (1,1)
-    from mzvkit.associator import _exp_st_grid
+    # exp(-(s+t) pi i/2) rsmzv((1)*(1)) = rsmzv((1))^2 at orders (1,1), where
+    # exp(-(s+t) pi i/2) is rsmzv(()) (test_rsmzv)
+    def value(k, orders):
+        return rsmzv(k, orders, 40).map(lambda c: _number(*c, _bits(40)))
+
     with mp.workdps(60):
         orders = (1, 1)
         acc = None
         for idx, c in stuffle(Index((1,)), Index((1,))):
-            v = rsmzv(idx, orders, 40).scale(mp.mpf(int(c)))
+            v = value(idx, orders).scale(mp.mpf(int(c)))
             acc = v if acc is None else acc + v
-        lhs = _exp_st_grid(orders, 40) * acc
-        one = rsmzv(Index((1,)), orders, 40)
+        lhs = value(Index(()), orders) * acc
+        one = value(Index((1,)), orders)
         rhs = one * one
         assert max(abs(e) for _, _, e in (lhs - rhs).entries()) < TOL
 

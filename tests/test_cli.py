@@ -100,6 +100,11 @@ def test_exit_codes():
     assert code == 0
     code, text = run(parse_command(["check", "csf", "(1,1)"]), CFG)
     assert code == 1 and "error[check csf]" in text
+    # the value at () is the factor exp(-(s+t) pi i/2) alone, with no
+    # symmetric value for the two routes of rsmzv-routes to compare
+    code, text = run(parse_command(["check", "rsmzv-routes", "()"]), CFG)
+    assert code == 1
+    assert "error[check rsmzv-routes]: the pairing route needs a non-empty index" in text
     assert main(["check", "harmonic", "(0,1)"]) == 2
     assert main(["eval", "mzv", "(2)"]) == 0
 
@@ -278,11 +283,14 @@ def test_nan_value_in_the_store_fails_the_check(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [["three-cycle", "--deg", "4"],
-                                     ["duality", "(1,2)", "--orders", "1,0"]],
-                         ids=["whole-series", "pairing"])
+                                     ["duality", "(1,2)", "--orders", "1,0"],
+                                     ["rsmzv-routes", "(1,2)", "--orders", "1,0"],
+                                     ["smzv-assoc", "(1,2)", "--orders", "1,0"]],
+                         ids=["whole-series", "pairing", "rsmzv-routes", "smzv-assoc"])
 def test_nan_value_in_the_store_fails_an_associator_check(tmp_path, capsys, command):
     # the associator reads the store's ints: a value that is not a finite
-    # decimal is NaN through the recursions, the series and the split product
+    # decimal is NaN through the recursions, the series and the split product,
+    # and through the Gaussian grids, the evaluator and the 2 pi i division
     cfg = tmp_path / "config.txt"
     cfg.write_text(f"cache_path={tmp_path / 'absent.txt'}\n")
     saved = dict(numeric.CACHE.records)

@@ -441,6 +441,15 @@ def _factor_keeping_T_at_zero(keys, t_side):
 # read stadic._splits_tau, where star values at tau = 0 are planted.  A split
 # sign by depth in place of weight and a product that pairs the first
 # factor's t-side twice fail the checks listed for them, as measured.
+# The pairing grids stay Gaussian ints up to the residual.  rsmzv divides by
+# 2 pi i with one rounded division per part by 2 pi, so a division by pi i,
+# a uniform factor 2, cancels in duality, both of whose sides sum rsmzv
+# values, and only rsmzv-routes sees it.  rsmzv-routes evaluates the
+# ZetaPoly grid exp(-(s+t) T1) times the symmetric value at T1 = pi i/2 by
+# the Gaussian multiply of eval_zeta_poly, which associator binds: one
+# without its cross term y b is wrong from T1^2 on, which both rsmzv-routes
+# commands read.  As that grid is a ZetaPoly product, a product that keeps
+# one factor's powers fails rsmzv-routes at (2) as well.
 MUTATIONS = {
     "eps-without-sign": ((associator.NcSeries, "eps", associator.NcSeries.reverse),
                          {"independence"}),
@@ -497,8 +506,8 @@ MUTATIONS = {
                                     "two-cycle"}),
     "merge-keeps-one-side": ((rings, "_merge_powers", lambda a, b: a or b),
                              {"antipode", "csf-nonstar", "csf-star", "csf-tau", "explicit-reg",
-                              "gamma-factor", "harmonic", "independence", "reg",
-                              "rsmzv-routes (1,2) --orders 1,1", "shifted-harmonic", "shuffle"}),
+                              "gamma-factor", "harmonic", "independence", "reg", "rsmzv-routes",
+                              "shifted-harmonic", "shuffle"}),
     "star-without-the-index-itself": ((stadic, "shifted_mzv_star",
                                        planted(stadic.shifted_mzv_star, "coarsenings(Index(k))",
                                                "coarsenings(Index(k))[1:]")),
@@ -565,6 +574,14 @@ MUTATIONS = {
                                       planted(numeric._i_pi_power, " * math.factorial(n)", "")),
                                      {"duality", "duality-assoc", "rsmzv-routes (1,2) --orders 1,1",
                                       "three-cycle"}),
+    "rsmzv-divides-by-pi-i": ((associator, "rsmzv",
+                               planted(associator.rsmzv, "two_pi, unit = 2 * _pi(g)",
+                                       "two_pi, unit = _pi(g)")),
+                              {"rsmzv-routes"}),
+    "gaussian-multiply-without-cross-term": ((associator, "eval_zeta_poly",
+                                              planted(numeric.eval_zeta_poly, "x * a - y * b",
+                                                      "x * a")),
+                                             {"rsmzv-routes"}),
     "t-part-exp-without-factorial": ((associator, "check_t_part",
                                       planted(associator.check_t_part, " / factorial(n)", "")),
                                      {"t-part"}),

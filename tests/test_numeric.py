@@ -15,8 +15,8 @@ from mpmath import mp
 from mzvkit import numeric
 from mzvkit.associator import NcSeries
 from mzvkit.numeric import (
-    _GUARD, CACHE, MIN_PREC, CacheFormatError, ValueCache, _bits, _li_half, eval_zeta_poly,
-    mzv, mzv_star, pi_val, residual, to_mp, tolerance,
+    _GUARD, CACHE, MIN_PREC, CacheFormatError, Gaussian, ValueCache, _as_mpf, _bits, _li_half,
+    _number, eval_zeta_poly, mzv, mzv_star, pi_val, residual, to_mp, tolerance,
 )
 from mzvkit.rings import BiSeries, ZetaPoly
 from mzvkit.stadic import stadic_smzv
@@ -334,6 +334,7 @@ def assert_t_coefficients_match(p: ZetaPoly, prec: int = 40) -> None:
     assert got.keys() == want.keys()
     with mp.workdps(2 * (prec + _GUARD)):
         for tpart, value in got.items():
+            value = _as_mpf(value, _bits(prec), prec)
             assert abs(value - want[tpart]) < mp.mpf(10) ** -50, (p, tpart)
 
 
@@ -400,8 +401,8 @@ def test_a_stored_value_that_is_not_finite_is_never_read_as_a_number(monkeypatch
     assert mp.isnan(mzv((2,), 40))
     assert not mp.isfinite(residual(z2 * T + 1, ZetaPoly(), 40))
     for p in (z2, z2 * z2 * Fraction(1, 3) + 1, z2 * T + T * T):
-        for t in (0, mp.mpf(1) / 2, mp.mpc(0, 1)):
-            assert not mp.isfinite(eval_zeta_poly(p, {"T": t}, 40)), (p, t)
+        for t in (0, Fraction(1, 2), Gaussian(0, 1 << _bits(40))):
+            assert not mp.isfinite(_number(*eval_zeta_poly(p, {"T": t}, 40), _bits(40))), (p, t)
     assert not mp.isfinite(residual(BiSeries(0, 1, [[ZetaPoly.const(1), z2 * T]]),
                                     BiSeries.constant(ZetaPoly(), 0, 1), 40))
 
@@ -512,11 +513,11 @@ def test_eval_zeta_poly():
     with mp.workdps(60):
         z2 = ZetaPoly.zeta((2,))
         T = ZetaPoly.tvar("T")
-        assert abs(eval_zeta_poly(z2, {}, 40) - mzv((2,), 40)) == 0
+        assert abs(_as_mpf(eval_zeta_poly(z2, {}, 40).re, _bits(40), 40) - mzv((2,), 40)) == 0
         p = (T * T - z2) * Fraction(1, 2)
-        got = eval_zeta_poly(p, {"T": 0}, 40)
+        got = _number(*eval_zeta_poly(p, {"T": 0}, 40), _bits(40))
         assert abs(got + mzv((2,), 40) / 2) < mp.mpf(10) ** -38
-        assert eval_zeta_poly(ZetaPoly.const(1), {}, 40) == 1
+        assert _number(*eval_zeta_poly(ZetaPoly.const(1), {}, 40), _bits(40)) == 1
         with pytest.raises(ValueError):
             eval_zeta_poly(T, {}, 40)
 
